@@ -1,0 +1,570 @@
+package rules
+
+import (
+	"sort"
+	"sync"
+
+	"repro/benchmark/ref/fact"
+	"repro/benchmark/ref/store"
+	"repro/benchmark/ref/sym"
+)
+
+// derivation is a fact together with the rule that produced it and
+// the premise facts the rule combined, used for provenance
+// (Engine.Explain, Engine.Derivation).
+type derivation struct {
+	f        fact.Fact
+	why      string
+	premises []fact.Fact
+}
+
+// computeClosure materializes the closure of the base store under the
+// active rules by frontier-based semi-naive forward chaining: each
+// round joins every fact of the current frontier (the facts first
+// obtained in the previous round) against everything derived so far,
+// and the new facts form the next frontier, until a fixpoint.
+// Termination is guaranteed because derived facts only combine
+// entities already in the universe.
+//
+// Rounds are data-parallel: the frontier is partitioned into
+// contiguous chunks, one worker per chunk, all joining against the
+// same store — which no one mutates until the round's sequential
+// merge. The merge concatenates chunk outputs in partition order, so
+// the insertion order (and with it every first-wins provenance
+// record and index bucket order) is identical for any worker count.
+// The generation-0 frontier is sorted to pin down the one remaining
+// source of nondeterminism, map iteration over the base fact set.
+// Called with e.mu held.
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance) {
+	derived := e.base.Clone()
+	prov := make(map[fact.Fact]Provenance)
+
+	var next []fact.Fact
+	push := func(d derivation) {
+		if derived.Insert(d.f) {
+			sortPremises(d.premises)
+			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
+			next = append(next, d.f)
+		}
+	}
+
+	frontier := derived.Facts()
+	sortFacts(frontier)
+	for _, ax := range e.axiomFacts() {
+		push(ax)
+	}
+	frontier = append(frontier, next...)
+	next = nil
+
+	for len(frontier) > 0 {
+		e.m.rounds.Inc()
+		e.m.frontier.Observe(int64(len(frontier)))
+		for _, d := range e.deriveRound(cfg, frontier, derived) {
+			push(d)
+		}
+		frontier, next = next, frontier[:0]
+	}
+	return derived, prov
+}
+
+// parallelThreshold is the frontier size below which a round runs on
+// the calling goroutine; smaller rounds lose more to goroutine
+// startup than they gain from parallelism.
+const parallelThreshold = 64
+
+// deriveRound computes every one-step derivation from the frontier
+// facts against derived, without mutating derived. Output order is
+// deterministic: the concatenation of per-fact derivations in
+// frontier order, regardless of how many workers ran.
+func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store) []derivation {
+	workers := e.buildWorkers(len(frontier) / parallelThreshold)
+	e.m.buildWorkers.Max(int64(workers))
+	if workers <= 1 {
+		var out []derivation
+		for _, f := range frontier {
+			out = e.deriveFrom(cfg, f, derived, false, out)
+		}
+		return out
+	}
+	chunks := make([][]derivation, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := len(frontier) * w / workers
+		hi := len(frontier) * (w + 1) / workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			var out []derivation
+			for _, f := range frontier[lo:hi] {
+				out = e.deriveFrom(cfg, f, derived, false, out)
+			}
+			chunks[w] = out
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	var out []derivation
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// sortFacts orders facts by (S, R, T) so generation-0 processing is
+// deterministic across builds.
+func sortFacts(fs []fact.Fact) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.S != b.S {
+			return a.S < b.S
+		}
+		if a.R != b.R {
+			return a.R < b.R
+		}
+		return a.T < b.T
+	})
+}
+
+// sortPremises orders premise facts deterministically (the closure
+// worklist order depends on map iteration, so the same fact can be
+// derived with its premises discovered in either order).
+func sortPremises(ps []fact.Fact) {
+	sort.Slice(ps, func(i, j int) bool {
+		a, b := ps[i], ps[j]
+		if a.S != b.S {
+			return a.S < b.S
+		}
+		if a.R != b.R {
+			return a.R < b.R
+		}
+		return a.T < b.T
+	})
+}
+
+// axiomFacts returns the built-in facts the paper postulates:
+// ⇌ is its own inverse (§3.4), ⊥ is its own inverse so contradiction
+// facts come in symmetric pairs (§3.5), and the mathematical
+// comparators contradict each other pairwise (§3.5–3.6). The set
+// depends only on the universe, so it is built once per engine —
+// bounded evaluation iterates it once per subgoal, and rebuilding it
+// there dominated the small-allocation profile. Callers must not
+// mutate the shared slices.
+func (e *Engine) axiomFacts() []derivation {
+	e.axiomOnce.Do(e.buildAxioms)
+	return e.axioms
+}
+
+// axiomFactList is axiomFacts without the derivation wrappers, for
+// paths that only need the facts.
+func (e *Engine) axiomFactList() []fact.Fact {
+	e.axiomOnce.Do(e.buildAxioms)
+	return e.axiomFs
+}
+
+func (e *Engine) buildAxioms() {
+	u := e.u
+	e.axiomFs = []fact.Fact{
+		{S: u.Inv, R: u.Inv, T: u.Inv},
+		{S: u.Contra, R: u.Inv, T: u.Contra},
+		{S: u.Lt, R: u.Contra, T: u.Gt},
+		{S: u.Gt, R: u.Contra, T: u.Lt},
+		{S: u.Lt, R: u.Contra, T: u.Eq},
+		{S: u.Eq, R: u.Contra, T: u.Lt},
+		{S: u.Gt, R: u.Contra, T: u.Eq},
+		{S: u.Eq, R: u.Contra, T: u.Gt},
+		{S: u.Eq, R: u.Contra, T: u.Neq},
+		{S: u.Neq, R: u.Contra, T: u.Eq},
+		{S: u.Lt, R: u.Contra, T: u.Ge},
+		{S: u.Ge, R: u.Contra, T: u.Lt},
+		{S: u.Gt, R: u.Contra, T: u.Le},
+		{S: u.Le, R: u.Contra, T: u.Gt},
+	}
+	e.axioms = make([]derivation, len(e.axiomFs))
+	for i, f := range e.axiomFs {
+		e.axioms[i] = derivation{f: f, why: "axiom"}
+	}
+}
+
+// deriveFrom appends to out every fact derivable in one step by
+// joining the fact f against the facts in derived, and returns the
+// extended slice. It collects results rather than inserting so that
+// no store is mutated while being iterated — which also makes it safe
+// to run for many facts concurrently against the same store (cfg is
+// immutable, derived is only read).
+//
+// Forward chaining passes all=false to skip conclusions already
+// present. Delete propagation (delete.go) passes all=true: there the
+// question is "which facts of the old closure have a one-step
+// derivation using f", and at fixpoint every such conclusion is
+// present — the filter would hide exactly the answers.
+func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
+	u := e.u
+	emit := func(g fact.Fact, why string, premises ...fact.Fact) {
+		if all || !derived.Has(g) {
+			out = append(out, derivation{f: g, why: why, premises: premises})
+		}
+	}
+
+	findiv := e.Individual(f.R)
+
+	// f as the data fact (s, r, t) of the §3.1/§3.2 rules.
+	if findiv {
+		if cfg.std[GenSource] {
+			// (s,r,t) ∧ (s',≺,s) ⇒ (s',r,t)
+			derived.Match(sym.None, u.Gen, f.S, func(g fact.Fact) bool {
+				emit(fact.Fact{S: g.S, R: f.R, T: f.T}, "gen-source", f, g)
+				return true
+			})
+		}
+		if cfg.std[GenRel] {
+			// (s,r,t) ∧ (r,≺,r') ⇒ (s,r',t)
+			derived.Match(f.R, u.Gen, sym.None, func(g fact.Fact) bool {
+				emit(fact.Fact{S: f.S, R: g.T, T: f.T}, "gen-rel", f, g)
+				return true
+			})
+		}
+		if cfg.std[GenTarget] {
+			// (s,r,t) ∧ (t,≺,t') ⇒ (s,r,t')
+			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
+				emit(fact.Fact{S: f.S, R: f.R, T: g.T}, "gen-target", f, g)
+				return true
+			})
+		}
+		if cfg.std[MemberSource] {
+			// (s,r,t) ∧ (s',∈,s) ⇒ (s',r,t)
+			derived.Match(sym.None, u.Member, f.S, func(g fact.Fact) bool {
+				emit(fact.Fact{S: g.S, R: f.R, T: f.T}, "member-source", f, g)
+				return true
+			})
+		}
+		if cfg.std[MemberTarget] {
+			// (s,r,t) ∧ (t,∈,t') ⇒ (s,r,t')
+			derived.Match(f.T, u.Member, sym.None, func(g fact.Fact) bool {
+				emit(fact.Fact{S: f.S, R: f.R, T: g.T}, "member-target", f, g)
+				return true
+			})
+		}
+	}
+	if cfg.std[Inversion] {
+		// (s,r,t) ∧ (r,⇌,r') ⇒ (t,r',s), in both orientations of the
+		// stored inversion fact (they are symmetric by axiom, but the
+		// symmetric twin may not have been processed yet).
+		derived.Match(f.R, u.Inv, sym.None, func(g fact.Fact) bool {
+			emit(fact.Fact{S: f.T, R: g.T, T: f.S}, "inversion", f, g)
+			return true
+		})
+		derived.Match(sym.None, u.Inv, f.R, func(g fact.Fact) bool {
+			emit(fact.Fact{S: f.T, R: g.S, T: f.S}, "inversion", f, g)
+			return true
+		})
+	}
+
+	// f as a generalization fact (a, ≺, b).
+	if f.R == u.Gen && f.S != f.T {
+		if cfg.std[GenTransitive] {
+			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
+				if g.T != f.S {
+					emit(fact.Fact{S: f.S, R: u.Gen, T: g.T}, "gen-transitive", f, g)
+				}
+				return true
+			})
+			derived.Match(sym.None, u.Gen, f.S, func(g fact.Fact) bool {
+				if g.S != f.T {
+					emit(fact.Fact{S: g.S, R: u.Gen, T: f.T}, "gen-transitive", f, g)
+				}
+				return true
+			})
+		}
+		if cfg.std[Synonym] {
+			// (s,≺,t) ∧ (t,≺,s) ⇒ (s,≈,t): a two-way generalization
+			// is a synonym (§3.3).
+			if derived.Has(fact.Fact{S: f.T, R: u.Gen, T: f.S}) {
+				twin := fact.Fact{S: f.T, R: u.Gen, T: f.S}
+				emit(fact.Fact{S: f.S, R: u.Syn, T: f.T}, "synonym", f, twin)
+				emit(fact.Fact{S: f.T, R: u.Syn, T: f.S}, "synonym", f, twin)
+			}
+		}
+		if cfg.std[MemberUp] {
+			// (m,∈,a) ∧ (a,≺,b) ⇒ (m,∈,b)
+			derived.Match(sym.None, u.Member, f.S, func(g fact.Fact) bool {
+				emit(fact.Fact{S: g.S, R: u.Member, T: f.T}, "member-up", f, g)
+				return true
+			})
+		}
+		if cfg.std[GenSource] {
+			// a inherits every individual fact about b.
+			derived.Match(f.T, sym.None, sym.None, func(g fact.Fact) bool {
+				if e.Individual(g.R) {
+					emit(fact.Fact{S: f.S, R: g.R, T: g.T}, "gen-source", f, g)
+				}
+				return true
+			})
+		}
+		if cfg.std[GenRel] {
+			// Facts using relationship a also hold under b.
+			derived.Match(sym.None, f.S, sym.None, func(g fact.Fact) bool {
+				if e.Individual(g.R) {
+					emit(fact.Fact{S: g.S, R: f.T, T: g.T}, "gen-rel", f, g)
+				}
+				return true
+			})
+		}
+		if cfg.std[GenTarget] {
+			// Facts targeting a also target b.
+			derived.Match(sym.None, sym.None, f.S, func(g fact.Fact) bool {
+				if e.Individual(g.R) {
+					emit(fact.Fact{S: g.S, R: g.R, T: f.T}, "gen-target", f, g)
+				}
+				return true
+			})
+		}
+	}
+
+	// f as a membership fact (m, ∈, c).
+	if f.R == u.Member {
+		if cfg.std[MemberUp] {
+			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
+				if g.T != f.T {
+					emit(fact.Fact{S: f.S, R: u.Member, T: g.T}, "member-up", f, g)
+				}
+				return true
+			})
+		}
+		if cfg.std[MemberSource] {
+			// m inherits every individual fact about its class c.
+			derived.Match(f.T, sym.None, sym.None, func(g fact.Fact) bool {
+				if e.Individual(g.R) {
+					emit(fact.Fact{S: f.S, R: g.R, T: g.T}, "member-source", f, g)
+				}
+				return true
+			})
+		}
+		if cfg.std[MemberTarget] {
+			// Facts targeting the instance m also target its class c.
+			derived.Match(sym.None, sym.None, f.S, func(g fact.Fact) bool {
+				if e.Individual(g.R) {
+					emit(fact.Fact{S: g.S, R: g.R, T: f.T}, "member-target", f, g)
+				}
+				return true
+			})
+		}
+	}
+
+	// f as a synonym fact (a, ≈, b): defined as two-way generalization.
+	if f.R == u.Syn && cfg.std[Synonym] {
+		emit(fact.Fact{S: f.T, R: u.Syn, T: f.S}, "synonym", f)
+		emit(fact.Fact{S: f.S, R: u.Gen, T: f.T}, "synonym", f)
+		emit(fact.Fact{S: f.T, R: u.Gen, T: f.S}, "synonym", f)
+	}
+
+	// f as an inversion fact (q, ⇌, q').
+	if f.R == u.Inv && cfg.std[Inversion] {
+		emit(fact.Fact{S: f.T, R: u.Inv, T: f.S}, "inversion", f)
+		derived.Match(sym.None, f.S, sym.None, func(g fact.Fact) bool {
+			emit(fact.Fact{S: g.T, R: f.T, T: g.S}, "inversion", f, g)
+			return true
+		})
+	}
+
+	// User rules: f may instantiate any body atom of any rule.
+	for _, r := range cfg.userRules {
+		e.applyUserRule(r, f, derived, func(g fact.Fact, premises []fact.Fact) {
+			emit(g, r.Name, premises...)
+		})
+	}
+	return out
+}
+
+// applyUserRule finds every instantiation of rule r in which the new
+// fact f matches at least one body atom, joining the remaining atoms
+// against derived facts and virtual facts, and emits the instantiated
+// head facts.
+func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []fact.Fact)) {
+	for i := range r.Body {
+		b := getBinding()
+		if !unifyTemplate(r.Body[i], f, b) {
+			putBinding(b)
+			continue
+		}
+		rest := make([]fact.Template, 0, len(r.Body)-1)
+		rest = append(rest, r.Body[:i]...)
+		rest = append(rest, r.Body[i+1:]...)
+		e.joinAtoms(rest, b, derived, func(bb binding) {
+			premises := make([]fact.Fact, 0, len(r.Body))
+			for _, atom := range r.Body {
+				if p, ok := instantiate(atom, bb); ok {
+					premises = append(premises, p)
+				}
+			}
+			for _, h := range r.Head {
+				g, ok := instantiate(h, bb)
+				if ok {
+					emit(g, premises)
+				}
+			}
+		})
+		putBinding(b)
+	}
+}
+
+// binding maps rule/query variables to entities.
+type binding map[fact.Var]sym.ID
+
+// bindingPool recycles root binding maps on the hot match paths: a
+// single closure round can start thousands of unification attempts,
+// and most die before binding anything.
+var bindingPool = sync.Pool{New: func() any { return make(binding, 8) }}
+
+func getBinding() binding { return bindingPool.Get().(binding) }
+
+func putBinding(b binding) {
+	clear(b)
+	bindingPool.Put(b)
+}
+
+// unifyTemplate extends b so that template tp matches fact f,
+// mutating b. It reports false (leaving b partially extended) when
+// unification fails; callers pass a scratch binding.
+func unifyTemplate(tp fact.Template, f fact.Fact, b binding) bool {
+	return unifyTerm(tp.S, f.S, b) && unifyTerm(tp.R, f.R, b) && unifyTerm(tp.T, f.T, b)
+}
+
+// unifyInto extends b so that tp matches f, recording each newly
+// bound variable in undo and returning how many were bound. The
+// caller unwinds by deleting undo[:n] from b — on failure too, since
+// a partial match may have bound a variable before mismatching. This
+// replaces clone-per-candidate-fact on the join paths: one shared map
+// is extended and unwound as the join backtracks.
+func unifyInto(tp fact.Template, f fact.Fact, b binding, undo *[3]fact.Var) (int, bool) {
+	n := 0
+	bind := func(t fact.Term, id sym.ID) bool {
+		if !t.IsVar() {
+			return t.Entity == id
+		}
+		if have, ok := b[t.Variable]; ok {
+			return have == id
+		}
+		b[t.Variable] = id
+		undo[n] = t.Variable
+		n++
+		return true
+	}
+	ok := bind(tp.S, f.S) && bind(tp.R, f.R) && bind(tp.T, f.T)
+	return n, ok
+}
+
+func unifyTerm(t fact.Term, id sym.ID, b binding) bool {
+	if !t.IsVar() {
+		return t.Entity == id
+	}
+	if have, ok := b[t.Variable]; ok {
+		return have == id
+	}
+	b[t.Variable] = id
+	return true
+}
+
+// resolve returns the pattern IDs of tp under binding b: bound
+// variables and constants become concrete, unbound variables map to
+// sym.None (wildcard).
+func resolve(tp fact.Template, b binding) (s, r, t sym.ID) {
+	get := func(term fact.Term) sym.ID {
+		if !term.IsVar() {
+			return term.Entity
+		}
+		if id, ok := b[term.Variable]; ok {
+			return id
+		}
+		return sym.None
+	}
+	return get(tp.S), get(tp.R), get(tp.T)
+}
+
+// instantiate grounds head template h under b.
+func instantiate(h fact.Template, b binding) (fact.Fact, bool) {
+	get := func(term fact.Term) (sym.ID, bool) {
+		if !term.IsVar() {
+			return term.Entity, true
+		}
+		id, ok := b[term.Variable]
+		return id, ok
+	}
+	s, ok1 := get(h.S)
+	r, ok2 := get(h.R)
+	t, ok3 := get(h.T)
+	if !ok1 || !ok2 || !ok3 {
+		return fact.Fact{}, false
+	}
+	return fact.Fact{S: s, R: r, T: t}, true
+}
+
+// joinAtoms enumerates every extension of b satisfying all atoms
+// against derived ∪ virtual facts via the batch join kernel
+// (batchjoin.go): premises are re-ranked by store selectivity and,
+// where eligible, answered for whole binding batches at once. atoms is
+// permuted in place; callers pass a scratch slice. found must not
+// retain its argument.
+func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, found func(binding)) {
+	var js joinStats
+	seed := [1]binding{b}
+	joinBatch(storeEval{e: e, derived: derived}, atoms, seed[:], &js, found)
+	if js.batches != 0 {
+		e.m.batchJoins.Add(js.batches)
+		e.m.batchBindings.Add(js.batchBindings)
+	}
+}
+
+// pickAtom returns the index of the atom to join next: the one whose
+// pattern under b has the smallest index-bucket estimate in st, so
+// joins enumerate the narrowest candidate set first and re-rank as
+// bindings accrue. All estimates are taken in one batch (a single
+// lock acquisition on an unsealed store). Mirroring the query
+// evaluator's cost model: an estimate of 0 with an unbound endpoint
+// usually marks a virtual pattern (comparators, ≠) acting as a guard
+// — schedule it last, after its variables are bound; bound positions
+// break ties. The choice never affects the set of join results, only
+// the order and cost of finding them.
+func pickAtom(atoms []fact.Template, b binding, st *store.Store) int {
+	var patBuf [8]store.Pattern
+	var cntBuf [8]int
+	pats := patBuf[:0]
+	if len(atoms) > len(patBuf) {
+		pats = make([]store.Pattern, 0, len(atoms))
+	}
+	for _, a := range atoms {
+		s, r, t := resolve(a, b)
+		pats = append(pats, store.Pattern{S: s, R: r, T: t})
+	}
+	cnts := cntBuf[:len(pats)]
+	if len(pats) > len(cntBuf) {
+		cnts = make([]int, len(pats))
+	}
+	st.EstimateCounts(pats, cnts)
+
+	const guard = -1 << 40 // below any real -8*count
+	best, bestScore := 0, guard-1
+	for i, p := range pats {
+		bound := 0
+		if p.S != sym.None {
+			bound++
+		}
+		if p.R != sym.None {
+			bound += 2
+		}
+		if p.T != sym.None {
+			bound++
+		}
+		var score int
+		if cnts[i] == 0 && (p.S == sym.None || p.T == sym.None) {
+			score = guard + bound
+		} else {
+			score = -8*cnts[i] + bound
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}

@@ -1,0 +1,113 @@
+package rules
+
+import (
+	"repro/benchmark/ref/obs"
+)
+
+// engineMetrics holds the engine's registry handles. The zero value
+// (all nil) is a set of no-ops, so engines without SetMetrics — unit
+// tests, differential-harness replicas — run uninstrumented for free.
+type engineMetrics struct {
+	rebuildsFull   *obs.Counter
+	rebuildsIncr   *obs.Counter
+	rebuildsDelete *obs.Counter   // snapshots maintained by delete propagation
+	deleteProps    *obs.Counter   // delete propagations with a non-empty cone
+	deleteCone     *obs.Histogram // overdeleted cone size per propagation
+	rebuildNs      *obs.Histogram
+	frontier       *obs.Histogram // frontier size per derivation round
+	rounds         *obs.Counter
+	buildWorkers   *obs.Gauge // high-water mark of goroutines in one round
+
+	factsScanned *obs.Counter // candidate facts enumerated by bounded matching
+	premReorder  *obs.Counter // join premises moved by selectivity re-ranking
+	maxDepth     *obs.Gauge   // deepest MatchBounded depth requested
+
+	batchJoins    *obs.Counter // premise×batch evaluations answered generically
+	batchBindings *obs.Counter // bindings covered by those batch evaluations
+
+	sealNs     *obs.Histogram // posting-index build time per published closure
+	sealBuilds *obs.Counter   // closures sealed (posting indexes built)
+}
+
+// SetMetrics registers the engine's metrics in r. Must be called
+// before the engine is shared across goroutines (lsdb.Open wires it
+// right after construction). The subgoal-cache counters are the
+// engine's own handles registered by reference — CacheStats and the
+// registry read the very same atomics, one source of truth.
+func (e *Engine) SetMetrics(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	e.m = engineMetrics{
+		rebuildsFull:   r.Counter("lsdb_rules_rebuilds_total", "kind", "full"),
+		rebuildsIncr:   r.Counter("lsdb_rules_rebuilds_total", "kind", "incremental"),
+		rebuildsDelete: r.Counter("lsdb_rules_rebuilds_total", "kind", "delete"),
+		deleteProps:    r.Counter("lsdb_closure_delete_propagations_total"),
+		deleteCone:     r.Histogram("lsdb_closure_delete_cone_facts"),
+		rebuildNs:      r.Histogram("lsdb_rules_rebuild_ns"),
+		frontier:       r.Histogram("lsdb_rules_frontier_facts"),
+		rounds:         r.Counter("lsdb_rules_rounds_total"),
+		buildWorkers:   r.Gauge("lsdb_rules_build_workers"),
+		factsScanned:   r.Counter("lsdb_ondemand_facts_scanned_total"),
+		premReorder:    r.Counter("lsdb_ondemand_premises_reordered_total"),
+		maxDepth:       r.Gauge("lsdb_ondemand_max_depth"),
+
+		batchJoins:    r.Counter("lsdb_join_batches_total"),
+		batchBindings: r.Counter("lsdb_join_batched_bindings_total"),
+
+		sealNs:     r.Histogram("lsdb_index_seal_ns"),
+		sealBuilds: r.Counter("lsdb_index_seal_builds_total"),
+	}
+	r.RegisterCounter("lsdb_subgoal_hits_total", e.sg.hits)
+	r.RegisterCounter("lsdb_subgoal_misses_total", e.sg.misses)
+	r.RegisterCounter("lsdb_subgoal_invalidations_total", e.sg.invalidations)
+	r.RegisterCounter("lsdb_subgoal_evicted_total", e.sg.evictDependency, "reason", "dependency")
+	r.RegisterCounter("lsdb_subgoal_evicted_total", e.sg.evictRuleset, "reason", "ruleset")
+	r.RegisterCounter("lsdb_subgoal_evicted_total", e.sg.evictEpoch, "reason", "epoch")
+	r.RegisterCounter("lsdb_subgoal_evicted_total", e.sg.evictHistory, "reason", "history")
+	r.GaugeFunc("lsdb_subgoal_entries", func() float64 {
+		if t := e.sg.table.Load(); t != nil {
+			return float64(t.size.Load())
+		}
+		return 0
+	})
+	// Closure gauges read the *published* snapshot only: a scrape must
+	// never trigger a closure build.
+	r.GaugeFunc("lsdb_closure_facts", func() float64 { return float64(e.MaterializedSize()) })
+	// Posting-index gauges describe the published closure's sealed
+	// index (zero when no snapshot is published yet).
+	r.GaugeFunc("lsdb_index_posting_bytes", func() float64 {
+		if s := e.snap.Load(); s != nil {
+			return float64(s.closure.IndexStats().PostingBytes)
+		}
+		return 0
+	})
+	r.GaugeFunc("lsdb_index_buckets", func() float64 {
+		if s := e.snap.Load(); s != nil {
+			return float64(s.closure.IndexStats().Buckets())
+		}
+		return 0
+	})
+	r.GaugeFunc("lsdb_closure_warm", func() float64 {
+		if e.Warm() {
+			return 1
+		}
+		return 0
+	})
+}
+
+// MaterializedSize returns the fact count of the currently published
+// closure snapshot, or 0 when none is published. Unlike ClosureSize
+// it never builds: it is safe to call from metric scrapes at any
+// rate without perturbing the system being observed.
+func (e *Engine) MaterializedSize() int {
+	if s := e.snap.Load(); s != nil {
+		return s.closure.Len()
+	}
+	return 0
+}
+
+// Warm reports whether the published closure snapshot is current for
+// the present base store and rule configuration (i.e. the next warm
+// read will not rebuild).
+func (e *Engine) Warm() bool { return e.validSnapshot() != nil }

@@ -1,0 +1,257 @@
+package store
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+)
+
+// WALRecord is one durable log record in name form, as shipped to
+// replication followers. Names rather than sym.IDs cross the wire:
+// every process interns its own universe.
+type WALRecord struct {
+	LSN     uint64
+	Delete  bool
+	S, R, T string
+}
+
+// WALPos locates a reader in the primary's log: records Base+1 through
+// Durable are individually readable; everything at or below Base has
+// been folded into the bootstrap section by compaction and is only
+// available as a full snapshot.
+type WALPos struct {
+	Base    uint64
+	Durable uint64
+}
+
+// ErrWALTrimmed reports that the requested position precedes the log's
+// bootstrap base: compaction folded those records away, so the caller
+// must re-bootstrap from a snapshot instead of tailing.
+var ErrWALTrimmed = errors.New("store: requested WAL records compacted away")
+
+// ReadWAL returns up to max records with LSNs in (from, Durable],
+// reading from a private handle so concurrent appends, syncs and
+// compactions proceed untouched. A short (even empty) batch is not
+// end-of-stream — the caller polls again from the last LSN it holds.
+// from below the bootstrap base returns ErrWALTrimmed along with the
+// current position, so followers know to re-bootstrap.
+//
+// Only durable records are returned: a follower can never hold a
+// record the primary might lose in a crash, which is what makes the
+// follower's applied log a prefix of the primary's *durable* log.
+func (s *Store) ReadWAL(from uint64, max int) ([]WALRecord, WALPos, error) {
+	if max <= 0 {
+		max = 1024
+	}
+	s.mu.RLock()
+	l := s.log
+	s.mu.RUnlock()
+	if l == nil {
+		return nil, WALPos{}, errors.New("store: no log attached")
+	}
+	l.mu.Lock()
+	pos := WALPos{Base: l.base, Durable: l.durable.Load()}
+	if from < pos.Base {
+		l.mu.Unlock()
+		return nil, pos, ErrWALTrimmed
+	}
+	if from >= pos.Durable {
+		l.mu.Unlock()
+		return nil, pos, nil
+	}
+	// Open the handle while holding l.mu so it matches the base/boot
+	// read above: a compaction cannot swap the file in between. After
+	// the open, a rename leaves this handle on the old inode, whose
+	// flushed content is still a complete, correct record sequence —
+	// the read just ends early and the next poll sees the new file.
+	f, err := l.fs.OpenFile(l.path, os.O_RDONLY, 0)
+	if err != nil {
+		l.mu.Unlock()
+		return nil, pos, err
+	}
+	boot := l.boot
+	gen := l.compactions.Load()
+	skipLSN, skipOff := pos.Base, int64(0)
+	if l.readGen == gen && l.readOff > 0 && l.readLSN >= pos.Base && l.readLSN <= from {
+		skipLSN, skipOff = l.readLSN, l.readOff
+	}
+	l.mu.Unlock()
+
+	recs, endLSN, endOff, rerr := decodeWALTail(f, boot, skipLSN, skipOff, from, pos.Durable, max)
+	f.Close()
+	if rerr != nil {
+		return nil, pos, rerr
+	}
+	if endOff > 0 {
+		l.mu.Lock()
+		if l.compactions.Load() == gen && endLSN > l.readLSN {
+			l.readGen, l.readLSN, l.readOff = gen, endLSN, endOff
+		}
+		l.mu.Unlock()
+	}
+	return recs, pos, nil
+}
+
+// decodeWALTail reads tail records (from, durable] from f. skipOff>0
+// is a cached cursor: the record with LSN skipLSN+1 starts there.
+// Otherwise the file is parsed from its header, skipping the bootstrap
+// section. A clean EOF before durable is not an error — the handle may
+// predate the latest appends or a compaction — but a torn record below
+// durable is corruption.
+func decodeWALTail(f File, boot int, skipLSN uint64, skipOff int64, from, durable uint64, max int) ([]WALRecord, uint64, int64, error) {
+	cr := &countingReader{r: f}
+	var br *bufio.Reader
+	lsn := skipLSN
+	if skipOff > 0 {
+		if _, err := f.Seek(skipOff, io.SeekStart); err != nil {
+			return nil, 0, 0, err
+		}
+		cr.n = skipOff
+		br = bufio.NewReader(cr)
+	} else {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, 0, 0, err
+		}
+		br = bufio.NewReader(cr)
+		magic := make([]byte, len(logMagic))
+		if _, err := io.ReadFull(br, magic); err != nil {
+			return nil, 0, 0, fmt.Errorf("%w: short log header: %v", ErrBadFormat, err)
+		}
+		switch string(magic) {
+		case logMagic:
+		case logMagic2:
+			if _, err := binary.ReadUvarint(br); err != nil {
+				return nil, 0, 0, fmt.Errorf("%w: bad log base: %v", ErrBadFormat, err)
+			}
+			if _, err := binary.ReadUvarint(br); err != nil {
+				return nil, 0, 0, fmt.Errorf("%w: bad log bootstrap count: %v", ErrBadFormat, err)
+			}
+		default:
+			return nil, 0, 0, fmt.Errorf("%w: bad log magic", ErrBadFormat)
+		}
+		for i := 0; i < boot; i++ {
+			if err := skipWALRecord(br); err != nil {
+				return nil, 0, 0, fmt.Errorf("%w: short bootstrap section: %v", ErrBadFormat, err)
+			}
+		}
+	}
+	// Skip tail records the caller already holds.
+	for lsn < from {
+		if err := skipWALRecord(br); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				// The handle predates the records we wanted to skip to;
+				// nothing readable yet from this position.
+				return nil, lsn, cr.n - int64(br.Buffered()), nil
+			}
+			return nil, 0, 0, err
+		}
+		lsn++
+	}
+	var out []WALRecord
+	for lsn < durable && len(out) < max {
+		op, err := br.ReadByte()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		rs, err := readString(br)
+		var rr, rt string
+		if err == nil {
+			rr, err = readString(br)
+		}
+		if err == nil {
+			rt, err = readString(br)
+		}
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, 0, 0, fmt.Errorf("%w: torn record below durable LSN %d", ErrBadFormat, durable)
+			}
+			return nil, 0, 0, err
+		}
+		switch op {
+		case opInsert, opDelete:
+		default:
+			return nil, 0, 0, fmt.Errorf("%w: unknown op %d", ErrBadFormat, op)
+		}
+		lsn++
+		out = append(out, WALRecord{LSN: lsn, Delete: op == opDelete, S: rs, R: rr, T: rt})
+	}
+	return out, lsn, cr.n - int64(br.Buffered()), nil
+}
+
+// skipWALRecord advances past one record without materializing its
+// strings.
+func skipWALRecord(br *bufio.Reader) error {
+	if _, err := br.ReadByte(); err != nil {
+		return err
+	}
+	for i := 0; i < 3; i++ {
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return err
+		}
+		if n > 1<<20 {
+			return fmt.Errorf("%w: entity name of %d bytes", ErrBadFormat, n)
+		}
+		if _, err := br.Discard(int(n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendedLSN returns the absolute LSN of the last appended record, or
+// 0 with no log attached. Every acknowledged mutation has an LSN at or
+// below this watermark.
+func (s *Store) AppendedLSN() uint64 {
+	s.mu.RLock()
+	l := s.log
+	s.mu.RUnlock()
+	if l == nil {
+		return 0
+	}
+	return l.appendedLSN()
+}
+
+// DurableLSN returns the highest LSN covered by a successful fsync, or
+// 0 with no log attached. This is the replication floor: only records
+// at or below it are ever streamed to followers.
+func (s *Store) DurableLSN() uint64 {
+	s.mu.RLock()
+	l := s.log
+	s.mu.RUnlock()
+	if l == nil {
+		return 0
+	}
+	return l.durable.Load()
+}
+
+// BaseLSN returns the log's bootstrap base: records at or below it are
+// only available via snapshot, not the record stream.
+func (s *Store) BaseLSN() uint64 {
+	s.mu.RLock()
+	l := s.log
+	s.mu.RUnlock()
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base
+}
+
+// SetCompactGate installs a predicate consulted before every
+// checkpoint compaction, with the log's appended LSN as argument:
+// returning false defers the compaction (the log keeps growing and the
+// next trigger asks again). The replication primary uses it to keep
+// records a connected follower still needs, up to a lag budget.
+func (s *Store) SetCompactGate(gate func(upto uint64) bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.compactGate = gate
+}
