@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-churn bench-scale bench-search check check-churn check-obs check-repl check-scale check-search crash fuzz load-smoke load-json soak
+.PHONY: all build vet test race bench bench-json bench-churn bench-scale bench-search check check-benchmark check-churn check-obs check-repl check-scale check-search crash fuzz load-smoke load-json soak
 
 all: check
 
@@ -130,9 +130,18 @@ check-scale:
 	LSDB_SCALE_FACTS=$(SCALEFACTS) $(GO) test -race -count=1 -run TestSealedVsMutableScale ./internal/check
 	$(GO) run ./cmd/lsdb-check -seeds 10 -scale $(SCALEFACTS)
 
+# The benchmark is measured against the parent commit unedited, so a
+# perf PR may not touch it: a product-API change that stops it from
+# compiling (it calls Store.Clone, Seal, IndexStats, Match, Has,
+# EstimateCount, Engine.Closure, Warm, MatchBounded, CacheStats on the
+# live build) must fail here, not in the driver.
+check-benchmark:
+	$(GO) vet ./benchmark && $(GO) test ./benchmark
+
 # Tier-1 verification plus the race detector, a short soak, and a
 # brief pass over every fuzz target.
 check: build vet test race
+	$(MAKE) check-benchmark
 	$(MAKE) check-obs
 	$(MAKE) load-smoke
 	$(MAKE) crash

@@ -1,8 +1,9 @@
 // Package check is the differential correctness harness: a set of
 // oracles that assert pairwise equivalence of every answer path the
 // engine offers — materialized closure, bounded on-demand inference,
-// sequential vs parallel materialization, incremental COW maintenance
-// vs full recompute, persistence round-trips, sealed clones — plus
+// sequential vs parallel materialization, incremental layered
+// maintenance vs full recompute, persistence round-trips, sealed
+// clones, the layered store vs a plain set — plus
 // structural invariants of published closures. Each oracle takes a
 // generated world (internal/gen) and returns nil or a Failure naming
 // the oracle and the first divergence found.
@@ -102,6 +103,9 @@ func Run(w *gen.World, opts Options) *Failure {
 		return f
 	}
 	if f := SealedVsMutable(w); f != nil {
+		return f
+	}
+	if f := LayeredModel(w); f != nil {
 		return f
 	}
 	if f := TxRollback(w); f != nil {

@@ -42,3 +42,20 @@ func TestSealedVsMutableScale(t *testing.T) {
 		}
 	}
 }
+
+// TestLayeredModelOracle runs the layered-store model check directly
+// across small, medium and churn worlds (it is also part of Run).
+func TestLayeredModelOracle(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		w := gen.Generate(seed, gen.Small())
+		if seed%8 == 7 {
+			w = gen.Generate(seed, gen.Medium())
+		} else if seed%2 == 1 {
+			w = gen.Churn(seed, gen.SmallChurn())
+		}
+		if f := LayeredModel(w); f != nil {
+			min := gen.Shrink(w, func(c *gen.World) bool { return LayeredModel(c) != nil })
+			t.Fatalf("seed %d: %v\nshrunk to:\n%s", seed, LayeredModel(min), min.Program())
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/fact"
@@ -25,15 +24,16 @@ import (
 //     fact with some derivation touching a deleted fact — joins the
 //     overdeleted cone. This over-approximates the truly dead set.
 //
-//  2. Prune: clone the old closure (COW — published snapshots are
-//     never mutated) and remove the cone, with its provenance.
+//  2. Prune: clone the old closure (the clone shares its base;
+//     published snapshots are never mutated) and tombstone the cone,
+//     with its provenance.
 //
 //  3. Rederive: a cone fact may have an alternative derivation that
 //     never touched a deleted fact. Scan the cone in canonical order
 //     and reinstate facts that are stored in the (new) base, are
 //     axioms, or have a one-step derivation from surviving facts
-//     (derive1, the head-directed mirror of deriveFrom). Reinstated
-//     facts seed a frontier.
+//     (derive1, the head-directed mirror of deriveFrom). Reinstating
+//     a fact drops its tombstone; reinstated facts seed a frontier.
 //
 //  4. Propagate: semi-naive forward chaining from the frontier (plus
 //     any net-inserted base facts of the same window) restores the
@@ -84,7 +84,7 @@ func netChanges(chs []store.Change) (ins, del []fact.Fact) {
 // window is not eligible (non-monotone Individual() flip) or not
 // worth it (cone past half the closure); the caller then rebuilds in
 // full. Called with e.mu held; old is never mutated.
-func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance, int, bool) {
+func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provMap, int, bool) {
 	ins, del := netChanges(chs)
 	u := e.u
 	for _, f := range append(del, ins...) {
@@ -118,12 +118,12 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		}
 	}
 
-	// Phase 2: prune the cone from a copy.
+	// Phase 2: prune the cone from a clone.
 	derived := oldC.Clone()
-	prov := maps.Clone(old.prov)
+	prov := old.prov.extend()
 	for _, f := range cone {
 		derived.Delete(f)
-		delete(prov, f)
+		prov.delete(f)
 	}
 
 	// Phase 3: rederive cone facts with surviving support. sortFacts
@@ -141,13 +141,13 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 			}
 		case slices.Contains(axioms, f):
 			if derived.Insert(f) {
-				prov[f] = Provenance{Rule: "axiom"}
+				prov.set(f, Provenance{Rule: "axiom"})
 				frontier = append(frontier, f)
 			}
 		default:
 			if p, ok := e.derive1(cfg, f, derived); ok && derived.Insert(f) {
 				sortPremises(p.Premises)
-				prov[f] = p
+				prov.set(f, p)
 				frontier = append(frontier, f)
 			}
 		}
@@ -165,7 +165,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		for _, d := range buf {
 			if derived.Insert(d.f) {
 				sortPremises(d.premises)
-				prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
+				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				frontier = append(frontier, d.f)
 			}
 		}

@@ -24,12 +24,13 @@ import (
 //
 // The closure is materialized lazily by semi-naive forward chaining
 // and published as an immutable snapshot (sealed closure store +
-// provenance map + the base/config versions it reflects) through an
-// atomic pointer. A batch of pure insertions is folded in by cloning
-// the previous snapshot and extending the copy (the rules are
-// monotonic); deletions and rule toggling force a recomputation.
-// Cold builds partition each derivation round across worker
-// goroutines (see apply.go).
+// provenance + the base/config versions it reflects) through an
+// atomic pointer. Store and provenance are layered: a write extends
+// the previous snapshot by a small delta over a base both snapshots
+// share, so a batch of pure insertions (the rules are monotonic) or
+// of deletions (delete.go) costs O(delta), not O(closure); rule
+// toggling forces a recomputation. Cold builds partition each
+// derivation round across worker goroutines (see apply.go).
 //
 // Concurrency: any number of goroutines may query concurrently, and
 // queries may run concurrently with base-store mutations — warm reads
@@ -84,12 +85,74 @@ type ruleset struct {
 // list are immutable after publication.
 type snapshot struct {
 	closure *store.Store
-	prov    map[fact.Fact]Provenance // how each derived fact was first obtained
-	baseVer uint64                   // base.Version() the closure reflects
-	cfgVer  uint64                   // cfgVersion the closure reflects
+	prov    *provMap // how each derived fact was first obtained
+	baseVer uint64   // base.Version() the closure reflects
+	cfgVer  uint64   // cfgVersion the closure reflects
 
+	// entities is closure.Entities(): computed on first use, or carried
+	// over from the previous snapshot across an insert-only window.
 	entitiesOnce sync.Once
-	entities     []sym.ID // closure.Entities(), computed on first use
+	entities     atomic.Pointer[[]sym.ID]
+}
+
+// provMap is a snapshot's provenance, layered like the closure store
+// it describes: base is shared by pointer between successive
+// snapshots and never written once published, over holds this
+// snapshot's additions and replacements, gone the base entries it
+// dropped. Extending a snapshot therefore copies O(delta) entries;
+// fold collapses the layers when the store folds its own.
+type provMap struct {
+	base map[fact.Fact]Provenance
+	over map[fact.Fact]Provenance
+	gone map[fact.Fact]struct{}
+}
+
+func (p *provMap) get(f fact.Fact) (Provenance, bool) {
+	if v, ok := p.over[f]; ok {
+		return v, true
+	}
+	if _, ok := p.gone[f]; ok {
+		return Provenance{}, false
+	}
+	v, ok := p.base[f]
+	return v, ok
+}
+
+func (p *provMap) set(f fact.Fact, v Provenance) { p.over[f] = v }
+
+func (p *provMap) delete(f fact.Fact) {
+	delete(p.over, f)
+	if _, ok := p.base[f]; ok {
+		p.gone[f] = struct{}{}
+	}
+}
+
+// extend returns a writable provMap over the same base.
+func (p *provMap) extend() *provMap {
+	c := &provMap{
+		base: p.base,
+		over: make(map[fact.Fact]Provenance, len(p.over)),
+		gone: make(map[fact.Fact]struct{}, len(p.gone)),
+	}
+	maps.Copy(c.over, p.over)
+	maps.Copy(c.gone, p.gone)
+	return c
+}
+
+// fold rewrites the layers into one fresh base, leaving the old base
+// (which earlier snapshots still read) untouched.
+func (p *provMap) fold() {
+	if len(p.over)+len(p.gone) == 0 {
+		return
+	}
+	m := make(map[fact.Fact]Provenance, len(p.base)+len(p.over))
+	for f, v := range p.base {
+		if _, ok := p.gone[f]; !ok {
+			m[f] = v
+		}
+	}
+	maps.Copy(m, p.over)
+	p.base, p.over, p.gone = m, nil, nil
 }
 
 // New returns an engine over base with all standard rules enabled.
@@ -253,11 +316,17 @@ func (e *Engine) Closure() *store.Store {
 // does not rescan the closure.
 func (e *Engine) ClosureEntities() []sym.ID {
 	s := e.current()
-	s.entitiesOnce.Do(func() { s.entities = s.closure.Entities() })
-	return s.entities
+	if p := s.entities.Load(); p != nil {
+		return *p
+	}
+	s.entitiesOnce.Do(func() {
+		ents := s.closure.Entities()
+		s.entities.Store(&ents)
+	})
+	return *s.entities.Load()
 }
 
-func (e *Engine) closureWithProv() (*store.Store, map[fact.Fact]Provenance) {
+func (e *Engine) closureWithProv() (*store.Store, *provMap) {
 	s := e.current()
 	return s.closure, s.prov
 }
@@ -301,9 +370,9 @@ func (e *Engine) rebuild() *snapshot {
 
 	// Incremental maintenance: the rules are monotonic, so a batch of
 	// pure insertions extends the previous closure by a semi-naive
-	// pass seeded with just the new facts, applied to a copy (readers
-	// of the old snapshot are never disturbed). Deletions
-	// (non-monotonic), rule changes, and a stale history force a full
+	// pass seeded with just the new facts, applied to a clone that
+	// shares the old snapshot's base (readers of the old snapshot are
+	// never disturbed). Rule changes and a stale history force a full
 	// recomputation.
 	var t0 time.Time
 	if e.m.rebuildNs != nil {
@@ -313,8 +382,8 @@ func (e *Engine) rebuild() *snapshot {
 	if old != nil && old.cfgVer == cv && bv > old.baseVer {
 		if chs, ok := e.base.ChangesSince(old.baseVer); ok {
 			if insertsOnly(chs) {
-				c, prov := e.applyIncremental(cfg, old, chs)
-				s := e.publish(c, prov, bv, cv)
+				c, prov, added := e.applyIncremental(cfg, old, chs)
+				s := e.publish(c, prov, bv, cv, carryEntities(old, added))
 				e.m.rebuildsIncr.Inc()
 				if e.m.rebuildNs != nil {
 					e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -327,7 +396,7 @@ func (e *Engine) rebuild() *snapshot {
 			// window is ineligible (Individual() flip) or the cone
 			// grows past the worth-it bound.
 			if c, prov, cone, ok := e.applyDeletes(cfg, old, chs); ok {
-				s := e.publish(c, prov, bv, cv)
+				s := e.publish(c, prov, bv, cv, nil)
 				e.m.rebuildsDelete.Inc()
 				if cone > 0 {
 					e.m.deleteProps.Inc()
@@ -341,7 +410,7 @@ func (e *Engine) rebuild() *snapshot {
 		}
 	}
 	c, prov := e.computeClosure(cfg)
-	s := e.publish(c, prov, bv, cv)
+	s := e.publish(c, &provMap{base: prov}, bv, cv, nil)
 	e.m.rebuildsFull.Inc()
 	if e.m.rebuildNs != nil {
 		e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -349,22 +418,62 @@ func (e *Engine) rebuild() *snapshot {
 	return s
 }
 
-func (e *Engine) publish(c *store.Store, prov map[fact.Fact]Provenance, bv, cv uint64) *snapshot {
-	// Sealing swaps the closure's hash indexes for the compressed
-	// posting-list form (store/postings.go); it is the index build of
-	// every published snapshot, so its cost is tracked explicitly.
+// publish seals c and installs it as the current snapshot. Sealing
+// freezes the store's layers; only when they have outgrown the store's
+// fold threshold (always, for a full build, which has no base yet)
+// does it also build a posting index, and that build — the O(closure)
+// part of a publish — is what the seal metrics track. The provenance
+// folds when the store does. ents, if non-nil, is the closure's entity
+// list, already known.
+func (e *Engine) publish(c *store.Store, prov *provMap, bv, cv uint64, ents []sym.ID) *snapshot {
+	before := c.IndexStats()
 	var t0 time.Time
 	if e.m.sealNs != nil {
 		t0 = time.Now()
 	}
 	c.Seal()
-	if e.m.sealNs != nil {
-		e.m.sealNs.Observe(time.Since(t0).Nanoseconds())
+	if after := c.IndexStats(); before.Delta+before.Tombstones > 0 && after.Delta+after.Tombstones == 0 {
+		if e.m.sealNs != nil {
+			e.m.sealNs.Observe(time.Since(t0).Nanoseconds())
+		}
+		e.m.sealBuilds.Inc()
+		if before.Facts > 0 {
+			e.m.folds.Inc()
+		}
+		prov.fold()
 	}
-	e.m.sealBuilds.Inc()
 	s := &snapshot{closure: c, prov: prov, baseVer: bv, cfgVer: cv}
+	if ents != nil {
+		s.entities.Store(&ents)
+	}
 	e.snap.Store(s)
 	return s
+}
+
+// carryEntities returns the entity list of a snapshot that extends old
+// by the facts in added, or nil when old never computed its own: the
+// old list plus the few IDs it lacks, instead of an O(closure) rescan
+// on the first ∀-query after every write.
+func carryEntities(old *snapshot, added []fact.Fact) []sym.ID {
+	p := old.entities.Load()
+	if p == nil {
+		return nil
+	}
+	ents := *p
+	var fresh []sym.ID
+	for _, f := range added {
+		for _, id := range [3]sym.ID{f.S, f.R, f.T} {
+			if _, found := slices.BinarySearch(ents, id); !found {
+				fresh = append(fresh, id)
+			}
+		}
+	}
+	if len(fresh) == 0 {
+		return ents
+	}
+	merged := append(slices.Clone(ents), fresh...)
+	slices.Sort(merged)
+	return slices.Compact(merged)
 }
 
 func insertsOnly(chs []store.Change) bool {
@@ -377,37 +486,34 @@ func insertsOnly(chs []store.Change) bool {
 }
 
 // applyIncremental returns a new closure extending the previous
-// snapshot with the consequences of newly inserted base facts. The
-// old snapshot's store and provenance are copied, never mutated.
-// Called with e.mu held.
-func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance) {
+// snapshot with the consequences of newly inserted base facts, its
+// provenance, and the facts it added. The new store and provenance
+// share the old snapshot's bases and carry their own delta; the old
+// snapshot is never mutated. Called with e.mu held.
+func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provMap, []fact.Fact) {
 	derived := old.closure.Clone()
-	prov := maps.Clone(old.prov)
+	prov := old.prov.extend()
 	var work []fact.Fact
-	push := func(d derivation) {
-		if derived.Insert(d.f) {
-			sortPremises(d.premises)
-			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
-			work = append(work, d.f)
-		}
-	}
 	for _, c := range chs {
+		// A fact that was already derived is now also stored: its
+		// provenance becomes "stored" (base.Has wins in Explain), and
+		// its consequences are already present.
 		if derived.Insert(c.Fact) {
 			work = append(work, c.Fact)
-		} else {
-			// The fact was already derived; it is now also stored, so
-			// its provenance becomes "stored" (base.Has wins in
-			// Explain), but its consequences are already present.
 		}
 	}
 	var buf []derivation
 	for i := 0; i < len(work); i++ {
 		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
 		for _, d := range buf {
-			push(d)
+			if derived.Insert(d.f) {
+				sortPremises(d.premises)
+				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
+				work = append(work, d.f)
+			}
 		}
 	}
-	return derived, prov
+	return derived, prov, work
 }
 
 // Invalidate drops the cached closure and bumps the subgoal cache
@@ -438,7 +544,7 @@ func (e *Engine) Explain(f fact.Fact) string {
 		return "stored"
 	}
 	if c.Has(f) {
-		if why, ok := prov[f]; ok {
+		if why, ok := prov.get(f); ok {
 			return why.Rule
 		}
 		return "derived"
@@ -469,7 +575,7 @@ func (e *Engine) Derive(f fact.Fact) *Derivation {
 		if e.base.Has(g) {
 			return &Derivation{Fact: g, Rule: "stored"}
 		}
-		p, ok := prov[g]
+		p, ok := prov.get(g)
 		if !ok {
 			return &Derivation{Fact: g, Rule: "derived"}
 		}

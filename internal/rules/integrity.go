@@ -36,7 +36,7 @@ func (e *Engine) Check() []Violation {
 		if e.base.Has(f) {
 			return "stored"
 		}
-		if w, ok := prov[f]; ok {
+		if w, ok := prov.get(f); ok {
 			return w.Rule
 		}
 		return "virtual"

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // engineMetrics holds the engine's registry handles. The zero value
@@ -14,9 +15,9 @@ type engineMetrics struct {
 	deleteProps    *obs.Counter   // delete propagations with a non-empty cone
 	deleteCone     *obs.Histogram // overdeleted cone size per propagation
 	rebuildNs      *obs.Histogram
-	frontier     *obs.Histogram // frontier size per derivation round
-	rounds       *obs.Counter
-	buildWorkers *obs.Gauge // high-water mark of goroutines in one round
+	frontier       *obs.Histogram // frontier size per derivation round
+	rounds         *obs.Counter
+	buildWorkers   *obs.Gauge // high-water mark of goroutines in one round
 
 	factsScanned *obs.Counter // candidate facts enumerated by bounded matching
 	premReorder  *obs.Counter // join premises moved by selectivity re-ranking
@@ -25,8 +26,9 @@ type engineMetrics struct {
 	batchJoins    *obs.Counter // premise×batch evaluations answered generically
 	batchBindings *obs.Counter // bindings covered by those batch evaluations
 
-	sealNs     *obs.Histogram // posting-index build time per published closure
-	sealBuilds *obs.Counter   // closures sealed (posting indexes built)
+	sealNs     *obs.Histogram // posting-index build time, per build
+	sealBuilds *obs.Counter   // posting indexes built (full builds and folds)
+	folds      *obs.Counter   // builds that folded a base with its delta and tombstones
 }
 
 // SetMetrics registers the engine's metrics in r. Must be called
@@ -45,18 +47,19 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		deleteProps:    r.Counter("lsdb_closure_delete_propagations_total"),
 		deleteCone:     r.Histogram("lsdb_closure_delete_cone_facts"),
 		rebuildNs:      r.Histogram("lsdb_rules_rebuild_ns"),
-		frontier:     r.Histogram("lsdb_rules_frontier_facts"),
-		rounds:       r.Counter("lsdb_rules_rounds_total"),
-		buildWorkers: r.Gauge("lsdb_rules_build_workers"),
-		factsScanned: r.Counter("lsdb_ondemand_facts_scanned_total"),
-		premReorder:  r.Counter("lsdb_ondemand_premises_reordered_total"),
-		maxDepth:     r.Gauge("lsdb_ondemand_max_depth"),
+		frontier:       r.Histogram("lsdb_rules_frontier_facts"),
+		rounds:         r.Counter("lsdb_rules_rounds_total"),
+		buildWorkers:   r.Gauge("lsdb_rules_build_workers"),
+		factsScanned:   r.Counter("lsdb_ondemand_facts_scanned_total"),
+		premReorder:    r.Counter("lsdb_ondemand_premises_reordered_total"),
+		maxDepth:       r.Gauge("lsdb_ondemand_max_depth"),
 
 		batchJoins:    r.Counter("lsdb_join_batches_total"),
 		batchBindings: r.Counter("lsdb_join_batched_bindings_total"),
 
 		sealNs:     r.Histogram("lsdb_index_seal_ns"),
 		sealBuilds: r.Counter("lsdb_index_seal_builds_total"),
+		folds:      r.Counter("lsdb_closure_folds_total"),
 	}
 	r.RegisterCounter("lsdb_subgoal_hits_total", e.sg.hits)
 	r.RegisterCounter("lsdb_subgoal_misses_total", e.sg.misses)
@@ -76,18 +79,20 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 	r.GaugeFunc("lsdb_closure_facts", func() float64 { return float64(e.MaterializedSize()) })
 	// Posting-index gauges describe the published closure's sealed
 	// index (zero when no snapshot is published yet).
-	r.GaugeFunc("lsdb_index_posting_bytes", func() float64 {
-		if s := e.snap.Load(); s != nil {
-			return float64(s.closure.IndexStats().PostingBytes)
+	index := func(field func(store.IndexStats) int) func() float64 {
+		return func() float64 {
+			if s := e.snap.Load(); s != nil {
+				return float64(field(s.closure.IndexStats()))
+			}
+			return 0
 		}
-		return 0
-	})
-	r.GaugeFunc("lsdb_index_buckets", func() float64 {
-		if s := e.snap.Load(); s != nil {
-			return float64(s.closure.IndexStats().Buckets())
-		}
-		return 0
-	})
+	}
+	r.GaugeFunc("lsdb_index_posting_bytes", index(func(st store.IndexStats) int { return st.PostingBytes }))
+	r.GaugeFunc("lsdb_index_buckets", index(store.IndexStats.Buckets))
+	// The layers on top of the published closure's base: facts added
+	// and base facts tombstoned since the last fold.
+	r.GaugeFunc("lsdb_closure_delta_facts", index(func(st store.IndexStats) int { return st.Delta }))
+	r.GaugeFunc("lsdb_closure_tombstones", index(func(st store.IndexStats) int { return st.Tombstones }))
 	r.GaugeFunc("lsdb_closure_warm", func() float64 {
 		if e.Warm() {
 			return 1

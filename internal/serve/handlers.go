@@ -755,6 +755,9 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 			"rebuilds_incremental": v("lsdb_rules_rebuilds_total", "kind", "incremental"),
 			"rebuilds_delete":      v("lsdb_rules_rebuilds_total", "kind", "delete"),
 			"delete_propagations":  v("lsdb_closure_delete_propagations_total"),
+			"delta_facts":          v("lsdb_closure_delta_facts"),
+			"tombstones":           v("lsdb_closure_tombstones"),
+			"folds":                v("lsdb_closure_folds_total"),
 		},
 		"index": map[string]any{
 			"posting_bytes": v("lsdb_index_posting_bytes"),

@@ -74,7 +74,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Read to EOF: the inflight gauge counts handlers that have not
+		// returned, and a body past net/http's write buffer (the traced
+		// derive) reaches the client while its handler is still
+		// writing. EOF is only sent after the handler has returned.
+		_, err = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: read body: %v", path, err)
+		}
 		if resp.StatusCode != 200 {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
@@ -109,9 +117,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples[`lsdb_browse_steps_total{kind="neighborhood"}`]; got != 1 {
 		t.Errorf("neighborhood counter = %g, want 1", got)
 	}
-	// The scrape observes itself: exactly one request (the scrape) is
-	// in flight at sampling time. Admission control exempts /metrics
-	// from the quota but still counts it on the gauge.
+	// The scrape observes itself: every earlier response was read to
+	// EOF, so exactly one request (the scrape) is in flight at sampling
+	// time. Admission control exempts /metrics from the quota but still
+	// counts it on the gauge.
 	if got := samples[`lsdb_http_inflight`]; got != 1 {
 		t.Errorf("inflight gauge = %g during scrape, want 1", got)
 	}
@@ -194,6 +203,43 @@ func TestStatsReadsRegistry(t *testing.T) {
 	if st.Index.SealBuilds != samples["lsdb_index_seal_builds_total"] {
 		t.Errorf("stats seal builds %g != metrics %g",
 			st.Index.SealBuilds, samples["lsdb_index_seal_builds_total"])
+	}
+
+	// The closure's layers: a write is folded into the next snapshot as
+	// a delta over the shared base, no posting index is built for it,
+	// and /stats and /metrics agree on the layer sizes.
+	resp, err := http.Post(srv.URL+"/facts", "application/json",
+		strings.NewReader(`{"s":"JOHN","r":"FAVORITE-MUSIC","t":"LAYER-TEST-OPUS"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var after struct {
+		Maint struct {
+			Incremental float64 `json:"rebuilds_incremental"`
+			Delta       float64 `json:"delta_facts"`
+			Tombstones  float64 `json:"tombstones"`
+			Folds       float64 `json:"folds"`
+		} `json:"closure_maintenance"`
+		Index struct {
+			SealBuilds float64 `json:"seal_builds"`
+		} `json:"index"`
+	}
+	if code := getJSON(t, srv.URL+"/stats", &after); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	samples = scrape(t, srv.URL)
+	if after.Maint.Incremental != 1 || after.Maint.Delta == 0 || after.Maint.Folds != 0 {
+		t.Errorf("closure layers after one write: %+v, want 1 incremental rebuild, a delta, no fold", after.Maint)
+	}
+	if after.Index.SealBuilds != st.Index.SealBuilds {
+		t.Errorf("seal builds %g -> %g across a one-fact write, want unchanged", st.Index.SealBuilds, after.Index.SealBuilds)
+	}
+	if after.Maint.Delta != samples["lsdb_closure_delta_facts"] ||
+		after.Maint.Tombstones != samples["lsdb_closure_tombstones"] ||
+		after.Maint.Folds != samples["lsdb_closure_folds_total"] {
+		t.Errorf("stats closure layers %+v disagree with /metrics (delta %g, tombstones %g, folds %g)", after.Maint,
+			samples["lsdb_closure_delta_facts"], samples["lsdb_closure_tombstones"], samples["lsdb_closure_folds_total"])
 	}
 }
 

@@ -181,6 +181,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // handle wraps an endpoint handler with tenant resolution, admission
 // control and the tenant's HTTP metrics: per-endpoint request counter
 // and latency histogram, the inflight gauge, byte counters both ways.
+//
+// The admission slot, and with it the inflight gauge, is held until
+// the handler returns, not until the client has the response: a body
+// larger than net/http's write buffer starts to arrive while its
+// handler is still writing, so a client that goes on before reading
+// to EOF can see its own previous request in flight. The gauge is
+// therefore ≥1 during a scrape (the scrape counts itself), exactly 1
+// once every earlier response was read to EOF (net/http ends the body
+// only after the handler has returned), and 0 after drain.
 func (s *Server) handle(endpoint string, h func(*Tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.lookup(r)

@@ -102,9 +102,7 @@ func readFact(r *bufio.Reader, u *fact.Universe) (fact.Fact, error) {
 	return fact.Fact{S: u.Intern(s), R: u.Intern(rel), T: u.Intern(t)}, nil
 }
 
-// SaveSnapshot writes all stored facts to w. A sealed store snapshots
-// from its compressed fact array (the hash fact set no longer exists
-// after Seal); the on-disk format is identical either way.
+// SaveSnapshot writes all stored facts to w.
 func (s *Store) SaveSnapshot(w io.Writer) error {
 	if !s.sealed {
 		s.mu.RLock()
@@ -115,26 +113,12 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
-	if s.sealed {
-		n := binary.PutUvarint(buf[:], uint64(len(s.idx.facts)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		for _, f := range s.idx.facts {
-			if err := writeFact(bw, s.u, f); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	}
-	n := binary.PutUvarint(buf[:], uint64(len(s.facts)))
+	n := binary.PutUvarint(buf[:], uint64(s.lenLocked()))
 	if _, err := bw.Write(buf[:n]); err != nil {
 		return err
 	}
-	for f := range s.facts {
-		if err := writeFact(bw, s.u, f); err != nil {
-			return err
-		}
+	if err := s.eachLocked(func(f fact.Fact) error { return writeFact(bw, s.u, f) }); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -155,7 +139,7 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	defer s.mu.Unlock()
 	s.mustMutable()
 	for _, f := range facts {
-		if _, ok := s.facts[f]; !ok {
+		if !s.hasLocked(f) {
 			s.insertLocked(f)
 		}
 	}
@@ -211,16 +195,7 @@ func ReadSnapshotFacts(r io.Reader, u *fact.Universe) ([]fact.Fact, error) {
 // store with no log attached the LSN is 0.
 func (s *Store) SnapshotFacts() ([]fact.Fact, uint64, error) {
 	s.mu.RLock()
-	if s.sealed {
-		facts := make([]fact.Fact, len(s.idx.facts))
-		copy(facts, s.idx.facts)
-		s.mu.RUnlock()
-		return facts, 0, nil
-	}
-	facts := make([]fact.Fact, 0, len(s.facts))
-	for f := range s.facts {
-		facts = append(facts, f)
-	}
+	facts := s.factsLocked()
 	l := s.log
 	var lsn uint64
 	if l != nil {
@@ -580,11 +555,11 @@ func (s *Store) replayLocked(f File) (replayResult, error) {
 		}
 		switch op {
 		case opInsert:
-			if _, ok := s.facts[rec]; !ok {
+			if !s.hasLocked(rec) {
 				s.insertLocked(rec)
 			}
 		case opDelete:
-			if _, ok := s.facts[rec]; ok {
+			if s.hasLocked(rec) {
 				s.deleteLocked(rec)
 			}
 		default:
@@ -678,12 +653,24 @@ func (s *Store) CompactLog() error {
 	if s.log == nil {
 		return errors.New("store: no log attached")
 	}
-	return s.log.compact(s.u, s.facts)
+	return s.log.compact(s)
+}
+
+// writeInsertsLocked writes one insert record per stored fact: the
+// bootstrap section of a compacted or reattached log. The caller holds
+// the store lock.
+func (s *Store) writeInsertsLocked(bw *bufio.Writer) error {
+	return s.eachLocked(func(f fact.Fact) error {
+		if err := bw.WriteByte(opInsert); err != nil {
+			return err
+		}
+		return writeFact(bw, s.u, f)
+	})
 }
 
 // compact is CompactLog's body. The caller holds the store write
 // lock, so the fact set is stable and no appends race the rewrite.
-func (l *Log) compact(u *fact.Universe, facts map[fact.Fact]struct{}) error {
+func (l *Log) compact(s *Store) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -709,16 +696,11 @@ func (l *Log) compact(u *fact.Universe, facts map[fact.Fact]struct{}) error {
 		// of l.lsn, so the LSN sequence continues from there instead of
 		// restarting — compaction never renumbers history out from
 		// under replication followers.
-		if err := writeLogHeader(bw, l.lsn, len(facts)); err != nil {
+		if err := writeLogHeader(bw, l.lsn, s.lenLocked()); err != nil {
 			return err
 		}
-		for f := range facts {
-			if err := bw.WriteByte(opInsert); err != nil {
-				return err
-			}
-			if err := writeFact(bw, u, f); err != nil {
-				return err
-			}
+		if err := s.writeInsertsLocked(bw); err != nil {
+			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
@@ -757,9 +739,9 @@ func (l *Log) compact(u *fact.Universe, facts map[fact.Fact]struct{}) error {
 	old := l.f
 	l.f = nf
 	l.w = bufio.NewWriter(nf)
-	l.n = len(facts)
+	l.n = s.lenLocked()
 	l.base = l.lsn
-	l.boot = len(facts)
+	l.boot = l.n
 	l.readOff = 0 // drop the tail-read cursor: it indexes the old inode
 	l.compactions.Add(1)
 	// Everything the new log contains was fsynced before the rename,
@@ -808,16 +790,11 @@ func (s *Store) ReattachLog(path string, policy SyncPolicy) error {
 	}
 	werr := func() error {
 		bw := bufio.NewWriter(tf)
-		if err := writeLogHeader(bw, base, len(s.facts)); err != nil {
+		if err := writeLogHeader(bw, base, s.lenLocked()); err != nil {
 			return err
 		}
-		for f := range s.facts {
-			if err := bw.WriteByte(opInsert); err != nil {
-				return err
-			}
-			if err := writeFact(bw, s.u, f); err != nil {
-				return err
-			}
+		if err := s.writeInsertsLocked(bw); err != nil {
+			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
@@ -850,7 +827,7 @@ func (s *Store) ReattachLog(path string, policy SyncPolicy) error {
 		restoreFlusher()
 		return fmt.Errorf("store: reopen reattached log: %w", err)
 	}
-	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: len(s.facts), base: base, boot: len(s.facts)}
+	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: s.lenLocked(), base: base, boot: s.lenLocked()}
 	l.lsn = base
 	l.durable.Store(base)
 	l.lastSync.Store(time.Now().UnixNano())

@@ -1,10 +1,10 @@
-// Compressed posting-list index for sealed stores.
+// Compressed posting-list index: the immutable base layer of a Store.
 //
-// A sealed store never changes again, so at seal time the six hash
-// indexes (map[K][]fact.Fact, each bucket a distinct slice of 12-byte
-// facts) are replaced by one sorted fact array plus per-bucket runs of
-// fact IDs. Facts are sorted by (S, R, T) and identified by their
-// position, which buys two compressions for free:
+// A base never changes once built, so the six hash indexes of the
+// delta layer (map[K][]fact.Fact, each bucket a distinct slice of
+// 12-byte facts) are replaced by one sorted fact array plus per-bucket
+// runs of fact IDs. Facts are sorted by (S, R, T) and identified by
+// their position, which buys two compressions for free:
 //
 //   - The S and SR buckets are *contiguous ranges* of the sorted array,
 //     stored as [lo, hi) spans — zero bytes of postings, and MatchAll
@@ -14,14 +14,15 @@
 //     fit in 1–2 bytes versus the 12-byte facts the hash buckets
 //     duplicated per index.
 //
-// After the build the hash maps and the fact set map are dropped, so a
-// sealed store holds each fact once plus a few bytes of postings per
-// index entry, and the large allocations that remain (fact array, enc
+// A folded store therefore holds each fact once plus a few bytes of
+// postings per index entry, and the large allocations (fact array, enc
 // arena) are pointer-free — the GC never scans them.
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/fact"
@@ -37,7 +38,8 @@ type plist struct {
 	n   uint32 // number of fact IDs in the run
 }
 
-// postings is the frozen read-side index of a sealed store.
+// postings is the immutable base layer of a Store. Clones share it by
+// pointer.
 type postings struct {
 	facts []fact.Fact // sorted by (S, R, T); fact ID = index
 
@@ -52,18 +54,22 @@ type postings struct {
 	enc []byte // delta+varint encoded fact-ID runs
 }
 
-func sortFactsSRT(fs []fact.Fact) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
+// emptyBase is the base of every store that has not folded yet. Its
+// maps are nil: lookups miss, nothing ever writes to a base.
+var emptyBase = &postings{}
+
+// compareSRT orders facts by (S, R, T), the order of the base array.
+func compareSRT(a, b fact.Fact) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.T, b.T)
 }
+
+func sortFactsSRT(fs []fact.Fact) { slices.SortFunc(fs, compareSRT) }
 
 func dedupFacts(fs []fact.Fact) []fact.Fact {
 	if len(fs) < 2 {
@@ -79,12 +85,30 @@ func dedupFacts(fs []fact.Fact) []fact.Fact {
 	return fs[:w]
 }
 
-// buildPostings takes ownership of fs, sorts and dedups it, and builds
-// the compressed index. The transient per-key ID lists are built and
-// released one index at a time so peak memory stays bounded.
+// mergeLive is the fold: one linear pass over the sorted base array,
+// skipping tombstoned facts, merged with the sorted delta (disjoint
+// from the base by the Store invariant), into a fresh array that is
+// sorted and duplicate-free by construction.
+func mergeLive(base []fact.Fact, dead map[fact.Fact]struct{}, added []fact.Fact) []fact.Fact {
+	out := make([]fact.Fact, 0, len(base)-len(dead)+len(added))
+	for _, f := range base {
+		if _, gone := dead[f]; gone {
+			continue
+		}
+		for len(added) > 0 && compareSRT(added[0], f) < 0 {
+			out = append(out, added[0])
+			added = added[1:]
+		}
+		out = append(out, f)
+	}
+	return append(out, added...)
+}
+
+// buildPostings takes ownership of fs, which must be sorted by
+// (S, R, T) and duplicate-free, and builds the compressed index. The
+// transient per-key ID lists are built and released one index at a
+// time so peak memory stays bounded.
 func buildPostings(fs []fact.Fact) *postings {
-	sortFactsSRT(fs)
-	fs = dedupFacts(fs)
 	p := &postings{
 		facts: fs,
 		byS:   make(map[sym.ID]span),
@@ -223,8 +247,9 @@ func (p *postings) has(f fact.Fact) bool {
 	return i < len(run) && run[i].T == f.T
 }
 
-// match is the sealed Store.Match body: spans iterate the fact array
-// directly, posting runs stream-decode IDs with no allocation.
+// match streams the base facts matching a pattern: spans iterate the
+// fact array directly, posting runs stream-decode IDs with no
+// allocation.
 func (p *postings) match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	switch {
 	case src != sym.None && rel != sym.None && tgt != sym.None:
@@ -268,7 +293,8 @@ func (p *postings) eachFact(pl plist, fn func(fact.Fact) bool) bool {
 	return p.eachID(pl, func(id uint32) bool { return fn(p.facts[id]) })
 }
 
-// estimate is the sealed estimateLocked body: every answer is O(1).
+// estimate is the exact number of base facts matching the pattern;
+// every answer is O(1).
 func (p *postings) estimate(src, rel, tgt sym.ID) int {
 	switch {
 	case src != sym.None && rel != sym.None && tgt != sym.None:
@@ -295,11 +321,12 @@ func (p *postings) estimate(src, rel, tgt sym.ID) int {
 	}
 }
 
-// matchAll is the sealed MatchAll body. Span-backed patterns (S, SR)
-// and the all-wildcard pattern return capacity-clipped subslices of
-// the fact array — zero-copy, and a caller append reallocates instead
-// of clobbering the index. Posting-backed patterns materialize an
-// exact-size slice (len == cap), preserving the same append contract.
+// matchAll collects the base facts matching a pattern. Span-backed
+// patterns (S, SR) and the all-wildcard pattern return
+// capacity-clipped subslices of the fact array — zero-copy, and a
+// caller append reallocates instead of clobbering the index.
+// Posting-backed patterns materialize an exact-size slice
+// (len == cap), preserving the same append contract.
 func (p *postings) matchAll(src, rel, tgt sym.ID) []fact.Fact {
 	switch {
 	case src != sym.None && rel != sym.None && tgt != sym.None:
@@ -344,82 +371,59 @@ func (p *postings) materialize(pl plist) []fact.Fact {
 	return out
 }
 
-func (p *postings) hasEntity(id sym.ID) bool {
-	if _, ok := p.byS[id]; ok {
-		return true
-	}
-	if _, ok := p.byR[id]; ok {
-		return true
-	}
-	_, ok := p.byT[id]
-	return ok
-}
-
-func (p *postings) relationships() []RelStat {
-	out := make([]RelStat, 0, len(p.byR))
-	for r, pl := range p.byR {
-		out = append(out, RelStat{Rel: r, Count: int(pl.n)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Rel < out[j].Rel
-	})
-	return out
-}
-
-func (p *postings) degree(id sym.ID) int {
-	sp := p.byS[id]
-	return int(sp.hi-sp.lo) + int(p.byT[id].n)
-}
-
-// IndexStats describes a sealed store's compressed index. The zero
-// value is returned for unsealed stores, whose hash indexes have no
-// compressed form.
+// IndexStats describes a store's layers: the compressed base index
+// and the sizes of the delta and tombstone layers on top of it. A
+// freshly folded store has Delta == Tombstones == 0; a store that was
+// never sealed has only a Delta.
 type IndexStats struct {
-	Facts          int // stored facts (also the fact-array length)
+	Facts          int // facts in the base (the fact-array length)
 	SpanBuckets    int // contiguous-range buckets (S, SR)
 	PostingBuckets int // compressed runs (R, T, RT, ST)
 	PostingBytes   int // bytes of delta+varint posting arena
+	Delta          int // facts added on top of the base
+	Tombstones     int // base facts deleted
 }
 
 // Buckets returns the total index bucket count across both forms.
 func (st IndexStats) Buckets() int { return st.SpanBuckets + st.PostingBuckets }
 
-// IndexBytes estimates the sealed read path's deterministic footprint:
-// the fact array (12 bytes per fact), the posting arena, and the
-// key+value payload of every bucket (12 bytes each; map headers and
-// hash-table overhead are excluded, being runtime-dependent).
+// IndexBytes estimates the base's deterministic footprint: the fact
+// array (12 bytes per fact), the posting arena, and the key+value
+// payload of every bucket (12 bytes each; map headers and hash-table
+// overhead are excluded, being runtime-dependent). The hash-indexed
+// layers are not included; Delta and Tombstones size them.
 func (st IndexStats) IndexBytes() int {
 	return st.Facts*12 + st.PostingBytes + st.Buckets()*12
 }
 
-// IndexStats returns the sealed store's compressed-index geometry, or
-// the zero value when the store is still mutable.
+// IndexStats returns the store's layer geometry in O(1). The live
+// fact count is Facts + Delta − Tombstones.
 func (s *Store) IndexStats() IndexStats {
-	if !s.sealed || s.idx == nil {
-		return IndexStats{}
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	p := s.idx
+	p := s.base
 	return IndexStats{
 		Facts:          len(p.facts),
 		SpanBuckets:    len(p.byS) + len(p.bySR),
 		PostingBuckets: len(p.byR) + len(p.byT) + len(p.byRT) + len(p.byST),
 		PostingBytes:   len(p.enc),
+		Delta:          len(s.add.facts),
+		Tombstones:     len(s.dead.facts),
 	}
 }
 
 // SealedFromFacts builds a sealed store directly in compressed form,
-// skipping the mutable hash indexes entirely — the bulk-load path for
-// memory-scale worlds, where building six hash maps only to drop them
+// skipping the hash-indexed delta entirely — the bulk-load path for
+// memory-scale worlds, where building six hash maps only to fold them
 // at seal time would double peak memory. It takes ownership of fs
 // (which it sorts and dedups in place). The store's version is the
 // distinct fact count, as if each fact had been inserted once.
 func SealedFromFacts(u *fact.Universe, fs []fact.Fact) *Store {
-	s := &Store{u: u, sealed: true}
-	s.idx = buildPostings(fs)
-	s.version.Store(uint64(len(s.idx.facts)))
+	sortFactsSRT(fs)
+	s := &Store{u: u, sealed: true, base: buildPostings(dedupFacts(fs))}
+	s.version.Store(uint64(len(s.base.facts)))
 	s.recentBase = s.version.Load()
 	return s
 }

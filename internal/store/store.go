@@ -3,21 +3,29 @@
 //
 // The paper (§2.6) defines a database as "a set of facts" with no
 // further physical organization, and defers storage strategy to the
-// implementation. This store keeps each fact exactly once and
-// maintains six hash indexes (S, R, T, SR, RT, ST) so that any
-// template — any combination of bound and free positions — is answered
-// from the most selective index available. Durability is provided by
-// an append-only operation log plus snapshots (see persist.go).
+// implementation. This store keeps each fact exactly once and answers
+// any template — any combination of bound and free positions — from
+// the most selective of six indexes (S, R, T, SR, RT, ST). Durability
+// is provided by an append-only operation log plus snapshots (see
+// persist.go).
+//
+// A Store is three layers read as one set: an immutable compressed
+// posting-list base (postings.go) that clones share by pointer, a
+// hash-indexed delta of facts added on top of it, and a hash-indexed
+// tombstone set of base facts deleted from it. Every read merges the
+// three (live = base − tombstones + delta), so Clone copies only the
+// delta and tombstones, and Insert/Delete touch only them. A store
+// that was never sealed is simply one with an empty base.
 //
 // A Store is safe for concurrent use: reads take a shared lock,
 // mutations an exclusive one. A store can additionally be Sealed,
 // which freezes its fact set permanently: sealed reads skip lock
-// acquisition entirely and mutations panic. Sealing also swaps the
-// hash indexes for a compressed posting-list index (postings.go) —
-// one sorted fact array plus span/varint-run buckets — so a sealed
-// store holds each fact once instead of seven times. The rules engine
-// seals every closure store before publishing it, so the warm browsing
-// path reads materialized facts with zero synchronization.
+// acquisition entirely and mutations panic. Seal folds the layers
+// into a fresh base only once delta and tombstones have outgrown a
+// fixed fraction of it (foldFraction). The rules engine seals every
+// closure store before publishing it, so the warm browsing path reads
+// materialized facts with zero synchronization, and maintaining a
+// closure across a write costs O(delta), not O(closure).
 package store
 
 import (
@@ -45,18 +53,14 @@ type Store struct {
 	// atomic pointer, which provides that edge).
 	sealed bool
 
-	// idx is the compressed posting-list index, built by Seal (or
-	// SealedFromFacts). While it is set, the hash maps below are nil:
-	// sealed reads are answered from idx alone.
-	idx *postings
-
-	facts map[fact.Fact]struct{}
-	byS   map[sym.ID][]fact.Fact
-	byR   map[sym.ID][]fact.Fact
-	byT   map[sym.ID][]fact.Fact
-	bySR  map[pair][]fact.Fact
-	byRT  map[pair][]fact.Fact
-	byST  map[pair][]fact.Fact
+	// The live fact set is base − dead + add. base is immutable and
+	// shared by pointer between a store and its clones (never nil: an
+	// unsealed-from-birth store points at emptyBase). add holds facts
+	// absent from base, dead holds base facts deleted since; the two
+	// are disjoint from each other by construction.
+	base *postings
+	add  layer
+	dead layer
 
 	version atomic.Uint64 // incremented on every successful mutation
 
@@ -96,10 +100,38 @@ type Change struct {
 // more than this must recompute from scratch.
 const maxRecent = 8192
 
-// New returns an empty in-memory store over universe u.
-func New(u *fact.Universe) *Store {
-	return &Store{
-		u:     u,
+// foldFraction is the fold rule: Seal rebuilds the base once delta
+// plus tombstones reach 1/foldFraction of it. A fold costs O(base)
+// (≈0.9 µs per base fact to merge and re-encode the postings), so
+// folding every base/foldFraction changed facts amortizes to
+// foldFraction × 0.9 µs ≈ 14 µs per changed fact — the same order as
+// deriving that fact in the first place, so folding never dominates
+// maintenance. Between folds a changed fact sits in seven hash
+// buckets (~300 B against the base's ~36 B per fact), so 1/16 caps
+// the layers' memory at ~19 B per base fact, half of the base's
+// again. Smaller fractions fold more for no read-side gain (reads pay
+// one hash probe per layer whatever its size); larger ones give the
+// memory back. It is a constant, not a knob: neither side of the
+// trade depends on the workload, only on the two representations'
+// per-fact costs.
+const foldFraction = 16
+
+// foldDen is foldFraction, except in tests that force every Seal to
+// fold (export_test.go).
+var foldDen = foldFraction
+
+// layer is a hash-indexed fact set: the fact map plus six bucket
+// indexes. The zero value is an empty, read-only layer (a sealed
+// store's layers after a fold); newLayer and clone return writable
+// ones.
+type layer struct {
+	facts            map[fact.Fact]struct{}
+	byS, byR, byT    map[sym.ID][]fact.Fact
+	bySR, byRT, byST map[pair][]fact.Fact
+}
+
+func newLayer() layer {
+	return layer{
 		facts: make(map[fact.Fact]struct{}),
 		byS:   make(map[sym.ID][]fact.Fact),
 		byR:   make(map[sym.ID][]fact.Fact),
@@ -110,30 +142,162 @@ func New(u *fact.Universe) *Store {
 	}
 }
 
+// clone copies the layer; bucket slices are cloned so later appends
+// cannot alias.
+func (l *layer) clone() layer {
+	facts := make(map[fact.Fact]struct{}, len(l.facts))
+	maps.Copy(facts, l.facts)
+	return layer{
+		facts: facts,
+		byS:   cloneIndex(l.byS),
+		byR:   cloneIndex(l.byR),
+		byT:   cloneIndex(l.byT),
+		bySR:  cloneIndex(l.bySR),
+		byRT:  cloneIndex(l.byRT),
+		byST:  cloneIndex(l.byST),
+	}
+}
+
+func cloneIndex[K comparable](m map[K][]fact.Fact) map[K][]fact.Fact {
+	out := make(map[K][]fact.Fact, len(m))
+	for k, bucket := range m {
+		out[k] = slices.Clone(bucket)
+	}
+	return out
+}
+
+func (l *layer) has(f fact.Fact) bool {
+	_, ok := l.facts[f]
+	return ok
+}
+
+func (l *layer) insert(f fact.Fact) {
+	l.facts[f] = struct{}{}
+	l.byS[f.S] = append(l.byS[f.S], f)
+	l.byR[f.R] = append(l.byR[f.R], f)
+	l.byT[f.T] = append(l.byT[f.T], f)
+	l.bySR[pair{f.S, f.R}] = append(l.bySR[pair{f.S, f.R}], f)
+	l.byRT[pair{f.R, f.T}] = append(l.byRT[pair{f.R, f.T}], f)
+	l.byST[pair{f.S, f.T}] = append(l.byST[pair{f.S, f.T}], f)
+}
+
+func (l *layer) remove(f fact.Fact) {
+	delete(l.facts, f)
+	removeFrom(l.byS, f.S, f)
+	removeFrom(l.byR, f.R, f)
+	removeFrom(l.byT, f.T, f)
+	removeFrom(l.bySR, pair{f.S, f.R}, f)
+	removeFrom(l.byRT, pair{f.R, f.T}, f)
+	removeFrom(l.byST, pair{f.S, f.T}, f)
+}
+
+func removeFrom[K comparable](m map[K][]fact.Fact, k K, f fact.Fact) {
+	bucket := m[k]
+	for i, g := range bucket {
+		if g == f {
+			bucket[i] = bucket[len(bucket)-1]
+			bucket = bucket[:len(bucket)-1]
+			break
+		}
+	}
+	if len(bucket) == 0 {
+		delete(m, k)
+	} else {
+		m[k] = bucket
+	}
+}
+
+// bucket returns the index bucket covering a pattern with one or two
+// bound positions (sym.None is the wildcard).
+func (l *layer) bucket(src, rel, tgt sym.ID) []fact.Fact {
+	switch {
+	case src != sym.None && rel != sym.None:
+		return l.bySR[pair{src, rel}]
+	case rel != sym.None && tgt != sym.None:
+		return l.byRT[pair{rel, tgt}]
+	case src != sym.None && tgt != sym.None:
+		return l.byST[pair{src, tgt}]
+	case src != sym.None:
+		return l.byS[src]
+	case rel != sym.None:
+		return l.byR[rel]
+	default:
+		return l.byT[tgt]
+	}
+}
+
+func (l *layer) match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
+	switch {
+	case src != sym.None && rel != sym.None && tgt != sym.None:
+		if f := (fact.Fact{S: src, R: rel, T: tgt}); l.has(f) {
+			return fn(f)
+		}
+		return true
+	case src == sym.None && rel == sym.None && tgt == sym.None:
+		for f := range l.facts {
+			if !fn(f) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, f := range l.bucket(src, rel, tgt) {
+		if !fn(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// estimate is the exact number of the layer's facts matching the
+// pattern, in O(1).
+func (l *layer) estimate(src, rel, tgt sym.ID) int {
+	switch {
+	case src != sym.None && rel != sym.None && tgt != sym.None:
+		if l.has(fact.Fact{S: src, R: rel, T: tgt}) {
+			return 1
+		}
+		return 0
+	case src == sym.None && rel == sym.None && tgt == sym.None:
+		return len(l.facts)
+	}
+	return len(l.bucket(src, rel, tgt))
+}
+
+// New returns an empty in-memory store over universe u.
+func New(u *fact.Universe) *Store {
+	return &Store{u: u, base: emptyBase, add: newLayer(), dead: newLayer()}
+}
+
 // Universe returns the entity universe the store interns against.
 func (s *Store) Universe() *fact.Universe { return s.u }
 
 // Seal permanently freezes the store. After Seal, all read methods
-// skip lock acquisition and any mutation panics. Sealing rebuilds the
-// read path as a compressed posting-list index and drops the fact set
-// map and all six hash indexes — the frozen form holds each fact once
-// plus a few posting bytes per bucket. The mutation history is
-// dropped: a sealed store will never change again, so ChangesSince
-// answers only for the current version. Seal must be called before
-// the store is shared across goroutines.
+// skip lock acquisition and any mutation panics. If delta and
+// tombstones have reached 1/foldFraction of the base (always, for a
+// store that has no base yet), Seal first folds all three layers into
+// a fresh compressed base — the frozen form then holds each fact once
+// plus a few posting bytes per bucket; otherwise the layers are
+// frozen as they are and the base stays shared with the store this
+// one was cloned from. The mutation history is dropped: a sealed
+// store will never change again, so ChangesSince answers only for the
+// current version. Seal must be called before the store is shared
+// across goroutines.
 func (s *Store) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
 		return
 	}
-	fs := make([]fact.Fact, 0, len(s.facts))
-	for f := range s.facts {
-		fs = append(fs, f)
+	if n := len(s.add.facts) + len(s.dead.facts); n > 0 && n*foldDen >= len(s.base.facts) {
+		added := make([]fact.Fact, 0, len(s.add.facts))
+		for f := range s.add.facts {
+			added = append(added, f)
+		}
+		sortFactsSRT(added)
+		s.base = buildPostings(mergeLive(s.base.facts, s.dead.facts, added))
+		s.add, s.dead = layer{}, layer{}
 	}
-	s.idx = buildPostings(fs)
-	s.facts, s.byS, s.byR, s.byT = nil, nil, nil, nil
-	s.bySR, s.byRT, s.byST = nil, nil, nil
 	s.sealed = true
 	s.recent = nil
 	s.recentBase = s.version.Load()
@@ -144,12 +308,15 @@ func (s *Store) Sealed() bool { return s.sealed }
 
 // Len returns the number of stored facts.
 func (s *Store) Len() int {
-	if s.sealed {
-		return len(s.idx.facts)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.facts)
+	return s.lenLocked()
+}
+
+func (s *Store) lenLocked() int {
+	return len(s.base.facts) + len(s.add.facts) - len(s.dead.facts)
 }
 
 // Version returns a counter incremented by every successful mutation.
@@ -158,13 +325,23 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Has reports whether f is stored (explicitly; inference is layered above).
 func (s *Store) Has(f fact.Fact) bool {
-	if s.sealed {
-		return s.idx.has(f)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.facts[f]
-	return ok
+	return s.hasLocked(f)
+}
+
+// hasLocked, matchLocked and estimateLocked are the three merged
+// reads everything else is built from. Each skips a layer that is
+// empty without calling into it, so a store with only a delta (never
+// sealed) and one with only a base (freshly folded) both read at the
+// speed of their single layer.
+func (s *Store) hasLocked(f fact.Fact) bool {
+	if len(s.add.facts) != 0 && s.add.has(f) {
+		return true
+	}
+	return len(s.base.facts) != 0 && s.base.has(f) && (len(s.dead.facts) == 0 || !s.dead.has(f))
 }
 
 // Insert adds f. It returns false if f was already present. When a
@@ -242,7 +419,7 @@ func (s *Store) applyLocked(f fact.Fact, op byte) (l *Log, lsn uint64, due, chan
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mustMutable()
-	_, present := s.facts[f]
+	present := s.hasLocked(f)
 	if op == opInsert {
 		if present {
 			return nil, 0, false, false
@@ -264,7 +441,7 @@ func (s *Store) applyLocked(f fact.Fact, op byte) (l *Log, lsn uint64, due, chan
 	// exactly the live facts, so without the second condition a store
 	// whose live set alone exceeds the threshold would rewrite the
 	// whole log on every commit.
-	due = s.checkpointEvery > 0 && n > s.checkpointEvery && n >= 2*len(s.facts)
+	due = s.checkpointEvery > 0 && n > s.checkpointEvery && n >= 2*s.lenLocked()
 	return s.log, lsn, due, true
 }
 
@@ -274,33 +451,27 @@ func (s *Store) mustMutable() {
 	}
 }
 
+// insertLocked adds f, which the caller has checked is not live: a
+// tombstoned base fact is resurrected by dropping its tombstone,
+// anything else joins the delta.
 func (s *Store) insertLocked(f fact.Fact) {
-	s.addLocked(f)
+	if len(s.dead.facts) != 0 && s.dead.has(f) {
+		s.dead.remove(f)
+	} else {
+		s.add.insert(f)
+	}
 	s.version.Add(1)
 	s.record(Change{Fact: f})
 }
 
-// addLocked fills the fact set and all six hash indexes without
-// touching the version or the mutation history. It is the shared body
-// of insertLocked and the bulk rebuild paths (Clone of a sealed store).
-func (s *Store) addLocked(f fact.Fact) {
-	s.facts[f] = struct{}{}
-	s.byS[f.S] = append(s.byS[f.S], f)
-	s.byR[f.R] = append(s.byR[f.R], f)
-	s.byT[f.T] = append(s.byT[f.T], f)
-	s.bySR[pair{f.S, f.R}] = append(s.bySR[pair{f.S, f.R}], f)
-	s.byRT[pair{f.R, f.T}] = append(s.byRT[pair{f.R, f.T}], f)
-	s.byST[pair{f.S, f.T}] = append(s.byST[pair{f.S, f.T}], f)
-}
-
+// deleteLocked removes f, which the caller has checked is live: a
+// delta fact is dropped, a base fact gets a tombstone.
 func (s *Store) deleteLocked(f fact.Fact) {
-	delete(s.facts, f)
-	removeFact(s.byS, f.S, f)
-	removeFact(s.byR, f.R, f)
-	removeFact(s.byT, f.T, f)
-	removePair(s.bySR, pair{f.S, f.R}, f)
-	removePair(s.byRT, pair{f.R, f.T}, f)
-	removePair(s.byST, pair{f.S, f.T}, f)
+	if s.add.has(f) {
+		s.add.remove(f)
+	} else {
+		s.dead.insert(f)
+	}
 	s.version.Add(1)
 	s.record(Change{Deleted: true, Fact: f})
 }
@@ -339,84 +510,33 @@ func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
 	return out, true
 }
 
-func removeFact(m map[sym.ID][]fact.Fact, k sym.ID, f fact.Fact) {
-	bucket := m[k]
-	for i, g := range bucket {
-		if g == f {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(m, k)
-	} else {
-		m[k] = bucket
-	}
-}
-
-func removePair(m map[pair][]fact.Fact, k pair, f fact.Fact) {
-	bucket := m[k]
-	for i, g := range bucket {
-		if g == f {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(m, k)
-	} else {
-		m[k] = bucket
-	}
-}
-
 // Match calls fn for every stored fact matching the pattern, where a
 // sym.None position is a wildcard. Iteration stops if fn returns
 // false; Match reports whether iteration ran to completion. fn must
 // not mutate the store.
 func (s *Store) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
-	if s.sealed {
-		return s.idx.match(src, rel, tgt, fn)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	switch {
-	case src != sym.None && rel != sym.None && tgt != sym.None:
-		f := fact.Fact{S: src, R: rel, T: tgt}
-		if _, ok := s.facts[f]; ok {
-			return fn(f)
-		}
-		return true
-	case src != sym.None && rel != sym.None:
-		return each(s.bySR[pair{src, rel}], fn)
-	case rel != sym.None && tgt != sym.None:
-		return each(s.byRT[pair{rel, tgt}], fn)
-	case src != sym.None && tgt != sym.None:
-		return each(s.byST[pair{src, tgt}], fn)
-	case src != sym.None:
-		return each(s.byS[src], fn)
-	case rel != sym.None:
-		return each(s.byR[rel], fn)
-	case tgt != sym.None:
-		return each(s.byT[tgt], fn)
-	default:
-		for f := range s.facts {
-			if !fn(f) {
-				return false
-			}
-		}
-		return true
-	}
+	return s.matchLocked(src, rel, tgt, fn)
 }
 
-func each(bucket []fact.Fact, fn func(fact.Fact) bool) bool {
-	for _, f := range bucket {
-		if !fn(f) {
+// matchLocked streams the base's matches, minus tombstones, then the
+// delta's. The tombstone filter is only interposed when the pattern's
+// tombstone bucket is non-empty, so reads away from recent deletes
+// run the base iteration bare.
+func (s *Store) matchLocked(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
+	if len(s.base.facts) != 0 {
+		live := fn
+		if len(s.dead.facts) != 0 && s.dead.estimate(src, rel, tgt) > 0 {
+			live = func(f fact.Fact) bool { return s.dead.has(f) || fn(f) }
+		}
+		if !s.base.match(src, rel, tgt, live) {
 			return false
 		}
 	}
-	return true
+	return len(s.add.facts) == 0 || s.add.match(src, rel, tgt, fn)
 }
 
 // Count returns the number of stored facts matching the pattern
@@ -434,11 +554,12 @@ type Pattern struct {
 	S, R, T sym.ID
 }
 
-// EstimateCount returns the exact number of facts the pattern's index
-// bucket holds, in O(1): the size of the most selective index bucket
-// covering the pattern. For fully bound patterns it returns 0 or 1;
-// for the all-wildcard pattern, the store size. Query planners use it
-// to order joins by selectivity.
+// EstimateCount returns the exact number of facts matching the
+// pattern, in O(1): the size of the most selective index bucket
+// covering it, summed over the layers (base + delta − tombstones).
+// For fully bound patterns it returns 0 or 1; for the all-wildcard
+// pattern, the store size. Query planners use it to order joins by
+// selectivity.
 func (s *Store) EstimateCount(src, rel, tgt sym.ID) int {
 	if !s.sealed {
 		s.mu.RLock()
@@ -463,48 +584,42 @@ func (s *Store) EstimateCounts(patterns []Pattern, out []int) {
 	}
 }
 
-// estimateLocked is EstimateCount's body; the caller holds the read
-// lock (or the store is sealed, in which case the compressed index
-// answers without locking).
 func (s *Store) estimateLocked(src, rel, tgt sym.ID) int {
-	if s.sealed {
-		return s.idx.estimate(src, rel, tgt)
-	}
-	switch {
-	case src != sym.None && rel != sym.None && tgt != sym.None:
-		if _, ok := s.facts[fact.Fact{S: src, R: rel, T: tgt}]; ok {
-			return 1
+	n := 0
+	if len(s.base.facts) != 0 {
+		n = s.base.estimate(src, rel, tgt)
+		if len(s.dead.facts) != 0 {
+			n -= s.dead.estimate(src, rel, tgt)
 		}
-		return 0
-	case src != sym.None && rel != sym.None:
-		return len(s.bySR[pair{src, rel}])
-	case rel != sym.None && tgt != sym.None:
-		return len(s.byRT[pair{rel, tgt}])
-	case src != sym.None && tgt != sym.None:
-		return len(s.byST[pair{src, tgt}])
-	case src != sym.None:
-		return len(s.byS[src])
-	case rel != sym.None:
-		return len(s.byR[rel])
-	case tgt != sym.None:
-		return len(s.byT[tgt])
-	default:
-		return len(s.facts)
 	}
+	if len(s.add.facts) != 0 {
+		n += s.add.estimate(src, rel, tgt)
+	}
+	return n
 }
 
-// MatchAll collects the facts matching the pattern into a slice. On a
-// sealed store, span-backed patterns (S, SR, all-wildcard) return a
-// capacity-clipped subslice of the sorted fact array without copying,
-// and posting-backed patterns materialize an exact-size slice; either
-// way an append by the caller reallocates instead of clobbering the
-// index. Treat sealed results as read-only.
+// MatchAll collects the facts matching the pattern into a slice. A
+// pattern no delta fact or tombstone touches is answered by the base
+// alone: span-backed patterns (S, SR, all-wildcard) then return a
+// capacity-clipped subslice of the sorted fact array without copying.
+// Every other result is an exact-size slice (len == cap); either way
+// an append by the caller reallocates instead of clobbering the
+// index. Treat results as read-only.
 func (s *Store) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
-	if s.sealed {
-		return s.idx.matchAll(src, rel, tgt)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	var out []fact.Fact
-	s.Match(src, rel, tgt, func(f fact.Fact) bool {
+	if (len(s.add.facts) == 0 || s.add.estimate(src, rel, tgt) == 0) &&
+		(len(s.dead.facts) == 0 || s.dead.estimate(src, rel, tgt) == 0) {
+		return s.base.matchAll(src, rel, tgt)
+	}
+	n := s.estimateLocked(src, rel, tgt)
+	if n == 0 {
+		return nil
+	}
+	out := make([]fact.Fact, 0, n)
+	s.matchLocked(src, rel, tgt, func(f fact.Fact) bool {
 		out = append(out, f)
 		return true
 	})
@@ -513,81 +628,88 @@ func (s *Store) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 
 // Facts returns a copy of all stored facts in unspecified order.
 func (s *Store) Facts() []fact.Fact {
-	if s.sealed {
-		out := make([]fact.Fact, len(s.idx.facts))
-		copy(out, s.idx.facts)
-		return out
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]fact.Fact, 0, len(s.facts))
-	for f := range s.facts {
+	return s.factsLocked()
+}
+
+func (s *Store) factsLocked() []fact.Fact {
+	out := make([]fact.Fact, 0, s.lenLocked())
+	s.matchLocked(sym.None, sym.None, sym.None, func(f fact.Fact) bool {
 		out = append(out, f)
-	}
+		return true
+	})
 	return out
+}
+
+// eachLocked calls fn for every stored fact until it returns an error,
+// which eachLocked returns. The caller holds the store lock (or the
+// store is sealed).
+func (s *Store) eachLocked(fn func(fact.Fact) error) error {
+	var err error
+	s.matchLocked(sym.None, sym.None, sym.None, func(f fact.Fact) bool {
+		err = fn(f)
+		return err == nil
+	})
+	return err
 }
 
 // Entities returns the set of entities that occur in at least one
 // stored fact, in any position. This is the active domain used for
 // ∀-quantifier evaluation (§2.7) and retraction (§5).
 func (s *Store) Entities() []sym.ID {
-	if s.sealed {
-		seen := make(map[sym.ID]struct{}, len(s.idx.byS)+len(s.idx.byT))
-		for _, f := range s.idx.facts {
-			seen[f.S] = struct{}{}
-			seen[f.R] = struct{}{}
-			seen[f.T] = struct{}{}
-		}
-		return sortedIDs(seen)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[sym.ID]struct{}, len(s.byS)+len(s.byT))
-	for f := range s.facts {
+	seen := make(map[sym.ID]struct{}, len(s.base.byS)+len(s.base.byT)+len(s.add.byS)+len(s.add.byT))
+	s.matchLocked(sym.None, sym.None, sym.None, func(f fact.Fact) bool {
 		seen[f.S] = struct{}{}
 		seen[f.R] = struct{}{}
 		seen[f.T] = struct{}{}
-	}
-	return sortedIDs(seen)
-}
-
-func sortedIDs(seen map[sym.ID]struct{}) []sym.ID {
+		return true
+	})
 	out := make([]sym.ID, 0, len(seen))
 	for id := range seen {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // HasEntity reports whether id occurs in any stored fact.
 func (s *Store) HasEntity(id sym.ID) bool {
-	if s.sealed {
-		return s.idx.hasEntity(id)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.byS[id]; ok {
-		return true
-	}
-	if _, ok := s.byR[id]; ok {
-		return true
-	}
-	_, ok := s.byT[id]
-	return ok
+	return s.estimateLocked(id, sym.None, sym.None) > 0 ||
+		s.estimateLocked(sym.None, id, sym.None) > 0 ||
+		s.estimateLocked(sym.None, sym.None, id) > 0
 }
 
 // Relationships returns the distinct relationship entities in use,
 // with the number of facts carrying each, sorted by descending count.
 func (s *Store) Relationships() []RelStat {
-	if s.sealed {
-		return s.idx.relationships()
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]RelStat, 0, len(s.byR))
-	for r, bucket := range s.byR {
-		out = append(out, RelStat{Rel: r, Count: len(bucket)})
+	out := make([]RelStat, 0, len(s.base.byR)+len(s.add.byR))
+	collect := func(r sym.ID) {
+		if n := s.estimateLocked(sym.None, r, sym.None); n > 0 {
+			out = append(out, RelStat{Rel: r, Count: n})
+		}
+	}
+	for r := range s.base.byR {
+		collect(r)
+	}
+	for r := range s.add.byR {
+		if _, inBase := s.base.byR[r]; !inBase {
+			collect(r)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -607,57 +729,30 @@ type RelStat struct {
 // Degree returns the number of facts in which id occurs as source or
 // target (its neighborhood size; used by navigation benchmarks).
 func (s *Store) Degree(id sym.ID) int {
-	if s.sealed {
-		return s.idx.degree(id)
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byS[id]) + len(s.byT[id])
+	return s.estimateLocked(id, sym.None, sym.None) + s.estimateLocked(sym.None, sym.None, id)
 }
 
-// Clone returns a deep copy of the store sharing the same Universe.
-// The clone is unsealed and mutable even when the receiver is sealed,
-// carries no durability log, and starts with an *empty* mutation
-// history: its version equals the fact count (as if each fact had been
-// inserted fresh) and ChangesSince answers only from that point
-// forward. Cloning a mutable store duplicates the fact set and all six
-// index maps directly (bucket slices are cloned so later appends
-// cannot alias); cloning a sealed store rebuilds the hash indexes from
-// the compressed fact array, since the frozen form has no mutable
-// buckets to copy.
+// Clone returns a copy of the store sharing the same Universe and, by
+// pointer, the same immutable base: only the delta and tombstone
+// layers are copied, so cloning a sealed closure costs O(delta), not
+// O(closure). The clone is unsealed and mutable even when the
+// receiver is sealed, carries no durability log, and starts with an
+// *empty* mutation history: its version equals the fact count (as if
+// each fact had been inserted fresh) and ChangesSince answers only
+// from that point forward.
 func (s *Store) Clone() *Store {
-	if s.sealed {
-		c := New(s.u)
-		for _, f := range s.idx.facts {
-			c.addLocked(f)
-		}
-		c.version.Store(uint64(len(c.facts)))
-		c.recentBase = uint64(len(c.facts))
-		return c
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := &Store{
-		u:     s.u,
-		facts: maps.Clone(s.facts),
-		byS:   cloneIndex(s.byS),
-		byR:   cloneIndex(s.byR),
-		byT:   cloneIndex(s.byT),
-		bySR:  cloneIndex(s.bySR),
-		byRT:  cloneIndex(s.byRT),
-		byST:  cloneIndex(s.byST),
-	}
-	c.version.Store(uint64(len(c.facts)))
-	c.recentBase = uint64(len(c.facts))
+	c := &Store{u: s.u, base: s.base, add: s.add.clone(), dead: s.dead.clone()}
+	c.version.Store(uint64(c.lenLocked()))
+	c.recentBase = c.version.Load()
 	return c
-}
-
-func cloneIndex[K comparable](m map[K][]fact.Fact) map[K][]fact.Fact {
-	out := make(map[K][]fact.Fact, len(m))
-	for k, bucket := range m {
-		out[k] = slices.Clone(bucket)
-	}
-	return out
 }
 
 // InsertAll inserts every fact, returning the number newly added.

@@ -353,6 +353,86 @@ func TestMetricContractDeletes(t *testing.T) {
 	}
 }
 
+// TestMetricContractClosureLayers pins the closure-layer series to the
+// workload that moves them: a write is folded into the next snapshot
+// as delta facts or tombstones over the shared base and builds no
+// posting index; lsdb_index_seal_builds_total / lsdb_index_seal_ns
+// move only on a full build or a fold, together; a fold empties both
+// gauges and is counted exactly once; and every gauge equals what the
+// published closure's own IndexStats reports.
+func TestMetricContractClosureLayers(t *testing.T) {
+	db := dataset.Employment(300, 7)
+	v := func(name string, labels ...string) float64 { return db.Metrics().Value(name, labels...) }
+	layers := func() (delta, tombstones float64) {
+		st := db.Engine().Closure().IndexStats()
+		if got := v("lsdb_closure_delta_facts"); got != float64(st.Delta) {
+			t.Errorf("delta gauge = %g, IndexStats.Delta = %d", got, st.Delta)
+		}
+		if got := v("lsdb_closure_tombstones"); got != float64(st.Tombstones) {
+			t.Errorf("tombstone gauge = %g, IndexStats.Tombstones = %d", got, st.Tombstones)
+		}
+		if got := v("lsdb_closure_facts"); got != float64(st.Facts+st.Delta-st.Tombstones) {
+			t.Errorf("closure gauge = %g, layers %+v", got, st)
+		}
+		return float64(st.Delta), float64(st.Tombstones)
+	}
+	builds := func(want float64, when string) {
+		t.Helper()
+		if got := v("lsdb_index_seal_builds_total"); got != want {
+			t.Errorf("%s: posting builds = %g, want %g", when, got, want)
+		}
+		if got := v("lsdb_index_seal_ns"); got != want {
+			t.Errorf("%s: seal histogram count = %g, want %g (one observation per build)", when, got, want)
+		}
+	}
+
+	// Scrape-safe: the gauges read the published snapshot and never
+	// build one.
+	if v("lsdb_closure_delta_facts") != 0 || v("lsdb_closure_tombstones") != 0 || v("lsdb_rules_rebuilds_total", "kind", "full") != 0 {
+		t.Fatal("layer gauges built a closure, or read one that is not there")
+	}
+	size := db.ClosureLen()
+	if d, ts := layers(); d != 0 || ts != 0 {
+		t.Errorf("a full build left layers: delta %g, tombstones %g", d, ts)
+	}
+	builds(1, "full build")
+
+	db.MustAssert("EMP-LAYERS", "in", "EMPLOYEE")
+	if d, ts := layers(); d == 0 || ts != 0 || db.ClosureLen() != size+int(d) {
+		t.Errorf("after one assert: delta %g, tombstones %g, closure %d -> %d", d, ts, size, db.ClosureLen())
+	}
+	db.Retract("JOHN", "in", "EMPLOYEE")
+	if _, ts := layers(); ts == 0 {
+		t.Error("retracting a base fact left no tombstones")
+	}
+	builds(1, "one assert and one retract")
+	if got := v("lsdb_closure_folds_total"); got != 0 {
+		t.Errorf("folds = %g before the layers reached the threshold", got)
+	}
+	if inc, del := v("lsdb_rules_rebuilds_total", "kind", "incremental"), v("lsdb_rules_rebuilds_total", "kind", "delete"); inc != 1 || del != 1 {
+		t.Errorf("rebuilds: incremental %g, delete %g, want 1 and 1", inc, del)
+	}
+
+	// Keep writing until the layers outgrow the threshold.
+	for i := 0; v("lsdb_closure_folds_total") == 0; i++ {
+		if i > 500 {
+			t.Fatal("no fold after 500 writes")
+		}
+		db.MustAssert(fmt.Sprintf("EMP-LATE-%d", i), "in", "EMPLOYEE")
+		db.ClosureLen()
+	}
+	if d, ts := layers(); d != 0 || ts != 0 {
+		t.Errorf("a fold left layers: delta %g, tombstones %g", d, ts)
+	}
+	builds(2, "first fold")
+	if got := v("lsdb_closure_folds_total"); got != 1 {
+		t.Errorf("folds = %g, want exactly 1", got)
+	}
+	if got := v("lsdb_rules_rebuilds_total", "kind", "full"); got != 1 {
+		t.Errorf("full rebuilds = %g, want 1 (a fold is not a rebuild)", got)
+	}
+}
+
 // TestAdmissionControlContract drives a tenant past its in-flight
 // quota and pins the exact rejection behavior: a 429 with the JSON
 // error shape and a Retry-After derived from the overload ratio, the
