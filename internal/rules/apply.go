@@ -1,7 +1,7 @@
 package rules
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/fact"
@@ -42,14 +42,14 @@ func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Prove
 	var next []fact.Fact
 	push := func(d derivation) {
 		if derived.Insert(d.f) {
-			sortPremises(d.premises)
+			slices.SortFunc(d.premises, cmpFact)
 			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
 			next = append(next, d.f)
 		}
 	}
 
 	frontier := derived.Facts()
-	sortFacts(frontier)
+	slices.SortFunc(frontier, cmpFact)
 	for _, ax := range e.axiomFacts() {
 		push(ax)
 	}
@@ -112,37 +112,6 @@ func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.
 	return out
 }
 
-// sortFacts orders facts by (S, R, T) so generation-0 processing is
-// deterministic across builds.
-func sortFacts(fs []fact.Fact) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
-}
-
-// sortPremises orders premise facts deterministically (the closure
-// worklist order depends on map iteration, so the same fact can be
-// derived with its premises discovered in either order).
-func sortPremises(ps []fact.Fact) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
-}
-
 // axiomFacts returns the built-in facts the paper postulates:
 // ⇌ is its own inverse (§3.4), ⊥ is its own inverse so contradiction
 // facts come in symmetric pairs (§3.5), and the mathematical
@@ -200,173 +169,13 @@ func (e *Engine) buildAxioms() {
 // derivation using f", and at fixpoint every such conclusion is
 // present — the filter would hide exactly the answers.
 func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
-	u := e.u
 	emit := func(g fact.Fact, why string, premises ...fact.Fact) {
 		if all || !derived.Has(g) {
 			out = append(out, derivation{f: g, why: why, premises: premises})
 		}
 	}
 
-	findiv := e.Individual(f.R)
-
-	// f as the data fact (s, r, t) of the §3.1/§3.2 rules.
-	if findiv {
-		if cfg.std[GenSource] {
-			// (s,r,t) ∧ (s',≺,s) ⇒ (s',r,t)
-			derived.Match(sym.None, u.Gen, f.S, func(g fact.Fact) bool {
-				emit(fact.Fact{S: g.S, R: f.R, T: f.T}, "gen-source", f, g)
-				return true
-			})
-		}
-		if cfg.std[GenRel] {
-			// (s,r,t) ∧ (r,≺,r') ⇒ (s,r',t)
-			derived.Match(f.R, u.Gen, sym.None, func(g fact.Fact) bool {
-				emit(fact.Fact{S: f.S, R: g.T, T: f.T}, "gen-rel", f, g)
-				return true
-			})
-		}
-		if cfg.std[GenTarget] {
-			// (s,r,t) ∧ (t,≺,t') ⇒ (s,r,t')
-			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
-				emit(fact.Fact{S: f.S, R: f.R, T: g.T}, "gen-target", f, g)
-				return true
-			})
-		}
-		if cfg.std[MemberSource] {
-			// (s,r,t) ∧ (s',∈,s) ⇒ (s',r,t)
-			derived.Match(sym.None, u.Member, f.S, func(g fact.Fact) bool {
-				emit(fact.Fact{S: g.S, R: f.R, T: f.T}, "member-source", f, g)
-				return true
-			})
-		}
-		if cfg.std[MemberTarget] {
-			// (s,r,t) ∧ (t,∈,t') ⇒ (s,r,t')
-			derived.Match(f.T, u.Member, sym.None, func(g fact.Fact) bool {
-				emit(fact.Fact{S: f.S, R: f.R, T: g.T}, "member-target", f, g)
-				return true
-			})
-		}
-	}
-	if cfg.std[Inversion] {
-		// (s,r,t) ∧ (r,⇌,r') ⇒ (t,r',s), in both orientations of the
-		// stored inversion fact (they are symmetric by axiom, but the
-		// symmetric twin may not have been processed yet).
-		derived.Match(f.R, u.Inv, sym.None, func(g fact.Fact) bool {
-			emit(fact.Fact{S: f.T, R: g.T, T: f.S}, "inversion", f, g)
-			return true
-		})
-		derived.Match(sym.None, u.Inv, f.R, func(g fact.Fact) bool {
-			emit(fact.Fact{S: f.T, R: g.S, T: f.S}, "inversion", f, g)
-			return true
-		})
-	}
-
-	// f as a generalization fact (a, ≺, b).
-	if f.R == u.Gen && f.S != f.T {
-		if cfg.std[GenTransitive] {
-			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
-				if g.T != f.S {
-					emit(fact.Fact{S: f.S, R: u.Gen, T: g.T}, "gen-transitive", f, g)
-				}
-				return true
-			})
-			derived.Match(sym.None, u.Gen, f.S, func(g fact.Fact) bool {
-				if g.S != f.T {
-					emit(fact.Fact{S: g.S, R: u.Gen, T: f.T}, "gen-transitive", f, g)
-				}
-				return true
-			})
-		}
-		if cfg.std[Synonym] {
-			// (s,≺,t) ∧ (t,≺,s) ⇒ (s,≈,t): a two-way generalization
-			// is a synonym (§3.3).
-			if derived.Has(fact.Fact{S: f.T, R: u.Gen, T: f.S}) {
-				twin := fact.Fact{S: f.T, R: u.Gen, T: f.S}
-				emit(fact.Fact{S: f.S, R: u.Syn, T: f.T}, "synonym", f, twin)
-				emit(fact.Fact{S: f.T, R: u.Syn, T: f.S}, "synonym", f, twin)
-			}
-		}
-		if cfg.std[MemberUp] {
-			// (m,∈,a) ∧ (a,≺,b) ⇒ (m,∈,b)
-			derived.Match(sym.None, u.Member, f.S, func(g fact.Fact) bool {
-				emit(fact.Fact{S: g.S, R: u.Member, T: f.T}, "member-up", f, g)
-				return true
-			})
-		}
-		if cfg.std[GenSource] {
-			// a inherits every individual fact about b.
-			derived.Match(f.T, sym.None, sym.None, func(g fact.Fact) bool {
-				if e.Individual(g.R) {
-					emit(fact.Fact{S: f.S, R: g.R, T: g.T}, "gen-source", f, g)
-				}
-				return true
-			})
-		}
-		if cfg.std[GenRel] {
-			// Facts using relationship a also hold under b.
-			derived.Match(sym.None, f.S, sym.None, func(g fact.Fact) bool {
-				if e.Individual(g.R) {
-					emit(fact.Fact{S: g.S, R: f.T, T: g.T}, "gen-rel", f, g)
-				}
-				return true
-			})
-		}
-		if cfg.std[GenTarget] {
-			// Facts targeting a also target b.
-			derived.Match(sym.None, sym.None, f.S, func(g fact.Fact) bool {
-				if e.Individual(g.R) {
-					emit(fact.Fact{S: g.S, R: g.R, T: f.T}, "gen-target", f, g)
-				}
-				return true
-			})
-		}
-	}
-
-	// f as a membership fact (m, ∈, c).
-	if f.R == u.Member {
-		if cfg.std[MemberUp] {
-			derived.Match(f.T, u.Gen, sym.None, func(g fact.Fact) bool {
-				if g.T != f.T {
-					emit(fact.Fact{S: f.S, R: u.Member, T: g.T}, "member-up", f, g)
-				}
-				return true
-			})
-		}
-		if cfg.std[MemberSource] {
-			// m inherits every individual fact about its class c.
-			derived.Match(f.T, sym.None, sym.None, func(g fact.Fact) bool {
-				if e.Individual(g.R) {
-					emit(fact.Fact{S: f.S, R: g.R, T: g.T}, "member-source", f, g)
-				}
-				return true
-			})
-		}
-		if cfg.std[MemberTarget] {
-			// Facts targeting the instance m also target its class c.
-			derived.Match(sym.None, sym.None, f.S, func(g fact.Fact) bool {
-				if e.Individual(g.R) {
-					emit(fact.Fact{S: g.S, R: g.R, T: f.T}, "member-target", f, g)
-				}
-				return true
-			})
-		}
-	}
-
-	// f as a synonym fact (a, ≈, b): defined as two-way generalization.
-	if f.R == u.Syn && cfg.std[Synonym] {
-		emit(fact.Fact{S: f.T, R: u.Syn, T: f.S}, "synonym", f)
-		emit(fact.Fact{S: f.S, R: u.Gen, T: f.T}, "synonym", f)
-		emit(fact.Fact{S: f.T, R: u.Gen, T: f.S}, "synonym", f)
-	}
-
-	// f as an inversion fact (q, ⇌, q').
-	if f.R == u.Inv && cfg.std[Inversion] {
-		emit(fact.Fact{S: f.T, R: u.Inv, T: f.S}, "inversion", f)
-		derived.Match(sym.None, f.S, sym.None, func(g fact.Fact) bool {
-			emit(fact.Fact{S: g.T, R: f.T, T: g.S}, "inversion", f, g)
-			return true
-		})
-	}
+	e.stdForward(e.std.forward, &cfg.std, f, derived, emit)
 
 	// User rules: f may instantiate any body atom of any rule.
 	for _, r := range cfg.userRules {
@@ -375,6 +184,87 @@ func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all
 		})
 	}
 	return out
+}
+
+type emitFunc func(g fact.Fact, why string, premises ...fact.Fact)
+
+// stdForward is the forward interpreter of the rule table: it emits
+// every head the enabled rows conclude in one step with f as a
+// premise — f first as the data premise of every hop row, then as the
+// link premise of every hop row and the premise of every unary row.
+func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, derived *store.Store, emit emitFunc) {
+	if e.virtualGen(f) {
+		return
+	}
+	findiv := e.Individual(f.R) // a store lookup: once per trigger, not per row
+	for _, asData := range [2]bool{true, false} {
+		for i := range rows {
+			row := &rows[i]
+			switch {
+			case !on[row.rule]:
+			case asData:
+				if row.hop() && row.takesData(f.R, findiv) {
+					e.hopFromData(row, f, derived, emit)
+				}
+			case !row.hop():
+				if f.R == row.data {
+					e.unaryFrom(row, f, derived, emit)
+				}
+			case f.R == row.link && !row.oneWay:
+				e.hopFromLink(row, f, derived, emit)
+			}
+		}
+	}
+}
+
+// hopFromData emits the heads of hop row for data premise d and every
+// link in derived that meets it.
+func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, emit emitFunc) {
+	lp := row.linkFact(at(d, row.at), sym.None)
+	derived.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
+		if e.virtualGen(l) {
+			return true
+		}
+		_, far := row.linkEnds(l)
+		if h, ok := row.conclude(with(d, row.at, far)); ok {
+			emit(h, row.why(), d, l)
+		}
+		return true
+	})
+}
+
+// hopFromLink emits the heads of hop row for link premise l and every
+// data fact in derived that meets it.
+func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, emit emitFunc) {
+	near, far := row.linkEnds(l)
+	dp := with(fact.Fact{R: row.data}, row.at, near)
+	derived.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
+		if h, ok := row.conclude(with(d, row.at, far)); ok && e.isData(row, d) {
+			emit(h, row.why(), l, d)
+		}
+		return true
+	})
+}
+
+// unaryFrom emits the heads of unary row for premise p: one, or for a
+// twin row whose other premise is present, one for each of the two
+// premises p can be.
+func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit emitFunc) {
+	if !row.twin {
+		if h, ok := row.conclude(p); ok {
+			emit(h, row.why(), p)
+		}
+		return
+	}
+	tw := swapST(p)
+	if e.virtualGen(tw) || !derived.Has(tw) {
+		return
+	}
+	for _, q := range [2]fact.Fact{p, tw} {
+		if h, ok := row.conclude(q); ok {
+			emit(h, row.why(), p, tw)
+		}
+	}
 }
 
 // applyUserRule finds every instantiation of rule r in which the new

@@ -32,8 +32,8 @@ import (
 //     never touched a deleted fact. Scan the cone in canonical order
 //     and reinstate facts that are stored in the (new) base, are
 //     axioms, or have a one-step derivation from surviving facts
-//     (derive1, the head-directed mirror of deriveFrom). Reinstating
-//     a fact drops its tombstone; reinstated facts seed a frontier.
+//     (derive1, the rule table read from the head). Reinstating a
+//     fact drops its tombstone; reinstated facts seed a frontier.
 //
 //  4. Propagate: semi-naive forward chaining from the frontier (plus
 //     any net-inserted base facts of the same window) restores the
@@ -126,9 +126,9 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		prov.delete(f)
 	}
 
-	// Phase 3: rederive cone facts with surviving support. sortFacts
-	// pins the scan (and thus first-wins provenance) deterministically.
-	sortFacts(cone)
+	// Phase 3: rederive cone facts with surviving support. Sorting pins
+	// the scan (and thus first-wins provenance) deterministically.
+	slices.SortFunc(cone, cmpFact)
 	axioms := e.axiomFactList()
 	var frontier []fact.Fact
 	for _, f := range cone {
@@ -146,7 +146,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 			}
 		default:
 			if p, ok := e.derive1(cfg, f, derived); ok && derived.Insert(f) {
-				sortPremises(p.Premises)
+				slices.SortFunc(p.Premises, cmpFact)
 				prov.set(f, p)
 				frontier = append(frontier, f)
 			}
@@ -164,7 +164,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		buf = e.deriveFrom(cfg, frontier[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				sortPremises(d.premises)
+				slices.SortFunc(d.premises, cmpFact)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				frontier = append(frontier, d.f)
 			}
@@ -175,155 +175,13 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 
 // derive1 reports whether goal g has a one-step derivation from the
 // facts in st (plus virtual facts, for user-rule bodies), returning
-// the provenance of the first one found. It is the head-directed
-// mirror of deriveFrom: every emit case there has its premise pattern
-// inverted here, so "derive1 succeeds" coincides exactly with "a
-// forward pass over st would emit g". Degenerate instantiations that
-// would use g itself as a premise are impossible by construction —
-// the caller only asks about facts absent from st.
+// the provenance of the first one found. It reads the same rows as
+// deriveFrom, from the head: "derive1 succeeds" is "a forward pass
+// over st would emit g". Degenerate instantiations that would use g
+// itself as a premise are impossible by construction — the caller only
+// asks about facts absent from st.
 func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance, bool) {
-	u := e.u
-	var out Provenance
-	found := false
-	take := func(why string, premises ...fact.Fact) {
-		out = Provenance{Rule: why, Premises: premises}
-		found = true
-	}
-
-	gindiv := e.Individual(g.R)
-
-	// The §3.1/§3.2 inheritance rules all conclude an individual fact
-	// from a data premise plus one structural hop.
-	if gindiv {
-		if cfg.std[GenSource] {
-			// g=(s',r,t) ⇐ (s',≺,s) ∧ (s,r,t)
-			st.Match(g.S, u.Gen, sym.None, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: h.T, R: g.R, T: g.T}); st.Has(d) {
-					take("gen-source", d, h)
-					return false
-				}
-				return true
-			})
-		}
-		if !found && cfg.std[GenTarget] {
-			// g=(s,r,t') ⇐ (s,r,t) ∧ (t,≺,t')
-			st.Match(sym.None, u.Gen, g.T, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: g.S, R: g.R, T: h.S}); st.Has(d) {
-					take("gen-target", d, h)
-					return false
-				}
-				return true
-			})
-		}
-		if !found && cfg.std[MemberSource] {
-			// g=(m,r,t) ⇐ (m,∈,c) ∧ (c,r,t)
-			st.Match(g.S, u.Member, sym.None, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: h.T, R: g.R, T: g.T}); st.Has(d) {
-					take("member-source", d, h)
-					return false
-				}
-				return true
-			})
-		}
-		if !found && cfg.std[MemberTarget] {
-			// g=(s,r,c) ⇐ (s,r,m) ∧ (m,∈,c)
-			st.Match(sym.None, u.Member, g.T, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: g.S, R: g.R, T: h.S}); st.Has(d) {
-					take("member-target", d, h)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	if !found && cfg.std[GenRel] {
-		// g=(s,r',t) ⇐ (s,r,t) ∧ (r,≺,r'). Gated on Individual(r) —
-		// the premise's relation, not the goal's (forward checks only
-		// the data fact it joins from).
-		st.Match(sym.None, u.Gen, g.R, func(h fact.Fact) bool {
-			if !e.Individual(h.S) {
-				return true
-			}
-			if d := (fact.Fact{S: g.S, R: h.S, T: g.T}); st.Has(d) {
-				take("gen-rel", d, h)
-				return false
-			}
-			return true
-		})
-	}
-	if !found && cfg.std[Inversion] {
-		// g=(t,r',s) ⇐ (s,r,t) ∧ (r,⇌,r'), either orientation of the
-		// inversion fact.
-		st.Match(sym.None, u.Inv, g.R, func(h fact.Fact) bool {
-			if d := (fact.Fact{S: g.T, R: h.S, T: g.S}); st.Has(d) {
-				take("inversion", d, h)
-				return false
-			}
-			return true
-		})
-		if !found {
-			st.Match(g.R, u.Inv, sym.None, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: g.T, R: h.T, T: g.S}); st.Has(d) {
-					take("inversion", d, h)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	if !found && g.R == u.Gen {
-		if cfg.std[GenTransitive] && g.S != g.T {
-			// g=(a,≺,c) ⇐ (a,≺,x) ∧ (x,≺,c)
-			st.Match(g.S, u.Gen, sym.None, func(h fact.Fact) bool {
-				if d := (fact.Fact{S: h.T, R: u.Gen, T: g.T}); st.Has(d) {
-					take("gen-transitive", h, d)
-					return false
-				}
-				return true
-			})
-		}
-		if !found && cfg.std[Synonym] {
-			// g=(a,≺,b) ⇐ (a,≈,b) or (b,≈,a). No a≠b gate: forward
-			// derives both generalizations from any synonym fact,
-			// including a self-synonym.
-			if d := (fact.Fact{S: g.S, R: u.Syn, T: g.T}); st.Has(d) {
-				take("synonym", d)
-			} else if d := (fact.Fact{S: g.T, R: u.Syn, T: g.S}); st.Has(d) {
-				take("synonym", d)
-			}
-		}
-	}
-	if !found && g.R == u.Member && cfg.std[MemberUp] {
-		// g=(m,∈,c) ⇐ (m,∈,x) ∧ (x,≺,c)
-		st.Match(g.S, u.Member, sym.None, func(h fact.Fact) bool {
-			if h.T == g.T {
-				return true
-			}
-			if d := (fact.Fact{S: h.T, R: u.Gen, T: g.T}); st.Has(d) {
-				take("member-up", h, d)
-				return false
-			}
-			return true
-		})
-	}
-	if !found && g.R == u.Syn && cfg.std[Synonym] {
-		// g=(a,≈,b) ⇐ (b,≈,a), or two-way generalization.
-		if d := (fact.Fact{S: g.T, R: u.Syn, T: g.S}); st.Has(d) {
-			take("synonym", d)
-		} else if g.S != g.T {
-			ab := fact.Fact{S: g.S, R: u.Gen, T: g.T}
-			ba := fact.Fact{S: g.T, R: u.Gen, T: g.S}
-			if st.Has(ab) && st.Has(ba) {
-				take("synonym", ab, ba)
-			}
-		}
-	}
-	if !found && g.R == u.Inv && cfg.std[Inversion] {
-		// g=(q',⇌,q) ⇐ (q,⇌,q')
-		if d := (fact.Fact{S: g.T, R: u.Inv, T: g.S}); st.Has(d) {
-			take("inversion", d)
-		}
-	}
+	out, found := e.stdToHead(e.std.toHead, &cfg.std, g, st)
 
 	// User rules: any head atom may conclude g; the body joins against
 	// st ∪ virtual exactly as forward application does.
@@ -359,7 +217,7 @@ func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance
 				// partial heads cannot occur here: g is ground, so the
 				// unification above bound every head variable).
 				if gg, ok := instantiate(h, bb); ok && gg == g {
-					take(r.Name, premises...)
+					out, found = Provenance{Rule: r.Name, Premises: premises}, true
 				}
 			})
 			putBinding(bind)
@@ -369,6 +227,84 @@ func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance
 		}
 	}
 	return out, found
+}
+
+// stdToHead is the head-directed interpreter of the rule table: it
+// returns the first one-step derivation of g the enabled rows have
+// from premises in st.
+func (e *Engine) stdToHead(rows []stdRow, on *[numStdRules]bool, g fact.Fact, st *store.Store) (Provenance, bool) {
+	gindiv := e.Individual(g.R)
+	for i := range rows {
+		row := &rows[i]
+		var premises []fact.Fact
+		switch {
+		case !on[row.rule]:
+		case row.hop():
+			premises = e.hopToHead(row, g, gindiv, st)
+		case g.R == row.head:
+			premises = e.unaryToHead(row, g, st)
+		}
+		if premises != nil {
+			return Provenance{Rule: row.why(), Premises: premises}, true
+		}
+	}
+	return Provenance{}, false
+}
+
+// hopToHead returns the first pair of premises in st from which hop
+// row concludes g, or nil. gindiv is Individual(g.R).
+func (e *Engine) hopToHead(row *stdRow, g fact.Fact, gindiv bool, st *store.Store) (premises []fact.Fact) {
+	h := g // the data premise, but for the joined position
+	if row.swap {
+		h = swapST(g)
+	}
+	if row.distinct && g.S == g.T || row.at != posR && !row.takesData(h.R, gindiv) {
+		return nil
+	}
+	far := at(h, row.at)
+	// try takes d and l as the premises if they are fit to be and other,
+	// the one of them the caller did not match in st, is there too.
+	try := func(d, l, other fact.Fact) bool {
+		if e.virtualGen(l) || e.virtualGen(d) || row.at == posR && !e.isData(row, d) || !st.Has(other) {
+			return true
+		}
+		premises = []fact.Fact{d, l}
+		return false
+	}
+	if row.dataFirst {
+		dp := with(h, row.at, sym.None)
+		st.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
+			l := row.linkFact(at(d, row.at), far)
+			return try(d, l, l)
+		})
+		return premises
+	}
+	lp := row.linkFact(sym.None, far)
+	st.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
+		near, _ := row.linkEnds(l)
+		d := with(h, row.at, near)
+		return try(d, l, d)
+	})
+	return premises
+}
+
+// unaryToHead returns the premises in st from which unary row
+// concludes g, whose relationship is the row's head relationship.
+func (e *Engine) unaryToHead(row *stdRow, g fact.Fact, st *store.Store) []fact.Fact {
+	p := fact.Fact{S: g.S, R: row.data, T: g.T}
+	if row.swap {
+		p = swapST(p)
+	}
+	if row.distinct && g.S == g.T || e.virtualGen(p) || !st.Has(p) {
+		return nil
+	}
+	if !row.twin {
+		return []fact.Fact{p}
+	}
+	if tw := swapST(p); !e.virtualGen(tw) && st.Has(tw) {
+		return []fact.Fact{p, tw}
+	}
+	return nil
 }
 
 // headBoundByBody reports whether every variable of head template h

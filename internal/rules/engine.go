@@ -49,6 +49,9 @@ type Engine struct {
 	cfgVersion atomic.Uint64
 	workers    int // closure build parallelism; 0 = GOMAXPROCS
 
+	// std is the standard-rule table (rules.go) over u.
+	std stdTable
+
 	snap atomic.Pointer[snapshot]
 
 	// sg is the cross-query subgoal cache for bounded on-demand
@@ -158,6 +161,7 @@ func (p *provMap) fold() {
 // New returns an engine over base with all standard rules enabled.
 func New(base *store.Store, vp *virtual.Provider) *Engine {
 	e := &Engine{base: base, vp: vp, u: base.Universe()}
+	e.std = newStdTable(e.u)
 	rs := &ruleset{}
 	for i := range rs.std {
 		rs.std[i] = true
@@ -507,7 +511,7 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				sortPremises(d.premises)
+				slices.SortFunc(d.premises, cmpFact)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				work = append(work, d.f)
 			}

@@ -1,0 +1,143 @@
+package rules
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/fact"
+	"repro/internal/store"
+	"repro/internal/sym"
+)
+
+// Row exposes one row of an engine's resolved standard-rule table to
+// the external table test (which needs internal/gen, and so cannot
+// live in this package): each method runs one of the three production
+// interpreters over a table holding just this row, every rule enabled.
+type Row struct {
+	e *Engine
+	i int // index into the forward order
+}
+
+// table is a rule table holding just this row.
+func (r Row) table() []stdRow { return r.e.std.forward[r.i : r.i+1] }
+
+var allOn = func() (on [numStdRules]bool) {
+	for i := range on {
+		on[i] = true
+	}
+	return on
+}()
+
+// TableRows returns the rows in forward order.
+func (e *Engine) TableRows() []Row {
+	out := make([]Row, len(e.std.forward))
+	for i := range out {
+		out[i] = Row{e, i}
+	}
+	return out
+}
+
+// OrderLens returns the lengths of the head-directed and backward
+// orders.
+func (e *Engine) OrderLens() (toHead, backward int) {
+	return len(e.std.toHead), len(e.std.backward)
+}
+
+func (r Row) String() string {
+	return fmt.Sprintf("row %d (%s)", r.i, r.table()[0].why())
+}
+
+// Rule is the standard rule the row belongs to.
+func (r Row) Rule() StdRule { return r.table()[0].rule }
+
+// Visits reports how often the head-directed and the backward order
+// name the row.
+func (r Row) Visits() (toHead, backward int) {
+	count := func(order []stdRow) (n int) {
+		for _, o := range order {
+			if o == r.table()[0] {
+				n++
+			}
+		}
+		return n
+	}
+	return count(r.e.std.toHead), count(r.e.std.backward)
+}
+
+// OneWay reports the row's oneWay flag.
+func (r Row) OneWay() bool { return r.table()[0].oneWay }
+
+// Forward returns what the forward interpreter emits with f as a
+// premise and the other premises in st, present heads included.
+func (r Row) Forward(f fact.Fact, st *store.Store) []fact.Fact {
+	var out []fact.Fact
+	r.e.stdForward(r.table(), &allOn, f, st, func(g fact.Fact, why string, _ ...fact.Fact) {
+		if why != r.table()[0].why() {
+			panic("row emitted under the name " + why)
+		}
+		out = append(out, g)
+	})
+	return out
+}
+
+// ToHead reports whether the head-directed interpreter finds premises
+// for g in st.
+func (r Row) ToHead(g fact.Fact, st *store.Store) bool {
+	_, ok := r.e.stdToHead(r.table(), &allOn, g, st)
+	return ok
+}
+
+// Backward returns every head the backward interpreter enumerates for
+// the all-wildcard pattern at depth 1, over the engine's base store.
+func (r Row) Backward() []fact.Fact {
+	b := getBounded(r.e, &ruleset{ver: r.e.rs.Load().ver, std: allOn}, nil)
+	b.shared = nil
+	col := getCollector(sym.None, sym.None, sym.None)
+	b.stdBackward(r.table(), fact.Fact{}, 1, col)
+	out := slices.Clone(col.buf)
+	putCollector(col)
+	putBounded(b)
+	slices.SortFunc(out, cmpFact)
+	return dedupSortedFacts(out)
+}
+
+// BackwardAll is the raw backward enumeration of a pattern under the
+// engine's own configuration: no Δ/∇ rewriting, no subgoal table.
+func (e *Engine) BackwardAll(s, r, t sym.ID, depth int) []fact.Fact {
+	b := getBounded(e, e.rs.Load(), nil)
+	b.shared = nil
+	out := slices.Clone(b.enum(s, r, t, depth))
+	putBounded(b)
+	return out
+}
+
+// AxiomFacts exposes the built-in axiom facts.
+func (e *Engine) AxiomFacts() []fact.Fact { return e.axiomFactList() }
+
+// EdgeWorlds are the stored-fact sets on which the three hand-written
+// copies of the rules used to differ, or came close to: ≺ facts that
+// restate a virtual axiom, a self-synonym, a two-way ≺ pair, an
+// inverse declared for ≺ itself.
+var EdgeWorlds = map[string][][3]string{
+	"stored x≺Δ under a fact targeting x": {
+		{"JOHN", "LIKES", "CAT"}, {"CAT", "isa", "TOP"}, {"TOM", "in", "CAT"},
+		{"KITTEN", "isa", "CAT"}, {"CAT", "EATS", "FISH"},
+	},
+	"stored ∇≺x": {
+		{"BOT", "isa", "CAT"}, {"CAT", "EATS", "FISH"}, {"CAT", "isa", "ANIMAL"},
+		{"BOT", "isa", "TOP"}, {"TOP", "isa", "BOT"},
+	},
+	"stored reflexive ≺ with a member": {
+		{"B", "isa", "B"}, {"M", "in", "B"}, {"B", "HAS", "X"}, {"A", "isa", "B"}, {"Y", "OWNS", "M"},
+	},
+	"self-synonym": {
+		{"A", "syn", "A"}, {"A", "HAS", "X"}, {"M", "in", "A"}, {"A", "syn", "B"},
+	},
+	"two-way ≺ pair": {
+		{"A", "isa", "B"}, {"B", "isa", "A"}, {"A", "HAS", "X"}, {"M", "in", "B"}, {"B", "isa", "C"},
+	},
+	"declared inverse of ≺": {
+		{"isa", "inv", "SUBSUMES"}, {"A", "isa", "B"}, {"B", "isa", "TOP"}, {"M", "in", "A"},
+		{"WORKS-FOR", "inv", "EMPLOYS"}, {"ACME", "EMPLOYS", "M"}, {"WORKS-FOR", "isa", "KNOWS"},
+	},
+}

@@ -388,139 +388,10 @@ func (b *bounded) pattern(s, r, t sym.ID) string {
 
 // backward applies each enabled rule in reverse: it enumerates
 // derivations whose final step produces a fact matching (s,r,t),
-// recursing at depth d-1 for the premises. Results land in col.
+// recursing at depth d-1 for the premises. Results land in col, which
+// drops heads that miss the pattern.
 func (b *bounded) backward(s, r, t sym.ID, d int, col *collector) {
-	e := b.e
-	u := e.u
-
-	// GenSource: (s0,r0,t0) ∧ (s,≺,s0) ⇒ (s,r0,t0).
-	if b.cfg.std[GenSource] {
-		for _, g := range b.enum(s, u.Gen, sym.None, d-1) {
-			if g.S == g.T || g.T == u.Top || g.S == u.Bottom {
-				continue
-			}
-			for _, f := range b.enum(g.T, r, t, d-1) {
-				if e.Individual(f.R) {
-					col.add(fact.Fact{S: g.S, R: f.R, T: f.T})
-				}
-			}
-		}
-	}
-	// MemberSource: (s0,r0,t0) ∧ (s,∈,s0) ⇒ (s,r0,t0).
-	if b.cfg.std[MemberSource] {
-		for _, g := range b.enum(s, u.Member, sym.None, d-1) {
-			for _, f := range b.enum(g.T, r, t, d-1) {
-				if e.Individual(f.R) {
-					col.add(fact.Fact{S: g.S, R: f.R, T: f.T})
-				}
-			}
-		}
-	}
-	// GenTarget: (s0,r0,t0) ∧ (t0,≺,t) ⇒ (s0,r0,t).
-	if b.cfg.std[GenTarget] {
-		for _, g := range b.enum(sym.None, u.Gen, t, d-1) {
-			if g.S == g.T || g.S == u.Bottom || g.T == u.Top {
-				continue
-			}
-			for _, f := range b.enum(s, r, g.S, d-1) {
-				if e.Individual(f.R) {
-					col.add(fact.Fact{S: f.S, R: f.R, T: g.T})
-				}
-			}
-		}
-	}
-	// MemberTarget: (s0,r0,t0) ∧ (t0,∈,t) ⇒ (s0,r0,t).
-	if b.cfg.std[MemberTarget] {
-		for _, g := range b.enum(sym.None, u.Member, t, d-1) {
-			for _, f := range b.enum(s, r, g.S, d-1) {
-				if e.Individual(f.R) {
-					col.add(fact.Fact{S: f.S, R: f.R, T: g.T})
-				}
-			}
-		}
-	}
-	// GenRel: (s0,r0,t0) ∧ (r0,≺,r) ⇒ (s0,r,t0).
-	if b.cfg.std[GenRel] {
-		for _, g := range b.enum(sym.None, u.Gen, r, d-1) {
-			if g.S == g.T || g.T == u.Top || g.S == u.Bottom {
-				continue
-			}
-			for _, f := range b.enum(s, g.S, t, d-1) {
-				if f.R == g.S && e.Individual(f.R) {
-					col.add(fact.Fact{S: f.S, R: g.T, T: f.T})
-				}
-			}
-		}
-	}
-	// Inversion: (s0,r0,t0) ∧ (r0,⇌,r) ⇒ (t0,r,s0).
-	if b.cfg.std[Inversion] {
-		for _, g := range b.enum(sym.None, u.Inv, r, d-1) {
-			for _, f := range b.enum(t, g.S, s, d-1) {
-				if f.R == g.S {
-					col.add(fact.Fact{S: f.T, R: g.T, T: f.S})
-				}
-			}
-		}
-	}
-
-	relIs := func(id sym.ID) bool { return r == sym.None || r == id }
-
-	// GenTransitive: (s,≺,x) ∧ (x,≺,t) ⇒ (s,≺,t).
-	if b.cfg.std[GenTransitive] && relIs(u.Gen) {
-		for _, g := range b.enum(s, u.Gen, sym.None, d-1) {
-			if g.S == g.T || g.T == u.Top || g.S == u.Bottom {
-				continue
-			}
-			for _, h := range b.enum(g.T, u.Gen, t, d-1) {
-				if h.S != h.T && g.S != h.T && h.T != u.Top {
-					col.add(fact.Fact{S: g.S, R: u.Gen, T: h.T})
-				}
-			}
-		}
-	}
-	// MemberUp: (s,∈,x) ∧ (x,≺,t) ⇒ (s,∈,t).
-	if b.cfg.std[MemberUp] && relIs(u.Member) {
-		for _, g := range b.enum(s, u.Member, sym.None, d-1) {
-			for _, h := range b.enum(g.T, u.Gen, t, d-1) {
-				if h.S != h.T && h.T != u.Top && h.S != u.Bottom {
-					col.add(fact.Fact{S: g.S, R: u.Member, T: h.T})
-				}
-			}
-		}
-	}
-	// Synonym definition: (s,≈,t) ⇒ (s,≺,t) and (t,≺,s).
-	if b.cfg.std[Synonym] {
-		if relIs(u.Gen) {
-			for _, g := range b.enum(s, u.Syn, t, d-1) {
-				col.add(fact.Fact{S: g.S, R: u.Gen, T: g.T})
-			}
-			for _, g := range b.enum(t, u.Syn, s, d-1) {
-				col.add(fact.Fact{S: g.T, R: u.Gen, T: g.S})
-			}
-		}
-		if relIs(u.Syn) {
-			// Symmetry: (t,≈,s) ⇒ (s,≈,t).
-			for _, g := range b.enum(t, u.Syn, s, d-1) {
-				col.add(fact.Fact{S: g.T, R: u.Syn, T: g.S})
-			}
-			// Two-way generalization is a synonym.
-			for _, g := range b.enum(s, u.Gen, t, d-1) {
-				if g.S == g.T {
-					continue
-				}
-				for _, h := range b.enum(g.T, u.Gen, g.S, d-1) {
-					if h.S == g.T && h.T == g.S {
-						col.add(fact.Fact{S: g.S, R: u.Syn, T: g.T})
-					}
-				}
-			}
-		}
-		if relIs(u.Inv) {
-			// Inversion symmetry via (⇌,⇌,⇌) is handled by the
-			// Inversion case above; nothing extra here.
-			_ = u.Inv
-		}
-	}
+	b.stdBackward(b.e.std.backward, fact.Fact{S: s, R: r, T: t}, d, col)
 
 	// User rules, backwards: any head atom may match the pattern.
 	for _, rule := range b.cfg.userRules {
@@ -539,6 +410,103 @@ func (b *bounded) backward(s, r, t sym.ID, d int, col *collector) {
 				}
 			})
 			putBinding(bind)
+		}
+	}
+}
+
+// stdBackward is the backward interpreter of the rule table: it adds
+// to col every head the enabled rows conclude from premises derivable
+// within d-1 steps. goal is the pattern, sym.None for a wildcard.
+func (b *bounded) stdBackward(rows []stdRow, goal fact.Fact, d int, col *collector) {
+	for i := range rows {
+		row := &rows[i]
+		switch {
+		case !b.cfg.std[row.rule]:
+		case row.hop():
+			b.hopBackward(row, goal, d, col)
+		case goal.R == sym.None || goal.R == row.head:
+			b.unaryBackward(row, goal, d, col)
+		}
+	}
+}
+
+// hopBackward adds every head of hop row that two premises derivable
+// within d-1 steps conclude. The premise enumerated first is asked for
+// with the goal's constants in place, the second once per result of
+// the first.
+func (b *bounded) hopBackward(row *stdRow, goal fact.Fact, d int, col *collector) {
+	e := b.e
+	h := goal // pattern of the data premise, but for the joined position
+	if row.swap {
+		h = swapST(goal)
+	}
+	if row.data != sym.None {
+		if h.R != sym.None && h.R != row.data {
+			return
+		}
+		h.R = row.data
+	}
+	far := at(h, row.at)
+	if row.dataFirst {
+		dp := with(h, row.at, sym.None)
+		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
+			if !e.isData(row, data) {
+				continue
+			}
+			lp := row.linkFact(at(data, row.at), far)
+			for _, l := range b.enum(lp.S, lp.R, lp.T, d-1) {
+				if _, lfar := row.linkEnds(l); !e.virtualGen(l) {
+					col.conclude(row, with(data, row.at, lfar))
+				}
+			}
+		}
+		return
+	}
+	lp := row.linkFact(sym.None, far)
+	for _, l := range b.enum(lp.S, lp.R, lp.T, d-1) {
+		if e.virtualGen(l) {
+			continue
+		}
+		near, lfar := row.linkEnds(l)
+		dp := with(h, row.at, near)
+		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
+			if e.isData(row, data) {
+				col.conclude(row, with(data, row.at, lfar))
+			}
+		}
+	}
+}
+
+// conclude adds the row's head for f (see stdRow.conclude).
+func (c *collector) conclude(row *stdRow, f fact.Fact) {
+	if head, ok := row.conclude(f); ok {
+		c.add(head)
+	}
+}
+
+// unaryBackward adds every head of unary row whose premises are
+// derivable within d-1 steps.
+func (b *bounded) unaryBackward(row *stdRow, goal fact.Fact, d int, col *collector) {
+	pp := fact.Fact{S: goal.S, R: row.data, T: goal.T}
+	if row.swap {
+		pp = swapST(pp)
+	}
+	for _, p := range b.enum(pp.S, pp.R, pp.T, d-1) {
+		head, ok := row.conclude(p)
+		if !ok {
+			continue
+		}
+		if !row.twin {
+			col.add(head)
+			continue
+		}
+		// The twin of a virtual (x,≺,Δ) is asked for and then dropped:
+		// skipping it here would be cheaper and change the subgoal
+		// traffic (testdata/backward_trace.golden).
+		for _, tw := range b.enum(p.T, p.R, p.S, d-1) {
+			if !b.e.virtualGen(p) && !b.e.virtualGen(tw) {
+				col.add(head)
+			}
 		}
 	}
 }

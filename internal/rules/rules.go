@@ -9,10 +9,16 @@
 // facts must not contradict the rest of the closure.
 //
 // The standard rules of §3 — inference by generalization, membership,
-// synonym and inversion — are built into the Engine natively (they
-// quantify over the set R_i of individual relationships, which a
-// plain template cannot express) and can be included or excluded
-// individually, as §6.1's include/exclude operators require.
+// synonym and inversion — are ordinary ⟨L,R⟩ rules that are merely
+// pre-included (§2.4). Each is declared once, as a row of the table
+// below (stdRow): a data fact joined at one position with a ≺, ∈ or ⇌
+// link fact, or a single premise rewritten. The one thing a plain
+// template cannot say — "r ranges over R_i, the individual
+// relationships" — is the row's indiv annotation, decided by
+// Engine.Individual. Three interpreters read the table: forwards from a
+// new fact (apply.go), head-directed from a goal fact (delete.go) and
+// backwards from a pattern (ondemand.go). Rules are included and
+// excluded individually, as §6.1's operators require.
 //
 // Two matching strategies are provided:
 //
@@ -28,6 +34,7 @@ import (
 	"strings"
 
 	"repro/internal/fact"
+	"repro/internal/sym"
 )
 
 // Kind distinguishes inference rules from integrity constraints.
@@ -188,4 +195,186 @@ func StdRuleByName(name string) (StdRule, bool) {
 		}
 	}
 	return 0, false
+}
+
+// pos names one position of a fact.
+type pos uint8
+
+const (
+	posS pos = iota
+	posR
+	posT
+)
+
+// at returns the entity of f at position p.
+func at(f fact.Fact, p pos) sym.ID { return [3]sym.ID{f.S, f.R, f.T}[p] }
+
+// with returns f with position p replaced by v. Patterns are facts
+// with sym.None wildcards, so it serves both.
+func with(f fact.Fact, p pos, v sym.ID) fact.Fact {
+	a := [3]sym.ID{f.S, f.R, f.T}
+	a[p] = v
+	return fact.Fact{S: a[0], R: a[1], T: a[2]}
+}
+
+func swapST(f fact.Fact) fact.Fact { return fact.Fact{S: f.T, R: f.R, T: f.S} }
+
+// stdRow declares one standard inference. A row with a link is a hop:
+//
+//	data ∧ link ⇒ data with the joined position moved along the link
+//
+// where data is a fact over the data relationship (any r ∈ R_i when
+// indiv is set, any at all when neither is), link is a fact over the
+// link relationship, and the two meet at position at of data. Going up
+// the link the position holds link.S and the head gets link.T; going
+// down, the reverse. A row without a link is unary: a premise over the
+// data relationship is rewritten to the head relationship; with twin
+// set it also needs its own S/T swap as a second premise. swap
+// exchanges S and T of the head; distinct drops heads with S = T.
+//
+// In every row a ≺ premise that restates a virtual axiom (virtualGen)
+// is inert: what it would conclude is virtual itself or follows
+// without it, and the closure store cannot see the virtual facts the
+// backward pass can, so this is what keeps the three passes equal.
+//
+// dataFirst and oneWay steer the passes, not the meaning. The two
+// goal-directed passes enumerate the link premise first unless
+// dataFirst says the data premise is the narrower one. A oneWay row
+// concludes nothing its rule's other rows do not reach one step later
+// (it reads a ⇌ declaration right to left, which the twin declaration
+// the (⇌,⇌,⇌) axiom derives does left to right), so only the passes
+// that start from a data fact or a goal fact consult it.
+type stdRow struct {
+	rule StdRule
+
+	indiv bool   // data ranges over R_i (Engine.Individual) …
+	data  sym.ID // … or is over this relationship; sym.None: any
+
+	link sym.ID // hop rows: ≺, ∈ or ⇌
+	at   pos
+	up   bool
+
+	head sym.ID // unary rows
+	twin bool
+
+	swap, distinct    bool
+	dataFirst, oneWay bool
+}
+
+// stdTable is the standard rules over one universe, each declared once
+// and listed in the order each pass visits them in.
+type stdTable struct {
+	// forward is the order of the forward pass. It fixes the order facts
+	// enter the closure store, and with it every first-wins provenance
+	// record.
+	forward []stdRow
+	// toHead is the order of the head-directed pass. It fixes which
+	// derivation delete propagation records for a reinstated fact that
+	// has several.
+	toHead []stdRow
+	// backward is the order of the backward pass. It fixes the order
+	// subgoals are asked for, and with it the occupancy of the subgoal
+	// table; oneWay rows are absent.
+	backward []stdRow
+}
+
+// newStdTable declares the standard rules; the comments on the StdRule
+// constants give the paper's formula for each.
+func newStdTable(u *fact.Universe) stdTable {
+	gen, member, syn, inv := u.Gen, u.Member, u.Syn, u.Inv
+	var (
+		genSource     = stdRow{rule: GenSource, indiv: true, link: gen, at: posS}
+		genRel        = stdRow{rule: GenRel, indiv: true, link: gen, at: posR, up: true}
+		genTarget     = stdRow{rule: GenTarget, indiv: true, link: gen, at: posT, up: true}
+		memberSource  = stdRow{rule: MemberSource, indiv: true, link: member, at: posS}
+		memberTarget  = stdRow{rule: MemberTarget, indiv: true, link: member, at: posT, up: true}
+		genTransitive = stdRow{rule: GenTransitive, data: gen, link: gen, at: posT, up: true, distinct: true, dataFirst: true}
+		memberUp      = stdRow{rule: MemberUp, data: member, link: gen, at: posT, up: true, dataFirst: true}
+		inversion     = stdRow{rule: Inversion, link: inv, at: posR, up: true, swap: true}
+		inversionBack = stdRow{rule: Inversion, link: inv, at: posR, swap: true, oneWay: true}
+		synFromTwoWay = stdRow{rule: Synonym, data: gen, head: syn, twin: true, distinct: true}
+		synSymmetric  = stdRow{rule: Synonym, data: syn, head: syn, swap: true}
+		synToGen      = stdRow{rule: Synonym, data: syn, head: gen}
+		synToGenBack  = stdRow{rule: Synonym, data: syn, head: gen, swap: true}
+	)
+	return stdTable{
+		forward: []stdRow{
+			genTransitive, synFromTwoWay, memberUp,
+			genSource, genRel, genTarget, memberSource, memberTarget,
+			inversion, inversionBack,
+			synSymmetric, synToGen, synToGenBack,
+		},
+		toHead: []stdRow{
+			genSource, genTarget, memberSource, memberTarget, genRel,
+			inversion, inversionBack,
+			genTransitive, memberUp,
+			synToGen, synToGenBack, synSymmetric, synFromTwoWay,
+		},
+		backward: []stdRow{
+			genSource, memberSource, genTarget, memberTarget, genRel,
+			inversion,
+			genTransitive, memberUp,
+			synToGen, synToGenBack, synSymmetric, synFromTwoWay,
+		},
+	}
+}
+
+// hop reports whether the row joins a data premise with a link.
+func (r *stdRow) hop() bool { return r.link != sym.None }
+
+// why is the provenance name of the row's conclusions.
+func (r *stdRow) why() string { return stdRuleNames[r.rule] }
+
+// takesData reports whether a fact over relationship rel can be the
+// row's data premise; isIndiv is Engine.Individual(rel), which callers
+// hoist out of their loops.
+func (r *stdRow) takesData(rel sym.ID, isIndiv bool) bool {
+	if r.indiv {
+		return isIndiv
+	}
+	return r.data == sym.None || rel == r.data
+}
+
+// isData reports whether d can be the row's data premise.
+func (e *Engine) isData(row *stdRow, d fact.Fact) bool {
+	return row.takesData(d.R, row.indiv && e.Individual(d.R)) && !e.virtualGen(d)
+}
+
+// linkFact returns the row's link premise between near, the entity the
+// data premise holds at the joined position, and far, the entity the
+// head holds there. Either may be sym.None to form a pattern.
+func (r *stdRow) linkFact(near, far sym.ID) fact.Fact {
+	if r.up {
+		return fact.Fact{S: near, R: r.link, T: far}
+	}
+	return fact.Fact{S: far, R: r.link, T: near}
+}
+
+// linkEnds is the inverse of linkFact.
+func (r *stdRow) linkEnds(l fact.Fact) (near, far sym.ID) {
+	if r.up {
+		return l.S, l.T
+	}
+	return l.T, l.S
+}
+
+// conclude returns the head of a hop row from its data premise with
+// the joined position already moved to the far end of the link, or of
+// a unary row from its premise; ok is false when distinct rejects it.
+func (r *stdRow) conclude(f fact.Fact) (fact.Fact, bool) {
+	if !r.hop() {
+		f.R = r.head
+	}
+	if r.swap {
+		f = swapST(f)
+	}
+	return f, !(r.distinct && f.S == f.T)
+}
+
+// virtualGen reports whether g restates one of the virtual ≺ axioms:
+// x≺x, x≺Δ or ∇≺x (§3.1). Such a fact is no premise of any standard
+// rule, whether the virtual provider supplies it or someone stored it.
+func (e *Engine) virtualGen(g fact.Fact) bool {
+	u := e.u
+	return g.R == u.Gen && (g.S == g.T || g.T == u.Top || g.S == u.Bottom)
 }
