@@ -341,8 +341,8 @@ func TestEngineEstimateCount(t *testing.T) {
 	u := db.Universe()
 	// The estimate covers derived facts: (JOHN, EARNS, SALARY) is in
 	// the closure, so the EARNS bucket has ≥ 2 entries.
-	if got := eng.EstimateCount(0, u.Entity("EARNS"), 0); got < 2 {
-		t.Errorf("EstimateCount over closure = %d", got)
+	if got, exact := eng.EstimateCount(0, u.Entity("EARNS"), 0); got < 2 || !exact {
+		t.Errorf("EstimateCount over closure = %d exact %v", got, exact)
 	}
 }
 

@@ -3,7 +3,8 @@
 // engine offers — materialized closure, bounded on-demand inference,
 // sequential vs parallel materialization, incremental layered
 // maintenance vs full recompute, persistence round-trips, sealed
-// clones, the layered store vs a plain set — plus
+// clones, the layered store vs a plain set, planned query evaluation
+// vs conjuncts in written order — plus
 // structural invariants of published closures. Each oracle takes a
 // generated world (internal/gen) and returns nil or a Failure naming
 // the oracle and the first divergence found.
@@ -115,6 +116,9 @@ func Run(w *gen.World, opts Options) *Failure {
 		return f
 	}
 	if f := SearchVsScan(w, opts); f != nil {
+		return f
+	}
+	if f := PlannedVsSyntactic(w, opts); f != nil {
 		return f
 	}
 	if !opts.SkipPersistence {

@@ -178,6 +178,12 @@ func (c *Composer) dfs(at, tgt sym.ID, chain []fact.Fact, visited map[sym.ID]boo
 	}
 }
 
+// Composed reports whether rel can name a composed relationship: Match
+// yields nothing for a bound relationship that cannot.
+func (c *Composer) Composed(rel sym.ID) bool {
+	return c.Enabled() && strings.Contains(c.m.Universe().Name(rel), Sep)
+}
+
 // Match enumerates composed facts matching the pattern. A bound
 // relationship is interpreted as a composed relationship name and
 // verified; an unbound relationship enumerates paths. Composed facts
@@ -188,13 +194,10 @@ func (c *Composer) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	if !c.Enabled() {
 		return true
 	}
-	u := c.m.Universe()
-	if rel != sym.None {
-		name := u.Name(rel)
-		if !strings.Contains(name, Sep) {
-			return true // not a composed relationship name
-		}
+	if rel != sym.None && !c.Composed(rel) {
+		return true
 	}
+	u := c.m.Universe()
 	var paths []Path
 	switch {
 	case src != sym.None && tgt != sym.None:

@@ -115,6 +115,10 @@ type Outcome struct {
 	// Exhausted reports that retraction ran out of broader queries
 	// (or hit MaxWaves) without any success.
 	Exhausted bool
+	// Truncated reports that some wave reached MaxPerWave: the wave
+	// ended there, and the retraction queries it had not reached were
+	// neither tried nor broadened further.
+	Truncated bool
 	// Unknown lists query constants that are not database entities
 	// (§5.2: such positions are never replaced, and their queries are
 	// reported as "no such database entities").
@@ -151,31 +155,36 @@ func (p *Prober) Probe(q *query.Query) (*Outcome, error) {
 		changes []Change
 	}
 	frontier := []node{{q: q}}
-	seen := map[string]struct{}{q.String(): {}}
+	subs := make(substitutes)
+	key := appendKey(nil, q.Root, nil)
+	seen := map[string]struct{}{string(key): {}}
 
 	for level := 1; level <= maxWaves && len(frontier) > 0; level++ {
 		wave := Wave{Level: level}
 		var next []node
+	fill:
 		for _, nd := range frontier {
-			for _, ret := range p.retractions(nd.q) {
-				key := ret.q.String()
-				if _, dup := seen[key]; dup {
+			for _, c := range p.retractions(nd.q, subs) {
+				key = appendKey(key[:0], nd.q.Root, &c)
+				if _, dup := seen[string(key)]; dup {
 					continue
 				}
-				seen[key] = struct{}{}
 				if len(wave.Entries) >= maxPerWave {
-					break
+					out.Truncated = true
+					break fill
 				}
-				chain := append(append([]Change(nil), nd.changes...), ret.change)
-				res, err := p.Eval.Eval(ret.q)
+				seen[string(key)] = struct{}{}
+				ret := apply(nd.q, c)
+				chain := append(append([]Change(nil), nd.changes...), c)
+				res, err := p.Eval.Eval(ret)
 				if err != nil {
 					return nil, err
 				}
-				entry := Entry{Q: ret.q, Changes: chain}
+				entry := Entry{Q: ret, Changes: chain}
 				if res.True {
 					entry.Result = res
 				} else {
-					next = append(next, node{q: ret.q, changes: chain})
+					next = append(next, node{q: ret, changes: chain})
 				}
 				wave.Entries = append(wave.Entries, entry)
 			}
@@ -197,28 +206,30 @@ func (p *Prober) Probe(q *query.Query) (*Outcome, error) {
 	return out, nil
 }
 
-type retraction struct {
-	q      *query.Query
-	change Change
+// substitutes memoizes, for one Probe call, what each constant is
+// replaced with per position kind: the queries of a probe share
+// nearly all their constants, and each answer costs closure reads.
+type substitutes map[substituteKey][]sym.ID
+
+type substituteKey struct {
+	e      sym.ID
+	source bool
 }
 
-// retractions computes the retraction set of q (§5.1): one minimally
-// broader query per (entity occurrence, minimal generalization) pair,
-// plus the deletion of templates that have become unrestrictive
-// (§5.2). Occurrences of the built-in special entities are not
-// generalized.
-func (p *Prober) retractions(q *query.Query) []retraction {
+// retractions computes the retraction set of q (§5.1) as the changes
+// that produce it: one minimally broader query per (entity occurrence,
+// minimal generalization) pair, plus the deletion of templates that
+// have become unrestrictive (§5.2). Occurrences of the built-in
+// special entities are not generalized. apply builds a change's query.
+func (p *Prober) retractions(q *query.Query, subs substitutes) []Change {
 	u := p.Eng.Universe()
-	var out []retraction
+	var out []Change
 	atoms := q.Atoms()
 	for ai, atom := range atoms {
 		terms := [3]fact.Term{atom.Tpl.S, atom.Tpl.R, atom.Tpl.T}
 		if degenerate(u, terms) {
-			if nq := removeAtom(q, ai); nq != nil {
-				out = append(out, retraction{
-					q:      nq,
-					change: Change{Deleted: true, Atom: ai},
-				})
+			if len(atoms) > 1 { // the whole query is never deleted
+				out = append(out, Change{Deleted: true, Atom: ai})
 			}
 			continue
 		}
@@ -238,18 +249,18 @@ func (p *Prober) retractions(q *query.Query) []retraction {
 			// source position (the paper's FRESHMAN instead of
 			// STUDENT) and a *generalization* elsewhere (ATTENDED
 			// instead of GRADUATE-OF, CHEAP instead of FREE).
-			var subs []sym.ID
-			if pos == 0 {
-				subs = p.MinimalSpecs(e)
-			} else {
-				subs = p.MinimalGens(e)
+			k := substituteKey{e, pos == 0}
+			with, ok := subs[k]
+			if !ok {
+				if k.source {
+					with = p.MinimalSpecs(e)
+				} else {
+					with = p.MinimalGens(e)
+				}
+				subs[k] = with
 			}
-			for _, sub := range subs {
-				nq := replaceOccurrence(q, ai, pos, sub)
-				out = append(out, retraction{
-					q:      nq,
-					change: Change{From: e, To: sub, Atom: ai, Pos: pos},
-				})
+			for _, sub := range with {
+				out = append(out, Change{From: e, To: sub, Atom: ai, Pos: pos})
 			}
 		}
 	}
@@ -434,86 +445,158 @@ func (p *Prober) unknownEntities(q *query.Query) []sym.ID {
 	return out
 }
 
-// replaceOccurrence returns a copy of q with the atomIdx-th atom's
-// position pos replaced by entity id.
-func replaceOccurrence(q *query.Query, atomIdx, pos int, id sym.ID) *query.Query {
-	nq := q.Clone()
-	atoms := nq.Atoms()
-	a := atoms[atomIdx]
-	switch pos {
-	case 0:
-		a.Tpl.S = fact.E(id)
-	case 1:
-		a.Tpl.R = fact.E(id)
-	case 2:
-		a.Tpl.T = fact.E(id)
-	}
-	return nq
-}
-
-// removeAtom returns a copy of q with the atomIdx-th atom deleted, or
-// nil if the query would become empty. Deleting an atom from a
-// conjunction keeps the other conjuncts; quantifiers over a deleted
-// body are deleted with it.
-func removeAtom(q *query.Query, atomIdx int) *query.Query {
-	nq := q.Clone()
+// apply returns q with change c applied: the atom's position replaced,
+// or the atom deleted. Deleting an atom from a conjunction keeps the
+// other conjuncts; quantifiers over a deleted body are deleted with
+// it. Formulas are immutable once built, so the new query shares q's
+// variable names and untouched atoms.
+func apply(q *query.Query, c Change) *query.Query {
 	idx := -1
 	var rebuild func(f query.Formula) query.Formula
 	rebuild = func(f query.Formula) query.Formula {
 		switch n := f.(type) {
 		case *query.Atom:
 			idx++
-			if idx == atomIdx {
+			if idx != c.Atom {
+				return n
+			}
+			if c.Deleted {
 				return nil
 			}
-			return n
+			a := *n
+			*termAt(&a.Tpl, c.Pos) = fact.E(c.To)
+			return &a
 		case *query.And:
-			l := rebuild(n.L)
-			r := rebuild(n.R)
-			switch {
-			case l == nil && r == nil:
-				return nil
-			case l == nil:
-				return r
-			case r == nil:
-				return l
-			default:
-				return &query.And{L: l, R: r}
+			l, r := rebuild(n.L), rebuild(n.R)
+			if l == nil || r == nil {
+				return orElse(l, r)
 			}
+			return &query.And{L: l, R: r}
 		case *query.Or:
-			l := rebuild(n.L)
-			r := rebuild(n.R)
-			switch {
-			case l == nil && r == nil:
-				return nil
-			case l == nil:
-				return r
-			case r == nil:
-				return l
-			default:
-				return &query.Or{L: l, R: r}
+			l, r := rebuild(n.L), rebuild(n.R)
+			if l == nil || r == nil {
+				return orElse(l, r)
 			}
+			return &query.Or{L: l, R: r}
 		case *query.Exists:
-			b := rebuild(n.Body)
-			if b == nil {
-				return nil
+			if b := rebuild(n.Body); b != nil {
+				return &query.Exists{V: n.V, Body: b}
 			}
-			return &query.Exists{V: n.V, Body: b}
+			return nil
 		case *query.Forall:
-			b := rebuild(n.Body)
-			if b == nil {
-				return nil
+			if b := rebuild(n.Body); b != nil {
+				return &query.Forall{V: n.V, Body: b}
 			}
-			return &query.Forall{V: n.V, Body: b}
+			return nil
 		default:
 			return f
 		}
 	}
-	root := rebuild(nq.Root)
-	if root == nil {
-		return nil
+	return query.NewQuery(q.Universe(), rebuild(q.Root), q.Names)
+}
+
+func orElse(l, r query.Formula) query.Formula {
+	if l != nil {
+		return l
 	}
-	return query.NewQuery(q.Universe(), root, nq.Names)
+	return r
+}
+
+// termAt addresses position pos (0 source, 1 relationship, 2 target).
+func termAt(tp *fact.Template, pos int) *fact.Term {
+	switch pos {
+	case 0:
+		return &tp.S
+	case 1:
+		return &tp.R
+	default:
+		return &tp.T
+	}
+}
+
+// appendKey appends to buf a structural key of formula f with change
+// c applied (nil: f itself), without building the changed formula.
+// Two queries of one probe have equal keys exactly when they render
+// to the same text, which is what makes a retraction a duplicate: a
+// conjunction is keyed as the run of its conjuncts (& is associative
+// and renders without brackets), and a deletion collapses the nodes
+// above the atom the way apply does.
+func appendKey(buf []byte, f query.Formula, c *Change) []byte {
+	k := keyer{buf: buf, c: c}
+	k.formula(f)
+	return k.buf
+}
+
+type keyer struct {
+	buf  []byte
+	c    *Change
+	atom int // atoms keyed so far
+}
+
+func (k *keyer) term(t fact.Term) {
+	tag, id := byte('e'), uint32(t.Entity)
+	if t.IsVar() {
+		tag, id = 'v', uint32(t.Variable)
+	}
+	k.buf = append(k.buf, tag, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+}
+
+// formula keys f and reports whether anything of it is left.
+func (k *keyer) formula(f query.Formula) bool {
+	switch n := f.(type) {
+	case *query.Atom:
+		tpl := n.Tpl
+		if k.c != nil && k.atom == k.c.Atom {
+			if k.c.Deleted {
+				k.atom++
+				return false
+			}
+			*termAt(&tpl, k.c.Pos) = fact.E(k.c.To)
+		}
+		k.atom++
+		k.term(tpl.S)
+		k.term(tpl.R)
+		k.term(tpl.T)
+		return true
+	case *query.And:
+		l := k.formula(n.L)
+		return k.formula(n.R) || l
+	case *query.Or:
+		mark := len(k.buf)
+		k.buf = append(k.buf, '[')
+		if !k.formula(n.L) {
+			k.buf = k.buf[:mark]
+			return k.formula(n.R)
+		}
+		mid := len(k.buf)
+		k.buf = append(k.buf, '|')
+		if !k.formula(n.R) {
+			// Only the left branch is left: drop the brackets.
+			k.buf = append(k.buf[:mark], k.buf[mark+1:mid]...)
+			return true
+		}
+		k.buf = append(k.buf, ']')
+		return true
+	case *query.Exists:
+		return k.quantified('E', n.V, n.Body)
+	case *query.Forall:
+		return k.quantified('A', n.V, n.Body)
+	default:
+		panic(fmt.Sprintf("probe: unknown formula node %T", f))
+	}
+}
+
+func (k *keyer) quantified(tag byte, v fact.Var, body query.Formula) bool {
+	mark := len(k.buf)
+	k.buf = append(k.buf, tag)
+	k.term(fact.V(v))
+	k.buf = append(k.buf, '{')
+	if !k.formula(body) {
+		k.buf = k.buf[:mark]
+		return false
+	}
+	k.buf = append(k.buf, '}')
+	return true
 }
 
 // Successes returns every successful retraction entry across all
@@ -577,6 +660,9 @@ func (o *Outcome) Menu(u *fact.Universe) string {
 			b.WriteString("\n")
 		} else {
 			b.WriteString("No broader query succeeded.\n")
+		}
+		if o.Truncated {
+			b.WriteString("The search was capped: not every broader query was tried.\n")
 		}
 		return b.String()
 	}

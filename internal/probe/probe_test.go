@@ -148,10 +148,10 @@ func TestPaperOperaRetractionSet(t *testing.T) {
 	// broader queries.
 	u, p := setup(operaWorld()...)
 	q := query.MustParse(u, "(?z, LOVE, OPERA)")
-	rs := p.retractions(q)
+	rs := p.retractions(q, substitutes{})
 	var descs []string
 	for _, r := range rs {
-		descs = append(descs, r.change.Describe(u))
+		descs = append(descs, r.Describe(u))
 	}
 	joined := strings.Join(descs, " | ")
 	for _, want := range []string{
@@ -210,8 +210,9 @@ func TestRetractionResultsAreSupersets(t *testing.T) {
 	if !base.True {
 		t.Fatal("base query should succeed")
 	}
-	for _, r := range p.retractions(q) {
-		res, err := p.Eval.Eval(r.q)
+	for _, r := range p.retractions(q, substitutes{}) {
+		rq := apply(q, r)
+		res, err := p.Eval.Eval(rq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func TestRetractionResultsAreSupersets(t *testing.T) {
 		}
 		for _, tp := range base.Tuples {
 			if !have[u.Name(tp[0])] {
-				t.Errorf("broader query %s lost tuple %s", r.q.String(), u.Name(tp[0]))
+				t.Errorf("broader query %s lost tuple %s", rq, u.Name(tp[0]))
 			}
 		}
 	}
@@ -377,13 +378,13 @@ func TestDegenerateTemplateDeleted(t *testing.T) {
 	// generalized further (§5.2).
 	u, p := setup([3]string{"JOHN", "LIKES", "MARY"})
 	q := query.MustParse(u, "(?x, Δ, ?y) & (JOHN, HATES, ?y)")
-	rs := p.retractions(q)
+	rs := p.retractions(q, substitutes{})
 	foundDelete := false
 	for _, r := range rs {
-		if r.change.Deleted {
+		if r.Deleted {
 			foundDelete = true
-			if len(r.q.Atoms()) != 1 {
-				t.Errorf("deletion left %d atoms", len(r.q.Atoms()))
+			if n := len(apply(q, r).Atoms()); n != 1 {
+				t.Errorf("deletion left %d atoms", n)
 			}
 		}
 	}
@@ -395,10 +396,8 @@ func TestDegenerateTemplateDeleted(t *testing.T) {
 func TestWholeQueryNeverDeleted(t *testing.T) {
 	u, p := setup([3]string{"JOHN", "LIKES", "MARY"})
 	q := query.MustParse(u, "(?x, Δ, ?y)")
-	for _, r := range p.retractions(q) {
-		if r.q == nil {
-			t.Error("retraction produced nil query")
-		}
+	if rs := p.retractions(q, substitutes{}); len(rs) != 0 {
+		t.Errorf("the only template of a query has retractions %+v", rs)
 	}
 }
 
@@ -417,8 +416,8 @@ func TestExhaustion(t *testing.T) {
 func TestSpecialEntitiesNotGeneralized(t *testing.T) {
 	u, p := setup([3]string{"JOHN", "in", "EMPLOYEE"})
 	q := query.MustParse(u, "(?x, in, QUARTERBACK)")
-	for _, r := range p.retractions(q) {
-		if !r.change.Deleted && r.change.From == u.Member {
+	for _, r := range p.retractions(q, substitutes{}) {
+		if !r.Deleted && r.From == u.Member {
 			t.Error("∈ was generalized")
 		}
 	}
@@ -485,10 +484,10 @@ func TestRemoveAtomInsideDisjunction(t *testing.T) {
 	// the other branch.
 	q := query.MustParse(u, "[(?x, Δ, ?y) | (A, R, ?y)] & (A, S, ?y)")
 	foundDelete := false
-	for _, r := range p.retractions(q) {
-		if r.change.Deleted {
+	for _, r := range p.retractions(q, substitutes{}) {
+		if r.Deleted {
 			foundDelete = true
-			if got := len(r.q.Atoms()); got != 2 {
+			if got := len(apply(q, r).Atoms()); got != 2 {
 				t.Errorf("atoms after deletion = %d, want 2", got)
 			}
 		}
@@ -502,12 +501,12 @@ func TestRemoveAtomUnderQuantifier(t *testing.T) {
 	u, p := setup([3]string{"A", "R", "B"})
 	q := query.MustParse(u, "[exists ?z . (?z, Δ, ?w)] & (A, R, ?w)")
 	foundDelete := false
-	for _, r := range p.retractions(q) {
-		if r.change.Deleted {
+	for _, r := range p.retractions(q, substitutes{}) {
+		if r.Deleted {
 			foundDelete = true
 			// The quantifier over the deleted body disappears with it.
-			if strings.Contains(r.q.String(), "exists") {
-				t.Errorf("dangling quantifier: %s", r.q.String())
+			if rq := apply(q, r).String(); strings.Contains(rq, "exists") {
+				t.Errorf("dangling quantifier: %s", rq)
 			}
 		}
 	}
@@ -550,5 +549,89 @@ func TestProbeDeduplicatesAcrossWaves(t *testing.T) {
 		if n > 1 {
 			t.Errorf("query %q attempted %d times", q, n)
 		}
+	}
+}
+
+// TestKeyMatchesRenderedText walks several waves of retraction sets —
+// replacements, deletions inside conjunctions, disjunctions and
+// quantifiers — and checks the structural key against what it stands
+// in for: the key of (query, change) is the key of the built query,
+// and two queries have the same key exactly when they render the same.
+func TestKeyMatchesRenderedText(t *testing.T) {
+	u, p := setup(append(operaWorld(),
+		[3]string{"A", "isa", "C"}, [3]string{"B", "isa", "C"})...)
+	byKey := map[string]string{}
+	byText := map[string]string{}
+	for _, src := range []string{
+		"(STUDENT, LOVE, ?z) & (?z, COSTS, FREE)",
+		"[(?x, Δ, ?y) | (A, R, ?y)] & (A, S, ?y) & (B, S, ?y)",
+		"[exists ?z . (?z, Δ, ?w)] & (A, R, ?w) & [(A, R, ?w) | (B, R, ?w)]",
+		"forall ?k . [(FRESHMAN, LOVE, ?k) | (?k, ≠, OPERA)] & (A, R, ?v)",
+		"(A, R, ?w) & [(A, R, ?w) & (B, R, ?w)]",
+	} {
+		frontier := []*query.Query{query.MustParse(u, src)}
+		for level := 0; level < 3; level++ {
+			var next []*query.Query
+			for _, q := range frontier {
+				for _, c := range p.retractions(q, substitutes{}) {
+					built := apply(q, c)
+					key := string(appendKey(nil, q.Root, &c))
+					if own := string(appendKey(nil, built.Root, nil)); key != own {
+						t.Fatalf("%s with %+v: key %q, key of the built query %q", q, c, key, own)
+					}
+					text := built.String()
+					if prev, ok := byKey[key]; ok && prev != text {
+						t.Fatalf("one key for %q and %q", prev, text)
+					}
+					if prev, ok := byText[text]; ok && prev != key {
+						t.Fatalf("two keys for %q", text)
+					}
+					byKey[key], byText[text] = text, key
+					next = append(next, built)
+				}
+			}
+			frontier = next
+		}
+	}
+	if len(byKey) < 50 {
+		t.Fatalf("only %d distinct retraction queries walked", len(byKey))
+	}
+}
+
+// TestWaveCapEndsTheWave: a wave that reaches MaxPerWave stops there
+// and says so. It used to keep scanning the frontier, marking one
+// more retraction per frontier node as seen without ever trying it.
+func TestWaveCapEndsTheWave(t *testing.T) {
+	u, p := setup(operaWorld()...)
+	src := "(STUDENT, LOVE, OPERA) & (OPERA, COSTS, FREE)"
+	full := probeQ(t, u, p, src)
+	if full.Truncated {
+		t.Fatal("uncapped probe reports truncation")
+	}
+	if n := len(full.Waves[0].Entries); n < 4 {
+		t.Fatalf("first wave has %d entries, too few to cap", n)
+	}
+	p.MaxPerWave = 2
+	p.MaxWaves = 2
+	capped := probeQ(t, u, p, src)
+	if !capped.Truncated {
+		t.Error("capped probe does not report truncation")
+	}
+	for i, w := range capped.Waves {
+		if len(w.Entries) > 2 {
+			t.Errorf("wave %d has %d entries, cap 2", i+1, len(w.Entries))
+		}
+	}
+	// The capped first wave is the head of the uncapped one.
+	for i, e := range capped.Waves[0].Entries {
+		if got, want := e.Q.String(), full.Waves[0].Entries[i].Q.String(); got != want {
+			t.Errorf("capped wave entry %d = %s, want %s", i, got, want)
+		}
+	}
+	if len(capped.Successes()) != 0 {
+		t.Fatalf("capped probe succeeded: %s", capped.Menu(u))
+	}
+	if !capped.Exhausted || !strings.Contains(capped.Menu(u), "not every broader query was tried") {
+		t.Errorf("gave up without saying the search was capped:\n%s", capped.Menu(u))
 	}
 }

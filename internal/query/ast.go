@@ -282,29 +282,19 @@ func (q *Query) Atoms() []*Atom {
 // MaxVar returns the largest variable index used in the query, so
 // callers can mint fresh variables.
 func (q *Query) MaxVar() fact.Var {
-	var max fact.Var
+	var hi fact.Var
 	q.Root.walk(func(f Formula) bool {
-		if a, ok := f.(*Atom); ok {
-			var vs []fact.Var
-			for _, v := range a.Tpl.Vars(vs) {
-				if v > max {
-					max = v
-				}
-			}
-		}
 		switch n := f.(type) {
+		case *Atom:
+			hi = max(hi, n.Tpl.S.Variable, n.Tpl.R.Variable, n.Tpl.T.Variable)
 		case *Exists:
-			if n.V > max {
-				max = n.V
-			}
+			hi = max(hi, n.V)
 		case *Forall:
-			if n.V > max {
-				max = n.V
-			}
+			hi = max(hi, n.V)
 		}
 		return true
 	})
-	return max
+	return hi
 }
 
 // Clone deep-copies the query.

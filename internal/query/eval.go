@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 	"repro/internal/sym"
 )
 
@@ -15,17 +16,17 @@ import (
 // ?x to composed relationships (§3.7).
 type Matcher interface {
 	Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool
+	// EstimateCount returns an O(1) planning figure for the number of
+	// facts Match yields for the pattern. exact reports that Match
+	// yields exactly n facts; otherwise n only ranks patterns against
+	// each other (it may miss inferred or virtual facts). The evaluator
+	// orders conjuncts by n and takes an exact 0 as proof that the
+	// conjunction has no answer.
+	EstimateCount(src, rel, tgt sym.ID) (n int, exact bool)
 }
 
-// Estimator is an optional Matcher extension: an O(1) selectivity
-// estimate for a pattern. When available, the evaluator orders
-// conjuncts by estimated cardinality instead of the bound-position
-// heuristic.
-type Estimator interface {
-	EstimateCount(src, rel, tgt sym.ID) int
-}
-
-// Evaluator evaluates queries against a Matcher.
+// Evaluator evaluates queries against a Matcher. It holds no per-query
+// state and is safe for concurrent use once configured.
 type Evaluator struct {
 	M Matcher
 	// Domain supplies the active domain for ∀ quantification: the
@@ -33,6 +34,19 @@ type Evaluator struct {
 	Domain func() []sym.ID
 	// Limit caps the number of result tuples (0 = unlimited).
 	Limit int
+
+	// Evaluation counters (SetMetrics); nil-safe no-ops when unwired.
+	enumerated    *obs.Histogram
+	shortcircuits *obs.Counter
+}
+
+// SetMetrics registers the evaluator's counters in r: how many facts
+// one Eval enumerated from the Matcher, and how many conjunctions an
+// exact-zero estimate ended before any fact was enumerated. Call
+// before sharing the evaluator across goroutines.
+func (ev *Evaluator) SetMetrics(r *obs.Registry) {
+	ev.enumerated = r.Histogram("lsdb_query_facts_enumerated")
+	ev.shortcircuits = r.Counter("lsdb_query_empty_shortcircuits_total")
 }
 
 // Result is the value of a query (§2.7): for an open formula, the set
@@ -53,14 +67,15 @@ type Result struct {
 // an empty answer — the trigger for probing retraction).
 func (r *Result) Empty() bool { return !r.True }
 
-type bind map[fact.Var]sym.ID
-
-func (b bind) clone() bind {
-	c := make(bind, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
+// run is the state of one Eval. Bindings are a slot array indexed by
+// variable (sym.None = unbound): a matched fact binds slots in place
+// and the binder undoes them when the continuation returns, so
+// backtracking allocates nothing per fact.
+type run struct {
+	ev            *Evaluator
+	slots         []sym.ID
+	enumerated    int
+	shortcircuits uint64
 }
 
 // Eval computes the value of q.
@@ -69,13 +84,14 @@ func (ev *Evaluator) Eval(q *Query) (*Result, error) {
 	for _, v := range q.Free {
 		res.Vars = append(res.Vars, q.VarName(v))
 	}
+	r := &run{ev: ev, slots: make([]sym.ID, q.MaxVar()+1)}
 	seen := make(map[string]struct{})
 	var evalErr error
-	ev.eval(q.Root, bind{}, func(b bind) bool {
+	r.eval(q.Root, func() bool {
 		tuple := make([]sym.ID, len(q.Free))
 		for i, v := range q.Free {
-			id, ok := b[v]
-			if !ok {
+			id := r.slots[v]
+			if id == sym.None {
 				evalErr = fmt.Errorf("query: unsafe query: free variable ?%s not bound by every disjunct", q.VarName(v))
 				return false
 			}
@@ -93,6 +109,8 @@ func (ev *Evaluator) Eval(q *Query) (*Result, error) {
 		}
 		return ev.Limit == 0 || len(res.Tuples) < ev.Limit
 	})
+	ev.enumerated.Observe(int64(r.enumerated))
+	ev.shortcircuits.Add(r.shortcircuits)
 	if evalErr != nil {
 		return nil, evalErr
 	}
@@ -121,158 +139,151 @@ func sortTuples(ts [][]sym.ID) {
 	})
 }
 
-// eval enumerates extensions of b satisfying f, passing each to emit;
-// it stops early when emit returns false and reports completion.
-func (ev *Evaluator) eval(f Formula, b bind, emit func(bind) bool) bool {
+// eval enumerates the extensions of the current binding that satisfy
+// f, calling emit with each in r.slots; it stops early when emit
+// returns false and reports completion. The slots are as it found
+// them when it returns.
+func (r *run) eval(f Formula, emit func() bool) bool {
 	switch n := f.(type) {
 	case *Atom:
-		return ev.evalAtom(n, b, emit)
+		return r.evalAtom(n, emit)
 	case *And:
-		// Flatten the conjunction and evaluate with a greedy
-		// most-bound-first join order.
-		conj := flattenAnd(n)
-		return ev.evalConj(conj, b, emit)
+		return r.evalConj(flattenAnd(n, nil), emit)
 	case *Or:
-		if !ev.eval(n.L, b, emit) {
-			return false
-		}
-		return ev.eval(n.R, b, emit)
+		return r.eval(n.L, emit) && r.eval(n.R, emit)
 	case *Exists:
 		// Evaluate the body and project the quantified variable out.
 		// Deduplication happens at collection time.
-		return ev.eval(n.Body, b, func(bb bind) bool {
-			out := bb.clone()
-			delete(out, n.V)
-			return emit(out)
+		return r.eval(n.Body, func() bool {
+			bound := r.slots[n.V]
+			r.slots[n.V] = sym.None
+			ok := emit()
+			r.slots[n.V] = bound
+			return ok
 		})
 	case *Forall:
-		return ev.evalForall(n, b, emit)
+		return r.evalForall(n, emit)
 	default:
 		panic(fmt.Sprintf("query: unknown formula node %T", f))
 	}
 }
 
-func flattenAnd(f Formula) []Formula {
+func flattenAnd(f Formula, out []Formula) []Formula {
 	if a, ok := f.(*And); ok {
-		return append(flattenAnd(a.L), flattenAnd(a.R)...)
+		return flattenAnd(a.R, flattenAnd(a.L, out))
 	}
-	return []Formula{f}
+	return append(out, f)
 }
 
-// evalConj joins the conjuncts, choosing at each step the most
-// selective conjunct. With an Estimator the choice uses O(1) index
-// cardinality estimates; otherwise a bound-position heuristic (bound
-// relationship weighted higher). Non-atom conjuncts go last.
-func (ev *Evaluator) evalConj(conj []Formula, b bind, emit func(bind) bool) bool {
+// evalConj joins the conjuncts, choosing at each step the atom the
+// Matcher estimates to match the fewest facts under the current
+// binding. An atom whose estimate is an exact 0 ends the conjunction
+// at once: nothing can extend the binding. An inexact 0 with a free
+// endpoint is usually a virtual guard (math, ≠) whose enumeration
+// ranges over the whole domain, so it waits until other atoms have
+// bound its variables; an inexact 0 with both endpoints bound is a
+// cheap O(1) check and goes first. Non-atom conjuncts go last. conj is
+// reordered in place and restored before returning.
+func (r *run) evalConj(conj []Formula, emit func() bool) bool {
 	if len(conj) == 0 {
-		return emit(b)
+		return emit()
 	}
-	est, hasEst := ev.M.(Estimator)
 	best, bestScore := 0, -1<<30
 	for i, f := range conj {
 		score := -1 << 29 // non-atoms go last
 		if a, ok := f.(*Atom); ok {
-			s, r, t := resolveTpl(a.Tpl, b)
-			if hasEst {
-				// Negated cardinality: fewer matching facts is better.
-				// A zero estimate with an unbound endpoint is usually a
-				// virtual guard (math, ≠) whose enumeration ranges over
-				// the whole domain — schedule it late, when other atoms
-				// have bound its variables. A zero estimate with both
-				// endpoints bound is a cheap O(1) check: front-load it.
-				n := est.EstimateCount(s, r, t)
-				score = -n
-				if n == 0 && (s == sym.None || t == sym.None) {
-					score = -1 << 28
-				}
-			} else {
-				score = 0
-				if s != sym.None {
-					score++
-				}
-				if r != sym.None {
-					score += 2
-				}
-				if t != sym.None {
-					score++
-				}
+			s, rel, t := r.resolve(a.Tpl)
+			n, exact := r.ev.M.EstimateCount(s, rel, t)
+			if n == 0 && exact {
+				r.shortcircuits++
+				return true
+			}
+			// Negated cardinality: fewer matching facts is better.
+			score = -n
+			if n == 0 && (s == sym.None || t == sym.None) {
+				score = -1 << 28
 			}
 		}
 		if score > bestScore {
 			best, bestScore = i, score
 		}
 	}
-	rest := make([]Formula, 0, len(conj)-1)
-	rest = append(rest, conj[:best]...)
-	rest = append(rest, conj[best+1:]...)
-	return ev.eval(conj[best], b, func(bb bind) bool {
-		return ev.evalConj(rest, bb, emit)
+	conj[0], conj[best] = conj[best], conj[0]
+	done := r.eval(conj[0], func() bool { return r.evalConj(conj[1:], emit) })
+	conj[0], conj[best] = conj[best], conj[0]
+	return done
+}
+
+func (r *run) term(t fact.Term) sym.ID {
+	if t.IsVar() {
+		return r.slots[t.Variable]
+	}
+	return t.Entity
+}
+
+// resolve instantiates tp under the current binding; unbound
+// variables become the sym.None wildcard.
+func (r *run) resolve(tp fact.Template) (s, rel, t sym.ID) {
+	return r.term(tp.S), r.term(tp.R), r.term(tp.T)
+}
+
+// unify binds the unbound variable of term to id, or checks id against
+// what the term already denotes.
+func (r *run) unify(term fact.Term, id sym.ID) bool {
+	if have := r.term(term); have != sym.None {
+		return have == id
+	}
+	r.slots[term.Variable] = id
+	return true
+}
+
+func (r *run) evalAtom(a *Atom, emit func() bool) bool {
+	tp := a.Tpl
+	s, rel, t := r.resolve(tp)
+	return r.ev.M.Match(s, rel, t, func(f fact.Fact) bool {
+		r.enumerated++
+		cont := !(r.unify(tp.S, f.S) && r.unify(tp.R, f.R) && r.unify(tp.T, f.T)) || emit()
+		// Undo what the fact bound: the positions that were open on entry.
+		if s == sym.None {
+			r.slots[tp.S.Variable] = sym.None
+		}
+		if rel == sym.None {
+			r.slots[tp.R.Variable] = sym.None
+		}
+		if t == sym.None {
+			r.slots[tp.T.Variable] = sym.None
+		}
+		return cont
 	})
 }
 
-func resolveTpl(tp fact.Template, b bind) (s, r, t sym.ID) {
-	get := func(term fact.Term) sym.ID {
-		if !term.IsVar() {
-			return term.Entity
-		}
-		if id, ok := b[term.Variable]; ok {
-			return id
-		}
-		return sym.None
-	}
-	return get(tp.S), get(tp.R), get(tp.T)
-}
-
-func (ev *Evaluator) evalAtom(a *Atom, b bind, emit func(bind) bool) bool {
-	s, r, t := resolveTpl(a.Tpl, b)
-	return ev.M.Match(s, r, t, func(f fact.Fact) bool {
-		bb := b.clone()
-		if unify(a.Tpl, f, bb) {
-			return emit(bb)
-		}
-		return true
-	})
-}
-
-func unify(tp fact.Template, f fact.Fact, b bind) bool {
-	u := func(term fact.Term, id sym.ID) bool {
-		if !term.IsVar() {
-			return term.Entity == id
-		}
-		if have, ok := b[term.Variable]; ok {
-			return have == id
-		}
-		b[term.Variable] = id
-		return true
-	}
-	return u(tp.S, f.S) && u(tp.R, f.R) && u(tp.T, f.T)
-}
-
-// evalForall evaluates (∀x)A under binding b. The quantifier ranges
-// over the active domain (§2.7 gives formulas standard first-order
-// semantics; the domain of a logic database is its entity set). If A
-// has free variables besides x that are unbound in b, the result is
-// the intersection over all domain values of x of A's satisfying
-// assignments for those variables.
-func (ev *Evaluator) evalForall(n *Forall, b bind, emit func(bind) bool) bool {
-	if ev.Domain == nil {
+// evalForall evaluates (∀x)A under the current binding. The quantifier
+// ranges over the active domain (§2.7 gives formulas standard
+// first-order semantics; the domain of a logic database is its entity
+// set). If A has free variables besides x that are still unbound, the
+// result is the intersection over all domain values of x of A's
+// satisfying assignments for those variables.
+func (r *run) evalForall(n *Forall, emit func() bool) bool {
+	if r.ev.Domain == nil {
 		panic("query: forall evaluation requires Evaluator.Domain")
 	}
-	domain := ev.Domain()
+	domain := r.ev.Domain()
 	if len(domain) == 0 {
-		return emit(b) // vacuously true
+		return emit() // vacuously true
 	}
+	entry := append([]sym.ID(nil), r.slots...)
+	defer copy(r.slots, entry)
 
-	// Candidate extensions common to every value of x.
-	var common map[string]bind
+	// Candidate extensions common to every value of x, as snapshots of
+	// the slots with x projected out.
+	var common map[string][]sym.ID
 	for i, e := range domain {
-		bb := b.clone()
-		bb[n.V] = e
-		cur := make(map[string]bind)
-		ev.eval(n.Body, bb, func(res bind) bool {
-			out := res.clone()
-			delete(out, n.V)
-			cur[bindKey(out)] = out
+		cur := make(map[string][]sym.ID)
+		r.slots[n.V] = e
+		r.eval(n.Body, func() bool {
+			r.slots[n.V] = sym.None
+			cur[slotsKey(r.slots)] = append([]sym.ID(nil), r.slots...)
+			r.slots[n.V] = e
 			return true
 		})
 		if i == 0 {
@@ -294,24 +305,24 @@ func (ev *Evaluator) evalForall(n *Forall, b bind, emit func(bind) bool) bool {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !emit(common[k]) {
+		copy(r.slots, common[k])
+		if !emit() {
 			return false
 		}
 	}
 	return true
 }
 
-func bindKey(b bind) string {
-	vars := make([]fact.Var, 0, len(b))
-	for v := range b {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	buf := make([]byte, 0, 16*len(vars))
-	for _, v := range vars {
+// slotsKey renders the bound slots as "var=entity;" in variable order.
+func slotsKey(slots []sym.ID) string {
+	buf := make([]byte, 0, 16*len(slots))
+	for v, id := range slots {
+		if id == sym.None {
+			continue
+		}
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, '=')
-		buf = strconv.AppendUint(buf, uint64(b[v]), 10)
+		buf = strconv.AppendUint(buf, uint64(id), 10)
 		buf = append(buf, ';')
 	}
 	return string(buf)

@@ -1,9 +1,12 @@
 package query_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rules"
 	"repro/internal/store"
@@ -274,5 +277,147 @@ func TestEvalConjunctionJoinOrder(t *testing.T) {
 	got := tupleNames(u, res)
 	if len(got) != 1 || got[0][0] != "S1" {
 		t.Errorf("join = %v", got)
+	}
+}
+
+// countingMatcher counts the facts the evaluator enumerates, per
+// relationship of the pattern it asked for.
+type countingMatcher struct {
+	query.Matcher
+	facts map[sym.ID]int
+}
+
+func (m countingMatcher) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
+	return m.Matcher.Match(s, r, t, func(f fact.Fact) bool {
+		m.facts[r]++
+		return fn(f)
+	})
+}
+
+// inexact hides the exactness of the wrapped matcher's estimates, the
+// way a matcher that infers on demand cannot vouch for a stored 0.
+type inexact struct{ query.Matcher }
+
+func (m inexact) EstimateCount(s, r, t sym.ID) (int, bool) {
+	n, _ := m.Matcher.EstimateCount(s, r, t)
+	return n, false
+}
+
+// enrolments is a reified-enrolment world: n students each enrolled in
+// one LAB course through an enrolment entity, and an empty class
+// STUDIO.
+func enrolments(n int) [][3]string {
+	facts := [][3]string{{"STUDIO", "isa", "COURSE"}, {"LAB", "isa", "COURSE"}}
+	for i := 0; i < n; i++ {
+		e, c, s := fmt.Sprintf("E%d", i), fmt.Sprintf("C%d", i%7), fmt.Sprintf("S%d", i)
+		facts = append(facts,
+			[3]string{c, "in", "LAB"},
+			[3]string{e, "ENROL-COURSE", c},
+			[3]string{e, "ENROL-STUDENT", s})
+	}
+	return facts
+}
+
+// TestEmptyClassEndsConjunction pins the §5 probe's hot path as a
+// count, not a time: a conjunction with an atom that provably matches
+// nothing enumerates no fact of the other atoms — also once retraction
+// has broadened the selective atom to a Δ wildcard, which used to
+// leave the evaluator scanning every enrolment.
+func TestEmptyClassEndsConjunction(t *testing.T) {
+	u, ev := evalSetup(enrolments(50)...)
+	cm := countingMatcher{Matcher: ev.M, facts: map[sym.ID]int{}}
+	ev.M = cm
+	for _, src := range []string{
+		"(?c, in, STUDIO) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, S3)",
+		"(?c, in, STUDIO) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, Δ)",
+		"(?c, in, STUDIO) & (?e, ENROL-COURSE, ?c) & (?e, Δ, S3)",
+		"(?c, in, STUDIO) & (?e, Δ, ?c) & (?e, ENROL-STUDENT, S3)",
+	} {
+		if res := mustEval(t, u, ev, src); res.True {
+			t.Errorf("%s: answered %v", src, tupleNames(u, res))
+		}
+	}
+	if len(cm.facts) != 0 {
+		names := map[string]int{}
+		for r, n := range cm.facts {
+			names[u.Name(r)] = n
+		}
+		t.Errorf("facts enumerated for conjunctions with an empty class: %v, want none", names)
+	}
+
+	// The same query over a class with members still joins.
+	res := mustEval(t, u, ev, "(?c, in, LAB) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, S3)")
+	if got := tupleNames(u, res); len(got) != 1 || got[0][0] != "C3" || got[0][1] != "E3" {
+		t.Errorf("lab course of S3 = %v", got)
+	}
+}
+
+// TestInexactZeroNeverShortCircuits: an estimate of 0 that is only a
+// bound must not end the conjunction. ≺ facts about an entity with no
+// stored generalization are all virtual, so the closure counts 0 for
+// (X, ≺, ?g) although (X, ≺, X) and (X, ≺, Δ) hold; and a matcher
+// that vouches for nothing must give the same answers as one that
+// does.
+func TestInexactZeroNeverShortCircuits(t *testing.T) {
+	u, ev := evalSetup(append(enrolments(10), [3]string{"X", "LIKES", "Y"})...)
+	res := mustEval(t, u, ev, "(X, isa, ?g) & (X, LIKES, ?y)")
+	if got := tupleNames(u, res); len(got) != 2 {
+		t.Errorf("virtual generalizations of X joined with LIKES = %v, want X and Δ", got)
+	}
+	res = mustEval(t, u, ev, "(?e, ENROL-STUDENT, ?s) & (?s, ≠, S1) & (?e, ENROL-COURSE, C1)")
+	if got := tupleNames(u, res); len(got) != 1 || got[0][1] != "S8" {
+		t.Errorf("other students of C1 = %v, want E8/S8", got)
+	}
+
+	exact := ev.M
+	for _, src := range []string{
+		"(?c, in, STUDIO) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, S3)",
+		"(?c, in, LAB) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, S3)",
+		"exists ?e . (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, Δ)",
+	} {
+		ev.M = exact
+		want := tupleNames(u, mustEval(t, u, ev, src))
+		ev.M = inexact{exact}
+		if got := tupleNames(u, mustEval(t, u, ev, src)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: inexact estimates answer %v, exact %v", src, got, want)
+		}
+	}
+}
+
+// TestEvalMetrics pins the two evaluator counters: facts enumerated
+// per Eval, and conjunctions ended by an exact-zero estimate.
+func TestEvalMetrics(t *testing.T) {
+	u, ev := evalSetup(enrolments(20)...)
+	reg := obs.NewRegistry()
+	ev.SetMetrics(reg)
+	mustEval(t, u, ev, "(?c, in, STUDIO) & (?e, ENROL-COURSE, ?c)")
+	if got := reg.Value("lsdb_query_empty_shortcircuits_total"); got != 1 {
+		t.Errorf("short-circuits = %g, want 1", got)
+	}
+	mustEval(t, u, ev, "(?e, ENROL-COURSE, C1)") // E1, E8, E15
+	h := reg.Histogram("lsdb_query_facts_enumerated")
+	if h.Count() != 2 || h.Sum() != 3 {
+		t.Errorf("facts enumerated: %d evals, %d facts; want 2 evals, 3 facts", h.Count(), h.Sum())
+	}
+}
+
+// TestEvalQuantifierScopes pins how bindings nest: a quantified
+// variable is projected out of what its body bound, disjuncts do not
+// see each other's bindings, and ∀ intersects its body's extensions.
+func TestEvalQuantifierScopes(t *testing.T) {
+	u, ev := evalSetup(
+		[3]string{"A", "R", "B"}, [3]string{"A", "R", "C"},
+		[3]string{"B", "S", "D"}, [3]string{"C", "S", "D"}, [3]string{"C", "S", "E"},
+		[3]string{"D", "T", "K"}, [3]string{"E", "T", "K"})
+	for src, want := range map[string][][]string{
+		"exists ?y . (A, R, ?y) & (?y, S, ?z)":                   {{"D"}, {"E"}},
+		"[(A, R, ?x) | (?x, S, E)] & (?x, S, D)":                 {{"B"}, {"C"}},
+		"[exists ?y . (?y, S, ?x)] & [exists ?y . (?x, T, ?y)]":  {{"D"}, {"E"}},
+		"(A, R, ?x) & forall ?k . [(?x, S, ?k) | (?k, ≠, E)]":    {{"C"}},
+		"(?x, S, ?z) & (?x, S, ?z2) & (?z, ≠, ?z2) & (A, R, ?x)": {{"C", "D", "E"}, {"C", "E", "D"}},
+	} {
+		if got := tupleNames(u, mustEval(t, u, ev, src)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %v, want %v", src, got, want)
+		}
 	}
 }

@@ -634,48 +634,44 @@ func (e *Engine) Has(f fact.Fact) bool {
 // Δ/∇ in that position so bindings stay faithful to the query.
 // Iteration stops when fn returns false; Match reports completion.
 func (e *Engine) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
-	u := e.u
 	// Δ/∇ positions match anything; rewrite results back.
-	wildS := src == u.Top || src == u.Bottom
-	wildR := rel == u.Top || rel == u.Bottom
-	wildT := tgt == u.Top || tgt == u.Bottom
-	if wildS || wildR || wildT {
-		qs, qr, qt := src, rel, tgt
-		if wildS {
-			qs = sym.None
-		}
-		if wildR {
-			qr = sym.None
-		}
-		if wildT {
-			qt = sym.None
-		}
-		seen := make(map[fact.Fact]struct{})
-		return e.matchConcrete(qs, qr, qt, func(f fact.Fact) bool {
-			// A Δ/∇ position stands for a chain of generalization
-			// inferences (§3.1), which only apply to individual
-			// relationships (plus the ∈/≺ structure itself) — a
-			// virtual ≠ or comparator fact is no witness for it.
-			if !e.wildcardRel(f.R) {
-				return true
-			}
-			if wildS {
-				f.S = src
-			}
-			if wildR {
-				f.R = rel
-			}
-			if wildT {
-				f.T = tgt
-			}
-			if _, dup := seen[f]; dup {
-				return true
-			}
-			seen[f] = struct{}{}
-			return fn(f)
-		})
+	qs, qr, qt := e.unwild(src), e.unwild(rel), e.unwild(tgt)
+	if qs == src && qr == rel && qt == tgt {
+		return e.matchConcrete(src, rel, tgt, fn)
 	}
-	return e.matchConcrete(src, rel, tgt, fn)
+	seen := make(map[fact.Fact]struct{})
+	return e.matchConcrete(qs, qr, qt, func(f fact.Fact) bool {
+		// A Δ/∇ position stands for a chain of generalization
+		// inferences (§3.1), which only apply to individual
+		// relationships (plus the ∈/≺ structure itself) — a
+		// virtual ≠ or comparator fact is no witness for it.
+		if !e.wildcardRel(f.R) {
+			return true
+		}
+		if qs != src {
+			f.S = src
+		}
+		if qr != rel {
+			f.R = rel
+		}
+		if qt != tgt {
+			f.T = tgt
+		}
+		if _, dup := seen[f]; dup {
+			return true
+		}
+		seen[f] = struct{}{}
+		return fn(f)
+	})
+}
+
+// unwild maps Δ and ∇, which match anything in a pattern position, to
+// the sym.None wildcard.
+func (e *Engine) unwild(id sym.ID) sym.ID {
+	if id == e.u.Top || id == e.u.Bottom {
+		return sym.None
+	}
+	return id
 }
 
 // wildcardRel reports whether a fact with relationship rel can
@@ -688,10 +684,7 @@ func (e *Engine) wildcardRel(rel sym.ID) bool {
 // facts, deduplicating only when both sources can emit the same fact.
 func (e *Engine) matchConcrete(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	c := e.Closure()
-	u := e.u
-	overlap := rel == sym.None || rel == u.Gen || rel == u.Eq || rel == u.Neq ||
-		rel == u.Lt || rel == u.Gt || rel == u.Le || rel == u.Ge
-	if !overlap {
+	if !e.virtualRel(rel) {
 		return c.Match(src, rel, tgt, fn)
 	}
 	seen := make(map[fact.Fact]struct{})
@@ -710,6 +703,15 @@ func (e *Engine) matchConcrete(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bo
 	})
 }
 
+// virtualRel reports whether a pattern with relationship rel can also
+// match virtual facts (≺ axioms, =/≠, comparators): the families the
+// materialized closure does not hold. A free relationship can.
+func (e *Engine) virtualRel(rel sym.ID) bool {
+	u := e.u
+	return rel == sym.None || rel == u.Gen || rel == u.Eq || rel == u.Neq ||
+		rel == u.Lt || rel == u.Gt || rel == u.Le || rel == u.Ge
+}
+
 // MatchAll collects matching closure facts into a slice.
 func (e *Engine) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 	var out []fact.Fact
@@ -724,13 +726,23 @@ func (e *Engine) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 // (stored + derived, excluding virtual families).
 func (e *Engine) ClosureSize() int { return e.Closure().Len() }
 
-// EstimateCount estimates the number of closure facts matching the
-// pattern in O(1) from the closure store's index bucket sizes.
-// Virtual families are not included; patterns over purely virtual
-// relationships estimate to 0 and should be scheduled late by
-// planners (they are usually guards over bound values anyway).
-func (e *Engine) EstimateCount(src, rel, tgt sym.ID) int {
-	return e.Closure().EstimateCount(src, rel, tgt)
+// EstimateCount returns, in O(1) from the closure store's index
+// bucket sizes, a planning figure for the number of facts Match yields
+// for the pattern, and whether that figure is exact. It sees the
+// pattern the way Match does: a Δ or ∇ position is a wildcard, so a
+// pattern that retraction has broadened to (?e, R, Δ) counts every R
+// fact (an upper bound: Match then drops non-witness relationships
+// and duplicates). The figure is exact — Match yields exactly n facts,
+// so n == 0 proves the pattern empty — only when nothing but the
+// materialized closure can answer: a bound relationship with no
+// virtual family (not ≺, =, ≠ or a comparator) and no Δ/∇ position.
+// For the virtual families n counts the materialized facts alone and
+// is a lower bound; such patterns are usually guards over values other
+// atoms bind, which is why planners schedule an inexact zero late.
+func (e *Engine) EstimateCount(src, rel, tgt sym.ID) (n int, exact bool) {
+	s, r, t := e.unwild(src), e.unwild(rel), e.unwild(tgt)
+	exact = s == src && r == rel && t == tgt && !e.virtualRel(rel)
+	return e.Closure().EstimateCount(s, r, t), exact
 }
 
 // buildWorkers returns the number of goroutines a closure build may

@@ -465,3 +465,69 @@ func TestEngineString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestEstimateCountSeesWhatMatchSees sweeps every pattern over a small
+// world's entities plus Δ, ∇ and the wildcard: an exact estimate is
+// the number of facts Match yields, and an estimate for a pattern with
+// a Δ/∇ position and a plain relationship is an upper bound (it used
+// to look Δ up literally and say 0 for patterns Match answers).
+func TestEstimateCountSeesWhatMatchSees(t *testing.T) {
+	u, s, e := newEngine()
+	ins(u, s,
+		[3]string{"FRESHMAN", "isa", "STUDENT"},
+		[3]string{"ZOE", "in", "FRESHMAN"},
+		[3]string{"E1", "ENROL-STUDENT", "ZOE"},
+		[3]string{"E1", "ENROL-COURSE", "CS-101"},
+		[3]string{"E2", "ENROL-STUDENT", "ZOE"},
+		[3]string{"ENROL-STUDENT", "isa", "ENROLS"},
+		[3]string{"ZOE", "AGE", "19"})
+	ids := []sym.ID{sym.None, u.Top, u.Bottom, u.Gen, u.Member, u.Neq, u.Lt}
+	for _, name := range []string{"ZOE", "E1", "FRESHMAN", "STUDENT", "ENROL-STUDENT", "ENROLS", "AGE", "19", "ABSENT"} {
+		ids = append(ids, u.Entity(name))
+	}
+	exacts := 0
+	for _, src := range ids {
+		for _, rel := range ids {
+			for _, tgt := range ids {
+				yielded := 0
+				e.Match(src, rel, tgt, func(fact.Fact) bool { yielded++; return true })
+				n, exact := e.EstimateCount(src, rel, tgt)
+				pat := func() string {
+					name := func(id sym.ID) string {
+						if id == sym.None {
+							return "?"
+						}
+						return u.Name(id)
+					}
+					return "(" + name(src) + ", " + name(rel) + ", " + name(tgt) + ")"
+				}
+				if exact {
+					exacts++
+					if n != yielded {
+						t.Errorf("%s: exact estimate %d, Match yields %d", pat(), n, yielded)
+					}
+				}
+				plainRel := rel != sym.None && e.unwild(rel) == rel && !e.virtualRel(rel)
+				if plainRel && n < yielded {
+					t.Errorf("%s: estimate %d below the %d facts Match yields", pat(), n, yielded)
+				}
+			}
+		}
+	}
+	if exacts == 0 {
+		t.Error("no pattern estimated exactly")
+	}
+	zoe, enrol := u.Entity("ZOE"), u.Entity("ENROL-STUDENT")
+	if n, _ := e.EstimateCount(sym.None, u.Top, zoe); n < 2 {
+		t.Errorf("EstimateCount(?, Δ, ZOE) = %d, want the facts about ZOE", n)
+	}
+	if n, exact := e.EstimateCount(sym.None, enrol, u.Top); n < 2 || exact {
+		t.Errorf("EstimateCount(?, ENROL-STUDENT, Δ) = %d exact %v, want an inexact count of the enrolments", n, exact)
+	}
+	if n, exact := e.EstimateCount(sym.None, u.Member, u.Entity("STUDIO")); n != 0 || !exact {
+		t.Errorf("EstimateCount(?, ∈, STUDIO) = %d exact %v, want an exact 0", n, exact)
+	}
+	if _, exact := e.EstimateCount(zoe, u.Gen, sym.None); exact {
+		t.Error("an estimate over ≺, which has virtual facts, claims to be exact")
+	}
+}

@@ -90,21 +90,9 @@ func (e *Engine) MatchBounded(src, rel, tgt sym.ID, depth int, fn func(fact.Fact
 // the differential oracle reconcile a trace against the counter
 // deltas it caused. A nil tr makes this identical to MatchBounded.
 func (e *Engine) MatchBoundedTrace(src, rel, tgt sym.ID, depth int, tr *obs.Trace, fn func(fact.Fact) bool) bool {
-	u := e.u
 	e.m.maxDepth.Max(int64(depth))
-	wildS := src == u.Top || src == u.Bottom
-	wildR := rel == u.Top || rel == u.Bottom
-	wildT := tgt == u.Top || tgt == u.Bottom
-	qs, qr, qt := src, rel, tgt
-	if wildS {
-		qs = sym.None
-	}
-	if wildR {
-		qr = sym.None
-	}
-	if wildT {
-		qt = sym.None
-	}
+	qs, qr, qt := e.unwild(src), e.unwild(rel), e.unwild(tgt)
+	wildS, wildR, wildT := qs != src, qr != rel, qt != tgt
 
 	// The ruleset snapshot and the base version are read before any
 	// base fact: a write racing past this point can leave entries
@@ -170,12 +158,12 @@ func (e *Engine) MatchBoundedTrace(src, rel, tgt sym.ID, depth int, tr *obs.Trac
 }
 
 // BoundedMatcher adapts depth-bounded on-demand matching to the query
-// evaluator's Matcher and Estimator interfaces, so whole queries can
-// be answered without materializing the closure. Repeated evaluations
-// share the engine's cross-query subgoal cache, and join planning
-// estimates come from the base store's indexes (the bounded closure
-// is never materialized, so its exact cardinalities don't exist; base
-// bucket sizes preserve the relative selectivity the planner needs).
+// evaluator's Matcher interface, so whole queries can be answered
+// without materializing the closure. Repeated evaluations share the
+// engine's cross-query subgoal cache, and join planning estimates
+// come from the base store's indexes (the bounded closure is never
+// materialized, so its exact cardinalities don't exist; base bucket
+// sizes preserve the relative selectivity the planner needs).
 type BoundedMatcher struct {
 	e     *Engine
 	depth int
@@ -190,9 +178,13 @@ func (m BoundedMatcher) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) boo
 	return m.e.MatchBounded(src, rel, tgt, m.depth, fn)
 }
 
-// EstimateCount implements query.Estimator from the base store.
-func (m BoundedMatcher) EstimateCount(src, rel, tgt sym.ID) int {
-	return m.e.base.EstimateCount(src, rel, tgt)
+// EstimateCount implements query.Matcher from the base store, with
+// Δ/∇ positions counted as the wildcards MatchBounded takes them for.
+// The figure is never exact: inference only adds to the stored facts,
+// so a stored count of 0 does not prove the pattern empty.
+func (m BoundedMatcher) EstimateCount(src, rel, tgt sym.ID) (n int, exact bool) {
+	e := m.e
+	return e.base.EstimateCount(e.unwild(src), e.unwild(rel), e.unwild(tgt)), false
 }
 
 // HasBounded reports whether f is derivable within depth rule applications.

@@ -380,7 +380,15 @@ func TestBoundedMatcherSharesCache(t *testing.T) {
 	if st := e.CacheStats(); st.Entries == 0 {
 		t.Fatal("bounded matcher bypassed the subgoal cache")
 	}
-	if n := m.EstimateCount(a, sym.None, sym.None); n != 1 {
-		t.Fatalf("EstimateCount = %d, want 1 (one stored fact about A)", n)
+	if n, exact := m.EstimateCount(a, sym.None, sym.None); n != 1 || exact {
+		t.Fatalf("EstimateCount = %d exact %v, want 1 (one stored fact about A), inexact", n, exact)
+	}
+	// A stored count of 0 is not proof of emptiness: inference answers it.
+	has := u.Entity("HAS")
+	if n, exact := m.EstimateCount(a, has, sym.None); n != 0 || exact {
+		t.Fatalf("EstimateCount(A, HAS, ?) = %d exact %v, want an inexact 0", n, exact)
+	}
+	if !e.HasBounded(u.NewFact("A", "HAS", "X"), 2) {
+		t.Fatal("(A, HAS, X) not derivable at depth 2")
 	}
 }

@@ -208,7 +208,7 @@ func probePayload(db *lsdb.Database, src string) (int, any) {
 	for _, id := range out.Unknown {
 		unknown = append(unknown, u.Name(id))
 	}
-	return http.StatusOK, map[string]any{
+	body := map[string]any{
 		"succeeded": out.Succeeded(),
 		"menu":      out.Menu(u),
 		"waves":     len(out.Waves),
@@ -217,6 +217,10 @@ func probePayload(db *lsdb.Database, src string) (int, any) {
 		"unknown":   unknown,
 		"successes": successes,
 	}
+	if out.Truncated {
+		body["truncated"] = true
+	}
+	return http.StatusOK, body
 }
 
 func probeHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
@@ -675,6 +679,7 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	v := func(name string, labels ...string) uint64 {
 		return uint64(reg.Value(name, labels...))
 	}
+	enumerated := reg.Histogram("lsdb_query_facts_enumerated")
 	st := db.LogStats()
 	durability := map[string]any{"log_attached": st.Attached}
 	if st.Attached {
@@ -764,6 +769,11 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 			"buckets":       v("lsdb_index_buckets"),
 			"seal_builds":   v("lsdb_index_seal_builds_total"),
 			"batch_joins":   v("lsdb_join_batches_total"),
+		},
+		"query": map[string]any{
+			"evals":               enumerated.Count(),
+			"facts_enumerated":    enumerated.Sum(),
+			"empty_shortcircuits": v("lsdb_query_empty_shortcircuits_total"),
 		},
 		"search": map[string]any{
 			"queries":        v("lsdb_search_queries_total"),

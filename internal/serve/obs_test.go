@@ -103,6 +103,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lsdb_index_seal_ns_count`,
 		`lsdb_join_batches_total`,
 		`lsdb_browse_steps_total{kind="neighborhood"}`,
+		`lsdb_query_facts_enumerated_count`,
+		`lsdb_query_empty_shortcircuits_total`,
 		`lsdb_http_inflight`,
 		`lsdb_http_bytes_out_total`,
 		`lsdb_http_requests_total{endpoint="query"}`,
@@ -240,6 +242,35 @@ func TestStatsReadsRegistry(t *testing.T) {
 		after.Maint.Folds != samples["lsdb_closure_folds_total"] {
 		t.Errorf("stats closure layers %+v disagree with /metrics (delta %g, tombstones %g, folds %g)", after.Maint,
 			samples["lsdb_closure_delta_facts"], samples["lsdb_closure_tombstones"], samples["lsdb_closure_folds_total"])
+	}
+
+	// The query block: a join that enumerates facts, then one through a
+	// class nobody is in, which ends on the estimate alone.
+	for _, q := range []string{"(JOHN, FAVORITE-MUSIC, ?p) & (?p, COMPOSED-BY, ?c)", "(?x, in, NO-SUCH-CLASS) & (?x, COMPOSED-BY, ?c)"} {
+		if code := getJSON(t, srv.URL+"/query?q="+escape(q), new(any)); code != 200 {
+			t.Fatalf("query %s: status %d", q, code)
+		}
+	}
+	var qs struct {
+		Query struct {
+			Evals         float64 `json:"evals"`
+			Facts         float64 `json:"facts_enumerated"`
+			Shortcircuits float64 `json:"empty_shortcircuits"`
+		} `json:"query"`
+	}
+	if code := getJSON(t, srv.URL+"/stats", &qs); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	samples = scrape(t, srv.URL)
+	if qs.Query.Evals != 2 || qs.Query.Facts == 0 || qs.Query.Shortcircuits != 1 {
+		t.Errorf("query block %+v, want 2 evals, some facts, 1 short-circuit", qs.Query)
+	}
+	if qs.Query.Evals != samples["lsdb_query_facts_enumerated_count"] ||
+		qs.Query.Facts != samples["lsdb_query_facts_enumerated_sum"] ||
+		qs.Query.Shortcircuits != samples["lsdb_query_empty_shortcircuits_total"] {
+		t.Errorf("stats query block %+v disagrees with /metrics (%g evals, %g facts, %g short-circuits)", qs.Query,
+			samples["lsdb_query_facts_enumerated_count"], samples["lsdb_query_facts_enumerated_sum"],
+			samples["lsdb_query_empty_shortcircuits_total"])
 	}
 }
 

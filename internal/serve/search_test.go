@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	lsdb "repro"
 	"repro/internal/dataset"
@@ -184,9 +183,13 @@ func TestSearchAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hook runs after admission, so a receive from admitted means a
+	// search holds the tenant's one slot; it parks there until gate closes.
+	admitted := make(chan struct{}, 3)
 	gate := make(chan struct{})
 	s.SetAdmitHook(func(_, endpoint string) {
 		if endpoint == "search" {
+			admitted <- struct{}{}
 			<-gate
 		}
 	})
@@ -203,12 +206,13 @@ func TestSearchAdmission(t *testing.T) {
 		resp.Body.Close()
 		first <- resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for tenant.Inflight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d, want 1", tenant.Inflight())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-admitted:
+	case st := <-first:
+		t.Fatalf("first search finished with %d before it was parked", st)
+	}
+	if n := tenant.Inflight(); n != 1 {
+		t.Fatalf("inflight = %d, want 1", n)
 	}
 
 	resp, err := http.Get(srv.URL + "/search?q=mozart")

@@ -132,6 +132,7 @@ type Database struct {
 	eng  *rules.Engine
 	comp *compose.Composer
 	br   *browse.Browser
+	ev   *query.Evaluator
 	pr   *probe.Prober
 	vw   *views.Registry
 	sr   *search.Searcher
@@ -189,13 +190,20 @@ func Open(opts Options) (*Database, error) {
 		logPath:    opts.LogPath,
 		syncPolicy: opts.SyncPolicy,
 	}
-	db.pr = probe.New(eng, db.evaluator())
+	db.ev = &query.Evaluator{
+		M: matcher{eng: eng, comp: comp},
+		// ClosureEntities is computed once per closure snapshot and
+		// shared, so ∀-heavy queries don't rescan the closure.
+		Domain: eng.ClosureEntities,
+	}
+	db.pr = probe.New(eng, db.ev)
 	db.sr = search.New(st, u)
 	// Wire observability before the database is shared: the components
 	// capture registry handles once and record lock-free thereafter.
 	st.SetMetrics(db.reg)
 	eng.SetMetrics(db.reg)
 	db.br.SetMetrics(db.reg)
+	db.ev.SetMetrics(db.reg)
 	db.sr.SetMetrics(db.reg)
 	return db, nil
 }
@@ -321,18 +329,14 @@ func (m matcher) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
 }
 
 // EstimateCount lets the evaluator order joins by closure index
-// cardinality (query.Estimator).
-func (m matcher) EstimateCount(s, r, t sym.ID) int {
-	return m.eng.EstimateCount(s, r, t)
-}
-
-func (db *Database) evaluator() *query.Evaluator {
-	return &query.Evaluator{
-		M: matcher{eng: db.eng, comp: db.comp},
-		// ClosureEntities is computed once per closure snapshot and
-		// shared, so ∀-heavy queries don't rescan the closure.
-		Domain: func() []sym.ID { return db.eng.ClosureEntities() },
+// cardinality. A composed relationship name is answered by path
+// search, which the closure's count says nothing about.
+func (m matcher) EstimateCount(s, r, t sym.ID) (int, bool) {
+	n, exact := m.eng.EstimateCount(s, r, t)
+	if exact && m.comp != nil && m.comp.Composed(r) {
+		exact = false
 	}
+	return n, exact
 }
 
 // tracedMatcher wraps matcher so every template evaluation during a
@@ -358,7 +362,7 @@ func (m tracedMatcher) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
 	return ok
 }
 
-func (m tracedMatcher) EstimateCount(s, r, t sym.ID) int {
+func (m tracedMatcher) EstimateCount(s, r, t sym.ID) (int, bool) {
 	return m.inner.EstimateCount(s, r, t)
 }
 
@@ -377,14 +381,15 @@ func (m tracedMatcher) pattern(s, r, t sym.ID) string {
 // pattern and result count. Pass a fresh obs.NewTrace() and read
 // tr.Done() afterwards; a nil tr degrades to Query.
 func (db *Database) QueryTraced(src string, tr *obs.Trace) (*Rows, error) {
+	if tr == nil {
+		return db.Query(src)
+	}
 	q, err := db.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	ev := &query.Evaluator{
-		M:      tracedMatcher{inner: matcher{eng: db.eng, comp: db.comp}, u: db.u, tr: tr},
-		Domain: func() []sym.ID { return db.eng.ClosureEntities() },
-	}
+	ev := *db.ev // same domain and counters, matches recorded into tr
+	ev.M = tracedMatcher{inner: matcher{eng: db.eng, comp: db.comp}, u: db.u, tr: tr}
 	res, err := ev.Eval(q)
 	if err != nil {
 		return nil, err
@@ -497,7 +502,7 @@ func (db *Database) Derive(s, r, t string) *rules.Derivation {
 
 // Eval evaluates a parsed query.
 func (db *Database) Eval(q *query.Query) (*Rows, error) {
-	res, err := db.evaluator().Eval(q)
+	res, err := db.ev.Eval(q)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +529,7 @@ func (db *Database) QueryTable(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := db.evaluator().Eval(q)
+	res, err := db.ev.Eval(q)
 	if err != nil {
 		return "", err
 	}

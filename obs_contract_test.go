@@ -183,6 +183,30 @@ func TestMetricContract(t *testing.T) {
 		t.Errorf("posting bytes gauge stale after republish: %g", got)
 	}
 
+	// Query evaluation: one histogram observation per evaluation, of the
+	// facts it enumerated. A conjunction through a class nobody is in
+	// ends on the estimate: a short-circuit, and not one fact read.
+	enumerated := reg.Histogram("lsdb_query_facts_enumerated")
+	if enumerated.Count() != 0 || v("lsdb_query_empty_shortcircuits_total") != 0 {
+		t.Errorf("query counters moved before any query: %d evals, %g short-circuits",
+			enumerated.Count(), v("lsdb_query_empty_shortcircuits_total"))
+	}
+	if rows, err := db.Query("(?b, in, CANARY)"); err != nil || len(rows.Tuples) != 1 {
+		t.Fatalf("canaries = %v, %v", rows, err)
+	}
+	if enumerated.Count() != 1 || enumerated.Sum() != 1 {
+		t.Errorf("one-fact query: %d evals enumerated %d facts, want 1 and 1", enumerated.Count(), enumerated.Sum())
+	}
+	if rows, err := db.Query("(?b, in, DODO) & (?b, TRAVELS-BY, ?how)"); err != nil || rows.True {
+		t.Fatalf("dodos = %v, %v", rows, err)
+	}
+	if enumerated.Count() != 2 || enumerated.Sum() != 1 {
+		t.Errorf("empty-class join: %d evals enumerated %d facts in all, want 2 and still 1", enumerated.Count(), enumerated.Sum())
+	}
+	if got := v("lsdb_query_empty_shortcircuits_total"); got != 1 {
+		t.Errorf("empty short-circuits = %g, want exactly 1", got)
+	}
+
 	// The registry and the structured stats views must agree exactly —
 	// they read the same memory.
 	cs := db.Engine().CacheStats()
