@@ -11,7 +11,7 @@
 //	lsdb-check -size medium -seeds 50  # bigger worlds
 //	lsdb-check -churn -seeds 100       # high-churn write/retract/toggle schedules
 //	lsdb-check -inject member-source   # verify the harness catches a bug
-//	lsdb-check -search -seeds 500      # search-vs-scan differential only (fast soak)
+//	lsdb-check -search -seeds 500      # the two keyword-search oracles only (fast soak)
 //	lsdb-check -crash 25               # sweep 25 durability crash points per seed
 //	lsdb-check -repl 20                # sweep 20 replication fault points per scenario per seed
 //	lsdb-check -scale 200000           # sealed-vs-mutable differential on a Zipf scale world
@@ -59,7 +59,7 @@ func main() {
 	flag.IntVar(&cfg.crash, "crash", 0, "also sweep this many crash points per seed through the durability-log fault injector")
 	flag.IntVar(&cfg.repl, "repl", 0, "also sweep this many replication fault points per scenario per seed (drops, follower crashes, bootstrap faults, primary crashes)")
 	flag.IntVar(&cfg.scale, "scale", 0, "also run the sealed-vs-mutable differential on a Zipf world with this many facts (LSDB_SCALE_FACTS overrides)")
-	flag.BoolVar(&cfg.search, "search", false, "run only the search-vs-scan differential per seed (a deep keyword-search soak; skips the other oracles)")
+	flag.BoolVar(&cfg.search, "search", false, "run only the keyword-search oracles per seed, search-vs-scan and search-incremental (a deep search soak; skips the other oracles)")
 	flag.BoolVar(&cfg.verbose, "v", false, "log every seed")
 	flag.Parse()
 
@@ -175,7 +175,7 @@ func soak(cfg config, out io.Writer) error {
 		}
 		run := check.Run
 		if cfg.search {
-			run = check.SearchVsScan
+			run = searchOracles
 		}
 		if f := run(w, opts); f != nil {
 			// Shrink against the specific oracle that fired, with
@@ -251,4 +251,13 @@ func soak(cfg config, out io.Writer) error {
 	fmt.Fprintf(out, "ok: %d seeds (%s worlds, start %d) in %.1fs\n",
 		checked, cfg.size, cfg.start, time.Since(started).Seconds())
 	return nil
+}
+
+// searchOracles runs the two keyword-search oracles: the index against
+// a store scan, and the patched index against a fresh build.
+func searchOracles(w *gen.World, opts check.Options) *check.Failure {
+	if f := check.SearchVsScan(w, opts); f != nil {
+		return f
+	}
+	return check.SearchIncremental(w, opts)
 }

@@ -118,6 +118,9 @@ func Run(w *gen.World, opts Options) *Failure {
 	if f := SearchVsScan(w, opts); f != nil {
 		return f
 	}
+	if f := SearchIncremental(w, opts); f != nil {
+		return f
+	}
 	if f := PlannedVsSyntactic(w, opts); f != nil {
 		return f
 	}

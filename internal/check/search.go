@@ -13,13 +13,14 @@ import (
 // SearchVsScan is the keyword-search differential oracle: it replays
 // the world op by op onto a live database and, at sampled steps and
 // after every retraction, compares the inverted-index answer
-// (Database.Search, which lazily rebuilds its snapshot on version
+// (Database.Search, which brings its snapshot up to date on version
 // churn) against a brute-force scan over the stored facts. The scan
 // shares only the *scoring spec* with the index — the exported
 // constants and pure helpers in internal/search — and none of its
 // machinery: token sets come from per-entity maps instead of posting
-// lists, synonym classes from a BFS instead of a union-find, and the
-// ranking from an insertion sort instead of sort.Slice. Agreement is
+// lists, synonym classes from a fresh BFS per entity over its own
+// adjacency maps, and the ranking from an insertion sort instead of
+// page selection. Agreement is
 // required on the full ranking with exact float equality, which holds
 // because both sides sum per-term best-field contributions in
 // query-term order.
@@ -106,6 +107,77 @@ func SearchVsScan(w *gen.World, opts Options) *Failure {
 	}
 	return nil
 }
+
+// SearchIncremental is the incremental-index oracle: it replays the
+// world op by op onto a live database and, after every assert and
+// retract, compares the live Searcher — which patches its snapshot
+// with the documents of the entities each write touched — against a
+// Searcher freshly built over the same store at the same version:
+// equal versions, equal entity counts, and equal full rankings for
+// probe queries drawn from the op's names. SearchVsScan checks what
+// the index answers; this checks that patching answers what building
+// does.
+//
+// The database starts with padFacts facts over entities of their own,
+// so the base is big enough for the fold rule to let an overlay grow
+// over several writes before it folds: a base of only the world's
+// dozen entities would fold on every write and never exercise the
+// overlay. Each step depends only on the ops before it, so any
+// subsequence of a failing program is a valid program and gen.Shrink
+// minimizes it.
+func SearchIncremental(w *gen.World, opts Options) *Failure {
+	f, _ := searchIncremental(w)
+	return f
+}
+
+// searchIncremental is SearchIncremental, also returning the live
+// database so tests can read what its Searcher did.
+func searchIncremental(w *gen.World) (*Failure, *lsdb.Database) {
+	db := lsdb.New()
+	fail := func(format string, args ...any) (*Failure, *lsdb.Database) {
+		return &Failure{Oracle: "search-incremental", Detail: fmt.Sprintf(format, args...)}, db
+	}
+	for i := 0; i < padFacts; i++ {
+		db.MustAssert(fmt.Sprintf("PAD-%03d", 2*i), "PAD-OF", fmt.Sprintf("PAD-%03d", 2*i+1))
+	}
+	live := db.Searcher()
+	live.Refresh()
+	for i, op := range w.Ops {
+		gen.ApplyOp(db, op)
+		if op.Kind != gen.OpAssert && op.Kind != gen.OpRetract {
+			continue
+		}
+		fresh := search.New(db.Store(), db.Universe())
+		ls, fs := live.Refresh(), fresh.Refresh()
+		if ls.Version != fs.Version || ls.Entities != fs.Entities {
+			return fail("after op %d (%s): live index at version %d with %d entities, fresh build at %d with %d",
+				i, op, ls.Version, ls.Entities, fs.Version, fs.Entities)
+		}
+		qs := []string{op.S, op.T, op.S + " " + op.T, strings.ToLower(op.R)}
+		if toks := search.Tokenize(op.T); len(toks) > 0 && len(toks[0]) > search.MinPrefixLen {
+			qs = append(qs, toks[0][:search.MinPrefixLen])
+		}
+		for _, q := range qs {
+			got := live.Search(q, search.Options{K: -1})
+			want := fresh.Search(q, search.Options{K: -1})
+			if got.Version != want.Version || got.Total != want.Total || len(got.Hits) != len(want.Hits) {
+				return fail("after op %d (%s), query %q: live found %d hits at version %d, fresh build %d at %d",
+					i, op, q, got.Total, got.Version, want.Total, want.Version)
+			}
+			for j := range want.Hits {
+				if got.Hits[j] != want.Hits[j] {
+					return fail("after op %d (%s), query %q rank %d: live %+v, fresh build %+v",
+						i, op, q, j, got.Hits[j], want.Hits[j])
+				}
+			}
+		}
+	}
+	return nil, db
+}
+
+// padFacts is the size of SearchIncremental's padding: 2·padFacts+1
+// entities, so the fold rule allows an overlay of about padFacts/8.
+const padFacts = 64
 
 // diffRankings compares two full rankings field by field.
 func diffRankings(q string, step int, got *lsdb.SearchResult, want []search.Hit) *Failure {
@@ -297,7 +369,7 @@ func searchScan(db *lsdb.Database, q string) []search.Hit {
 			continue
 		}
 		h.HubScore = search.HubScore(h.Degree)
-		h.ExactName = len(entToks[e]) > 0 && strings.Join(entToks[e], " ") == joined
+		h.ExactName = strings.Join(search.QueryTerms(u.Name(e)), " ") == joined
 		h.Score = h.TermScore + h.TaxScore + h.HubScore
 		if h.ExactName {
 			h.Score += search.ExactNameBonus

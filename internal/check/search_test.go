@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	lsdb "repro"
+	"repro/internal/fact"
 	"repro/internal/gen"
+	"repro/internal/store"
+	"repro/internal/sym"
 )
 
 // TestSearchVsScan runs the keyword-search differential over several
@@ -63,5 +66,116 @@ func TestSearchVsScanDetectsBugs(t *testing.T) {
 		t.Fatal("differential missed a one-entity divergence")
 	} else if !strings.Contains(f.Detail, "mozart") {
 		t.Fatalf("unhelpful failure detail: %v", f)
+	}
+}
+
+// TestSearchIncremental runs the incremental-index oracle over churn
+// worlds, and checks that they exercise what it exists for: snapshots
+// both patched and folded, entities appearing and vanishing, ≈
+// components splitting, and ≺ edits under a three-deep class walk.
+func TestSearchIncremental(t *testing.T) {
+	var patches, folds float64
+	var cov searchCoverage
+	for seed := int64(0); seed < 16; seed++ {
+		cc := gen.SmallChurn()
+		if seed%4 == 3 {
+			cc = gen.MediumChurn()
+		}
+		cc.Disjoint = seed%4 == 1
+		w := gen.Churn(seed, cc)
+		f, db := searchIncremental(w)
+		if f != nil {
+			min := gen.Shrink(w, func(c *gen.World) bool { return SearchIncremental(c, Options{}) != nil })
+			t.Fatalf("seed %d: %v\nshrunk to:\n%s", seed, SearchIncremental(min, Options{}), min.Program())
+		}
+		m := db.Metrics()
+		folds += m.Value("lsdb_search_index_folds_total")
+		patches += m.Value("lsdb_search_index_builds_total") - m.Value("lsdb_search_index_folds_total")
+		cov.add(w)
+	}
+	t.Logf("%g patches, %g folds; coverage %+v", patches, folds, cov)
+	if patches == 0 || folds <= 16 {
+		t.Errorf("%g patches and %g folds over 16 worlds, want both paths taken", patches, folds)
+	}
+	if cov.added == 0 || cov.vanished == 0 || cov.synSplits == 0 || cov.deepGen == 0 {
+		t.Errorf("churn worlds miss a case the overlay must handle: %+v", cov)
+	}
+}
+
+// searchCoverage counts, over replayed worlds, the writes whose dirty
+// sets reach beyond the fact's own entities.
+type searchCoverage struct {
+	added, vanished int // entities that appeared, disappeared
+	synSplits       int // retractions that split a synonym component
+	deepGen         int // ≺ edits at a class two ∈/≺ steps above some entity
+}
+
+func (c *searchCoverage) add(w *gen.World) {
+	u := fact.NewUniverse()
+	st := store.New(u)
+	// connected reports whether a and b share a synonym component.
+	connected := func(a, b sym.ID) bool {
+		seen := map[sym.ID]bool{a: true}
+		queue := []sym.ID{a}
+		for len(queue) > 0 {
+			x := queue[0]
+			queue = queue[1:]
+			var next []sym.ID
+			st.Match(x, u.Syn, sym.None, func(f fact.Fact) bool { next = append(next, f.T); return true })
+			st.Match(sym.None, u.Syn, x, func(f fact.Fact) bool { next = append(next, f.S); return true })
+			st.Match(x, u.Gen, sym.None, func(f fact.Fact) bool {
+				if st.Has(fact.Fact{S: f.T, R: u.Gen, T: x}) {
+					next = append(next, f.T)
+				}
+				return true
+			})
+			for _, n := range next {
+				if !seen[n] {
+					seen[n] = true
+					queue = append(queue, n)
+				}
+			}
+		}
+		return seen[b]
+	}
+	for _, op := range w.Ops {
+		if op.Kind != gen.OpAssert && op.Kind != gen.OpRetract {
+			continue
+		}
+		f := u.NewFact(op.S, op.R, op.T)
+		ents := [3]sym.ID{f.S, f.R, f.T}
+		var before [3]bool
+		for i, e := range ents {
+			before[i] = st.HasEntity(e)
+		}
+		synEdge := f.R == u.Syn || (f.R == u.Gen && st.Has(fact.Fact{S: f.T, R: u.Gen, T: f.S}))
+		if op.Kind == gen.OpAssert {
+			if !st.Insert(f) {
+				continue
+			}
+		} else if !st.Delete(f) {
+			continue
+		} else if synEdge && f.S != f.T && !connected(f.S, f.T) {
+			c.synSplits++
+		}
+		for i, e := range ents {
+			switch now := st.HasEntity(e); {
+			case now && !before[i]:
+				c.added++
+			case !now && before[i]:
+				c.vanished++
+			}
+		}
+		if f.R == u.Gen {
+			st.Match(sym.None, sym.None, f.S, func(g fact.Fact) bool {
+				if g.R == u.Gen || g.R == u.Member {
+					if st.EstimateCount(sym.None, u.Member, g.S)+st.EstimateCount(sym.None, u.Gen, g.S) > 0 {
+						c.deepGen++
+						return false
+					}
+				}
+				return true
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,7 +11,9 @@ import (
 )
 
 // The indexed-entity spec (mirrored, independently, by the brute-force
-// oracle in internal/check/search.go — change one and the diff fails):
+// oracle in internal/check/search.go — change one and the diff fails).
+// docEnv.document is its one implementation: build runs it over every
+// entity, a patch (overlay.go) over the entities a write touched.
 //
 //   - Entities: every distinct S, R and T of the stored facts.
 //   - Degree: stored facts with the entity in S position plus T
@@ -27,179 +30,308 @@ import (
 //   - FieldNbr: for each stored fact the entity is the source or
 //     target of, the tokens of the other two components' names,
 //     skipping special entities (∈, ≺, ≈, ⇌, Δ, ∇, …) on both sides.
+//   - Name key: the entity's name through QueryTerms, space-joined. A
+//     query whose terms join to the same key is an exact-name match.
 //
 // All token postings are entity ordinals (name-sorted order), encoded
 // per (token, field) as delta+varint runs in one shared arena.
 
-// build constructs an index snapshot. The version is read before the
-// fact slice so the snapshot's content is never older than its tag: a
-// write that lands mid-build moves the version and forces the next
-// query to rebuild.
-func build(u *fact.Universe, st *store.Store) *snapshot {
+// source answers the one adjacency question the document rules ask:
+// which stored facts have an entity in S position, and which in T
+// position. build answers it from one pass over the facts, a patch
+// from the store's own indexes.
+type source interface {
+	out(e sym.ID, fn func(fact.Fact) bool)
+	in(e sym.ID, fn func(fact.Fact) bool)
+}
+
+// storeSource reads a live store through its S and T indexes.
+type storeSource struct{ st *store.Store }
+
+func (s storeSource) out(e sym.ID, fn func(fact.Fact) bool) { s.st.Match(e, sym.None, sym.None, fn) }
+func (s storeSource) in(e sym.ID, fn func(fact.Fact) bool)  { s.st.Match(sym.None, sym.None, e, fn) }
+
+// factSource is a fact slice bucketed by S and by T (two counting
+// sorts indexed by entity ID), built once per full build.
+type factSource struct {
+	outOff, inOff []int32 // facts of entity e: [off[e], off[e+1])
+	outF, inF     []fact.Fact
+}
+
+func newFactSource(facts []fact.Fact, maxID sym.ID) *factSource {
+	n := int(maxID) + 2
+	fs := &factSource{
+		outOff: make([]int32, n), inOff: make([]int32, n),
+		outF: make([]fact.Fact, len(facts)), inF: make([]fact.Fact, len(facts)),
+	}
+	for _, f := range facts {
+		fs.outOff[f.S+1]++
+		fs.inOff[f.T+1]++
+	}
+	for i := 1; i < n; i++ {
+		fs.outOff[i] += fs.outOff[i-1]
+		fs.inOff[i] += fs.inOff[i-1]
+	}
+	outAt, inAt := slices.Clone(fs.outOff), slices.Clone(fs.inOff)
+	for _, f := range facts {
+		fs.outF[outAt[f.S]] = f
+		outAt[f.S]++
+		fs.inF[inAt[f.T]] = f
+		inAt[f.T]++
+	}
+	return fs
+}
+
+func (fs *factSource) out(e sym.ID, fn func(fact.Fact) bool) {
+	for _, f := range fs.outF[fs.outOff[e]:fs.outOff[e+1]] {
+		if !fn(f) {
+			return
+		}
+	}
+}
+
+func (fs *factSource) in(e sym.ID, fn func(fact.Fact) bool) {
+	for _, f := range fs.inF[fs.inOff[e]:fs.inOff[e+1]] {
+		if !fn(f) {
+			return
+		}
+	}
+}
+
+// docEnv derives entity documents over one source.
+type docEnv struct {
+	u     *fact.Universe
+	src   source
+	toks  func(sym.ID) []string // name tokens of an entity
+	comps map[sym.ID][]sym.ID   // synonym components found so far, by member
+}
+
+// synNeighbours calls fn for every synonym edge of x: stored ≈ facts
+// in either direction and two-way ≺ pairs.
+func (d *docEnv) synNeighbours(x sym.ID, fn func(sym.ID)) {
+	u := d.u
+	var genIn []sym.ID
+	d.src.in(x, func(f fact.Fact) bool {
+		switch f.R {
+		case u.Syn:
+			fn(f.S)
+		case u.Gen:
+			genIn = append(genIn, f.S)
+		}
+		return true
+	})
+	d.src.out(x, func(f fact.Fact) bool {
+		switch {
+		case f.R == u.Syn:
+			fn(f.T)
+		case f.R == u.Gen && slices.Contains(genIn, f.T):
+			fn(f.T)
+		}
+		return true
+	})
+}
+
+// synonyms returns e's synonym component, e included. Components of
+// more than one member are found once and shared by every member.
+func (d *docEnv) synonyms(e sym.ID) []sym.ID {
+	if c, ok := d.comps[e]; ok {
+		return c
+	}
+	comp := []sym.ID{e}
+	for i := 0; i < len(comp); i++ {
+		d.synNeighbours(comp[i], func(n sym.ID) {
+			if !slices.Contains(comp, n) {
+				comp = append(comp, n)
+			}
+		})
+	}
+	if len(comp) > 1 {
+		for _, m := range comp {
+			d.comps[m] = comp
+		}
+	}
+	return comp
+}
+
+// document derives entity e's document by the spec above: it calls
+// emit for every (field, token) of it, duplicates included, and
+// returns e's degree.
+func (d *docEnv) document(e sym.ID, emit func(field int, tok string)) int32 {
+	u := d.u
+	for _, tok := range d.toks(e) {
+		emit(FieldName, tok)
+	}
+	for _, m := range d.synonyms(e) {
+		if m != e {
+			for _, tok := range d.toks(m) {
+				emit(FieldSyn, tok)
+			}
+		}
+	}
+
+	// Taxonomy walk: direct classes, then two more ≺ steps.
+	var levels [3][]sym.ID
+	seen := func(c sym.ID, depth int) bool {
+		for _, l := range levels[:depth+1] {
+			if slices.Contains(l, c) {
+				return true
+			}
+		}
+		return false
+	}
+	d.src.out(e, func(f fact.Fact) bool {
+		if (f.R == u.Member || f.R == u.Gen) && f.T != e && !u.Special(f.T) && !seen(f.T, 0) {
+			levels[0] = append(levels[0], f.T)
+		}
+		return true
+	})
+	for depth := 1; depth < len(levels); depth++ {
+		for _, c := range levels[depth-1] {
+			d.src.out(c, func(f fact.Fact) bool {
+				if f.R == u.Gen && f.T != e && !u.Special(f.T) && !seen(f.T, depth) {
+					levels[depth] = append(levels[depth], f.T)
+				}
+				return true
+			})
+		}
+	}
+	for depth, level := range levels {
+		for _, c := range level {
+			for _, tok := range d.toks(c) {
+				emit(FieldClass1+depth, tok)
+			}
+		}
+	}
+
+	// Neighborhood co-occurrence and degree.
+	var deg int32
+	special := u.Special(e)
+	nbr := func(x sym.ID) {
+		if !special && !u.Special(x) {
+			for _, tok := range d.toks(x) {
+				emit(FieldNbr, tok)
+			}
+		}
+	}
+	d.src.out(e, func(f fact.Fact) bool {
+		deg++
+		nbr(f.R)
+		nbr(f.T)
+		return true
+	})
+	d.src.in(e, func(f fact.Fact) bool {
+		deg++
+		nbr(f.S)
+		nbr(f.R)
+		return true
+	})
+	return deg
+}
+
+// nameKey is the exact-name key of a token list: the tokens as
+// QueryTerms leaves them, space-joined. toks is not modified.
+func nameKey(toks []string) string {
+	return strings.Join(distinct(slices.Clone(toks)), " ")
+}
+
+// build constructs a full index over the store. The version is read
+// before the facts so the base's content is never older than its tag:
+// a write that lands mid-build is replayed by the next patch, which
+// re-derives what it touched from the store as it then is.
+func build(u *fact.Universe, st *store.Store) *base {
 	version := st.Version()
 	facts := st.Facts()
 
 	// Entity ordinals, sorted by name (names are unique).
-	deg := make(map[sym.ID]int32)
+	maxID := sym.ID(0)
 	for _, f := range facts {
-		deg[f.S]++
-		deg[f.T]++
-		if _, ok := deg[f.R]; !ok {
-			deg[f.R] = 0
-		}
+		maxID = max(maxID, f.S, f.R, f.T)
 	}
-	sn := &snapshot{
-		version: version,
-		ids:     make([]sym.ID, 0, len(deg)),
-		nameOf:  make(map[string][]uint32),
+	b := &base{version: version, nameOf: make(map[string][]uint32)}
+	ordOf := make([]uint32, int(maxID)+1) // ordinal+1, 0 = not an entity
+	type named struct {
+		name string
+		id   sym.ID
 	}
-	for id := range deg {
-		sn.ids = append(sn.ids, id)
-	}
-	names := make([]string, len(sn.ids))
-	byName := make(map[sym.ID]string, len(sn.ids))
-	for i, id := range sn.ids {
-		names[i] = u.Name(id)
-		byName[id] = names[i]
-	}
-	sort.Slice(sn.ids, func(i, j int) bool { return byName[sn.ids[i]] < byName[sn.ids[j]] })
-	sn.names = make([]string, len(sn.ids))
-	sn.degrees = make([]int32, len(sn.ids))
-	ord := make(map[sym.ID]uint32, len(sn.ids))
-	for i, id := range sn.ids {
-		sn.names[i] = byName[id]
-		sn.degrees[i] = deg[id]
-		ord[id] = uint32(i)
-	}
-
-	// Adjacency for the taxonomy walk and synonym components.
-	genOut := make(map[sym.ID][]sym.ID) // stored a ≺ b
-	memOut := make(map[sym.ID][]sym.ID) // stored a ∈ b
-	genSet := make(map[[2]sym.ID]bool)
-	uf := newUnionFind(len(sn.ids))
+	var ents []named
 	for _, f := range facts {
-		switch f.R {
-		case u.Gen:
-			genOut[f.S] = append(genOut[f.S], f.T)
-			genSet[[2]sym.ID{f.S, f.T}] = true
-		case u.Member:
-			memOut[f.S] = append(memOut[f.S], f.T)
-		case u.Syn:
-			uf.union(ord[f.S], ord[f.T])
+		for _, id := range [3]sym.ID{f.S, f.R, f.T} {
+			if ordOf[id] == 0 {
+				ordOf[id] = 1
+				ents = append(ents, named{u.Name(id), id})
+			}
 		}
 	}
-	for p := range genSet {
-		if p[0] < p[1] && genSet[[2]sym.ID{p[1], p[0]}] {
-			uf.union(ord[p[0]], ord[p[1]])
-		}
-	}
-	comp := make(map[uint32][]uint32)
-	for i := range sn.ids {
-		comp[uf.find(uint32(i))] = append(comp[uf.find(uint32(i))], uint32(i))
-	}
-
-	// Per-entity name tokens, computed once and reused by every field.
-	entToks := make([][]string, len(sn.ids))
-	for i, name := range sn.names {
-		entToks[i] = Tokenize(name)
+	sort.Slice(ents, func(i, j int) bool { return ents[i].name < ents[j].name })
+	b.ids = make([]sym.ID, len(ents))
+	b.names = make([]string, len(ents))
+	b.degrees = make([]int32, len(ents))
+	entToks := make([][]string, len(ents))
+	for i, e := range ents {
+		b.ids[i], b.names[i] = e.id, e.name
+		ordOf[e.id] = uint32(i) + 1
+		entToks[i] = Tokenize(e.name)
 		if len(entToks[i]) > 0 {
-			key := strings.Join(entToks[i], " ")
-			sn.nameOf[key] = append(sn.nameOf[key], uint32(i))
+			key := nameKey(entToks[i])
+			b.nameOf[key] = append(b.nameOf[key], uint32(i))
 		}
 	}
 
-	b := newPostBuilder()
-	classLevels := make([]map[sym.ID]bool, 3)
-	for i := range sn.ids {
-		e := sn.ids[i]
-		o := uint32(i)
-		for _, tok := range entToks[i] {
-			b.add(tok, FieldName, o)
-		}
-		if members := comp[uf.find(o)]; len(members) > 1 {
-			for _, m := range members {
-				if m == o {
-					continue
-				}
-				for _, tok := range entToks[m] {
-					b.add(tok, FieldSyn, o)
-				}
-			}
-		}
-		// Taxonomy walk: direct classes, then two more ≺ steps.
-		for d := range classLevels {
-			classLevels[d] = nil
-		}
-		direct := make(map[sym.ID]bool)
-		for _, c := range append(append([]sym.ID{}, memOut[e]...), genOut[e]...) {
-			if c != e && !u.Special(c) {
-				direct[c] = true
-			}
-		}
-		classLevels[0] = direct
-		seen := func(c sym.ID, depth int) bool {
-			for d := 0; d < depth; d++ {
-				if classLevels[d][c] {
-					return true
-				}
-			}
-			return false
-		}
-		for depth := 1; depth < 3; depth++ {
-			next := make(map[sym.ID]bool)
-			for c := range classLevels[depth-1] {
-				for _, up := range genOut[c] {
-					if up != e && !u.Special(up) && !seen(up, depth) {
-						next[up] = true
-					}
-				}
-			}
-			classLevels[depth] = next
-		}
-		for depth, level := range classLevels {
-			for c := range level {
-				for _, tok := range entToks[ord[c]] {
-					b.add(tok, FieldClass1+depth, o)
-				}
-			}
-		}
+	env := &docEnv{
+		u:     u,
+		src:   newFactSource(facts, maxID),
+		toks:  func(id sym.ID) []string { return entToks[ordOf[id]-1] },
+		comps: make(map[sym.ID][]sym.ID),
 	}
-
-	// Neighborhood co-occurrence: one pass over the facts; runs are
-	// sorted+deduped at finalize since fact order is not ordinal order.
-	for _, f := range facts {
-		if !u.Special(f.S) {
-			if !u.Special(f.R) {
-				for _, tok := range entToks[ord[f.R]] {
-					b.add(tok, FieldNbr, ord[f.S])
-				}
-			}
-			if !u.Special(f.T) {
-				for _, tok := range entToks[ord[f.T]] {
-					b.add(tok, FieldNbr, ord[f.S])
-				}
-			}
-		}
-		if !u.Special(f.T) {
-			if !u.Special(f.S) {
-				for _, tok := range entToks[ord[f.S]] {
-					b.add(tok, FieldNbr, ord[f.T])
-				}
-			}
-			if !u.Special(f.R) {
-				for _, tok := range entToks[ord[f.R]] {
-					b.add(tok, FieldNbr, ord[f.T])
-				}
-			}
-		}
+	pb := newPostBuilder()
+	var cur uint32
+	emit := func(field int, tok string) { pb.add(tok, field, cur) }
+	for i, id := range b.ids {
+		cur = uint32(i)
+		b.degrees[i] = env.document(id, emit)
 	}
+	pb.finalize(&b.idx)
 
-	b.finalize(sn)
-	return sn
+	// Deterministic footprint estimate: the postings plus the
+	// per-entity columns. Map overhead is runtime-dependent and
+	// excluded, like store.IndexBytes.
+	nameBytes := 0
+	for _, n := range b.names {
+		nameBytes += len(n)
+	}
+	b.bytes = b.idx.bytes() + len(b.ids)*(4+4+16) + nameBytes
+	return b
+}
+
+// postings is one inverted index: a sorted vocabulary and, per
+// (token, field), a run of ascending entity ordinals delta+varint
+// encoded into one arena with the sealed store's run codec.
+type postings struct {
+	toks  []string
+	posts [NumFields][]plist
+	arena []byte
+}
+
+// plist locates one posting run inside the arena.
+type plist struct {
+	off uint32
+	n   uint32
+}
+
+// bytes estimates the footprint: arena + vocabulary bytes and headers
+// + posting tables.
+func (p *postings) bytes() int {
+	tokBytes := 0
+	for _, tok := range p.toks {
+		tokBytes += len(tok)
+	}
+	return len(p.arena) + tokBytes + len(p.toks)*16 + NumFields*len(p.toks)*8
 }
 
 // postBuilder accumulates per-(token, field) ordinal runs, then
-// encodes the sorted vocabulary into the snapshot arena.
+// encodes the sorted vocabulary into a postings arena. Documents are
+// added in ordinal order, so every run is ascending and a duplicate is
+// always the run's last element.
 type postBuilder struct {
 	toks map[string]*[NumFields][]uint32
 }
@@ -208,8 +340,7 @@ func newPostBuilder() *postBuilder {
 	return &postBuilder{toks: make(map[string]*[NumFields][]uint32)}
 }
 
-// add appends ord to (tok, field). Consecutive duplicates are dropped
-// here; non-consecutive ones (the neighborhood field) at finalize.
+// add appends ord to (tok, field) unless it is already there.
 func (b *postBuilder) add(tok string, field int, ord uint32) {
 	p := b.toks[tok]
 	if p == nil {
@@ -222,65 +353,22 @@ func (b *postBuilder) add(tok string, field int, ord uint32) {
 	p[field] = append(p[field], ord)
 }
 
-func (b *postBuilder) finalize(sn *snapshot) {
-	sn.toks = make([]string, 0, len(b.toks))
+func (b *postBuilder) finalize(p *postings) {
+	p.toks = make([]string, 0, len(b.toks))
 	for tok := range b.toks {
-		sn.toks = append(sn.toks, tok)
+		p.toks = append(p.toks, tok)
 	}
-	sort.Strings(sn.toks)
-	for f := range sn.posts {
-		sn.posts[f] = make([]plist, len(sn.toks))
+	sort.Strings(p.toks)
+	for f := range p.posts {
+		p.posts[f] = make([]plist, len(p.toks))
 	}
-	tokBytes := 0
-	for i, tok := range sn.toks {
-		tokBytes += len(tok)
-		p := b.toks[tok]
-		for f := 0; f < NumFields; f++ {
-			run := p[f]
-			if len(run) == 0 {
-				continue
+	for i, tok := range p.toks {
+		runs := b.toks[tok]
+		for f, run := range runs {
+			if len(run) > 0 {
+				p.posts[f][i] = plist{off: uint32(len(p.arena)), n: uint32(len(run))}
+				p.arena = store.AppendUvarintRun(p.arena, run)
 			}
-			if f == FieldNbr {
-				sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-				run = store.DedupSorted(run)
-			}
-			sn.posts[f][i] = plist{off: uint32(len(sn.arena)), n: uint32(len(run))}
-			sn.arena = store.AppendUvarintRun(sn.arena, run)
 		}
-	}
-	// Deterministic footprint estimate: arena + vocabulary bytes and
-	// headers + posting tables + the per-entity columns. Map overhead
-	// is runtime-dependent and excluded, like store.IndexBytes.
-	nameBytes := 0
-	for _, n := range sn.names {
-		nameBytes += len(n)
-	}
-	sn.bytes = len(sn.arena) + tokBytes + len(sn.toks)*16 +
-		NumFields*len(sn.toks)*8 + len(sn.ids)*(4+4+16) + nameBytes
-}
-
-// unionFind is a plain path-halving union-find over entity ordinals.
-type unionFind struct{ parent []uint32 }
-
-func newUnionFind(n int) *unionFind {
-	p := make([]uint32, n)
-	for i := range p {
-		p[i] = uint32(i)
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(x uint32) uint32 {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b uint32) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[rb] = ra
 	}
 }

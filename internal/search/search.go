@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,56 +144,39 @@ type Result struct {
 type IndexStats struct {
 	Version    uint64
 	Entities   int
-	Tokens     int // distinct vocabulary tokens
-	ArenaBytes int // delta+varint posting arena
-	Bytes      int // estimated total index footprint
+	Tokens     int // distinct vocabulary tokens of the last full build
+	ArenaBytes int // delta+varint posting arenas
+	Bytes      int // estimated footprint: the base, plus the overlay postings
+	// Overlay counts the entities re-derived since the last full
+	// build (those that stopped being entities included).
+	Overlay int
 }
 
-// plist locates one posting run inside the snapshot arena.
-type plist struct {
-	off uint32
-	n   uint32
-}
-
-// snapshot is one immutable index build: entity ordinals sorted by
-// name, a sorted vocabulary, and per-(token, field) posting runs of
-// entity ordinals, delta+varint encoded into one shared arena with the
-// sealed store's run codec. Published whole via atomic.Pointer.
-type snapshot struct {
-	version uint64
-
-	ids     []sym.ID
-	names   []string
-	degrees []int32
-	nameOf  map[string][]uint32 // normalized whole name → ordinals
-
-	toks  []string
-	posts [NumFields][]plist
-	arena []byte
-
-	bytes int
-}
-
-// Searcher answers keyword queries over a store, rebuilding its index
-// lazily whenever the store version moves — the same invalidation
-// discipline as the materialized closure: any write discards the
-// snapshot wholesale, readers never block writers, and an unchanged
-// store serves every query from one immutable build.
+// Searcher answers keyword queries over a store. It brings its index
+// up to date lazily whenever the store version moves: a query after a
+// write first patches the published snapshot with the documents of
+// the entities the write touched (Store.ChangesSince), and rebuilds
+// the whole index only when the overlay outgrows the fold rule or the
+// store's history no longer reaches back far enough. Readers never
+// block writers, and an unchanged store serves every query from one
+// immutable snapshot.
 type Searcher struct {
 	st *store.Store
 	u  *fact.Universe
 
-	mu   sync.Mutex // serializes rebuilds (single-flight)
+	mu   sync.Mutex // serializes updates (single-flight)
 	snap atomic.Pointer[snapshot]
 
 	queries  *obs.Counter
 	searchNs *obs.Histogram
 	resultsH *obs.Histogram
 	builds   *obs.Counter
+	folds    *obs.Counter
 	buildNs  *obs.Histogram
 	idxBytes *obs.Gauge
 	idxToks  *obs.Gauge
 	idxEnts  *obs.Gauge
+	overlay  *obs.Gauge
 }
 
 // New returns a Searcher over the store. The first query (or Refresh)
@@ -203,52 +187,70 @@ func New(st *store.Store, u *fact.Universe) *Searcher {
 
 // SetMetrics registers the search metrics in reg. Call before sharing
 // the Searcher; handles are captured once and recorded lock-free.
+// lsdb_search_index_builds_total counts every published snapshot,
+// lsdb_search_index_folds_total the full builds among them.
 func (s *Searcher) SetMetrics(reg *obs.Registry) {
 	s.queries = reg.Counter("lsdb_search_queries_total")
 	s.searchNs = reg.Histogram("lsdb_search_ns")
 	s.resultsH = reg.Histogram("lsdb_search_results")
 	s.builds = reg.Counter("lsdb_search_index_builds_total")
+	s.folds = reg.Counter("lsdb_search_index_folds_total")
 	s.buildNs = reg.Histogram("lsdb_search_index_build_ns")
 	s.idxBytes = reg.Gauge("lsdb_search_index_bytes")
 	s.idxToks = reg.Gauge("lsdb_search_index_tokens")
 	s.idxEnts = reg.Gauge("lsdb_search_index_entities")
+	s.overlay = reg.Gauge("lsdb_search_index_overlay_entities")
 }
 
-// current returns the up-to-date snapshot, rebuilding under the mutex
-// when the store version moved. Reads are one atomic load plus one
-// version check; concurrent callers during churn coalesce on a single
-// rebuild.
+// current returns the up-to-date snapshot, patching or rebuilding it
+// under the mutex when the store version moved. Reads are one atomic
+// load plus one version check; concurrent callers during churn
+// coalesce on a single update.
 func (s *Searcher) current() *snapshot {
 	if sn := s.snap.Load(); sn != nil && sn.version == s.st.Version() {
 		return sn
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sn := s.snap.Load(); sn != nil && sn.version == s.st.Version() {
-		return sn
+	old := s.snap.Load()
+	if old != nil && old.version == s.st.Version() {
+		return old
 	}
 	start := time.Now()
-	sn := build(s.u, s.st)
+	var sn *snapshot
+	if old != nil {
+		sn = old.advance(s.u, s.st)
+	}
+	if sn == nil {
+		b := build(s.u, s.st)
+		sn = newSnapshot(b, nil, b.version)
+		s.folds.Inc()
+	}
 	s.snap.Store(sn)
 	s.builds.Inc()
 	s.buildNs.Observe(time.Since(start).Nanoseconds())
-	s.idxBytes.Set(int64(sn.bytes))
-	s.idxToks.Set(int64(len(sn.toks)))
-	s.idxEnts.Set(int64(len(sn.ids)))
+	st := sn.stats()
+	s.idxBytes.Set(int64(st.Bytes))
+	s.idxToks.Set(int64(st.Tokens))
+	s.idxEnts.Set(int64(st.Entities))
+	s.overlay.Set(int64(st.Overlay))
 	return sn
 }
 
-// Refresh forces the index up to date and returns its stats.
-func (s *Searcher) Refresh() IndexStats {
-	sn := s.current()
+func (sn *snapshot) stats() IndexStats {
+	b := sn.base
 	return IndexStats{
 		Version:    sn.version,
-		Entities:   len(sn.ids),
-		Tokens:     len(sn.toks),
-		ArenaBytes: len(sn.arena),
-		Bytes:      sn.bytes,
+		Entities:   sn.entities(),
+		Tokens:     len(b.idx.toks),
+		ArenaBytes: len(b.idx.arena) + len(sn.ovIdx.arena),
+		Bytes:      b.bytes + sn.ovIdx.bytes(),
+		Overlay:    len(sn.docs),
 	}
 }
+
+// Refresh forces the index up to date and returns its stats.
+func (s *Searcher) Refresh() IndexStats { return s.current().stats() }
 
 // Search answers a keyword query with a ranked page of entry points.
 // An empty or unmatchable query returns an empty result, not an error.
@@ -256,25 +258,12 @@ func (s *Searcher) Search(q string, o Options) *Result {
 	start := time.Now()
 	terms := QueryTerms(q)
 	sn := s.current()
-	hits := sn.search(terms)
-	res := &Result{Terms: terms, Total: len(hits), Version: sn.version}
-
 	k := o.K
 	if k == 0 {
 		k = DefaultK
 	}
-	off := o.Offset
-	if off < 0 {
-		off = 0
-	}
-	if off > len(hits) {
-		off = len(hits)
-	}
-	end := len(hits)
-	if k > 0 && off+k < end {
-		end = off + k
-	}
-	res.Hits = hits[off:end]
+	res := &Result{Terms: terms, Version: sn.version}
+	res.Total, res.Hits = sn.search(terms, max(o.Offset, 0), k)
 
 	s.queries.Inc()
 	s.searchNs.Observe(time.Since(start).Nanoseconds())
@@ -282,94 +271,219 @@ func (s *Searcher) Search(q string, o Options) *Result {
 	return res
 }
 
+// scratch is one query's scoring state: dense per-ordinal arrays over
+// the snapshot's base and overlay ordinals, pooled across queries and
+// cleared entry by entry after use, so a warm query allocates only its
+// page of hits.
+type scratch struct {
+	best    []float64 // the current term's best contribution
+	fld     []uint8   // and the field it came through
+	termSc  []float64 // running TermScore
+	taxSc   []float64 // running TaxScore
+	matched []uint8   // terms matched so far
+	touched []uint32  // ordinals the current term reached
+	cands   []uint32  // ordinals any term reached, first-reached order
+	run     []uint32  // one decoded posting run
+	rank    []ranked
+}
+
+type ranked struct {
+	score float64
+	ord   uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (sc *scratch) grow(n int) {
+	if len(sc.best) < n {
+		sc.best = make([]float64, n)
+		sc.fld = make([]uint8, n)
+		sc.termSc = make([]float64, n)
+		sc.taxSc = make([]float64, n)
+		sc.matched = make([]uint8, n)
+	}
+}
+
+// score adds one term's postings in p to the current term's best
+// contributions: exact token matches at full field weight, prefix
+// matches at PrefixFactor. Ordinals are offset by off; those set in
+// mask are skipped.
+func (p *postings) score(term string, sc *scratch, mask []uint64, off uint32) {
+	apply := func(tokIdx int, factor float64) {
+		for f := 0; f < NumFields; f++ {
+			pl := p.posts[f][tokIdx]
+			if pl.n == 0 {
+				continue
+			}
+			w := FieldWeight(f) * factor
+			sc.run = store.DecodeUvarintRun(p.arena[pl.off:], pl.n, sc.run[:0])
+			for _, ord := range sc.run {
+				if masked(mask, ord) {
+					continue
+				}
+				ord += off
+				if b := sc.best[ord]; w > b || (w == b && uint8(f) < sc.fld[ord]) {
+					if b == 0 {
+						sc.touched = append(sc.touched, ord)
+					}
+					sc.best[ord], sc.fld[ord] = w, uint8(f)
+				}
+			}
+		}
+	}
+	i := sort.SearchStrings(p.toks, term)
+	if i < len(p.toks) && p.toks[i] == term {
+		apply(i, 1.0)
+		i++
+	}
+	if len(term) >= MinPrefixLen {
+		for ; i < len(p.toks) && strings.HasPrefix(p.toks[i], term); i++ {
+			apply(i, PrefixFactor)
+		}
+	}
+}
+
 // search scores every entity matching at least one term and returns
-// the full ranking: score descending, name ascending on ties. The
+// their number and the page [off, off+k) of the ranking (k < 0: every
+// hit from off on): score descending, name ascending on ties. The
 // per-term accumulation keeps, for each entity, the single best field
 // contribution per query term (max over fields and tokens, earlier
 // field on weight ties), then sums term contributions in query order —
-// an arithmetic the brute-force oracle reproduces bit-for-bit.
-func (sn *snapshot) search(terms []string) []Hit {
+// an arithmetic the brute-force oracle reproduces bit-for-bit. Base
+// and overlay are scored by the same code; base entities the overlay
+// replaces are masked out.
+func (sn *snapshot) search(terms []string, off, k int) (int, []Hit) {
 	if len(terms) == 0 {
-		return nil
+		return 0, nil
 	}
-	type cand struct {
-		best []float64
-		fld  []uint8
-	}
-	cands := make(map[uint32]*cand)
-	for ti, term := range terms {
-		apply := func(tokIdx int, factor float64) {
-			for f := 0; f < NumFields; f++ {
-				pl := sn.posts[f][tokIdx]
-				if pl.n == 0 {
-					continue
-				}
-				w := FieldWeight(f) * factor
-				store.EachUvarintRun(sn.arena[pl.off:], pl.n, func(ord uint32) bool {
-					c := cands[ord]
-					if c == nil {
-						c = &cand{best: make([]float64, len(terms)), fld: make([]uint8, len(terms))}
-						cands[ord] = c
-					}
-					if w > c.best[ti] || (w == c.best[ti] && uint8(f) < c.fld[ti]) {
-						c.best[ti], c.fld[ti] = w, uint8(f)
-					}
-					return true
-				})
+	b := sn.base
+	nb := uint32(len(b.ids))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.grow(int(nb) + len(sn.ov))
+	for _, term := range terms {
+		b.idx.score(term, sc, sn.mask, 0)
+		sn.ovIdx.score(term, sc, nil, nb)
+		for _, ord := range sc.touched {
+			if sc.matched[ord] == 0 {
+				sc.cands = append(sc.cands, ord)
 			}
-		}
-		i := sort.SearchStrings(sn.toks, term)
-		if i < len(sn.toks) && sn.toks[i] == term {
-			apply(i, 1.0)
-			i++
-		}
-		if len(term) >= MinPrefixLen {
-			for ; i < len(sn.toks) && strings.HasPrefix(sn.toks[i], term); i++ {
-				apply(i, PrefixFactor)
-			}
-		}
-	}
-
-	exact := make(map[uint32]bool)
-	for _, ord := range sn.nameOf[strings.Join(terms, " ")] {
-		exact[ord] = true
-	}
-
-	hits := make([]Hit, 0, len(cands))
-	for ord, c := range cands {
-		h := Hit{
-			ID:     sn.ids[ord],
-			Name:   sn.names[ord],
-			Degree: int(sn.degrees[ord]),
-		}
-		for ti := range terms {
-			v := c.best[ti]
-			if v == 0 {
-				continue
-			}
-			h.Matched++
-			if TaxonomyField(int(c.fld[ti])) {
-				h.TaxScore += v
+			sc.matched[ord]++
+			if TaxonomyField(int(sc.fld[ord])) {
+				sc.taxSc[ord] += sc.best[ord]
 			} else {
-				h.TermScore += v
+				sc.termSc[ord] += sc.best[ord]
+			}
+			sc.best[ord], sc.fld[ord] = 0, 0
+		}
+		sc.touched = sc.touched[:0]
+	}
+	defer func() {
+		for _, ord := range sc.cands {
+			sc.termSc[ord], sc.taxSc[ord], sc.matched[ord] = 0, 0, 0
+		}
+		sc.cands = sc.cands[:0]
+	}()
+
+	// Exact-name matches: at most a few ordinals.
+	key := strings.Join(terms, " ")
+	var exact []uint32
+	for _, o := range b.nameOf[key] {
+		if !masked(sn.mask, o) {
+			exact = append(exact, o)
+		}
+	}
+	for _, i := range sn.ovNameOf[key] {
+		exact = append(exact, nb+i)
+	}
+	name := func(ord uint32) string {
+		if ord < nb {
+			return b.names[ord]
+		}
+		return sn.ov[ord-nb].name
+	}
+	degree := func(ord uint32) int32 {
+		if ord < nb {
+			return b.degrees[ord]
+		}
+		return sn.ov[ord-nb].degree
+	}
+	worse := func(x, y ranked) bool { // x ranks after y
+		if x.score != y.score {
+			return x.score < y.score
+		}
+		return name(x.ord) > name(y.ord)
+	}
+
+	// Select the page: a bounded heap of the best off+k, worst on top,
+	// unless every hit is wanted.
+	total := len(sc.cands)
+	m := total
+	if k >= 0 && off+k < total {
+		m = off + k
+	}
+	heap := sc.rank[:0]
+	for _, ord := range sc.cands {
+		r := ranked{sc.termSc[ord] + sc.taxSc[ord] + HubScore(int(degree(ord))), ord}
+		if slices.Contains(exact, ord) {
+			r.score += ExactNameBonus
+		}
+		if len(heap) < m {
+			heap = append(heap, r)
+			for i := len(heap) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !worse(heap[i], heap[p]) {
+					break
+				}
+				heap[i], heap[p] = heap[p], heap[i]
+				i = p
+			}
+		} else if m > 0 && worse(heap[0], r) {
+			heap[0] = r
+			for i := 0; ; {
+				w, l, rt := i, 2*i+1, 2*i+2
+				if l < len(heap) && worse(heap[l], heap[w]) {
+					w = l
+				}
+				if rt < len(heap) && worse(heap[rt], heap[w]) {
+					w = rt
+				}
+				if w == i {
+					break
+				}
+				heap[i], heap[w] = heap[w], heap[i]
+				i = w
 			}
 		}
-		if h.Matched == 0 {
-			continue
+	}
+	sc.rank = heap
+	if off >= len(heap) {
+		return total, []Hit{}
+	}
+	slices.SortFunc(heap, func(x, y ranked) int {
+		if worse(y, x) {
+			return -1
+		}
+		return 1
+	})
+	hits := make([]Hit, 0, len(heap)-off)
+	for _, r := range heap[off:] {
+		h := Hit{
+			Name:      name(r.ord),
+			Score:     r.score,
+			TermScore: sc.termSc[r.ord],
+			TaxScore:  sc.taxSc[r.ord],
+			Matched:   int(sc.matched[r.ord]),
+			Degree:    int(degree(r.ord)),
+			ExactName: slices.Contains(exact, r.ord),
+		}
+		if r.ord < nb {
+			h.ID = b.ids[r.ord]
+		} else {
+			h.ID = sn.ov[r.ord-nb].id
 		}
 		h.HubScore = HubScore(h.Degree)
-		h.ExactName = exact[ord]
-		h.Score = h.TermScore + h.TaxScore + h.HubScore
-		if h.ExactName {
-			h.Score += ExactNameBonus
-		}
 		hits = append(hits, h)
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Name < hits[j].Name
-	})
-	return hits
+	return total, hits
 }

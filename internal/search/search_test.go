@@ -271,3 +271,25 @@ func TestTokenize(t *testing.T) {
 		t.Fatalf("QueryTerms cap = %d, want %d", len(got), MaxQueryTerms)
 	}
 }
+
+// TestExactNameRepeatedToken pins the exact-name key: an entity name
+// that repeats a token is keyed the way QueryTerms normalizes a query,
+// so typing the whole name finds that entity with the bonus. The query
+// "BORA-BORA" normalizes to the single term "bora", so BORA is an
+// exact match too, and the two tie on score.
+func TestExactNameRepeatedToken(t *testing.T) {
+	u := fact.NewUniverse()
+	st := store.New(u)
+	st.Insert(u.NewFact("BORA-BORA", "in", "ISLAND"))
+	st.Insert(u.NewFact("BORA", "in", "WIND"))
+	for _, q := range []string{"BORA-BORA", "bora"} {
+		res := New(st, u).Search(q, Options{K: -1})
+		bb, b := find(res, "BORA-BORA"), find(res, "BORA")
+		if bb == nil || !bb.ExactName {
+			t.Fatalf("query %q: BORA-BORA = %+v, want an exact-name hit", q, bb)
+		}
+		if b == nil || !b.ExactName || b.Score != bb.Score {
+			t.Fatalf("query %q: BORA = %+v, want an exact-name hit tied with %+v", q, b, bb)
+		}
+	}
+}

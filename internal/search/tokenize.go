@@ -10,15 +10,20 @@
 // keyword-search-over-databases ranking, Kahng et al.'s ranked entry
 // points).
 //
-// The index follows the closure's refresh discipline: it is built
-// lazily, published as an immutable snapshot through an atomic
-// pointer, and keyed to the store version, so reads are lock-free and
-// any write invalidates it wholesale. Posting lists reuse the sealed
-// store's delta+varint run codec (store.AppendUvarintRun) in one
-// shared byte arena.
+// The index follows the closure's refresh discipline: it is brought
+// up to date lazily, published as an immutable snapshot through an
+// atomic pointer, and keyed to the store version, so reads are
+// lock-free. Like the closure and the subgoal cache, it consumes
+// Store.ChangesSince: a write costs the next query only the documents
+// of the entities it touched, re-derived into an overlay on top of
+// the last full build, which is redone only when the overlay outgrows
+// the store's 1/16 fold rule. Posting lists reuse the sealed store's
+// delta+varint run codec (store.AppendUvarintRun) in one shared byte
+// arena.
 package search
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -67,13 +72,15 @@ func Tokenize(s string) []string {
 // occurrence order, capped at MaxQueryTerms. Both the indexed search
 // path and the brute-force oracle scan score queries through this one
 // function, so "a a b" and "a b" rank identically on both.
-func QueryTerms(q string) []string {
-	toks := Tokenize(q)
-	seen := make(map[string]bool, len(toks))
+func QueryTerms(q string) []string { return distinct(Tokenize(q)) }
+
+// distinct deduplicates toks in place in first occurrence order,
+// capped at MaxQueryTerms. It is what QueryTerms does after
+// tokenizing, and what turns an entity name into its exact-name key.
+func distinct(toks []string) []string {
 	terms := toks[:0]
 	for _, t := range toks {
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(terms, t) {
 			terms = append(terms, t)
 		}
 		if len(terms) == MaxQueryTerms {

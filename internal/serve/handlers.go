@@ -776,11 +776,13 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 			"empty_shortcircuits": v("lsdb_query_empty_shortcircuits_total"),
 		},
 		"search": map[string]any{
-			"queries":        v("lsdb_search_queries_total"),
-			"index_builds":   v("lsdb_search_index_builds_total"),
-			"index_bytes":    v("lsdb_search_index_bytes"),
-			"index_tokens":   v("lsdb_search_index_tokens"),
-			"index_entities": v("lsdb_search_index_entities"),
+			"queries":          v("lsdb_search_queries_total"),
+			"index_builds":     v("lsdb_search_index_builds_total"),
+			"index_folds":      v("lsdb_search_index_folds_total"),
+			"overlay_entities": v("lsdb_search_index_overlay_entities"),
+			"index_bytes":      v("lsdb_search_index_bytes"),
+			"index_tokens":     v("lsdb_search_index_tokens"),
+			"index_entities":   v("lsdb_search_index_entities"),
 		},
 	})
 }

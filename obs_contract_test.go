@@ -3,11 +3,11 @@ package lsdb_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	lsdb "repro"
 	"repro/internal/dataset"
@@ -457,6 +457,75 @@ func TestMetricContractClosureLayers(t *testing.T) {
 	}
 }
 
+// TestMetricContractSearchOverlay pins the search-index series to the
+// writes that move them: the first query builds the index, which is a
+// fold; a write costs the next query a patch, which moves
+// lsdb_search_index_builds_total but not lsdb_search_index_folds_total
+// and sets lsdb_search_index_overlay_entities to the entities the
+// writes since the fold touched; once the overlay would outgrow 1/16
+// of the base a query folds, exactly once, and the overlay empties.
+// /stats reports the same numbers.
+func TestMetricContractSearchOverlay(t *testing.T) {
+	db := dataset.Employment(300, 7)
+	v := func(name string) float64 { return db.Metrics().Value(name) }
+	state := func(when string, builds, folds, overlay float64) {
+		t.Helper()
+		if b, f, o := v("lsdb_search_index_builds_total"), v("lsdb_search_index_folds_total"), v("lsdb_search_index_overlay_entities"); b != builds || f != folds || o != overlay {
+			t.Errorf("%s: builds %g, folds %g, overlay %g; want %g, %g, %g", when, b, f, o, builds, folds, overlay)
+		}
+		if got := int(v("lsdb_search_index_entities")); got != db.Searcher().Refresh().Entities {
+			t.Errorf("%s: entities gauge %d, index %d", when, got, db.Searcher().Refresh().Entities)
+		}
+	}
+	if v("lsdb_search_index_builds_total") != 0 {
+		t.Fatal("the index was built before any query")
+	}
+	db.Search("employee", lsdb.SearchOptions{})
+	state("first query", 1, 1, 0)
+
+	// One write touches its source and its target.
+	db.MustAssert("NEW-HIRE-0", "in", "EMPLOYEE")
+	if res := db.Search("new-hire-0", lsdb.SearchOptions{}); len(res.Hits) == 0 || res.Hits[0].Name != "NEW-HIRE-0" {
+		t.Fatalf("patched index does not find the new entity first: %+v", res.Hits)
+	}
+	state("one write", 2, 1, 2)
+	db.Search("person", lsdb.SearchOptions{})
+	state("an unchanged store", 2, 1, 2)
+
+	// Keep writing until the overlay outgrows the fold threshold.
+	writes := 1
+	for ; v("lsdb_search_index_folds_total") == 1; writes++ {
+		if writes > 200 {
+			t.Fatal("no fold after 200 writes")
+		}
+		db.MustAssert(fmt.Sprintf("NEW-HIRE-%d", writes), "in", "EMPLOYEE")
+		db.Search("employee", lsdb.SearchOptions{})
+	}
+	state("the fold", float64(1+writes), 2, 0)
+
+	s := serve.New()
+	if _, err := s.AddTenant(serve.DefaultTenant, db, serve.Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats struct {
+		Search map[string]float64 `json:"search"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for key, series := range map[string]string{
+		"index_builds":     "lsdb_search_index_builds_total",
+		"index_folds":      "lsdb_search_index_folds_total",
+		"overlay_entities": "lsdb_search_index_overlay_entities",
+	} {
+		if got, ok := stats.Search[key]; !ok || got != v(series) {
+			t.Errorf("/stats search.%s = %v (present %v), want %g", key, got, ok, v(series))
+		}
+	}
+}
+
 // TestAdmissionControlContract drives a tenant past its in-flight
 // quota and pins the exact rejection behavior: a 429 with the JSON
 // error shape and a Retry-After derived from the overload ratio, the
@@ -473,8 +542,10 @@ func TestAdmissionControlContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
+	parked := make(chan struct{}, quota+1)
 	s.SetAdmitHook(func(_, endpoint string) {
 		if endpoint == "query" {
+			parked <- struct{}{}
 			<-gate // hold admitted queries in flight until released
 		}
 	})
@@ -485,21 +556,16 @@ func TestAdmissionControlContract(t *testing.T) {
 	results := make(chan int, quota)
 	for i := 0; i < quota; i++ {
 		go func() {
-			resp, err := http.Get(srv.URL + "/query?q=%28JOHN%2C%20FAVORITE-MUSIC%2C%20%3Fp%29")
-			if err != nil {
-				results <- -1
-				return
-			}
-			resp.Body.Close()
-			results <- resp.StatusCode
+			results <- getToEOF(srv.URL + "/query?q=%28JOHN%2C%20FAVORITE-MUSIC%2C%20%3Fp%29")
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tenant.Inflight() != quota {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d, want %d before deadline", tenant.Inflight(), quota)
-		}
-		time.Sleep(time.Millisecond)
+	// The hook runs after admission: once it has run for every query,
+	// all of them are in flight.
+	for i := 0; i < quota; i++ {
+		<-parked
+	}
+	if got := tenant.Inflight(); got != quota {
+		t.Fatalf("inflight = %d with %d queries parked", got, quota)
 	}
 
 	// The third query is rejected: 429, Retry-After = ceil(3/2) = 2,
@@ -550,11 +616,10 @@ func TestAdmissionControlContract(t *testing.T) {
 			t.Errorf("admitted request finished with status %d, want 200", code)
 		}
 	}
-	for tenant.Inflight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d after drain, want 0", tenant.Inflight())
-		}
-		time.Sleep(time.Millisecond)
+	// Every response was read to EOF, which net/http ends only after
+	// the handler, and with it the admission release, has returned.
+	if got := tenant.Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after drain, want 0", got)
 	}
 	if got := reg.Value("lsdb_http_requests_total", "endpoint", "query"); got != quota {
 		t.Errorf("query requests counter = %g, want %d (rejected request not counted as served)", got, quota)
@@ -594,11 +659,14 @@ func TestAdmissionExemptSlots(t *testing.T) {
 	}
 	mgate := make(chan struct{})
 	qgate := make(chan struct{})
+	parked := make(chan string, quota+1)
 	s.SetAdmitHook(func(_, endpoint string) {
 		switch endpoint {
 		case "metrics":
+			parked <- endpoint
 			<-mgate
 		case "query":
+			parked <- endpoint
 			<-qgate
 		}
 	})
@@ -607,43 +675,23 @@ func TestAdmissionExemptSlots(t *testing.T) {
 
 	// Park an exempt scrape in flight.
 	mdone := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(srv.URL + "/metrics")
-		if err != nil {
-			mdone <- -1
-			return
-		}
-		resp.Body.Close()
-		mdone <- resp.StatusCode
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for tenant.Inflight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d, want 1 (parked scrape)", tenant.Inflight())
-		}
-		time.Sleep(time.Millisecond)
+	go func() { mdone <- getToEOF(srv.URL + "/metrics") }()
+	<-parked
+	if got := tenant.Inflight(); got != 1 {
+		t.Fatalf("inflight = %d, want 1 (parked scrape)", got)
 	}
 
 	// With the scrape occupying an inflight slot, the full quota of
 	// real queries must still be admitted.
 	qdone := make(chan int, quota)
 	for i := 0; i < quota; i++ {
-		go func() {
-			resp, err := http.Get(srv.URL + "/query?q=%28JOHN%2C%20FAVORITE-MUSIC%2C%20%3Fp%29")
-			if err != nil {
-				qdone <- -1
-				return
-			}
-			resp.Body.Close()
-			qdone <- resp.StatusCode
-		}()
+		go func() { qdone <- getToEOF(srv.URL + "/query?q=%28JOHN%2C%20FAVORITE-MUSIC%2C%20%3Fp%29") }()
 	}
-	for tenant.Inflight() != 1+quota {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d, want %d (scrape + full quota admitted)",
-				tenant.Inflight(), 1+quota)
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < quota; i++ {
+		<-parked
+	}
+	if got := tenant.Inflight(); got != 1+quota {
+		t.Fatalf("inflight = %d, want %d (scrape + full quota admitted)", got, 1+quota)
 	}
 	reg := db.Metrics()
 	if got := reg.Value("lsdb_http_rejected_total", "endpoint", "query"); got != 0 {
@@ -684,11 +732,8 @@ func TestAdmissionExemptSlots(t *testing.T) {
 	if code := <-mdone; code != 200 {
 		t.Errorf("parked scrape finished with status %d, want 200", code)
 	}
-	for tenant.Inflight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("inflight = %d after drain, want 0", tenant.Inflight())
-		}
-		time.Sleep(time.Millisecond)
+	if got := tenant.Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after drain, want 0", got)
 	}
 	if got := reg.Value("lsdb_http_admitted"); got != 0 {
 		t.Errorf("admitted gauge after drain = %g, want 0", got)
@@ -696,4 +741,20 @@ func TestAdmissionExemptSlots(t *testing.T) {
 	if got := reg.Value("lsdb_http_rejected_total", "endpoint", "query"); got != 1 {
 		t.Errorf("rejected after drain = %g, want exactly 1", got)
 	}
+}
+
+// getToEOF GETs url and reads the whole body, returning the status
+// (-1 on a transport error). Reading to EOF is what makes the serve
+// layer's admission accounting exact: net/http ends a response body
+// only after its handler has returned.
+func getToEOF(url string) int {
+	resp, err := http.Get(url)
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return -1
+	}
+	return resp.StatusCode
 }
