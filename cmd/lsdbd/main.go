@@ -122,7 +122,7 @@ func main() {
 	dataDir := flag.String("data", "", "directory for per-tenant durability logs (<dir>/<name>.log)")
 	logPath := flag.String("log", "", "append-only durability log (single tenant only)")
 	syncFlag := flag.String("sync", "always", "log sync policy: always, never, or a flush interval like 250ms")
-	checkpoint := flag.Int("checkpoint", 0, "compact each log automatically after this many appended records (0 disables)")
+	checkpoint := flag.Int("checkpoint", 0, "compact each log automatically once it holds more than this many records and at least twice as many records as live facts, so an insert-only log is never compacted (0 disables)")
 	snapshot := flag.String("snapshot", "", "snapshot path written at each automatic checkpoint (single tenant only)")
 	maxInflight := flag.Int("max-inflight", 0, "per-tenant cap on concurrent in-flight requests (0 = unlimited)")
 	maxDepth := flag.Int("max-depth", 0, "per-tenant cap on requested inference depth (0 = unlimited)")

@@ -13,6 +13,7 @@
 package fact
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,6 +25,19 @@ import (
 // Fact is a named pair of entities: (source, relationship, target).
 type Fact struct {
 	S, R, T sym.ID
+}
+
+// Compare orders facts by (S, R, T): the one canonical fact order.
+// Sealed store indexes are sorted by it, and the closure build sorts
+// its frontier and every new generation by it, so the two must agree.
+func Compare(a, b Fact) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.T, b.T)
 }
 
 // Var identifies a template variable. Variables are scoped to the

@@ -1,8 +1,10 @@
 package rules
 
 import (
+	"cmp"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/fact"
 	"repro/internal/store"
@@ -26,45 +28,127 @@ type derivation struct {
 // Termination is guaranteed because derived facts only combine
 // entities already in the universe.
 //
+// Everything derived so far is a sealed generation: generation 0 is
+// the base facts and the axioms, sorted once; each round reads the
+// current generation lock-free and folds its new facts into the next
+// one with one linear merge (store.SealedWith). The last generation is
+// the closure, already sealed and folded. A round may fold because
+// the fold is cheap next to the round: the posting build is a few
+// counting-sort passes, and the round that produced the facts did a
+// join per fact.
+//
 // Rounds are data-parallel: the frontier is partitioned into
-// contiguous chunks, one worker per chunk, all joining against the
-// same store — which no one mutates until the round's sequential
-// merge. The merge concatenates chunk outputs in partition order, so
-// the insertion order (and with it every first-wins provenance
-// record and index bucket order) is identical for any worker count.
-// The generation-0 frontier is sorted to pin down the one remaining
-// source of nondeterminism, map iteration over the base fact set.
+// contiguous chunks, one worker per chunk, all reading the same
+// generation. The sequential merge keeps the first emission of each
+// new fact in the concatenation of chunk outputs in partition order,
+// so every first-wins provenance record and the next frontier's order
+// are identical for any worker count. The generation-0 frontier is
+// the sorted base, so map iteration over the base fact set cannot
+// leak into the order either. It returns the closure, its provenance,
+// the number of facts each rule put into it ("stored" for the base,
+// "axiom" for the axioms), and the time spent building generations.
 // Called with e.mu held.
-func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance) {
-	derived := e.base.Clone()
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance, map[string]int, time.Duration) {
 	prov := make(map[fact.Fact]Provenance)
-
-	var next []fact.Fact
-	push := func(d derivation) {
-		if derived.Insert(d.f) {
-			slices.SortFunc(d.premises, cmpFact)
-			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
-			next = append(next, d.f)
+	frontier := e.base.Facts()
+	slices.SortFunc(frontier, fact.Compare)
+	byRule := map[string]int{"stored": len(frontier)}
+	stored := len(frontier)
+	rk := make(ranks)
+	for _, ax := range e.axiomFacts() {
+		if _, dup := rk[ax.f]; dup {
+			continue
+		}
+		if _, found := slices.BinarySearchFunc(frontier[:stored], ax.f, fact.Compare); !found {
+			prov[ax.f] = Provenance{Rule: ax.why}
+			byRule[ax.why]++
+			rk[ax.f] = uint32(len(rk))
+			frontier = append(frontier, ax.f)
 		}
 	}
-
-	frontier := derived.Facts()
-	slices.SortFunc(frontier, cmpFact)
-	for _, ax := range e.axiomFacts() {
-		push(ax)
-	}
-	frontier = append(frontier, next...)
-	next = nil
+	t0 := time.Now()
+	gen := store.SealedFromFacts(e.u, slices.Clone(frontier))
+	folding := time.Since(t0)
 
 	for len(frontier) > 0 {
 		e.m.rounds.Inc()
 		e.m.frontier.Observe(int64(len(frontier)))
-		for _, d := range e.deriveRound(cfg, frontier, derived) {
-			push(d)
+		out := e.deriveRound(cfg, frontier, gen, rk)
+		// Every emission is absent from gen (deriveFrom filters those),
+		// so one already ranked was emitted earlier in this round.
+		frontier = frontier[:0]
+		for _, d := range out {
+			if _, dup := rk[d.f]; dup {
+				continue
+			}
+			rk[d.f] = uint32(len(rk))
+			slices.SortFunc(d.premises, fact.Compare)
+			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
+			byRule[d.why]++
+			frontier = append(frontier, d.f)
 		}
-		frontier, next = next, frontier[:0]
+		if len(frontier) > 0 {
+			fresh := slices.Clone(frontier)
+			slices.SortFunc(fresh, fact.Compare)
+			t0 = time.Now()
+			gen = gen.SealedWith(fresh)
+			folding += time.Since(t0)
+		}
 	}
-	return derived, prov
+	return gen, prov, byRule, folding
+}
+
+// ranks orders a full build's reads. A build reads a sealed
+// generation, whose buckets hand out facts in (S, R, T) order; the
+// rules must see them in the order a store that takes facts one at a
+// time hands them out instead — the base facts, then every other fact
+// in the order it entered the closure — because that order decides
+// the order of the next frontier and, through it, which derivation of
+// a fact comes first. ranks holds that entry order for every fact not
+// in the base. It is written only between rounds, so a round's
+// workers read it freely. The maintenance paths read a layered clone
+// of the published closure in its own order, as they always have, and
+// pass nil.
+type ranks map[fact.Fact]uint32
+
+// ranked is a fact read from a generation, with its entry order.
+type ranked struct {
+	f    fact.Fact
+	rank uint32
+}
+
+var rankedPool = sync.Pool{New: func() any { s := make([]ranked, 0, 64); return &s }}
+
+// match is st.Match in entry order: base facts stream straight
+// through, in (S, R, T) order, and the others follow sorted by rank.
+func (rk ranks) match(st *store.Store, s, r, t sym.ID, fn func(fact.Fact) bool) bool {
+	if rk == nil {
+		return st.Match(s, r, t, fn)
+	}
+	bp := rankedPool.Get().(*[]ranked)
+	later := (*bp)[:0]
+	defer func() {
+		if cap(later) <= maxRetainedCap {
+			*bp = later[:0]
+			rankedPool.Put(bp)
+		}
+	}()
+	if !st.Match(s, r, t, func(f fact.Fact) bool {
+		if n, ok := rk[f]; ok {
+			later = append(later, ranked{f, n})
+			return true
+		}
+		return fn(f)
+	}) {
+		return false
+	}
+	slices.SortFunc(later, func(a, b ranked) int { return cmp.Compare(a.rank, b.rank) })
+	for _, x := range later {
+		if !fn(x.f) {
+			return false
+		}
+	}
+	return true
 }
 
 // parallelThreshold is the frontier size below which a round runs on
@@ -76,13 +160,13 @@ const parallelThreshold = 64
 // facts against derived, without mutating derived. Output order is
 // deterministic: the concatenation of per-fact derivations in
 // frontier order, regardless of how many workers ran.
-func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store) []derivation {
+func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store, rk ranks) []derivation {
 	workers := e.buildWorkers(len(frontier) / parallelThreshold)
 	e.m.buildWorkers.Max(int64(workers))
 	if workers <= 1 {
 		var out []derivation
 		for _, f := range frontier {
-			out = e.deriveFrom(cfg, f, derived, false, out)
+			out = e.deriveFrom(cfg, f, derived, rk, false, out)
 		}
 		return out
 	}
@@ -99,7 +183,7 @@ func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.
 			defer wg.Done()
 			var out []derivation
 			for _, f := range frontier[lo:hi] {
-				out = e.deriveFrom(cfg, f, derived, false, out)
+				out = e.deriveFrom(cfg, f, derived, rk, false, out)
 			}
 			chunks[w] = out
 		}(w, lo, hi)
@@ -168,18 +252,18 @@ func (e *Engine) buildAxioms() {
 // question is "which facts of the old closure have a one-step
 // derivation using f", and at fixpoint every such conclusion is
 // present — the filter would hide exactly the answers.
-func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
+func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, rk ranks, all bool, out []derivation) []derivation {
 	emit := func(g fact.Fact, why string, premises ...fact.Fact) {
 		if all || !derived.Has(g) {
 			out = append(out, derivation{f: g, why: why, premises: premises})
 		}
 	}
 
-	e.stdForward(e.std.forward, &cfg.std, f, derived, emit)
+	e.stdForward(e.std.forward, &cfg.std, f, derived, rk, emit)
 
 	// User rules: f may instantiate any body atom of any rule.
 	for _, r := range cfg.userRules {
-		e.applyUserRule(r, f, derived, func(g fact.Fact, premises []fact.Fact) {
+		e.applyUserRule(r, f, derived, rk, func(g fact.Fact, premises []fact.Fact) {
 			emit(g, r.Name, premises...)
 		})
 	}
@@ -192,7 +276,7 @@ type emitFunc func(g fact.Fact, why string, premises ...fact.Fact)
 // every head the enabled rows conclude in one step with f as a
 // premise — f first as the data premise of every hop row, then as the
 // link premise of every hop row and the premise of every unary row.
-func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, derived *store.Store, emit emitFunc) {
+func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
 	if e.virtualGen(f) {
 		return
 	}
@@ -204,14 +288,14 @@ func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, d
 			case !on[row.rule]:
 			case asData:
 				if row.hop() && row.takesData(f.R, findiv) {
-					e.hopFromData(row, f, derived, emit)
+					e.hopFromData(row, f, derived, rk, emit)
 				}
 			case !row.hop():
 				if f.R == row.data {
 					e.unaryFrom(row, f, derived, emit)
 				}
 			case f.R == row.link && !row.oneWay:
-				e.hopFromLink(row, f, derived, emit)
+				e.hopFromLink(row, f, derived, rk, emit)
 			}
 		}
 	}
@@ -219,9 +303,9 @@ func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, d
 
 // hopFromData emits the heads of hop row for data premise d and every
 // link in derived that meets it.
-func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, emit emitFunc) {
+func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
 	lp := row.linkFact(at(d, row.at), sym.None)
-	derived.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
+	rk.match(derived, lp.S, lp.R, lp.T, func(l fact.Fact) bool {
 		if e.virtualGen(l) {
 			return true
 		}
@@ -235,10 +319,10 @@ func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, emi
 
 // hopFromLink emits the heads of hop row for link premise l and every
 // data fact in derived that meets it.
-func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, emit emitFunc) {
+func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
 	near, far := row.linkEnds(l)
 	dp := with(fact.Fact{R: row.data}, row.at, near)
-	derived.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
+	rk.match(derived, dp.S, dp.R, dp.T, func(d fact.Fact) bool {
 		if h, ok := row.conclude(with(d, row.at, far)); ok && e.isData(row, d) {
 			emit(h, row.why(), l, d)
 		}
@@ -271,7 +355,7 @@ func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit 
 // fact f matches at least one body atom, joining the remaining atoms
 // against derived facts and virtual facts, and emits the instantiated
 // head facts.
-func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []fact.Fact)) {
+func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, rk ranks, emit func(fact.Fact, []fact.Fact)) {
 	for i := range r.Body {
 		b := getBinding()
 		if !unifyTemplate(r.Body[i], f, b) {
@@ -281,7 +365,7 @@ func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit 
 		rest := make([]fact.Template, 0, len(r.Body)-1)
 		rest = append(rest, r.Body[:i]...)
 		rest = append(rest, r.Body[i+1:]...)
-		e.joinAtoms(rest, b, derived, func(bb binding) {
+		e.joinAtoms(rest, b, derived, rk, func(bb binding) {
 			premises := make([]fact.Fact, 0, len(r.Body))
 			for _, atom := range r.Body {
 				if p, ok := instantiate(atom, bb); ok {
@@ -396,10 +480,10 @@ func instantiate(h fact.Template, b binding) (fact.Fact, bool) {
 // where eligible, answered for whole binding batches at once. atoms is
 // permuted in place; callers pass a scratch slice. found must not
 // retain its argument.
-func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, found func(binding)) {
+func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, rk ranks, found func(binding)) {
 	var js joinStats
 	seed := [1]binding{b}
-	joinBatch(storeEval{e: e, derived: derived}, atoms, seed[:], &js, found)
+	joinBatch(storeEval{e: e, derived: derived, rk: rk}, atoms, seed[:], &js, found)
 	if js.batches != 0 {
 		e.m.batchJoins.Add(js.batches)
 		e.m.batchBindings.Add(js.batchBindings)

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/fact"
@@ -84,11 +85,12 @@ func (j boundedEval) planStore() *store.Store { return j.b.base }
 type storeEval struct {
 	e       *Engine
 	derived *store.Store
+	rk      ranks // a full build's entry order, nil elsewhere
 }
 
 func (j storeEval) eval(s, r, t sym.ID, fn func(fact.Fact)) {
 	wrap := func(f fact.Fact) bool { fn(f); return true }
-	j.derived.Match(s, r, t, wrap)
+	j.rk.match(j.derived, s, r, t, wrap)
 	j.e.vp.Match(s, r, t, j.derived, wrap)
 }
 
@@ -256,17 +258,17 @@ func joinBatchAtom(ev joinEval, atom fact.Template, col int, batch []binding, em
 	}
 
 	slices.SortFunc(cands, func(a, b fact.Fact) int {
-		if c := cmpID(colOf(a), colOf(b)); c != 0 {
+		if c := cmp.Compare(colOf(a), colOf(b)); c != 0 {
 			return c
 		}
-		return cmpFact(a, b) // deterministic order within a value run
+		return fact.Compare(a, b) // deterministic order within a value run
 	})
 	valp := getIDBuf()
 	vals := *valp
 	for _, f := range cands {
 		vals = append(vals, colOf(f))
 	}
-	slices.SortFunc(batch, func(a, b binding) int { return cmpID(a[key], b[key]) })
+	slices.SortFunc(batch, func(a, b binding) int { return cmp.Compare(a[key], b[key]) })
 
 	cur := 0 // monotone cursor: batch values are ascending
 	for bi := 0; bi < len(batch); {

@@ -55,7 +55,7 @@ func collectBounded(e *Engine, s, r, t sym.ID, depth int) []fact.Fact {
 		out = append(out, f)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return cmpFact(out[i], out[j]) < 0 })
+	sort.Slice(out, func(i, j int) bool { return fact.Compare(out[i], out[j]) < 0 })
 	return out
 }
 
@@ -80,7 +80,7 @@ func TestBatchJoinDifferential(t *testing.T) {
 				u, eng := batchWorld(t, seed, 24, 4)
 				var s snapshot
 				s.closure = eng.Closure().Facts()
-				sort.Slice(s.closure, func(i, j int) bool { return cmpFact(s.closure[i], s.closure[j]) < 0 })
+				sort.Slice(s.closure, func(i, j int) bool { return fact.Compare(s.closure[i], s.closure[j]) < 0 })
 				probes := [][3]sym.ID{
 					{sym.None, u.Intern("SENIOR-TO"), sym.None},
 					{u.Intern("P1"), sym.None, sym.None},

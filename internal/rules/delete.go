@@ -109,7 +109,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		if len(cone) > limit {
 			return nil, nil, 0, false
 		}
-		buf = e.deriveFrom(cfg, cone[i], oldC, true, buf[:0])
+		buf = e.deriveFrom(cfg, cone[i], oldC, nil, true, buf[:0])
 		for _, d := range buf {
 			if !over[d.f] && oldC.Has(d.f) {
 				over[d.f] = true
@@ -128,7 +128,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 
 	// Phase 3: rederive cone facts with surviving support. Sorting pins
 	// the scan (and thus first-wins provenance) deterministically.
-	slices.SortFunc(cone, cmpFact)
+	slices.SortFunc(cone, fact.Compare)
 	axioms := e.axiomFactList()
 	var frontier []fact.Fact
 	for _, f := range cone {
@@ -146,7 +146,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 			}
 		default:
 			if p, ok := e.derive1(cfg, f, derived); ok && derived.Insert(f) {
-				slices.SortFunc(p.Premises, cmpFact)
+				slices.SortFunc(p.Premises, fact.Compare)
 				prov.set(f, p)
 				frontier = append(frontier, f)
 			}
@@ -161,10 +161,10 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		}
 	}
 	for i := 0; i < len(frontier); i++ {
-		buf = e.deriveFrom(cfg, frontier[i], derived, false, buf[:0])
+		buf = e.deriveFrom(cfg, frontier[i], derived, nil, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				slices.SortFunc(d.premises, cmpFact)
+				slices.SortFunc(d.premises, fact.Compare)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				frontier = append(frontier, d.f)
 			}
@@ -203,7 +203,7 @@ func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance
 				continue
 			}
 			body := append(make([]fact.Template, 0, len(r.Body)), r.Body...)
-			e.joinAtoms(body, bind, st, func(bb binding) {
+			e.joinAtoms(body, bind, st, nil, func(bb binding) {
 				if found {
 					return
 				}

@@ -413,7 +413,9 @@ func (e *Engine) rebuild() *snapshot {
 			}
 		}
 	}
-	c, prov := e.computeClosure(cfg)
+	c, prov, byRule, folding := e.computeClosure(cfg)
+	e.m.sealed(folding, false)
+	e.m.setFactsByRule(byRule)
 	s := e.publish(c, &provMap{base: prov}, bv, cv, nil)
 	e.m.rebuildsFull.Inc()
 	if e.m.rebuildNs != nil {
@@ -424,27 +426,20 @@ func (e *Engine) rebuild() *snapshot {
 
 // publish seals c and installs it as the current snapshot. Sealing
 // freezes the store's layers; only when they have outgrown the store's
-// fold threshold (always, for a full build, which has no base yet)
-// does it also build a posting index, and that build — the O(closure)
-// part of a publish — is what the seal metrics track. The provenance
-// folds when the store does. ents, if non-nil, is the closure's entity
-// list, already known.
+// fold threshold does it also build a posting index, and that build —
+// the O(closure) part of a publish — is what the seal metrics track.
+// A full build arrives already sealed, its generations built and
+// counted by the caller. The provenance folds when the store does.
+// ents, if non-nil, is the closure's entity list, already known.
 func (e *Engine) publish(c *store.Store, prov *provMap, bv, cv uint64, ents []sym.ID) *snapshot {
-	before := c.IndexStats()
-	var t0 time.Time
-	if e.m.sealNs != nil {
-		t0 = time.Now()
-	}
-	c.Seal()
-	if after := c.IndexStats(); before.Delta+before.Tombstones > 0 && after.Delta+after.Tombstones == 0 {
-		if e.m.sealNs != nil {
-			e.m.sealNs.Observe(time.Since(t0).Nanoseconds())
+	if !c.Sealed() {
+		before := c.IndexStats()
+		t0 := time.Now()
+		c.Seal()
+		if after := c.IndexStats(); before.Delta+before.Tombstones > 0 && after.Delta+after.Tombstones == 0 {
+			e.m.sealed(time.Since(t0), before.Facts > 0)
+			prov.fold()
 		}
-		e.m.sealBuilds.Inc()
-		if before.Facts > 0 {
-			e.m.folds.Inc()
-		}
-		prov.fold()
 	}
 	s := &snapshot{closure: c, prov: prov, baseVer: bv, cfgVer: cv}
 	if ents != nil {
@@ -508,10 +503,10 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 	}
 	var buf []derivation
 	for i := 0; i < len(work); i++ {
-		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
+		buf = e.deriveFrom(cfg, work[i], derived, nil, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				slices.SortFunc(d.premises, cmpFact)
+				slices.SortFunc(d.premises, fact.Compare)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				work = append(work, d.f)
 			}

@@ -71,7 +71,7 @@ func (r Row) OneWay() bool { return r.table()[0].oneWay }
 // premise and the other premises in st, present heads included.
 func (r Row) Forward(f fact.Fact, st *store.Store) []fact.Fact {
 	var out []fact.Fact
-	r.e.stdForward(r.table(), &allOn, f, st, func(g fact.Fact, why string, _ ...fact.Fact) {
+	r.e.stdForward(r.table(), &allOn, f, st, nil, func(g fact.Fact, why string, _ ...fact.Fact) {
 		if why != r.table()[0].why() {
 			panic("row emitted under the name " + why)
 		}
@@ -97,8 +97,8 @@ func (r Row) Backward() []fact.Fact {
 	out := slices.Clone(col.buf)
 	putCollector(col)
 	putBounded(b)
-	slices.SortFunc(out, cmpFact)
-	return dedupSortedFacts(out)
+	slices.SortFunc(out, fact.Compare)
+	return slices.Compact(out)
 }
 
 // BackwardAll is the raw backward enumeration of a pattern under the
@@ -141,3 +141,6 @@ var EdgeWorlds = map[string][][3]string{
 		{"WORKS-FOR", "inv", "EMPLOYS"}, {"ACME", "EMPLOYS", "M"}, {"WORKS-FOR", "isa", "KNOWS"},
 	},
 }
+
+// UpdateGolden is the -update flag, for the external golden tests.
+var UpdateGolden = updateGolden

@@ -1,6 +1,9 @@
 package rules
 
 import (
+	"sync"
+	"time"
+
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -29,6 +32,51 @@ type engineMetrics struct {
 	sealNs     *obs.Histogram // posting-index build time, per build
 	sealBuilds *obs.Counter   // posting indexes built (full builds and folds)
 	folds      *obs.Counter   // builds that folded a base with its delta and tombstones
+
+	// reg and byRule back lsdb_closure_facts_by_rule: one gauge per
+	// rule name a full build has seen, so a rule that stops deriving
+	// reads 0 rather than its old count. byRuleMu guards the map, not
+	// the gauges: /stats reads it while a build may be adding a rule.
+	reg      *obs.Registry
+	byRuleMu *sync.Mutex
+	byRule   map[string]*obs.Gauge
+}
+
+// sealed records one posting-index build of a publish: a fold of the
+// layers into a fresh base, or a full build's generations, which
+// count as one build however many a build folded.
+func (m *engineMetrics) sealed(d time.Duration, fold bool) {
+	m.sealNs.Observe(d.Nanoseconds())
+	m.sealBuilds.Inc()
+	if fold {
+		m.folds.Inc()
+	}
+}
+
+// setFactsByRule publishes a full build's closure breakdown: how many
+// facts each rule first put into it, "stored" for the base facts and
+// "axiom" for the built-in ones, so the series sum to the closure size
+// as of the last full build. Incremental and delete maintenance leave
+// it alone.
+func (m *engineMetrics) setFactsByRule(counts map[string]int) {
+	if m.reg == nil {
+		return
+	}
+	m.byRuleMu.Lock()
+	defer m.byRuleMu.Unlock()
+	for rule, g := range m.byRule {
+		if _, ok := counts[rule]; !ok {
+			g.Set(0)
+		}
+	}
+	for rule, n := range counts {
+		g, ok := m.byRule[rule]
+		if !ok {
+			g = m.reg.Gauge("lsdb_closure_facts_by_rule", "rule", rule)
+			m.byRule[rule] = g
+		}
+		g.Set(int64(n))
+	}
 }
 
 // SetMetrics registers the engine's metrics in r. Must be called
@@ -60,6 +108,10 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		sealNs:     r.Histogram("lsdb_index_seal_ns"),
 		sealBuilds: r.Counter("lsdb_index_seal_builds_total"),
 		folds:      r.Counter("lsdb_closure_folds_total"),
+
+		reg:      r,
+		byRuleMu: new(sync.Mutex),
+		byRule:   map[string]*obs.Gauge{},
 	}
 	r.RegisterCounter("lsdb_subgoal_hits_total", e.sg.hits)
 	r.RegisterCounter("lsdb_subgoal_misses_total", e.sg.misses)
@@ -99,6 +151,27 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		}
 		return 0
 	})
+}
+
+// ClosureFactsByRule returns the lsdb_closure_facts_by_rule gauges:
+// how many facts of the closure each rule first derived as of the last
+// full build, with "stored" and "axiom" for the rest. It is nil for an
+// engine without metrics or before its first full build.
+func (e *Engine) ClosureFactsByRule() map[string]int64 {
+	m := &e.m
+	if m.reg == nil {
+		return nil
+	}
+	m.byRuleMu.Lock()
+	defer m.byRuleMu.Unlock()
+	if len(m.byRule) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(m.byRule))
+	for rule, g := range m.byRule {
+		out[rule] = g.Value()
+	}
+	return out
 }
 
 // MaterializedSize returns the fact count of the currently published

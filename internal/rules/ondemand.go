@@ -269,8 +269,8 @@ func (b *bounded) enum(s, r, t sym.ID, d int) []fact.Fact {
 
 	delete(b.open, key)
 	buf := col.buf
-	slices.SortFunc(buf, cmpFact)
-	buf = dedupSortedFacts(buf)
+	slices.SortFunc(buf, fact.Compare)
+	buf = slices.Compact(buf)
 
 	// Computed under an in-progress ancestor: the result depends on
 	// evaluation order, so it is valid for this call only. (Depth

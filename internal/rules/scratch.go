@@ -17,56 +17,6 @@ import (
 // buffers, per-call result arenas, binding batches, and the bounded
 // contexts themselves.
 
-// cmpFact orders facts by (S, R, T) — the canonical order used for
-// deterministic iteration and sorted-run dedup.
-func cmpFact(a, b fact.Fact) int {
-	if a.S != b.S {
-		if a.S < b.S {
-			return -1
-		}
-		return 1
-	}
-	if a.R != b.R {
-		if a.R < b.R {
-			return -1
-		}
-		return 1
-	}
-	if a.T != b.T {
-		if a.T < b.T {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func cmpID(a, b sym.ID) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// dedupSortedFacts removes adjacent duplicates in place; fs must be
-// sorted (cmpFact order).
-func dedupSortedFacts(fs []fact.Fact) []fact.Fact {
-	if len(fs) < 2 {
-		return fs
-	}
-	w := 1
-	for i := 1; i < len(fs); i++ {
-		if fs[i] != fs[w-1] {
-			fs[w] = fs[i]
-			w++
-		}
-	}
-	return fs[:w]
-}
-
 // maxRetainedCap bounds the capacity of pooled buffers: the occasional
 // pathological subgoal must not pin its worst-case footprint forever.
 const maxRetainedCap = 1 << 16

@@ -14,7 +14,7 @@ import (
 // closureSet returns e's materialized closure, sorted.
 func closureSet(e *Engine) []fact.Fact {
 	fs := e.Closure().Facts()
-	slices.SortFunc(fs, cmpFact)
+	slices.SortFunc(fs, fact.Compare)
 	return fs
 }
 

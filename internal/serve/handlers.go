@@ -763,6 +763,7 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 			"delta_facts":          v("lsdb_closure_delta_facts"),
 			"tombstones":           v("lsdb_closure_tombstones"),
 			"folds":                v("lsdb_closure_folds_total"),
+			"facts_by_rule":        db.Engine().ClosureFactsByRule(),
 		},
 		"index": map[string]any{
 			"posting_bytes": v("lsdb_index_posting_bytes"),

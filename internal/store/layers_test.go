@@ -138,7 +138,7 @@ func TestSealFoldsPastThreshold(t *testing.T) {
 		t.Error("fold changed the fact set")
 	}
 	for i := 1; i < len(at.base.facts); i++ {
-		if compareSRT(at.base.facts[i-1], at.base.facts[i]) >= 0 {
+		if fact.Compare(at.base.facts[i-1], at.base.facts[i]) >= 0 {
 			t.Fatalf("folded base not strictly sorted at %d", i)
 		}
 	}

@@ -16,11 +16,13 @@
 //
 // A folded store therefore holds each fact once plus a few bytes of
 // postings per index entry, and the large allocations (fact array, enc
-// arena) are pointer-free — the GC never scans them.
+// arena) are pointer-free — the GC never scans them. The runs are
+// built by counting sorts over the dense entity-ID space (see
+// buildPostings), in time linear in the facts plus the IDs, so a
+// closure build can afford to rebuild its base every round.
 package store
 
 import (
-	"cmp"
 	"encoding/binary"
 	"slices"
 	"sort"
@@ -58,33 +60,6 @@ type postings struct {
 // maps are nil: lookups miss, nothing ever writes to a base.
 var emptyBase = &postings{}
 
-// compareSRT orders facts by (S, R, T), the order of the base array.
-func compareSRT(a, b fact.Fact) int {
-	if c := cmp.Compare(a.S, b.S); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.R, b.R); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.T, b.T)
-}
-
-func sortFactsSRT(fs []fact.Fact) { slices.SortFunc(fs, compareSRT) }
-
-func dedupFacts(fs []fact.Fact) []fact.Fact {
-	if len(fs) < 2 {
-		return fs
-	}
-	w := 1
-	for i := 1; i < len(fs); i++ {
-		if fs[i] != fs[w-1] {
-			fs[w] = fs[i]
-			w++
-		}
-	}
-	return fs[:w]
-}
-
 // mergeLive is the fold: one linear pass over the sorted base array,
 // skipping tombstoned facts, merged with the sorted delta (disjoint
 // from the base by the Store invariant), into a fresh array that is
@@ -95,7 +70,7 @@ func mergeLive(base []fact.Fact, dead map[fact.Fact]struct{}, added []fact.Fact)
 		if _, gone := dead[f]; gone {
 			continue
 		}
-		for len(added) > 0 && compareSRT(added[0], f) < 0 {
+		for len(added) > 0 && fact.Compare(added[0], f) < 0 {
 			out = append(out, added[0])
 			added = added[1:]
 		}
@@ -105,17 +80,51 @@ func mergeLive(base []fact.Fact, dead map[fact.Fact]struct{}, added []fact.Fact)
 }
 
 // buildPostings takes ownership of fs, which must be sorted by
-// (S, R, T) and duplicate-free, and builds the compressed index. The
-// transient per-key ID lists are built and released one index at a
-// time so peak memory stays bounded.
+// fact.Compare and duplicate-free, and builds the compressed index.
+//
+// The posting runs come from stable counting sorts of the fact IDs
+// over the dense sym.ID key space, not from per-key lists: one pass
+// by R and one by T give the R and T runs; two passes, T first and
+// then R or S, give the RT and ST runs. Each pass leaves the IDs
+// grouped by key in ascending key order and ascending within a key,
+// so every run is encoded straight from a subslice, and each map is
+// presized from its exact key count. Transient memory is two ID
+// permutations plus one counter per entity ID, whatever the skew.
 func buildPostings(fs []fact.Fact) *postings {
-	p := &postings{
-		facts: fs,
-		byS:   make(map[sym.ID]span),
-		bySR:  make(map[pair]span),
+	// Each fact is in four runs, mostly at one or two bytes each (the
+	// campus worlds average 6 bytes per fact).
+	p := &postings{facts: fs, enc: make([]byte, 0, 8*len(fs))}
+	p.spans()
+	var top sym.ID
+	for _, f := range fs {
+		top = max(top, f.S, f.R, f.T)
 	}
-	// Contiguous spans: facts sorted by (S, R, T) means every S run
-	// and every (S, R) run is a single range of the array.
+	e := idSorter{fs: fs, counts: make([]uint32, int(top)+2)}
+	byR, byT := make([]uint32, len(fs)), make([]uint32, len(fs))
+	p.byR = encodeByID(p, byR, e.sort(byR, nil, colR), colR)
+	p.byT = encodeByID(p, byT, e.sort(byT, nil, colT), colT)
+	e.sort(byR, byT, colR) // now by (R, T)
+	p.byRT = encodeByPair(p, byR, colR, colT)
+	e.sort(byR, byT, colS) // now by (S, T)
+	p.byST = encodeByPair(p, byR, colS, colT)
+	return p
+}
+
+// spans fills byS and bySR: facts sorted by (S, R, T) means every S
+// run and every (S, R) run is a single range of the array.
+func (p *postings) spans() {
+	fs := p.facts
+	nS, nSR := 0, 0
+	for i := range fs {
+		if i == 0 || fs[i].S != fs[i-1].S {
+			nS++
+			nSR++
+		} else if fs[i].R != fs[i-1].R {
+			nSR++
+		}
+	}
+	p.byS = make(map[sym.ID]span, nS)
+	p.bySR = make(map[pair]span, nSR)
 	for i := 0; i < len(fs); {
 		s := fs[i].S
 		j := i
@@ -131,40 +140,108 @@ func buildPostings(fs []fact.Fact) *postings {
 		p.byS[s] = span{uint32(i), uint32(j)}
 		i = j
 	}
-	p.byR = encodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.R },
-		func(a, b sym.ID) bool { return a < b })
-	p.byT = encodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.T },
-		func(a, b sym.ID) bool { return a < b })
-	p.byRT = encodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
-	p.byST = encodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
-	return p
 }
 
-func pairLess(a, b pair) bool {
-	if a.a != b.a {
-		return a.a < b.a
+// column names one position of a fact.
+type column uint8
+
+const (
+	colS column = iota
+	colR
+	colT
+)
+
+func (c column) of(f fact.Fact) sym.ID {
+	switch c {
+	case colS:
+		return f.S
+	case colR:
+		return f.R
 	}
-	return a.b < b.b
+	return f.T
 }
 
-// encodeRuns groups fact IDs by key and varint-encodes each group into
-// p.enc. Iterating fs in ID order appends ascending IDs per key, so
-// the runs are strictly ascending by construction. Keys are encoded in
-// sorted order to keep the arena layout deterministic.
-func encodeRuns[K comparable](p *postings, fs []fact.Fact, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
-	ids := make(map[K][]uint32)
-	for i, f := range fs {
-		k := keyOf(f)
-		ids[k] = append(ids[k], uint32(i))
+// idSorter stably counting-sorts fact IDs by one column.
+type idSorter struct {
+	fs     []fact.Fact
+	counts []uint32 // one counter per entity ID, plus one
+}
+
+// sort writes the IDs of src (every fact ID in order when src is nil)
+// into dst, stably sorted by column c, and returns the number of
+// distinct keys.
+func (e *idSorter) sort(dst, src []uint32, c column) int {
+	cnt, fs := e.counts, e.fs
+	clear(cnt)
+	if src == nil {
+		for _, f := range fs {
+			cnt[c.of(f)+1]++
+		}
+	} else {
+		for _, id := range src {
+			cnt[c.of(fs[id])+1]++
+		}
 	}
-	keys := make([]K, 0, len(ids))
-	for k := range ids {
-		keys = append(keys, k)
+	keys := 0
+	for k := 1; k < len(cnt); k++ {
+		if cnt[k] != 0 {
+			keys++
+		}
+		cnt[k] += cnt[k-1] // cnt[k] is now where key k's IDs start
 	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	out := make(map[K]plist, len(ids))
-	for _, k := range keys {
-		out[k] = p.appendRun(ids[k])
+	if src == nil {
+		for i, f := range fs {
+			k := c.of(f)
+			dst[cnt[k]] = uint32(i)
+			cnt[k]++
+		}
+	} else {
+		for _, id := range src {
+			k := c.of(fs[id])
+			dst[cnt[k]] = id
+			cnt[k]++
+		}
+	}
+	return keys
+}
+
+// encodeByID encodes the runs of ids, grouped by column c, into p.enc
+// in key order.
+func encodeByID(p *postings, ids []uint32, keys int, c column) map[sym.ID]plist {
+	out := make(map[sym.ID]plist, keys)
+	for i := 0; i < len(ids); {
+		k := c.of(p.facts[ids[i]])
+		j := i + 1
+		for j < len(ids) && c.of(p.facts[ids[j]]) == k {
+			j++
+		}
+		out[k] = p.appendRun(ids[i:j])
+		i = j
+	}
+	return out
+}
+
+// encodeByPair is encodeByID for ids grouped by the column pair
+// (a, b). The pair count is not known from the sort, so a first walk
+// counts the groups to presize the map.
+func encodeByPair(p *postings, ids []uint32, a, b column) map[pair]plist {
+	fs := p.facts
+	key := func(id uint32) pair { return pair{a.of(fs[id]), b.of(fs[id])} }
+	keys := 0
+	for i := range ids {
+		if i == 0 || key(ids[i]) != key(ids[i-1]) {
+			keys++
+		}
+	}
+	out := make(map[pair]plist, keys)
+	for i := 0; i < len(ids); {
+		k := key(ids[i])
+		j := i + 1
+		for j < len(ids) && key(ids[j]) == k {
+			j++
+		}
+		out[k] = p.appendRun(ids[i:j])
+		i = j
 	}
 	return out
 }
@@ -421,9 +498,29 @@ func (s *Store) IndexStats() IndexStats {
 // (which it sorts and dedups in place). The store's version is the
 // distinct fact count, as if each fact had been inserted once.
 func SealedFromFacts(u *fact.Universe, fs []fact.Fact) *Store {
-	sortFactsSRT(fs)
-	s := &Store{u: u, sealed: true, base: buildPostings(dedupFacts(fs))}
-	s.version.Store(uint64(len(s.base.facts)))
+	slices.SortFunc(fs, fact.Compare)
+	return sealedBase(u, buildPostings(slices.Compact(fs)))
+}
+
+// SealedWith returns a new sealed store holding s's facts plus added,
+// built by one linear merge of the two sorted arrays and one posting
+// build; s is unchanged and still readable. s must be a sealed store
+// with no delta or tombstones (SealedFromFacts or SealedWith built
+// it), and added must be sorted by fact.Compare, duplicate-free and
+// disjoint from s. The closure build folds each round's new facts
+// into the next generation this way.
+func (s *Store) SealedWith(added []fact.Fact) *Store {
+	if !s.sealed || len(s.add.facts)+len(s.dead.facts) != 0 {
+		panic("store: SealedWith on a store that is not a folded sealed store")
+	}
+	return sealedBase(s.u, buildPostings(mergeLive(s.base.facts, nil, added)))
+}
+
+// sealedBase wraps a posting base as a sealed store whose version is
+// its fact count, as if each fact had been inserted once.
+func sealedBase(u *fact.Universe, p *postings) *Store {
+	s := &Store{u: u, sealed: true, base: p}
+	s.version.Store(uint64(len(p.facts)))
 	s.recentBase = s.version.Load()
 	return s
 }

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -337,4 +341,134 @@ func TestUvarintRunCodec(t *testing.T) {
 	if len(enc) > len(dense)+4 {
 		t.Fatalf("dense run encoded to %d bytes, want ≤ %d", len(enc), len(dense)+4)
 	}
+}
+
+// refBuildPostings is the map-based encoder buildPostings replaced,
+// kept as the reference its bytes are checked against: per-key ID
+// lists gathered in one pass over the sorted facts, keys sorted, runs
+// appended to the arena in key order, index by index (R, T, RT, ST).
+func refBuildPostings(fs []fact.Fact) *postings {
+	p := &postings{facts: fs, byS: map[sym.ID]span{}, bySR: map[pair]span{}}
+	for i := 0; i < len(fs); {
+		j := i
+		for j < len(fs) && fs[j].S == fs[i].S {
+			k := j
+			for k < len(fs) && fs[k].S == fs[i].S && fs[k].R == fs[j].R {
+				k++
+			}
+			p.bySR[pair{fs[j].S, fs[j].R}] = span{uint32(j), uint32(k)}
+			j = k
+		}
+		p.byS[fs[i].S] = span{uint32(i), uint32(j)}
+		i = j
+	}
+	idLess := func(a, b sym.ID) bool { return a < b }
+	pairLess := func(a, b pair) bool { return a.a < b.a || a.a == b.a && a.b < b.b }
+	p.byR = refEncodeRuns(p, func(f fact.Fact) sym.ID { return f.R }, idLess)
+	p.byT = refEncodeRuns(p, func(f fact.Fact) sym.ID { return f.T }, idLess)
+	p.byRT = refEncodeRuns(p, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
+	p.byST = refEncodeRuns(p, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
+	return p
+}
+
+func refEncodeRuns[K comparable](p *postings, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
+	ids := make(map[K][]uint32)
+	for i, f := range p.facts {
+		k := keyOf(f)
+		ids[k] = append(ids[k], uint32(i))
+	}
+	keys := make([]K, 0, len(ids))
+	for k := range ids {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	out := make(map[K]plist, len(ids))
+	for _, k := range keys {
+		out[k] = p.appendRun(ids[k])
+	}
+	return out
+}
+
+// samePostings reports the first difference between two indexes over
+// the same facts: the arena byte for byte, then every bucket map.
+func samePostings(got, want *postings) string {
+	switch {
+	case !bytes.Equal(got.enc, want.enc):
+		return fmt.Sprintf("enc arena differs: %d bytes, want %d", len(got.enc), len(want.enc))
+	case !maps.Equal(got.byS, want.byS):
+		return "byS differs"
+	case !maps.Equal(got.bySR, want.bySR):
+		return "bySR differs"
+	case !maps.Equal(got.byR, want.byR):
+		return "byR differs"
+	case !maps.Equal(got.byT, want.byT):
+		return "byT differs"
+	case !maps.Equal(got.byRT, want.byRT):
+		return "byRT differs"
+	case !maps.Equal(got.byST, want.byST):
+		return "byST differs"
+	}
+	return ""
+}
+
+// checkEncoder builds fs both ways and fails on any difference.
+func checkEncoder(t *testing.T, name string, fs []fact.Fact) {
+	t.Helper()
+	slices.SortFunc(fs, fact.Compare)
+	fs = slices.Compact(fs)
+	if diff := samePostings(buildPostings(fs), refBuildPostings(fs)); diff != "" {
+		t.Errorf("%s (%d facts): %s", name, len(fs), diff)
+	}
+}
+
+// TestBuildPostingsMatchesReference pins the counting-sort encoder to
+// the map-based one byte for byte: same arena, same bucket maps.
+func TestBuildPostingsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n, ids int) []fact.Fact {
+		fs := make([]fact.Fact, n)
+		for i := range fs {
+			fs[i] = fact.Fact{S: sym.ID(rng.Intn(ids) + 1), R: sym.ID(rng.Intn(ids) + 1), T: sym.ID(rng.Intn(ids) + 1)}
+		}
+		return fs
+	}
+	// The largest ID a universe of a million names hands out, next to
+	// the smallest, so the counters' last slot is used.
+	const top = 1 << 20
+	near := []fact.Fact{{S: top, R: top, T: top}, {S: 1, R: top, T: 1}, {S: top - 1, R: 1, T: top}, {S: 1, R: 1, T: 1}}
+	skewed := random(2000, 400)
+	for i := range skewed[:1500] { // one hub relationship and one hub target
+		skewed[i].R, skewed[i].T = 3, 5
+	}
+	for _, tc := range []struct {
+		name string
+		fs   []fact.Fact
+	}{
+		{"empty", nil},
+		{"single fact", []fact.Fact{{S: 1, R: 2, T: 3}}},
+		{"single key", []fact.Fact{{S: 4, R: 4, T: 4}, {S: 4, R: 4, T: 5}, {S: 4, R: 4, T: 6}}},
+		{"ids near the universe maximum", near},
+		{"skewed keys", skewed},
+		{"dense random", random(3000, 30)},
+		{"sparse random", random(3000, 5000)},
+	} {
+		checkEncoder(t, tc.name, tc.fs)
+	}
+}
+
+// FuzzBuildPostings checks the counting-sort encoder against the
+// map-based reference on arbitrary fact sets: each 6 bytes of input
+// are one fact, two bytes per position, so keys collide often.
+func FuzzBuildPostings(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 2, 0, 3})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2, 255, 255, 255, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fs []fact.Fact
+		for ; len(data) >= 6; data = data[6:] {
+			id := func(i int) sym.ID { return sym.ID(binary.BigEndian.Uint16(data[i:]) + 1) }
+			fs = append(fs, fact.Fact{S: id(0), R: id(2), T: id(4)})
+		}
+		checkEncoder(t, "fuzz input", fs)
+	})
 }

@@ -73,9 +73,13 @@ type Options struct {
 	// for bulk loads. Ignored without LogPath.
 	SyncPolicy SyncPolicy
 	// CheckpointEvery, when positive, checkpoints automatically: once
-	// the log holds more than this many records, it is compacted
-	// atomically to the live fact set (after writing a snapshot to
-	// CheckpointSnapshot, if set). Ignored without LogPath.
+	// the log holds more than this many records AND at least twice as
+	// many records as there are live facts, the next mutation compacts
+	// it atomically to the live fact set (after writing a snapshot to
+	// CheckpointSnapshot, if set). The second condition means a
+	// compaction always reclaims at least half the log, so a log of
+	// inserts only, which holds one record per live fact, is never
+	// compacted, however long it grows. Ignored without LogPath.
 	CheckpointEvery int
 	// CheckpointSnapshot, when non-empty, is a path that receives an
 	// atomic full snapshot at every automatic checkpoint.

@@ -526,6 +526,99 @@ func TestMetricContractSearchOverlay(t *testing.T) {
 	}
 }
 
+// TestMetricContractFactsByRule pins lsdb_closure_facts_by_rule, the
+// closure broken down by the rule that first put each fact in it: a
+// full build sets one series per rule, "stored" and "axiom" included,
+// summing to the closure size; incremental maintenance leaves the
+// series as of the last full build; a rule that stops deriving reads 0
+// rather than its old count; /stats reports the same numbers.
+func TestMetricContractFactsByRule(t *testing.T) {
+	db := lsdb.New()
+	v := func(rule string) float64 { return db.Metrics().Value("lsdb_closure_facts_by_rule", "rule", rule) }
+	for _, f := range [][3]string{
+		{"TWEETY", "in", "CANARY"},
+		{"CANARY", "isa", "BIRD"},
+		{"BIRD", "isa", "ANIMAL"},
+		{"BIRD", "TRAVELS-BY", "FLIGHT"},
+	} {
+		db.MustAssert(f[0], f[1], f[2])
+	}
+	if db.Engine().ClosureFactsByRule() != nil || v("stored") != 0 {
+		t.Fatal("facts-by-rule series exist before any closure build")
+	}
+	sum := func(when string) map[string]int64 {
+		t.Helper()
+		by := db.Engine().ClosureFactsByRule()
+		total := int64(0)
+		for rule, n := range by {
+			if float64(n) != v(rule) {
+				t.Errorf("%s: ClosureFactsByRule[%s] = %d, gauge %g", when, rule, n, v(rule))
+			}
+			total += n
+		}
+		if total != int64(db.ClosureLen()) {
+			t.Errorf("%s: facts by rule sum to %d, closure has %d", when, total, db.ClosureLen())
+		}
+		return by
+	}
+
+	db.ClosureLen()
+	by := sum("full build")
+	// The two ≺ facts chain once; TWEETY reaches BIRD and ANIMAL by
+	// member-up; CANARY, TWEETY inherit TRAVELS-BY; 14 axioms.
+	for rule, want := range map[string]int64{"stored": 4, "axiom": 14, "gen-transitive": 1, "member-up": 2} {
+		if by[rule] != want {
+			t.Errorf("full build: %s = %d, want %d", rule, by[rule], want)
+		}
+	}
+	if by["gen-source"] == 0 || by["member-source"] == 0 {
+		t.Errorf("full build: no inherited facts: %v", by)
+	}
+
+	// An assert is maintained incrementally: the series stay as of the
+	// last full build.
+	db.MustAssert("POLLY", "in", "CANARY")
+	if db.ClosureLen() <= int(by["stored"]+by["axiom"]) || v("stored") != 4 {
+		t.Errorf("incremental maintenance moved the series: stored %g", v("stored"))
+	}
+
+	// Excluding member-up forces a full build: its series reads 0.
+	if err := db.ExcludeRule("member-up"); err != nil {
+		t.Fatal(err)
+	}
+	db.ClosureLen()
+	by = sum("member-up excluded")
+	if n, ok := by["member-up"]; !ok || n != 0 || v("member-up") != 0 {
+		t.Errorf("excluded rule reads %d (present %v), gauge %g; want 0", n, ok, v("member-up"))
+	}
+	if by["stored"] != 5 {
+		t.Errorf("stored = %d after one more assert, want 5", by["stored"])
+	}
+
+	s := serve.New()
+	if _, err := s.AddTenant(serve.DefaultTenant, db, serve.Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats struct {
+		Maint struct {
+			FactsByRule map[string]int64 `json:"facts_by_rule"`
+		} `json:"closure_maintenance"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Maint.FactsByRule) != len(by) {
+		t.Errorf("/stats facts_by_rule has %d rules, want %d", len(stats.Maint.FactsByRule), len(by))
+	}
+	for rule, n := range by {
+		if got, ok := stats.Maint.FactsByRule[rule]; !ok || got != n {
+			t.Errorf("/stats facts_by_rule[%s] = %d (present %v), want %d", rule, got, ok, n)
+		}
+	}
+}
+
 // TestAdmissionControlContract drives a tenant past its in-flight
 // quota and pins the exact rejection behavior: a 429 with the JSON
 // error shape and a Retry-After derived from the overload ratio, the
