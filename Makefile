@@ -37,10 +37,13 @@ bench-churn:
 # Churn oracles: the differential harness over high-churn schedules
 # (interleaved assert/retract/toggle bursts, shared and disjoint
 # relationship classes), driving the dependency-eviction and
-# delete-propagation paths, plus the E10c acceptance test under -race.
+# delete-propagation paths, plus the E10c acceptance test under -race;
+# then the backward matcher's goldens (answers and subgoal traffic),
+# bounded-matching and subgoal-cache tests under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
 	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestE10cWarmRetention' ./internal/check ./internal/bench
+	$(GO) test -race -count=1 -run 'Golden|Bounded|Subgoal' ./internal/rules
 
 # E9s memory-scale smoke: the sealed posting-list index at 10⁵ facts
 # (CI-sized; raise with SCALEMAX=10000000 for the 10⁷ sweep).

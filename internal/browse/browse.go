@@ -15,7 +15,8 @@
 package browse
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/compose"
 	"repro/internal/fact"
@@ -184,7 +185,7 @@ func sortedIDs(u *fact.Universe, set map[sym.ID]struct{}) []sym.ID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i]) < u.Name(out[j]) })
+	sortByName(u, out, func(id sym.ID) sym.ID { return id })
 	return out
 }
 
@@ -193,8 +194,27 @@ func groupList(u *fact.Universe, groups map[sym.ID]map[sym.ID]struct{}) []RelGro
 	for rel, set := range groups {
 		out = append(out, RelGroup{Rel: rel, Entities: sortedIDs(u, set)})
 	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i].Rel) < u.Name(out[j].Rel) })
+	sortByName(u, out, func(g RelGroup) sym.ID { return g.Rel })
 	return out
+}
+
+// sortByName orders items by the name of key(item), looking each name
+// up once rather than twice per comparison: every lookup takes the
+// symbol table's lock. Keys are distinct and names are unique, so the
+// order is total.
+func sortByName[T any](u *fact.Universe, items []T, key func(T) sym.ID) {
+	type named struct {
+		name string
+		item T
+	}
+	byName := make([]named, len(items))
+	for i, it := range items {
+		byName[i] = named{u.Name(key(it)), it}
+	}
+	slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	for i := range byName {
+		items[i] = byName[i].item
+	}
 }
 
 // Table renders the neighborhood in the paper's §4.1 layout: the
@@ -267,7 +287,7 @@ func (b *Browser) Between(src, tgt sym.ID) []Association {
 			out = append(out, Association{Rel: rel, Path: &p})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i].Rel) < u.Name(out[j].Rel) })
+	sortByName(u, out, func(a Association) sym.ID { return a.Rel })
 	return out
 }
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/fact"
@@ -109,6 +110,25 @@ func (e *Engine) BackwardAll(s, r, t sym.ID, depth int) []fact.Fact {
 	out := slices.Clone(b.enum(s, r, t, depth))
 	putBounded(b)
 	return out
+}
+
+// MaxRetainedMemo is the largest per-call memo a pooled bounded
+// context keeps for its next call.
+const MaxRetainedMemo = maxRetainedMemo
+
+// ColdCallMemo runs the bounded enumeration of a pattern in a pooled
+// context and releases it as MatchBounded does. It reports how many
+// subgoals the call memoized and whether the released context kept
+// that memo map for its next call.
+func (e *Engine) ColdCallMemo(s, r, t sym.ID, depth int) (memoized int, kept bool) {
+	b := getBounded(e, e.rs.Load(), nil)
+	b.enum(s, r, t, depth)
+	memoized = len(b.memo)
+	before := reflect.ValueOf(b.memo).UnsafePointer()
+	b.reset() // putBounded, but for the pool
+	kept = reflect.ValueOf(b.memo).UnsafePointer() == before
+	boundedPool.Put(b)
+	return memoized, kept
 }
 
 // AxiomFacts exposes the built-in axiom facts.

@@ -54,6 +54,7 @@ type bounded struct {
 	hits, misses uint64 // shared-table counters, flushed on return
 	openHits     int    // times a subgoal hit an open (in-progress) key
 	tainted      map[bkey]bool
+	indiv        map[sym.ID]bool // Individual per relationship, read once per call
 
 	// curDeps accumulates the dependency summary of the subgoal being
 	// computed: the OR of depBits for every base-fact class read so
@@ -425,7 +426,14 @@ func (b *bounded) stdBackward(rows []stdRow, goal fact.Fact, d int, col *collect
 // hopBackward adds every head of hop row that two premises derivable
 // within d-1 steps conclude. The premise enumerated first is asked for
 // with the goal's constants in place, the second once per result of
-// the first.
+// the first. Which goes first follows from what the goal binds: the
+// data premise on a dataFirst row, or when the head's joined position
+// far is free and the data pattern still binds a position (asked link
+// first, that goal would enumerate the whole ≺, ∈ or ⇌ relation and
+// open a data subgoal per link); the link premise otherwise. Both
+// orders meet the same (data, link) pairs of exact depth-(d-1)
+// answers, and enum sorts and compacts what they conclude, so the
+// order moves subgoal traffic, never an answer.
 func (b *bounded) hopBackward(row *stdRow, goal fact.Fact, d int, col *collector) {
 	e := b.e
 	h := goal // pattern of the data premise, but for the joined position
@@ -439,10 +447,9 @@ func (b *bounded) hopBackward(row *stdRow, goal fact.Fact, d int, col *collector
 		h.R = row.data
 	}
 	far := at(h, row.at)
-	if row.dataFirst {
-		dp := with(h, row.at, sym.None)
+	if dp := with(h, row.at, sym.None); row.dataFirst || far == sym.None && dp != (fact.Fact{}) {
 		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
-			if !e.isData(row, data) {
+			if !b.isData(row, data) {
 				continue
 			}
 			lp := row.linkFact(at(data, row.at), far)
@@ -462,11 +469,26 @@ func (b *bounded) hopBackward(row *stdRow, goal fact.Fact, d int, col *collector
 		near, lfar := row.linkEnds(l)
 		dp := with(h, row.at, near)
 		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
-			if e.isData(row, data) {
+			if b.isData(row, data) {
 				col.conclude(row, with(data, row.at, lfar))
 			}
 		}
 	}
+}
+
+// isData is Engine.isData with Individual read once per relationship
+// per call: it is a base-store lookup, and the data loops above ask it
+// for every data fact they enumerate.
+func (b *bounded) isData(row *stdRow, d fact.Fact) bool {
+	indiv := false
+	if row.indiv {
+		var ok bool
+		if indiv, ok = b.indiv[d.R]; !ok {
+			indiv = b.e.Individual(d.R)
+			b.indiv[d.R] = indiv
+		}
+	}
+	return row.takesData(d.R, indiv) && !b.e.virtualGen(d)
 }
 
 // conclude adds the row's head for f (see stdRow.conclude).
@@ -492,11 +514,12 @@ func (b *bounded) unaryBackward(row *stdRow, goal fact.Fact, d int, col *collect
 			col.add(head)
 			continue
 		}
-		// The twin of a virtual (x,≺,Δ) is asked for and then dropped:
-		// skipping it here would be cheaper and change the subgoal
-		// traffic (testdata/backward_trace.golden).
+		// A virtual premise is inert, so its twin is never asked for.
+		if b.e.virtualGen(p) {
+			continue
+		}
 		for _, tw := range b.enum(p.T, p.R, p.S, d-1) {
-			if !b.e.virtualGen(p) && !b.e.virtualGen(tw) {
+			if !b.e.virtualGen(tw) {
 				col.add(head)
 			}
 		}

@@ -237,9 +237,13 @@ func swapST(f fact.Fact) fact.Fact { return fact.Fact{S: f.T, R: f.R, T: f.S} }
 // without it, and the closure store cannot see the virtual facts the
 // backward pass can, so this is what keeps the three passes equal.
 //
-// dataFirst and oneWay steer the passes, not the meaning. The two
-// goal-directed passes enumerate the link premise first unless
-// dataFirst says the data premise is the narrower one. A oneWay row
+// dataFirst and oneWay steer the passes, not the meaning. A dataFirst
+// row is always read data premise first by the two goal-directed
+// passes: its data premise is the narrower one. Every other hop row
+// chooses per goal: the head-directed pass, whose goal is a fact, reads
+// the link premise first; the backward pass reads the link premise
+// first when the goal binds the head's joined position and the data
+// premise first when it does not (hopBackward). A oneWay row
 // concludes nothing its rule's other rows do not reach one step later
 // (it reads a ⇌ declaration right to left, which the twin declaration
 // the (⇌,⇌,⇌) axiom derives does left to right), so only the passes
@@ -326,8 +330,9 @@ func (r *stdRow) hop() bool { return r.link != sym.None }
 func (r *stdRow) why() string { return stdRuleNames[r.rule] }
 
 // takesData reports whether a fact over relationship rel can be the
-// row's data premise; isIndiv is Engine.Individual(rel), which callers
-// hoist out of their loops.
+// row's data premise; isIndiv is Engine.Individual(rel), a store
+// lookup, which callers hoist out of their loops or read once per call
+// (bounded.isData).
 func (r *stdRow) takesData(rel sym.ID, isIndiv bool) bool {
 	if r.indiv {
 		return isIndiv

@@ -161,13 +161,18 @@ func putSeen(m map[fact.Fact]struct{}) {
 }
 
 // maxRetainedMemo bounds the per-call memo map kept by a pooled
-// bounded context; a larger one is dropped and rebuilt small.
-const maxRetainedMemo = 1 << 15
+// bounded context; a larger one is dropped and rebuilt small. clear
+// costs the map's capacity, not its length, and a map never shrinks:
+// kept, the memo of one cold call that opened tens of thousands of
+// subgoals would make every warm call after it (memo size ~1) pay to
+// clear that capacity.
+const maxRetainedMemo = 1 << 10
 
 var boundedPool = sync.Pool{New: func() any {
 	return &bounded{
-		memo: make(map[bkey]subgoalEntry, 64),
-		open: make(map[bkey]bool, 16),
+		memo:  make(map[bkey]subgoalEntry, 64),
+		open:  make(map[bkey]bool, 16),
+		indiv: make(map[sym.ID]bool, 16),
 	}
 }}
 
@@ -182,6 +187,12 @@ func getBounded(e *Engine, cfg *ruleset, tr *obs.Trace) *bounded {
 }
 
 func putBounded(b *bounded) {
+	b.reset()
+	boundedPool.Put(b)
+}
+
+// reset empties the context for its next call.
+func (b *bounded) reset() {
 	if len(b.memo) > maxRetainedMemo {
 		b.memo = make(map[bkey]subgoalEntry, 64)
 	} else {
@@ -191,10 +202,10 @@ func putBounded(b *bounded) {
 	if b.tainted != nil {
 		clear(b.tainted)
 	}
+	clear(b.indiv)
 	b.arena.reset()
 	b.e, b.cfg, b.base, b.shared, b.tr = nil, nil, nil, nil, nil
 	b.hits, b.misses, b.openHits, b.scanned = 0, 0, 0, 0
 	b.curDeps = 0
 	b.js = joinStats{}
-	boundedPool.Put(b)
 }

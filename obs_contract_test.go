@@ -265,15 +265,15 @@ func TestMetricContractEviction(t *testing.T) {
 		}
 	}
 
-	// Cold: the WROTE query computes 60 subgoals; the EARNS query
-	// shares 8 of the structural ones and computes 52 of its own.
+	// Cold: the WROTE query computes 42 subgoals; the EARNS query
+	// shares 8 of the structural ones and computes 34 of its own.
 	wrote()
-	if got := v("lsdb_subgoal_misses_total"); got != 60 {
-		t.Errorf("cold WROTE misses = %g, want 60", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 42 {
+		t.Errorf("cold WROTE misses = %g, want 42", got)
 	}
 	earns()
-	if got := v("lsdb_subgoal_entries"); got != 112 {
-		t.Errorf("entries after both cold queries = %g, want 112", got)
+	if got := v("lsdb_subgoal_entries"); got != 76 {
+		t.Errorf("entries after both cold queries = %g, want 76", got)
 	}
 	// Warm: each repeat is exactly one root hit, no new misses.
 	wrote()
@@ -281,37 +281,37 @@ func TestMetricContractEviction(t *testing.T) {
 	if got := v("lsdb_subgoal_hits_total"); got != 10 {
 		t.Errorf("hits after warm repeats = %g, want 10 (8 shared cold + 2 roots)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 112 {
-		t.Errorf("misses after warm repeats = %g, want 112", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 76 {
+		t.Errorf("misses after warm repeats = %g, want 76", got)
 	}
 
 	// A write in a relation class neither query reads evicts exactly
-	// the 16 wildcard-dependent entries; each eviction is exactly one
-	// miss on the repeat, the other 96 entries stay warm, and the
+	// the 8 wildcard-dependent entries; each eviction is exactly one
+	// miss on the repeat, the other 68 entries stay warm, and the
 	// table is never discarded.
 	db.MustAssert("AUDITOR", "REVIEWS", "LEDGER")
 	wrote()
 	earns()
-	if got := evictDep(); got != 16 {
-		t.Errorf("evictions after unrelated write = %g, want 16 (wildcard entries only)", got)
+	if got := evictDep(); got != 8 {
+		t.Errorf("evictions after unrelated write = %g, want 8 (wildcard entries only)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 128 {
-		t.Errorf("misses after unrelated write = %g, want 128 (112 + one per eviction)", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 84 {
+		t.Errorf("misses after unrelated write = %g, want 84 (76 + one per eviction)", got)
 	}
 	if got := v("lsdb_subgoal_invalidations_total"); got != 0 {
 		t.Errorf("invalidations = %g, want 0 (table survives writes)", got)
 	}
 
-	// A write in the WROTE class additionally evicts the 19 entries
+	// A write in the WROTE class additionally evicts the 11 entries
 	// whose summaries cover WROTE; again misses move in lockstep.
 	db.MustAssert("BARD", "WROTE", "PLAYS")
 	wrote()
 	earns()
-	if got := evictDep(); got != 35 {
-		t.Errorf("evictions after WROTE write = %g, want 35 (16 wildcard + 19 WROTE-dependent)", got)
+	if got := evictDep(); got != 19 {
+		t.Errorf("evictions after WROTE write = %g, want 19 (8 wildcard + 11 WROTE-dependent)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 147 {
-		t.Errorf("misses after WROTE write = %g, want 147", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 95 {
+		t.Errorf("misses after WROTE write = %g, want 95 (84 + one per eviction)", got)
 	}
 
 	// Retraction: the published closure is repaired by delete
