@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-churn bench-scale bench-search check check-benchmark check-churn check-obs check-repl check-scale check-search crash fuzz load-smoke load-json soak
+.PHONY: all build vet test race check check-benchmark check-churn check-obs check-repl check-scale check-search crash fuzz load-smoke soak
 
 all: check
 
@@ -16,45 +16,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark sweep (slow). Use BENCH=E7 etc. to narrow.
-BENCH ?= .
-bench:
-	$(GO) test -bench '$(BENCH)' -benchmem -run xxx .
-
-# Machine-readable acceptance numbers: the E7 subgoal-cache family
-# plus E8 commit throughput per sync policy, with the observability
-# registry snapshot of the E7r workload attached.
-BENCHJSON ?= BENCH_PR10.json
-bench-json:
-	$(GO) run ./cmd/lsdb-bench -json $(BENCHJSON)
-
-# E10c dependency-tracked invalidation + delete propagation: warm
-# hit-rate retention under unrelated-predicate writes and the
-# single-retraction repair path, as a rendered table.
-bench-churn:
-	$(GO) run ./cmd/lsdb-bench E10c
-
 # Churn oracles: the differential harness over high-churn schedules
 # (interleaved assert/retract/toggle bursts, shared and disjoint
 # relationship classes), driving the dependency-eviction and
-# delete-propagation paths, plus the E10c acceptance test under -race;
-# then the backward matcher's goldens (answers and subgoal traffic),
+# delete-propagation paths, and their shrinking under -race; then the
+# backward matcher's goldens (answers and subgoal traffic),
 # bounded-matching and subgoal-cache tests under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
-	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestE10cWarmRetention' ./internal/check ./internal/bench
+	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink' ./internal/check
 	$(GO) test -race -count=1 -run 'Golden|Bounded|Subgoal' ./internal/rules
-
-# E9s memory-scale smoke: the sealed posting-list index at 10⁵ facts
-# (CI-sized; raise with SCALEMAX=10000000 for the 10⁷ sweep).
-SCALEMAX ?= 100000
-bench-scale:
-	$(GO) run ./cmd/lsdb-bench -scalemax $(SCALEMAX) E9s
-
-# E12 keyword-search sweep: inverted-index build throughput and warm
-# query latency on a Zipf scale world (CI-sized by SCALEMAX).
-bench-search:
-	$(GO) run ./cmd/lsdb-bench -scalemax $(SCALEMAX) E12
 
 # Keyword-search correctness: the search-vs-scan differential (index
 # answers must equal a brute-force store scan, full ranking, exact
@@ -64,7 +35,7 @@ bench-search:
 check-search:
 	$(GO) run ./cmd/lsdb-check -search -seeds 150
 	$(GO) test -race -count=1 -run 'TestSearchVsScan|TestSearch|TestTokenize|TestNavigatePagination|TestTryPagination' ./internal/check ./internal/search ./internal/serve
-	$(GO) test -count=1 -run 'TestE12RankingQuality' ./internal/bench
+	$(GO) test -count=1 -run 'TestE12RankingQuality' ./internal/search
 	$(GO) test -run xxx -fuzz FuzzTokenize -fuzztime 5s ./internal/search
 
 # Observability suite: the metrics registry and trace recorder unit
@@ -83,11 +54,6 @@ load-smoke:
 	$(GO) run ./cmd/lsdb-load -smoke -tenants 2 -workers 2 -duration 2s
 	$(GO) run ./cmd/lsdb-load -smoke -tenants 1 -workers 8 -duration 1s -max-inflight 2
 
-# Full load report with the committed-artifact parameters.
-LOADJSON ?= BENCH_PR7.json
-load-json:
-	$(GO) run ./cmd/lsdb-load -tenants 3 -workers 4 -duration 5s -seed 7 -json $(LOADJSON)
-
 # Durability crash fault injection: sweeps hundreds of byte-accurate
 # crash points through the WAL, checkpointing and compaction paths and
 # asserts recovery never loses an acknowledged-durable commit.
@@ -104,7 +70,8 @@ check-repl:
 	LSDB_REPL_POINTS=$(REPLPOINTS) $(GO) test -race -count=1 -run 'TestReplScan|TestCutTransport|TestReplFailure' ./internal/check
 	$(GO) test -race -count=1 ./internal/repl
 	$(GO) test -race -count=1 -run 'TestRepl|TestRecoverLog' ./internal/serve
-	$(GO) test -count=1 -run 'TestE11|TestLoadFollowerTarget' ./internal/bench
+	$(GO) test -count=1 -run 'TestE11' ./internal/serve
+	$(GO) test -count=1 -run 'TestLoadFollowerTarget' ./cmd/lsdb-load
 
 # Native Go fuzzing across every target. FUZZTIME=2m for a longer run;
 # go test accepts one fuzz target per invocation, hence the fan-out.
@@ -142,9 +109,11 @@ check-scale:
 check-benchmark:
 	$(GO) vet ./benchmark && $(GO) test ./benchmark
 
-# Tier-1 verification plus the race detector, a short soak, and a
-# brief pass over every fuzz target.
+# Tier-1 verification plus the race detector, repeated runs of the
+# packages whose tests have had timing dependence, a short soak, and
+# a brief pass over every fuzz target.
 check: build vet test race
+	$(GO) test -count=3 . ./internal/serve ./internal/store ./internal/search ./internal/check
 	$(MAKE) check-benchmark
 	$(MAKE) check-obs
 	$(MAKE) load-smoke
@@ -154,6 +123,4 @@ check: build vet test race
 	$(MAKE) check-churn
 	$(MAKE) check-scale SCALEFACTS=100000
 	$(MAKE) check-search
-	$(MAKE) bench-scale
-	$(MAKE) bench-search
 	$(MAKE) fuzz FUZZTIME=5s

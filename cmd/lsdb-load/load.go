@@ -1,4 +1,4 @@
-package bench
+package main
 
 // The lsdb-load SLO harness: a multi-tenant load generator that
 // builds per-tenant worlds with internal/gen, replays seeded browse

@@ -55,8 +55,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/bench"
 )
 
 func main() {
@@ -76,7 +74,7 @@ func main() {
 	slo := flag.String("slo", "", `per-endpoint p99 budgets in ms ("query=50,default=100" or @budgets.json); exit nonzero on breach`)
 	flag.Parse()
 
-	cfg := bench.LoadConfig{
+	cfg := LoadConfig{
 		Tenants:     *tenants,
 		Workers:     *workers,
 		Duration:    *duration,
@@ -94,12 +92,12 @@ func main() {
 		cfg.SearchFraction = -1
 	}
 
-	var rep *bench.LoadReport
+	var rep *LoadReport
 	var err error
 	if *jsonPath != "" {
-		rep, err = bench.WriteLoadJSON(*jsonPath, cfg)
+		rep, err = WriteLoadJSON(*jsonPath, cfg)
 	} else {
-		rep, err = bench.RunLoad(cfg)
+		rep, err = RunLoad(cfg)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -203,7 +201,7 @@ func parseSLO(spec string) (map[string]float64, error) {
 // its budget, returning one message per breach. Explicitly named
 // endpoints must have seen traffic; the "default" budget applies to
 // every endpoint with traffic that has no explicit budget.
-func checkSLO(rep *bench.LoadReport, budgets map[string]float64) []string {
+func checkSLO(rep *LoadReport, budgets map[string]float64) []string {
 	var breaches []string
 	def, hasDefault := budgets["default"]
 	eps := make([]string, 0, len(rep.Endpoints))

@@ -5,12 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
-func report(eps map[string]bench.EndpointLoad) *bench.LoadReport {
-	return &bench.LoadReport{Endpoints: eps}
+func report(eps map[string]EndpointLoad) *LoadReport {
+	return &LoadReport{Endpoints: eps}
 }
 
 func TestParseSLOInline(t *testing.T) {
@@ -46,7 +44,7 @@ func TestParseSLOFile(t *testing.T) {
 }
 
 func TestCheckSLO(t *testing.T) {
-	rep := report(map[string]bench.EndpointLoad{
+	rep := report(map[string]EndpointLoad{
 		"query":    {Requests: 100, P99Ms: 12},
 		"navigate": {Requests: 50, P99Ms: 48},
 		"batch":    {Requests: 10, P99Ms: 3},

@@ -172,11 +172,12 @@ func TestShapeE7MaterializedWins(t *testing.T) {
 }
 
 // E8 shape: single-dimension retraction waves equal the
-// generalization distance.
+// generalization distance, whatever the taxonomy's branching.
 func TestShapeE8ClimbDepth(t *testing.T) {
-	for _, d := range []int{2, 3, 5} {
+	for _, shape := range [][2]int{{2, 2}, {2, 3}, {2, 4}, {2, 5}, {2, 6}, {3, 3}, {4, 3}} {
+		b, d := shape[0], shape[1]
 		db := dataset.Taxonomy(dataset.TaxonomyConfig{
-			Branching: 2, Depth: d, MembersPerLeaf: 0, FactsPerClass: 1, Seed: 3,
+			Branching: b, Depth: d, MembersPerLeaf: 0, FactsPerClass: 1, Seed: 3,
 		})
 		db.MustAssert("ROOT-INSTANCE", "in", "C0")
 		leaf := "C0"
@@ -188,7 +189,7 @@ func TestShapeE8ClimbDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(out.Waves) != d {
-			t.Errorf("depth %d: %d waves", d, len(out.Waves))
+			t.Errorf("branching %d depth %d: %d waves", b, d, len(out.Waves))
 		}
 	}
 }
