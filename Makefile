@@ -19,12 +19,13 @@ race:
 # Churn oracles: the differential harness over high-churn schedules
 # (interleaved assert/retract/toggle bursts, shared and disjoint
 # relationship classes), driving the dependency-eviction and
-# delete-propagation paths, and their shrinking under -race; then the
-# backward matcher's goldens (answers and subgoal traffic),
-# bounded-matching and subgoal-cache tests under -race.
+# delete-propagation paths, and their shrinking, plus the E10c
+# acceptance test under -race; then the backward matcher's goldens
+# (answers and subgoal traffic), bounded-matching and subgoal-cache
+# tests under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
-	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink' ./internal/check
+	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestE10cWarmRetention' ./internal/check .
 	$(GO) test -race -count=1 -run 'Golden|Bounded|Subgoal' ./internal/rules
 
 # Keyword-search correctness: the search-vs-scan differential (index

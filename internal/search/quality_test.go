@@ -1,10 +1,12 @@
 package search_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	lsdb "repro"
 	"repro/internal/fact"
@@ -105,8 +107,7 @@ func measureRankingQuality(seeds []int64) rankingQuality {
 // TestE12RankingQuality is the retrieval acceptance gate: on held-out
 // generated worlds, exact-name queries must put the named entity first
 // at least 95% of the time, and synonym-name queries must surface the
-// partner in the top 5 at least 80% of the time. A full build over a
-// sealed Zipf store must also report a non-empty index.
+// partner in the top 5 at least 80% of the time.
 func TestE12RankingQuality(t *testing.T) {
 	q := measureRankingQuality([]int64{3, 5, 9})
 	if q.exactProbes == 0 || q.synProbes == 0 {
@@ -121,10 +122,30 @@ func TestE12RankingQuality(t *testing.T) {
 	if q.mrr < q.hit1 {
 		t.Errorf("MRR@10 %.3f below hit@1 %.3f: reciprocal ranks are broken", q.mrr, q.hit1)
 	}
+}
 
+// TestE12SearchScaleSmoke: a full index build over a sealed 20k-fact
+// Zipf store reports a non-empty index, and both the build and an
+// exact-name query take measurable time.
+func TestE12SearchScaleSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale world in -short mode")
+	}
+	cfg := gen.ScaleConfig{Facts: 20_000}.Normalized()
 	u := fact.NewUniverse()
-	st := store.SealedFromFacts(u, gen.ScaleFacts(u, gen.ScaleConfig{Facts: 20_000}.Normalized()))
-	if s := search.New(st, u).Refresh(); s.Entities == 0 || s.Tokens == 0 || s.Bytes == 0 {
+	st := store.SealedFromFacts(u, gen.ScaleFacts(u, cfg))
+	t0 := time.Now()
+	sr := search.New(st, u)
+	s := sr.Refresh()
+	build := time.Since(t0)
+	if s.Entities == 0 || s.Tokens == 0 || s.Bytes == 0 {
 		t.Fatalf("empty index stats: %+v", s)
+	}
+	t0 = time.Now()
+	for i := 0; i < 100; i++ {
+		sr.Search(fmt.Sprintf("N%d", i), search.Options{})
+	}
+	if exact := time.Since(t0); build <= 0 || exact <= 0 {
+		t.Fatalf("non-positive timings: build %v, exact queries %v", build, exact)
 	}
 }
