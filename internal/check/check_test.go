@@ -1,10 +1,12 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	lsdb "repro"
+	"repro/internal/fact"
 	"repro/internal/gen"
 	"repro/internal/rules"
 )
@@ -220,4 +222,57 @@ func TestBatchVsSingleOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
 		}
 	}
+}
+
+// TestParallelEquivalenceComparesPremises: the oracle compares each
+// fact's premises, not only its rule. Re-asserting a stored fact
+// through delete-and-rederive and incremental maintenance leaves the
+// parallel side with the first derivation those paths find; on some
+// world that names the canonical rule from other premises, which a
+// comparison of Explain's rule names alone cannot see. It relies on
+// maintenance recording the first derivation it finds; were
+// maintenance to record canonical derivations, it would need another
+// way to plant a premise-only difference.
+func TestParallelEquivalenceComparesPremises(t *testing.T) {
+	reassert := func(db *lsdb.Database) {
+		base := db.Engine().Base().Facts()
+		if len(base) == 0 {
+			return
+		}
+		slices.SortFunc(base, fact.Compare)
+		f := base[len(base)/2]
+		db.ClosureLen()
+		if _, err := db.RetractFact(f); err != nil {
+			t.Fatal(err)
+		}
+		db.ClosureLen()
+		if err := db.AssertFact(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Perturb: reassert, SkipPersistence: true}
+	for seed := int64(0); seed < 200; seed++ {
+		w := gen.Generate(seed, gen.Small())
+		f := ParallelEquivalence(w, opts)
+		if f == nil {
+			continue
+		}
+		if !strings.Contains(f.Detail, "provenance differs") {
+			t.Fatalf("seed %d: %v", seed, f)
+		}
+		seq, par := w.Build(), w.Build()
+		reassert(par)
+		rulesAgree := true
+		for _, fc := range seq.Engine().Closure().Facts() {
+			tr := triple(seq, fc)
+			if seq.Engine().Explain(fc) != par.Engine().Explain(par.Universe().NewFact(tr[0], tr[1], tr[2])) {
+				rulesAgree = false
+				break
+			}
+		}
+		if rulesAgree {
+			return
+		}
+	}
+	t.Fatal("no world in 200 seeds where re-asserted provenance differs in premises only")
 }

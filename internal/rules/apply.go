@@ -3,6 +3,7 @@ package rules
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,12 +13,35 @@ import (
 )
 
 // derivation is a fact together with the rule that produced it and
-// the premise facts the rule combined, used for provenance
-// (Engine.Explain, Engine.Derivation).
+// the premise facts the rule combined, sorted by fact.Compare, used
+// for provenance (Engine.Explain, Engine.Derive).
 type derivation struct {
 	f        fact.Fact
+	rule     uint32 // the StdRule, or userRule for every user rule
 	why      string
 	premises []fact.Fact
+}
+
+// userRule is derivation.rule for a user rule: user rules order after
+// every standard rule, and among themselves by name.
+const userRule = uint32(numStdRules)
+
+// cmpDerivation orders derivations of one fact canonically: the
+// standard rules in StdRule order, then user rules by name, then the
+// sorted premise lists lexicographically. A full build records the
+// least derivation of each new fact under this order, so its
+// provenance is a function of the database: neither the number of
+// workers nor the order facts are emitted in can change it.
+func cmpDerivation(a, b *derivation) int {
+	if c := cmp.Compare(a.rule, b.rule); c != 0 {
+		return c
+	}
+	if a.rule == userRule {
+		if c := strings.Compare(a.why, b.why); c != 0 {
+			return c
+		}
+	}
+	return slices.CompareFunc(a.premises, b.premises, fact.Compare)
 }
 
 // computeClosure materializes the closure of the base store under the
@@ -37,35 +61,36 @@ type derivation struct {
 // counting-sort passes, and the round that produced the facts did a
 // join per fact.
 //
-// Rounds are data-parallel: the frontier is partitioned into
-// contiguous chunks, one worker per chunk, all reading the same
-// generation. The sequential merge keeps the first emission of each
-// new fact in the concatenation of chunk outputs in partition order,
-// so every first-wins provenance record and the next frontier's order
-// are identical for any worker count. The generation-0 frontier is
-// the sorted base, so map iteration over the base fact set cannot
-// leak into the order either. It returns the closure, its provenance,
-// the number of facts each rule put into it ("stored" for the base,
-// "axiom" for the axioms), and the time spent building generations.
-// Called with e.mu held.
-func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance, map[string]int, time.Duration) {
-	prov := make(map[fact.Fact]Provenance)
+// Rounds are order-free. A round's derive step partitions the frontier
+// into contiguous chunks, one worker per chunk, all reading the same
+// generation; its dedupe step shards the emissions by fact hash, one
+// worker per shard, and keeps each new fact's least derivation under
+// cmpDerivation. The derivations a round emits depend only on the
+// generation and the frontier as sets, so the recorded derivation, the
+// least of those the fact's semi-naive round emits, is a function of
+// the database whatever the worker count or the order facts are read
+// and emitted in. Each shard hands back its winners sorted by fact;
+// their merge is the next frontier, and the runs of every round merge
+// once, at the end, into the provenance array. It returns the closure,
+// its provenance sorted by fact, the number of facts each rule put
+// into it ("stored" for the base, "axiom" for the axioms), and the
+// time spent building generations. Called with e.mu held.
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, []provEntry, map[string]int, time.Duration) {
 	frontier := e.base.Facts()
 	slices.SortFunc(frontier, fact.Compare)
 	byRule := map[string]int{"stored": len(frontier)}
-	stored := len(frontier)
-	rk := make(ranks)
+	var axioms []provEntry
 	for _, ax := range e.axiomFacts() {
-		if _, dup := rk[ax.f]; dup {
-			continue
-		}
-		if _, found := slices.BinarySearchFunc(frontier[:stored], ax.f, fact.Compare); !found {
-			prov[ax.f] = Provenance{Rule: ax.why}
-			byRule[ax.why]++
-			rk[ax.f] = uint32(len(rk))
-			frontier = append(frontier, ax.f)
+		if _, found := slices.BinarySearchFunc(frontier, ax, fact.Compare); !found {
+			axioms = append(axioms, provEntry{f: ax, p: Provenance{Rule: "axiom"}})
 		}
 	}
+	slices.SortFunc(axioms, cmpEntry)
+	runs := [][]provEntry{axioms}
+	for _, ax := range axioms {
+		frontier = append(frontier, ax.f)
+	}
+	byRule["axiom"] = len(axioms)
 	t0 := time.Now()
 	gen := store.SealedFromFacts(e.u, slices.Clone(frontier))
 	folding := time.Since(t0)
@@ -73,82 +98,63 @@ func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Prove
 	for len(frontier) > 0 {
 		e.m.rounds.Inc()
 		e.m.frontier.Observe(int64(len(frontier)))
-		out := e.deriveRound(cfg, frontier, gen, rk)
-		// Every emission is absent from gen (deriveFrom filters those),
-		// so one already ranked was emitted earlier in this round.
+		shards := e.deriveRound(cfg, frontier, gen, byRule)
+		runs = append(runs, shards...)
 		frontier = frontier[:0]
-		for _, d := range out {
-			if _, dup := rk[d.f]; dup {
-				continue
-			}
-			rk[d.f] = uint32(len(rk))
-			slices.SortFunc(d.premises, fact.Compare)
-			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
-			byRule[d.why]++
-			frontier = append(frontier, d.f)
-		}
+		mergeRuns(shards, func(p *provEntry) { frontier = append(frontier, p.f) })
 		if len(frontier) > 0 {
-			fresh := slices.Clone(frontier)
-			slices.SortFunc(fresh, fact.Compare)
 			t0 = time.Now()
-			gen = gen.SealedWith(fresh)
+			gen = gen.SealedWith(frontier)
 			folding += time.Since(t0)
 		}
 	}
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	prov := make([]provEntry, 0, n)
+	mergeRuns(runs, func(p *provEntry) { prov = append(prov, *p) })
 	return gen, prov, byRule, folding
 }
 
-// ranks orders a full build's reads. A build reads a sealed
-// generation, whose buckets hand out facts in (S, R, T) order; the
-// rules must see them in the order a store that takes facts one at a
-// time hands them out instead — the base facts, then every other fact
-// in the order it entered the closure — because that order decides
-// the order of the next frontier and, through it, which derivation of
-// a fact comes first. ranks holds that entry order for every fact not
-// in the base. It is written only between rounds, so a round's
-// workers read it freely. The maintenance paths read a layered clone
-// of the published closure in its own order, as they always have, and
-// pass nil.
-type ranks map[fact.Fact]uint32
-
-// ranked is a fact read from a generation, with its entry order.
-type ranked struct {
-	f    fact.Fact
-	rank uint32
-}
-
-var rankedPool = sync.Pool{New: func() any { s := make([]ranked, 0, 64); return &s }}
-
-// match is st.Match in entry order: base facts stream straight
-// through, in (S, R, T) order, and the others follow sorted by rank.
-func (rk ranks) match(st *store.Store, s, r, t sym.ID, fn func(fact.Fact) bool) bool {
-	if rk == nil {
-		return st.Match(s, r, t, fn)
-	}
-	bp := rankedPool.Get().(*[]ranked)
-	later := (*bp)[:0]
-	defer func() {
-		if cap(later) <= maxRetainedCap {
-			*bp = later[:0]
-			rankedPool.Put(bp)
-		}
-	}()
-	if !st.Match(s, r, t, func(f fact.Fact) bool {
-		if n, ok := rk[f]; ok {
-			later = append(later, ranked{f, n})
-			return true
-		}
-		return fn(f)
-	}) {
-		return false
-	}
-	slices.SortFunc(later, func(a, b ranked) int { return cmp.Compare(a.rank, b.rank) })
-	for _, x := range later {
-		if !fn(x.f) {
-			return false
+// mergeRuns calls emit for every entry of runs, each sorted by fact
+// and all pairwise disjoint, in fact order: a k-way merge over a
+// min-heap of the runs' heads.
+func mergeRuns(runs [][]provEntry, emit func(*provEntry)) {
+	h := make([][]provEntry, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, r)
 		}
 	}
-	return true
+	less := func(i, j int) bool { return fact.Compare(h[i][0].f, h[j][0].f) < 0 }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(c+1, c) {
+				c++
+			}
+			if !less(c, i) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		emit(&h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 }
 
 // parallelThreshold is the frontier size below which a round runs on
@@ -157,43 +163,117 @@ func (rk ranks) match(st *store.Store, s, r, t sym.ID, fn func(fact.Fact) bool) 
 const parallelThreshold = 64
 
 // deriveRound computes every one-step derivation from the frontier
-// facts against derived, without mutating derived. Output order is
-// deterministic: the concatenation of per-fact derivations in
-// frontier order, regardless of how many workers ran.
-func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store, rk ranks) []derivation {
+// facts against derived, without mutating derived, and reduces them
+// to the least derivation of each new fact (cmpDerivation). It returns
+// the winners as runs sorted by fact, one per dedupe shard, and adds
+// them to byRule.
+func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store, byRule map[string]int) [][]provEntry {
 	workers := e.buildWorkers(len(frontier) / parallelThreshold)
 	e.m.buildWorkers.Max(int64(workers))
-	if workers <= 1 {
+	outs := make([][]derivation, workers)
+	fanOut(workers, func(w int) {
 		var out []derivation
-		for _, f := range frontier {
-			out = e.deriveFrom(cfg, f, derived, rk, false, out)
+		for _, f := range frontier[len(frontier)*w/workers : len(frontier)*(w+1)/workers] {
+			out = e.deriveFrom(cfg, f, derived, false, out)
 		}
-		return out
+		outs[w] = out
+	})
+	shards := make([][]provEntry, workers)
+	counts := make([]map[string]int, workers)
+	fanOut(workers, func(s int) {
+		counts[s] = make(map[string]int)
+		shards[s] = dedupe(outs, s, workers, counts[s])
+	})
+	for _, c := range counts {
+		for why, n := range c {
+			byRule[why] += n
+		}
 	}
-	chunks := make([][]derivation, workers)
+	return shards
+}
+
+// fanOut runs fn(0) … fn(n-1) on n goroutines and waits for them;
+// fn(0) alone runs on the calling goroutine.
+func fanOut(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(frontier) * w / workers
-		hi := len(frontier) * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
+	wg.Add(n)
+	for i := range n {
+		go func() {
 			defer wg.Done()
-			var out []derivation
-			for _, f := range frontier[lo:hi] {
-				out = e.deriveFrom(cfg, f, derived, rk, false, out)
-			}
-			chunks[w] = out
-		}(w, lo, hi)
+			fn(i)
+		}()
 	}
 	wg.Wait()
-	var out []derivation
-	for _, c := range chunks {
-		out = append(out, c...)
+}
+
+// dedupe returns, sorted by fact, the least derivation (cmpDerivation)
+// of each fact in outs that falls to shard s of n by its hash, and
+// counts them in byRule. It sorts 16-byte keys, not the derivations,
+// and compares derivations only within a fact.
+func dedupe(outs [][]derivation, s, n int, byRule map[string]int) []provEntry {
+	type key struct {
+		sr   uint64 // S, R: with t, fact.Compare's order
+		t, i uint32 // i indexes outs as if concatenated
+	}
+	total := 0
+	for _, out := range outs {
+		total += len(out)
+	}
+	keys := make([]key, 0, total/n+total/(8*n)+16) // hashing spreads facts evenly
+	off := make([]uint32, len(outs))
+	i := uint32(0)
+	for w, out := range outs {
+		off[w] = i
+		for _, d := range out {
+			if shardOf(d.f, n) == s {
+				keys = append(keys, key{uint64(d.f.S)<<32 | uint64(d.f.R), uint32(d.f.T), i})
+			}
+			i++
+		}
+	}
+	at := func(i uint32) *derivation {
+		w := len(off) - 1
+		for off[w] > i {
+			w--
+		}
+		return &outs[w][i-off[w]]
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.sr != b.sr {
+			return cmp.Compare(a.sr, b.sr)
+		}
+		return cmp.Compare(a.t, b.t)
+	})
+	facts := 0
+	for j := range keys {
+		if j == 0 || keys[j].sr != keys[j-1].sr || keys[j].t != keys[j-1].t {
+			facts++
+		}
+	}
+	out := make([]provEntry, 0, facts)
+	for j := 0; j < len(keys); {
+		best := at(keys[j].i)
+		k := j + 1
+		for ; k < len(keys) && keys[k].sr == keys[j].sr && keys[k].t == keys[j].t; k++ {
+			if d := at(keys[k].i); cmpDerivation(d, best) < 0 {
+				best = d
+			}
+		}
+		out = append(out, provEntry{f: best.f, p: Provenance{Rule: best.why, Premises: best.premises}})
+		byRule[best.why]++
+		j = k
 	}
 	return out
+}
+
+// shardOf assigns fact f to one of n dedupe shards by a hash of it.
+func shardOf(f fact.Fact, n int) int {
+	h := uint64(f.S)*0x9e3779b97f4a7c15 ^ uint64(f.R)*0xc2b2ae3d27d4eb4f ^ uint64(f.T)*0x165667b19e3779f9
+	return int((h >> 32) % uint64(n))
 }
 
 // axiomFacts returns the built-in facts the paper postulates:
@@ -203,22 +283,15 @@ func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.
 // depends only on the universe, so it is built once per engine —
 // bounded evaluation iterates it once per subgoal, and rebuilding it
 // there dominated the small-allocation profile. Callers must not
-// mutate the shared slices.
-func (e *Engine) axiomFacts() []derivation {
+// mutate the shared slice.
+func (e *Engine) axiomFacts() []fact.Fact {
 	e.axiomOnce.Do(e.buildAxioms)
 	return e.axioms
 }
 
-// axiomFactList is axiomFacts without the derivation wrappers, for
-// paths that only need the facts.
-func (e *Engine) axiomFactList() []fact.Fact {
-	e.axiomOnce.Do(e.buildAxioms)
-	return e.axiomFs
-}
-
 func (e *Engine) buildAxioms() {
 	u := e.u
-	e.axiomFs = []fact.Fact{
+	e.axioms = []fact.Fact{
 		{S: u.Inv, R: u.Inv, T: u.Inv},
 		{S: u.Contra, R: u.Inv, T: u.Contra},
 		{S: u.Lt, R: u.Contra, T: u.Gt},
@@ -234,10 +307,6 @@ func (e *Engine) buildAxioms() {
 		{S: u.Gt, R: u.Contra, T: u.Le},
 		{S: u.Le, R: u.Contra, T: u.Gt},
 	}
-	e.axioms = make([]derivation, len(e.axiomFs))
-	for i, f := range e.axiomFs {
-		e.axioms[i] = derivation{f: f, why: "axiom"}
-	}
 }
 
 // deriveFrom appends to out every fact derivable in one step by
@@ -252,31 +321,34 @@ func (e *Engine) buildAxioms() {
 // question is "which facts of the old closure have a one-step
 // derivation using f", and at fixpoint every such conclusion is
 // present — the filter would hide exactly the answers.
-func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, rk ranks, all bool, out []derivation) []derivation {
-	emit := func(g fact.Fact, why string, premises ...fact.Fact) {
+func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
+	add := func(g fact.Fact, rule uint32, why string, premises []fact.Fact) {
 		if all || !derived.Has(g) {
-			out = append(out, derivation{f: g, why: why, premises: premises})
+			slices.SortFunc(premises, fact.Compare)
+			out = append(out, derivation{f: g, rule: rule, why: why, premises: premises})
 		}
 	}
 
-	e.stdForward(e.std.forward, &cfg.std, f, derived, rk, emit)
+	e.stdForward(e.std.forward, &cfg.std, f, derived, func(g fact.Fact, rule StdRule, premises ...fact.Fact) {
+		add(g, uint32(rule), stdRuleNames[rule], premises)
+	})
 
 	// User rules: f may instantiate any body atom of any rule.
 	for _, r := range cfg.userRules {
-		e.applyUserRule(r, f, derived, rk, func(g fact.Fact, premises []fact.Fact) {
-			emit(g, r.Name, premises...)
+		e.applyUserRule(r, f, derived, func(g fact.Fact, premises []fact.Fact) {
+			add(g, userRule, r.Name, premises)
 		})
 	}
 	return out
 }
 
-type emitFunc func(g fact.Fact, why string, premises ...fact.Fact)
+type emitFunc func(g fact.Fact, rule StdRule, premises ...fact.Fact)
 
 // stdForward is the forward interpreter of the rule table: it emits
 // every head the enabled rows conclude in one step with f as a
 // premise — f first as the data premise of every hop row, then as the
 // link premise of every hop row and the premise of every unary row.
-func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
+func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, derived *store.Store, emit emitFunc) {
 	if e.virtualGen(f) {
 		return
 	}
@@ -288,14 +360,14 @@ func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, d
 			case !on[row.rule]:
 			case asData:
 				if row.hop() && row.takesData(f.R, findiv) {
-					e.hopFromData(row, f, derived, rk, emit)
+					e.hopFromData(row, f, derived, emit)
 				}
 			case !row.hop():
 				if f.R == row.data {
 					e.unaryFrom(row, f, derived, emit)
 				}
 			case f.R == row.link && !row.oneWay:
-				e.hopFromLink(row, f, derived, rk, emit)
+				e.hopFromLink(row, f, derived, emit)
 			}
 		}
 	}
@@ -303,15 +375,15 @@ func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, d
 
 // hopFromData emits the heads of hop row for data premise d and every
 // link in derived that meets it.
-func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
+func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, emit emitFunc) {
 	lp := row.linkFact(at(d, row.at), sym.None)
-	rk.match(derived, lp.S, lp.R, lp.T, func(l fact.Fact) bool {
+	derived.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
 		if e.virtualGen(l) {
 			return true
 		}
 		_, far := row.linkEnds(l)
 		if h, ok := row.conclude(with(d, row.at, far)); ok {
-			emit(h, row.why(), d, l)
+			emit(h, row.rule, d, l)
 		}
 		return true
 	})
@@ -319,12 +391,12 @@ func (e *Engine) hopFromData(row *stdRow, d fact.Fact, derived *store.Store, rk 
 
 // hopFromLink emits the heads of hop row for link premise l and every
 // data fact in derived that meets it.
-func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, rk ranks, emit emitFunc) {
+func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, emit emitFunc) {
 	near, far := row.linkEnds(l)
 	dp := with(fact.Fact{R: row.data}, row.at, near)
-	rk.match(derived, dp.S, dp.R, dp.T, func(d fact.Fact) bool {
+	derived.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
 		if h, ok := row.conclude(with(d, row.at, far)); ok && e.isData(row, d) {
-			emit(h, row.why(), l, d)
+			emit(h, row.rule, l, d)
 		}
 		return true
 	})
@@ -336,7 +408,7 @@ func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, rk 
 func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit emitFunc) {
 	if !row.twin {
 		if h, ok := row.conclude(p); ok {
-			emit(h, row.why(), p)
+			emit(h, row.rule, p)
 		}
 		return
 	}
@@ -346,7 +418,7 @@ func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit 
 	}
 	for _, q := range [2]fact.Fact{p, tw} {
 		if h, ok := row.conclude(q); ok {
-			emit(h, row.why(), p, tw)
+			emit(h, row.rule, p, tw)
 		}
 	}
 }
@@ -355,7 +427,7 @@ func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit 
 // fact f matches at least one body atom, joining the remaining atoms
 // against derived facts and virtual facts, and emits the instantiated
 // head facts.
-func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, rk ranks, emit func(fact.Fact, []fact.Fact)) {
+func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []fact.Fact)) {
 	for i := range r.Body {
 		b := getBinding()
 		if !unifyTemplate(r.Body[i], f, b) {
@@ -365,7 +437,7 @@ func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, rk ra
 		rest := make([]fact.Template, 0, len(r.Body)-1)
 		rest = append(rest, r.Body[:i]...)
 		rest = append(rest, r.Body[i+1:]...)
-		e.joinAtoms(rest, b, derived, rk, func(bb binding) {
+		e.joinAtoms(rest, b, derived, func(bb binding) {
 			premises := make([]fact.Fact, 0, len(r.Body))
 			for _, atom := range r.Body {
 				if p, ok := instantiate(atom, bb); ok {
@@ -480,10 +552,10 @@ func instantiate(h fact.Template, b binding) (fact.Fact, bool) {
 // where eligible, answered for whole binding batches at once. atoms is
 // permuted in place; callers pass a scratch slice. found must not
 // retain its argument.
-func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, rk ranks, found func(binding)) {
+func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, found func(binding)) {
 	var js joinStats
 	seed := [1]binding{b}
-	joinBatch(storeEval{e: e, derived: derived, rk: rk}, atoms, seed[:], &js, found)
+	joinBatch(storeEval{e: e, derived: derived}, atoms, seed[:], &js, found)
 	if js.batches != 0 {
 		e.m.batchJoins.Add(js.batches)
 		e.m.batchBindings.Add(js.batchBindings)

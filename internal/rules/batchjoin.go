@@ -85,12 +85,11 @@ func (j boundedEval) planStore() *store.Store { return j.b.base }
 type storeEval struct {
 	e       *Engine
 	derived *store.Store
-	rk      ranks // a full build's entry order, nil elsewhere
 }
 
 func (j storeEval) eval(s, r, t sym.ID, fn func(fact.Fact)) {
 	wrap := func(f fact.Fact) bool { fn(f); return true }
-	j.rk.match(j.derived, s, r, t, wrap)
+	j.derived.Match(s, r, t, wrap)
 	j.e.vp.Match(s, r, t, j.derived, wrap)
 }
 

@@ -109,7 +109,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		if len(cone) > limit {
 			return nil, nil, 0, false
 		}
-		buf = e.deriveFrom(cfg, cone[i], oldC, nil, true, buf[:0])
+		buf = e.deriveFrom(cfg, cone[i], oldC, true, buf[:0])
 		for _, d := range buf {
 			if !over[d.f] && oldC.Has(d.f) {
 				over[d.f] = true
@@ -127,9 +127,9 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 	}
 
 	// Phase 3: rederive cone facts with surviving support. Sorting pins
-	// the scan (and thus first-wins provenance) deterministically.
+	// the scan (and thus the derivation recorded first) deterministically.
 	slices.SortFunc(cone, fact.Compare)
-	axioms := e.axiomFactList()
+	axioms := e.axiomFacts()
 	var frontier []fact.Fact
 	for _, f := range cone {
 		switch {
@@ -161,10 +161,9 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		}
 	}
 	for i := 0; i < len(frontier); i++ {
-		buf = e.deriveFrom(cfg, frontier[i], derived, nil, false, buf[:0])
+		buf = e.deriveFrom(cfg, frontier[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				slices.SortFunc(d.premises, fact.Compare)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				frontier = append(frontier, d.f)
 			}
@@ -203,7 +202,7 @@ func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance
 				continue
 			}
 			body := append(make([]fact.Template, 0, len(r.Body)), r.Body...)
-			e.joinAtoms(body, bind, st, nil, func(bb binding) {
+			e.joinAtoms(body, bind, st, func(bb binding) {
 				if found {
 					return
 				}

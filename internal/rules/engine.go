@@ -29,8 +29,8 @@ import (
 // the previous snapshot by a small delta over a base both snapshots
 // share, so a batch of pure insertions (the rules are monotonic) or
 // of deletions (delete.go) costs O(delta), not O(closure); rule
-// toggling forces a recomputation. Cold builds partition each
-// derivation round across worker goroutines (see apply.go).
+// toggling forces a recomputation. Cold builds run each derivation
+// round and its dedupe across worker goroutines (see apply.go).
 //
 // Concurrency: any number of goroutines may query concurrently, and
 // queries may run concurrently with base-store mutations — warm reads
@@ -66,8 +66,7 @@ type Engine struct {
 	// Axiom facts (apply.go) depend only on the universe; built once
 	// and shared by every closure build and bounded subgoal.
 	axiomOnce sync.Once
-	axioms    []derivation
-	axiomFs   []fact.Fact
+	axioms    []fact.Fact
 }
 
 // ruleset is an immutable snapshot of the rule configuration. Config
@@ -88,7 +87,7 @@ type ruleset struct {
 // list are immutable after publication.
 type snapshot struct {
 	closure *store.Store
-	prov    *provMap // how each derived fact was first obtained
+	prov    *provMap // how each derived fact was obtained
 	baseVer uint64   // base.Version() the closure reflects
 	cfgVer  uint64   // cfgVersion the closure reflects
 
@@ -99,15 +98,35 @@ type snapshot struct {
 }
 
 // provMap is a snapshot's provenance, layered like the closure store
-// it describes: base is shared by pointer between successive
-// snapshots and never written once published, over holds this
-// snapshot's additions and replacements, gone the base entries it
-// dropped. Extending a snapshot therefore copies O(delta) entries;
-// fold collapses the layers when the store folds its own.
+// it describes: base is the provenance of the last full build or fold,
+// sorted by fact, shared by pointer between successive snapshots and
+// never written once published; over holds this snapshot's additions
+// and replacements, gone the base entries it dropped. A full build
+// records each fact's canonical derivation (cmpDerivation); the
+// maintenance paths record the first they find in over. Extending a
+// snapshot therefore copies O(delta) entries; fold collapses the
+// layers when the store folds its own.
 type provMap struct {
-	base map[fact.Fact]Provenance
+	base []provEntry
 	over map[fact.Fact]Provenance
 	gone map[fact.Fact]struct{}
+}
+
+// provEntry is one fact's provenance in a sorted provenance array.
+type provEntry struct {
+	f fact.Fact
+	p Provenance
+}
+
+func cmpEntry(a, b provEntry) int { return fact.Compare(a.f, b.f) }
+
+// inBase returns f's provenance in the base, if it has one there.
+func (p *provMap) inBase(f fact.Fact) (Provenance, bool) {
+	i, ok := slices.BinarySearchFunc(p.base, f, func(x provEntry, f fact.Fact) int { return fact.Compare(x.f, f) })
+	if !ok {
+		return Provenance{}, false
+	}
+	return p.base[i].p, true
 }
 
 func (p *provMap) get(f fact.Fact) (Provenance, bool) {
@@ -117,15 +136,14 @@ func (p *provMap) get(f fact.Fact) (Provenance, bool) {
 	if _, ok := p.gone[f]; ok {
 		return Provenance{}, false
 	}
-	v, ok := p.base[f]
-	return v, ok
+	return p.inBase(f)
 }
 
 func (p *provMap) set(f fact.Fact, v Provenance) { p.over[f] = v }
 
 func (p *provMap) delete(f fact.Fact) {
 	delete(p.over, f)
-	if _, ok := p.base[f]; ok {
+	if _, ok := p.inBase(f); ok {
 		p.gone[f] = struct{}{}
 	}
 }
@@ -142,19 +160,33 @@ func (p *provMap) extend() *provMap {
 	return c
 }
 
-// fold rewrites the layers into one fresh base, leaving the old base
-// (which earlier snapshots still read) untouched.
+// fold rewrites the layers into one fresh base by one linear merge of
+// the base with the sorted over layer, leaving the old base (which
+// earlier snapshots still read) untouched.
 func (p *provMap) fold() {
 	if len(p.over)+len(p.gone) == 0 {
 		return
 	}
-	m := make(map[fact.Fact]Provenance, len(p.base)+len(p.over))
-	for f, v := range p.base {
-		if _, ok := p.gone[f]; !ok {
-			m[f] = v
+	over := make([]provEntry, 0, len(p.over))
+	for f, v := range p.over {
+		over = append(over, provEntry{f, v})
+	}
+	slices.SortFunc(over, cmpEntry)
+	m := make([]provEntry, 0, len(p.base)+len(over)-len(p.gone))
+	i := 0
+	for _, x := range p.base {
+		for i < len(over) && fact.Compare(over[i].f, x.f) < 0 {
+			m = append(m, over[i])
+			i++
+		}
+		if i < len(over) && over[i].f == x.f {
+			continue // replaced; over[i] goes in next
+		}
+		if _, ok := p.gone[x.f]; !ok {
+			m = append(m, x)
 		}
 	}
-	maps.Copy(m, p.over)
+	m = append(m, over[i:]...)
 	p.base, p.over, p.gone = m, nil, nil
 }
 
@@ -503,10 +535,9 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 	}
 	var buf []derivation
 	for i := 0; i < len(work); i++ {
-		buf = e.deriveFrom(cfg, work[i], derived, nil, false, buf[:0])
+		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				slices.SortFunc(d.premises, fact.Compare)
 				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				work = append(work, d.f)
 			}
@@ -525,18 +556,24 @@ func (e *Engine) Invalidate() {
 	e.sg.epoch.Add(1)
 }
 
-// Provenance records how a derived fact was first obtained: the rule
-// (a standard rule name, a user rule name, or "axiom") and the
-// premise facts the rule combined. Premises may themselves be
-// derived; Derive follows them back to stored facts.
+// Provenance records how a derived fact was obtained: the rule (a
+// standard rule name, a user rule name, or "axiom") and the premise
+// facts the rule combined, sorted by fact.Compare. After a full build
+// it is the fact's canonical derivation: the least, under
+// cmpDerivation, of those from the semi-naive round that first
+// obtained the fact. Incremental maintenance and delete-and-rederive
+// record the first derivation they find for the facts they add.
+// Premises may themselves be derived; Derive follows them back to
+// stored facts.
 type Provenance struct {
 	Rule     string
 	Premises []fact.Fact
 }
 
 // Explain returns how fact f entered the closure: "stored", the name
-// of the rule that first derived it, or "" if f is not in the
-// (materialized part of the) closure.
+// of the rule of its recorded derivation (canonical after a full
+// build, see Provenance), or "" if f is not in the (materialized part
+// of the) closure.
 func (e *Engine) Explain(f fact.Fact) string {
 	c, prov := e.closureWithProv()
 	if e.base.Has(f) {
@@ -560,9 +597,10 @@ type Derivation struct {
 }
 
 // Derive returns the proof tree of f, or nil if f is not in the
-// materialized closure. The tree is cycle-free: each fact's first
-// recorded derivation is used, and recursion stops at stored facts
-// and axioms.
+// materialized closure. Each fact's recorded derivation (canonical
+// after a full build, see Provenance) is used, and recursion stops at
+// stored facts and axioms. The tree is cycle-free: a fact met a second
+// time is not expanded again.
 func (e *Engine) Derive(f fact.Fact) *Derivation {
 	c, prov := e.closureWithProv()
 	if !c.Has(f) {

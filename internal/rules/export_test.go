@@ -72,12 +72,32 @@ func (r Row) OneWay() bool { return r.table()[0].oneWay }
 // premise and the other premises in st, present heads included.
 func (r Row) Forward(f fact.Fact, st *store.Store) []fact.Fact {
 	var out []fact.Fact
-	r.e.stdForward(r.table(), &allOn, f, st, nil, func(g fact.Fact, why string, _ ...fact.Fact) {
-		if why != r.table()[0].why() {
-			panic("row emitted under the name " + why)
+	r.e.stdForward(r.table(), &allOn, f, st, func(g fact.Fact, rule StdRule, _ ...fact.Fact) {
+		if rule != r.Rule() {
+			panic("row emitted under the rule " + rule.String())
 		}
 		out = append(out, g)
 	})
+	return out
+}
+
+// Step is a one-step derivation: a head, the rule that concludes it
+// and its premises.
+type Step struct {
+	Head     fact.Fact
+	Rule     string
+	Premises []fact.Fact
+}
+
+// Steps returns every one-step derivation the engine's active rules
+// make with f as one premise and the others in st, present heads
+// included: the forward interpreter over the whole table, then the
+// user rules, as a closure round runs them.
+func (e *Engine) Steps(f fact.Fact, st *store.Store) []Step {
+	var out []Step
+	for _, d := range e.deriveFrom(e.rs.Load(), f, st, true, nil) {
+		out = append(out, Step{d.f, d.why, d.premises})
+	}
 	return out
 }
 
@@ -132,7 +152,7 @@ func (e *Engine) ColdCallMemo(s, r, t sym.ID, depth int) (memoized int, kept boo
 }
 
 // AxiomFacts exposes the built-in axiom facts.
-func (e *Engine) AxiomFacts() []fact.Fact { return e.axiomFactList() }
+func (e *Engine) AxiomFacts() []fact.Fact { return e.axiomFacts() }
 
 // EdgeWorlds are the stored-fact sets on which the three hand-written
 // copies of the rules used to differ, or came close to: ≺ facts that

@@ -154,8 +154,9 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 }
 
 // ClosureFactsByRule returns the lsdb_closure_facts_by_rule gauges:
-// how many facts of the closure each rule first derived as of the last
-// full build, with "stored" and "axiom" for the rest. It is nil for an
+// how many facts of the closure each rule derived, by the rule of each
+// fact's canonical derivation, as of the last full build, with
+// "stored" and "axiom" for the rest. It is nil for an
 // engine without metrics or before its first full build.
 func (e *Engine) ClosureFactsByRule() map[string]int64 {
 	m := &e.m

@@ -259,7 +259,7 @@ func (b *bounded) enum(s, r, t sym.ID, d int) []fact.Fact {
 	col := getCollector(s, r, t)
 	b.base.Match(s, r, t, col.scan)
 	b.e.vp.Match(s, r, t, b.base, col.scan)
-	for _, ax := range b.e.axiomFactList() {
+	for _, ax := range b.e.axiomFacts() {
 		col.add(ax)
 	}
 

@@ -21,27 +21,33 @@ type provWorld struct {
 }
 
 // provWorlds are the paper's employment world with one user inference
-// rule whose head several bindings reach (so first-wins depends on
-// join order), and three generated worlds large enough for a full
-// build to run its rounds on several workers.
+// rule whose head several bindings reach, and three generated worlds
+// large enough for a full build to run its rounds on several workers.
 func provWorlds(t *testing.T) []provWorld {
 	t.Helper()
-	emp := lsdb.New()
-	if _, err := factfile.LoadFile(emp, filepath.Join("..", "..", "testdata", "employment.facts")); err != nil {
-		t.Fatal(err)
-	}
-	if err := emp.AddRule("pays", "(?x, WORKS-FOR, ?d) & (?x, EARNS, ?s) => (?d, PAYS, ?x)"); err != nil {
-		t.Fatal(err)
-	}
 	return []provWorld{
-		{"employment", emp},
+		{"employment", employmentPays(t)},
 		{"gen.Large seed 1", gen.Generate(1, gen.Large()).Build()},
 		{"gen.Large seed 2", gen.Generate(2, gen.Large()).Build()},
 		{"gen.Medium seed 2", gen.Generate(2, gen.Medium()).Build()},
 	}
 }
 
-// renderProvenance lists db's closure, sorted, with each fact's first
+// employmentPays is the paper's employment world with the user rule
+// pays, whose head several bindings reach.
+func employmentPays(t *testing.T) *lsdb.Database {
+	t.Helper()
+	db := lsdb.New()
+	if _, err := factfile.LoadFile(db, filepath.Join("..", "..", "testdata", "employment.facts")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRule("pays", "(?x, WORKS-FOR, ?d) & (?x, EARNS, ?s) => (?d, PAYS, ?x)"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// renderProvenance lists db's closure, sorted, with each fact's
 // recorded derivation: "stored", or the rule and its premises.
 func renderProvenance(db *lsdb.Database) string {
 	e := db.Engine()
@@ -60,12 +66,12 @@ func renderProvenance(db *lsdb.Database) string {
 }
 
 // TestClosureProvenanceGolden pins the forward closure and its
-// first-wins provenance: which rule, from which premises, first put
-// each fact into a full build. Explain and Derive read nothing else,
-// so a change to how the closure is built that keeps this file
+// canonical provenance: which rule, from which premises, a full build
+// records for each fact. Explain and Derive read nothing else, so a
+// change to how the closure is built that keeps this file
 // byte-identical cannot move either. Every world is built on one
 // worker and on four, which must agree. Regenerate with -update only
-// for a deliberate change to what the rules derive first.
+// for a deliberate change to what a full build records.
 func TestClosureProvenanceGolden(t *testing.T) {
 	var b strings.Builder
 	for _, w := range provWorlds(t) {

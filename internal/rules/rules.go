@@ -268,9 +268,10 @@ type stdRow struct {
 // stdTable is the standard rules over one universe, each declared once
 // and listed in the order each pass visits them in.
 type stdTable struct {
-	// forward is the order of the forward pass. It fixes the order facts
-	// enter the closure store, and with it every first-wins provenance
-	// record.
+	// forward is the order of the forward pass. A full build's
+	// provenance does not depend on it (cmpDerivation); it fixes which
+	// derivation incremental maintenance records for a fact that has
+	// several.
 	forward []stdRow
 	// toHead is the order of the head-directed pass. It fixes which
 	// derivation delete propagation records for a reinstated fact that
