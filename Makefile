@@ -22,12 +22,12 @@ race:
 # delete-propagation paths, and their shrinking, the parallel-
 # equivalence tests, plus the E10c acceptance test under
 # -race; then the rules goldens (closure provenance, backward answers
-# and subgoal traffic), the canonical-provenance, bounded-matching and
-# subgoal-cache tests under -race.
+# and subgoal traffic), the canonical-provenance, bounded-matching,
+# subgoal-cache and user-rule three-direction tests under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
 	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestInjected|TestParallelEquivalence|TestE10cWarmRetention' ./internal/check .
-	$(GO) test -race -count=1 -run 'Golden|Provenance|Bounded|Subgoal' ./internal/rules
+	$(GO) test -race -count=1 -run 'Golden|Provenance|Bounded|Subgoal|UserRules' ./internal/rules
 
 # Keyword-search correctness: the search-vs-scan differential (index
 # answers must equal a brute-force store scan, full ranking, exact

@@ -194,6 +194,8 @@ func TestAddRuleErrors(t *testing.T) {
 	}
 	if err := db.AddRule("unsafe", "(?x, R, B) => (?x, S, ?unbound)"); err == nil {
 		t.Error("unsafe rule accepted")
+	} else if !strings.Contains(err.Error(), "head variable ?unbound not bound") {
+		t.Errorf("unsafe rule error %q does not name ?unbound", err)
 	}
 	if err := db.AddRule("ok", "(?x, R, ?y) => (?y, R-BY, ?x)"); err != nil {
 		t.Errorf("valid rule rejected: %v", err)

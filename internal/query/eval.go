@@ -67,15 +67,11 @@ type Result struct {
 // an empty answer — the trigger for probing retraction).
 func (r *Result) Empty() bool { return !r.True }
 
-// run is the state of one Eval. Bindings are a slot array indexed by
-// variable (sym.None = unbound): a matched fact binds slots in place
-// and the binder undoes them when the continuation returns, so
-// backtracking allocates nothing per fact.
+// run is the state of one Eval: the join state its conjunctions
+// share, and the evaluator whose counters it feeds.
 type run struct {
-	ev            *Evaluator
-	slots         []sym.ID
-	enumerated    int
-	shortcircuits uint64
+	joiner
+	ev *Evaluator
 }
 
 // Eval computes the value of q.
@@ -84,7 +80,7 @@ func (ev *Evaluator) Eval(q *Query) (*Result, error) {
 	for _, v := range q.Free {
 		res.Vars = append(res.Vars, q.VarName(v))
 	}
-	r := &run{ev: ev, slots: make([]sym.ID, q.MaxVar()+1)}
+	r := &run{ev: ev, joiner: joiner{m: ev.M, slots: make([]sym.ID, q.MaxVar()+1)}}
 	seen := make(map[string]struct{})
 	var evalErr error
 	r.eval(q.Root, func() bool {
@@ -146,9 +142,9 @@ func sortTuples(ts [][]sym.ID) {
 func (r *run) eval(f Formula, emit func() bool) bool {
 	switch n := f.(type) {
 	case *Atom:
-		return r.evalAtom(n, emit)
+		return r.match(n.Tpl, emit)
 	case *And:
-		return r.evalConj(flattenAnd(n, nil), emit)
+		return r.evalConj(n, emit)
 	case *Or:
 		return r.eval(n.L, emit) && r.eval(n.R, emit)
 	case *Exists:
@@ -168,90 +164,138 @@ func (r *run) eval(f Formula, emit func() bool) bool {
 	}
 }
 
-func flattenAnd(f Formula, out []Formula) []Formula {
-	if a, ok := f.(*And); ok {
-		return flattenAnd(a.R, flattenAnd(a.L, out))
+// evalConj joins the atoms of the conjunction a (Join's planner orders
+// them), then evaluates its other conjuncts, in written order, under
+// each binding the atoms reach.
+func (r *run) evalConj(a *And, emit func() bool) bool {
+	atoms, rest := splitConj(a, make([]fact.Template, 0, 4), nil)
+	if len(rest) == 0 {
+		return r.join(atoms, emit)
 	}
-	return append(out, f)
+	return r.join(atoms, func() bool { return r.evalSeq(rest, emit) })
 }
 
-// evalConj joins the conjuncts, choosing at each step the atom the
-// Matcher estimates to match the fewest facts under the current
-// binding. An atom whose estimate is an exact 0 ends the conjunction
-// at once: nothing can extend the binding. An inexact 0 with a free
-// endpoint is usually a virtual guard (math, ≠) whose enumeration
-// ranges over the whole domain, so it waits until other atoms have
-// bound its variables; an inexact 0 with both endpoints bound is a
-// cheap O(1) check and goes first. Non-atom conjuncts go last. conj is
-// reordered in place and restored before returning.
-func (r *run) evalConj(conj []Formula, emit func() bool) bool {
+// evalSeq evaluates the conjuncts in order.
+func (r *run) evalSeq(conj []Formula, emit func() bool) bool {
+	if len(conj) == 0 {
+		return emit()
+	}
+	return r.eval(conj[0], func() bool { return r.evalSeq(conj[1:], emit) })
+}
+
+// splitConj appends the templates of f's atom conjuncts to atoms and
+// its other conjuncts to rest, in written order.
+func splitConj(f Formula, atoms []fact.Template, rest []Formula) ([]fact.Template, []Formula) {
+	switch n := f.(type) {
+	case *And:
+		atoms, rest = splitConj(n.L, atoms, rest)
+		return splitConj(n.R, atoms, rest)
+	case *Atom:
+		return append(atoms, n.Tpl), rest
+	default:
+		return atoms, append(rest, f)
+	}
+}
+
+// Join enumerates the extensions of slots that satisfy every template
+// of conj, calling emit with each in slots; it stops early when emit
+// returns false and reports completion. slots is indexed by variable
+// (sym.None = unbound) and must cover every variable of conj; the
+// variables it binds on entry act as constants. Query conjunctions and
+// rule bodies are joined by this one planner: at each step it matches
+// the template the Matcher estimates to match the fewest facts under
+// the current binding, so a join re-ranks its atoms as bindings
+// accrue. An exact-0 estimate ends the join at once: nothing can
+// extend the binding. An inexact 0 with a free endpoint is usually a
+// virtual guard (math, ≠) whose enumeration ranges over the whole
+// domain, so it waits until other atoms have bound its variables; an
+// inexact 0 with both endpoints bound is a cheap O(1) check and goes
+// first. conj is reordered in place and restored before Join returns,
+// and so are the slots.
+func Join(m Matcher, conj []fact.Template, slots []sym.ID, emit func() bool) bool {
+	j := &joiner{m: m, slots: slots}
+	return j.join(conj, emit)
+}
+
+// joiner is the state of one Join. Bindings are a slot array: a
+// matched fact binds slots in place and match undoes them when the
+// continuation returns, so backtracking allocates nothing per fact.
+type joiner struct {
+	m             Matcher
+	slots         []sym.ID
+	enumerated    int    // facts the Matcher yielded
+	shortcircuits uint64 // joins an exact-0 estimate ended
+}
+
+func (j *joiner) join(conj []fact.Template, emit func() bool) bool {
 	if len(conj) == 0 {
 		return emit()
 	}
 	best, bestScore := 0, -1<<30
-	for i, f := range conj {
-		score := -1 << 29 // non-atoms go last
-		if a, ok := f.(*Atom); ok {
-			s, rel, t := r.resolve(a.Tpl)
-			n, exact := r.ev.M.EstimateCount(s, rel, t)
-			if n == 0 && exact {
-				r.shortcircuits++
-				return true
-			}
-			// Negated cardinality: fewer matching facts is better.
-			score = -n
-			if n == 0 && (s == sym.None || t == sym.None) {
-				score = -1 << 28
-			}
+	for i, tp := range conj {
+		s, rel, t := j.resolve(tp)
+		n, exact := j.m.EstimateCount(s, rel, t)
+		if n == 0 && exact {
+			j.shortcircuits++
+			return true
+		}
+		// Negated cardinality: fewer matching facts is better.
+		score := -n
+		if n == 0 && (s == sym.None || t == sym.None) {
+			score = -1 << 28
 		}
 		if score > bestScore {
 			best, bestScore = i, score
 		}
 	}
+	if len(conj) == 1 {
+		return j.match(conj[0], emit)
+	}
 	conj[0], conj[best] = conj[best], conj[0]
-	done := r.eval(conj[0], func() bool { return r.evalConj(conj[1:], emit) })
+	done := j.match(conj[0], func() bool { return j.join(conj[1:], emit) })
 	conj[0], conj[best] = conj[best], conj[0]
 	return done
 }
 
-func (r *run) term(t fact.Term) sym.ID {
+func (j *joiner) term(t fact.Term) sym.ID {
 	if t.IsVar() {
-		return r.slots[t.Variable]
+		return j.slots[t.Variable]
 	}
 	return t.Entity
 }
 
 // resolve instantiates tp under the current binding; unbound
 // variables become the sym.None wildcard.
-func (r *run) resolve(tp fact.Template) (s, rel, t sym.ID) {
-	return r.term(tp.S), r.term(tp.R), r.term(tp.T)
+func (j *joiner) resolve(tp fact.Template) (s, rel, t sym.ID) {
+	return j.term(tp.S), j.term(tp.R), j.term(tp.T)
 }
 
 // unify binds the unbound variable of term to id, or checks id against
 // what the term already denotes.
-func (r *run) unify(term fact.Term, id sym.ID) bool {
-	if have := r.term(term); have != sym.None {
+func (j *joiner) unify(term fact.Term, id sym.ID) bool {
+	if have := j.term(term); have != sym.None {
 		return have == id
 	}
-	r.slots[term.Variable] = id
+	j.slots[term.Variable] = id
 	return true
 }
 
-func (r *run) evalAtom(a *Atom, emit func() bool) bool {
-	tp := a.Tpl
-	s, rel, t := r.resolve(tp)
-	return r.ev.M.Match(s, rel, t, func(f fact.Fact) bool {
-		r.enumerated++
-		cont := !(r.unify(tp.S, f.S) && r.unify(tp.R, f.R) && r.unify(tp.T, f.T)) || emit()
+// match calls emit once for each fact matching tp under the current
+// binding, with the slots extended by what the fact binds.
+func (j *joiner) match(tp fact.Template, emit func() bool) bool {
+	s, rel, t := j.resolve(tp)
+	return j.m.Match(s, rel, t, func(f fact.Fact) bool {
+		j.enumerated++
+		cont := !(j.unify(tp.S, f.S) && j.unify(tp.R, f.R) && j.unify(tp.T, f.T)) || emit()
 		// Undo what the fact bound: the positions that were open on entry.
 		if s == sym.None {
-			r.slots[tp.S.Variable] = sym.None
+			j.slots[tp.S.Variable] = sym.None
 		}
 		if rel == sym.None {
-			r.slots[tp.R.Variable] = sym.None
+			j.slots[tp.R.Variable] = sym.None
 		}
 		if t == sym.None {
-			r.slots[tp.T.Variable] = sym.None
+			j.slots[tp.T.Variable] = sym.None
 		}
 		return cont
 	})

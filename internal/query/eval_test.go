@@ -421,3 +421,28 @@ func TestEvalQuantifierScopes(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalAllocs bounds the allocations of one Eval of one-, two- and
+// three-atom conjunctions, and of a conjunction with a non-atom
+// conjunct, by what the evaluator allocated before rule bodies shared
+// its join: 26, 103, 25 and 269 on this world.
+func TestEvalAllocs(t *testing.T) {
+	u, ev := evalSetup(enrolments(20)...)
+	for _, c := range []struct {
+		src string
+		max float64
+	}{
+		{"(?e, ENROL-COURSE, C1)", 26},
+		{"(?c, in, LAB) & (?e, ENROL-COURSE, ?c)", 103},
+		{"(?c, in, LAB) & (?e, ENROL-COURSE, ?c) & (?e, ENROL-STUDENT, S3)", 25},
+		{"exists ?y . (?x, ENROL-COURSE, ?y) & [(?y, in, LAB) | (?y, in, STUDIO)]", 269},
+	} {
+		q := query.MustParse(u, c.src)
+		if _, err := ev.Eval(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(50, func() { ev.Eval(q) }); got > c.max {
+			t.Errorf("%s: %v allocations per Eval, want at most %v", c.src, got, c.max)
+		}
+	}
+}

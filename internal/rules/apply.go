@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fact"
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/sym"
 )
@@ -428,189 +429,94 @@ func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit 
 // against derived facts and virtual facts, and emits the instantiated
 // head facts.
 func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []fact.Fact)) {
-	for i := range r.Body {
-		b := getBinding()
-		if !unifyTemplate(r.Body[i], f, b) {
-			putBinding(b)
+	var slots []sym.ID
+	var rest []fact.Template
+	for i, tp := range r.Body {
+		if !r.bindSlots(&slots, tp, f.S, f.R, f.T) {
 			continue
 		}
-		rest := make([]fact.Template, 0, len(r.Body)-1)
-		rest = append(rest, r.Body[:i]...)
-		rest = append(rest, r.Body[i+1:]...)
-		e.joinAtoms(rest, b, derived, func(bb binding) {
-			premises := make([]fact.Fact, 0, len(r.Body))
-			for _, atom := range r.Body {
-				if p, ok := instantiate(atom, bb); ok {
-					premises = append(premises, p)
-				}
-			}
+		rest = append(append(rest[:0], r.Body[:i]...), r.Body[i+1:]...)
+		query.Join(storeEval{e: e, derived: derived}, rest, slots, func() bool {
+			premises := r.premises(slots)
 			for _, h := range r.Head {
-				g, ok := instantiate(h, bb)
-				if ok {
-					emit(g, premises)
-				}
+				emit(ground(h, slots), premises)
 			}
+			return true
 		})
-		putBinding(b)
 	}
 }
 
-// binding maps rule/query variables to entities.
-type binding map[fact.Var]sym.ID
-
-// bindingPool recycles root binding maps on the hot match paths: a
-// single closure round can start thousands of unification attempts,
-// and most die before binding anything.
-var bindingPool = sync.Pool{New: func() any { return make(binding, 8) }}
-
-func getBinding() binding { return bindingPool.Get().(binding) }
-
-func putBinding(b binding) {
-	clear(b)
-	bindingPool.Put(b)
+// storeEval is the Matcher user-rule bodies join against forwards and
+// from the head: the derived store plus the virtual facts. Its
+// estimate is the store's count, exact unless the relationship may
+// have a virtual family.
+type storeEval struct {
+	e       *Engine
+	derived *store.Store
 }
 
-// unifyTemplate extends b so that template tp matches fact f,
-// mutating b. It reports false (leaving b partially extended) when
-// unification fails; callers pass a scratch binding.
-func unifyTemplate(tp fact.Template, f fact.Fact, b binding) bool {
-	return unifyTerm(tp.S, f.S, b) && unifyTerm(tp.R, f.R, b) && unifyTerm(tp.T, f.T, b)
+func (m storeEval) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
+	return m.derived.Match(s, r, t, fn) && m.e.vp.Match(s, r, t, m.derived, fn)
 }
 
-// unifyInto extends b so that tp matches f, recording each newly
-// bound variable in undo and returning how many were bound. The
-// caller unwinds by deleting undo[:n] from b — on failure too, since
-// a partial match may have bound a variable before mismatching. This
-// replaces clone-per-candidate-fact on the join paths: one shared map
-// is extended and unwound as the join backtracks.
-func unifyInto(tp fact.Template, f fact.Fact, b binding, undo *[3]fact.Var) (int, bool) {
-	n := 0
-	bind := func(t fact.Term, id sym.ID) bool {
-		if !t.IsVar() {
-			return t.Entity == id
-		}
-		if have, ok := b[t.Variable]; ok {
-			return have == id
-		}
-		b[t.Variable] = id
-		undo[n] = t.Variable
-		n++
-		return true
-	}
-	ok := bind(tp.S, f.S) && bind(tp.R, f.R) && bind(tp.T, f.T)
-	return n, ok
+func (m storeEval) EstimateCount(s, r, t sym.ID) (int, bool) {
+	return m.derived.EstimateCount(s, r, t), !m.e.virtualRel(r)
 }
 
-func unifyTerm(t fact.Term, id sym.ID, b binding) bool {
-	if !t.IsVar() {
-		return t.Entity == id
+// bindSlots binds the variables of template tp in *slots so that tp
+// matches the pattern (s, rel, t), whose sym.None positions constrain
+// nothing, and leaves every other variable unbound. *slots is r's slot
+// array for query.Join, allocated on first use and cleared after. It
+// reports false when tp cannot match; it checks tp's constants first,
+// which rule most templates out before any slot array is allocated.
+func (r *Rule) bindSlots(slots *[]sym.ID, tp fact.Template, s, rel, t sym.ID) bool {
+	fits := func(term fact.Term, id sym.ID) bool {
+		return id == sym.None || term.IsVar() || term.Entity == id
 	}
-	if have, ok := b[t.Variable]; ok {
-		return have == id
+	if !fits(tp.S, s) || !fits(tp.R, rel) || !fits(tp.T, t) {
+		return false
 	}
-	b[t.Variable] = id
-	return true
+	if *slots == nil {
+		var hi fact.Var
+		for _, tps := range [2][]fact.Template{r.Body, r.Head} {
+			for _, tp := range tps {
+				hi = max(hi, tp.S.Variable, tp.R.Variable, tp.T.Variable)
+			}
+		}
+		*slots = make([]sym.ID, hi+1)
+	} else {
+		clear(*slots)
+	}
+	bind := func(term fact.Term, id sym.ID) bool {
+		switch v := term.Variable; {
+		case id == sym.None || !term.IsVar():
+			return true
+		case (*slots)[v] == sym.None:
+			(*slots)[v] = id
+			return true
+		default:
+			return (*slots)[v] == id // a repeated variable
+		}
+	}
+	return bind(tp.S, s) && bind(tp.R, rel) && bind(tp.T, t)
 }
 
-// resolve returns the pattern IDs of tp under binding b: bound
-// variables and constants become concrete, unbound variables map to
-// sym.None (wildcard).
-func resolve(tp fact.Template, b binding) (s, r, t sym.ID) {
-	get := func(term fact.Term) sym.ID {
-		if !term.IsVar() {
-			return term.Entity
+// ground instantiates tp under slots, which bind all its variables.
+func ground(tp fact.Template, slots []sym.ID) fact.Fact {
+	term := func(t fact.Term) sym.ID {
+		if t.IsVar() {
+			return slots[t.Variable]
 		}
-		if id, ok := b[term.Variable]; ok {
-			return id
-		}
-		return sym.None
+		return t.Entity
 	}
-	return get(tp.S), get(tp.R), get(tp.T)
+	return fact.Fact{S: term(tp.S), R: term(tp.R), T: term(tp.T)}
 }
 
-// instantiate grounds head template h under b.
-func instantiate(h fact.Template, b binding) (fact.Fact, bool) {
-	get := func(term fact.Term) (sym.ID, bool) {
-		if !term.IsVar() {
-			return term.Entity, true
-		}
-		id, ok := b[term.Variable]
-		return id, ok
+// premises grounds r's body under slots, in body order.
+func (r *Rule) premises(slots []sym.ID) []fact.Fact {
+	out := make([]fact.Fact, len(r.Body))
+	for i, tp := range r.Body {
+		out[i] = ground(tp, slots)
 	}
-	s, ok1 := get(h.S)
-	r, ok2 := get(h.R)
-	t, ok3 := get(h.T)
-	if !ok1 || !ok2 || !ok3 {
-		return fact.Fact{}, false
-	}
-	return fact.Fact{S: s, R: r, T: t}, true
-}
-
-// joinAtoms enumerates every extension of b satisfying all atoms
-// against derived ∪ virtual facts via the batch join kernel
-// (batchjoin.go): premises are re-ranked by store selectivity and,
-// where eligible, answered for whole binding batches at once. atoms is
-// permuted in place; callers pass a scratch slice. found must not
-// retain its argument.
-func (e *Engine) joinAtoms(atoms []fact.Template, b binding, derived *store.Store, found func(binding)) {
-	var js joinStats
-	seed := [1]binding{b}
-	joinBatch(storeEval{e: e, derived: derived}, atoms, seed[:], &js, found)
-	if js.batches != 0 {
-		e.m.batchJoins.Add(js.batches)
-		e.m.batchBindings.Add(js.batchBindings)
-	}
-}
-
-// pickAtom returns the index of the atom to join next: the one whose
-// pattern under b has the smallest index-bucket estimate in st, so
-// joins enumerate the narrowest candidate set first and re-rank as
-// bindings accrue. All estimates are taken in one batch (a single
-// lock acquisition on an unsealed store). Mirroring the query
-// evaluator's cost model: an estimate of 0 with an unbound endpoint
-// usually marks a virtual pattern (comparators, ≠) acting as a guard
-// — schedule it last, after its variables are bound; bound positions
-// break ties. The choice never affects the set of join results, only
-// the order and cost of finding them.
-func pickAtom(atoms []fact.Template, b binding, st *store.Store) int {
-	var patBuf [8]store.Pattern
-	var cntBuf [8]int
-	pats := patBuf[:0]
-	if len(atoms) > len(patBuf) {
-		pats = make([]store.Pattern, 0, len(atoms))
-	}
-	for _, a := range atoms {
-		s, r, t := resolve(a, b)
-		pats = append(pats, store.Pattern{S: s, R: r, T: t})
-	}
-	cnts := cntBuf[:len(pats)]
-	if len(pats) > len(cntBuf) {
-		cnts = make([]int, len(pats))
-	}
-	st.EstimateCounts(pats, cnts)
-
-	const guard = -1 << 40 // below any real -8*count
-	best, bestScore := 0, guard-1
-	for i, p := range pats {
-		bound := 0
-		if p.S != sym.None {
-			bound++
-		}
-		if p.R != sym.None {
-			bound += 2
-		}
-		if p.T != sym.None {
-			bound++
-		}
-		var score int
-		if cnts[i] == 0 && (p.S == sym.None || p.T == sym.None) {
-			score = guard + bound
-		} else {
-			score = -8*cnts[i] + bound
-		}
-		if score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/fact"
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/sym"
 )
@@ -188,38 +189,19 @@ func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance
 		if found {
 			break
 		}
+		var slots []sym.ID
+		var body []fact.Template
 		for _, h := range r.Head {
-			// Forward application instantiates heads from body
-			// bindings only — a head variable the body never binds
-			// means the head is never emitted, even though unifying
-			// against the ground goal would bind it here.
-			if !headBoundByBody(h, r.Body) {
+			if !r.bindSlots(&slots, h, g.S, g.R, g.T) {
 				continue
 			}
-			bind := getBinding()
-			if !unifyTemplate(h, g, bind) {
-				putBinding(bind)
-				continue
+			if body == nil {
+				body = slices.Clone(r.Body)
 			}
-			body := append(make([]fact.Template, 0, len(r.Body)), r.Body...)
-			e.joinAtoms(body, bind, st, func(bb binding) {
-				if found {
-					return
-				}
-				premises := make([]fact.Fact, 0, len(r.Body))
-				for _, atom := range r.Body {
-					if p, ok := instantiate(atom, bb); ok {
-						premises = append(premises, p)
-					}
-				}
-				// Re-check the head grounds to g (unifyPattern-style
-				// partial heads cannot occur here: g is ground, so the
-				// unification above bound every head variable).
-				if gg, ok := instantiate(h, bb); ok && gg == g {
-					out, found = Provenance{Rule: r.Name, Premises: premises}, true
-				}
+			query.Join(storeEval{e: e, derived: st}, body, slots, func() bool {
+				out, found = Provenance{Rule: r.Name, Premises: r.premises(slots)}, true
+				return false
 			})
-			putBinding(bind)
 			if found {
 				break
 			}
@@ -304,25 +286,4 @@ func (e *Engine) unaryToHead(row *stdRow, g fact.Fact, st *store.Store) []fact.F
 		return []fact.Fact{p, tw}
 	}
 	return nil
-}
-
-// headBoundByBody reports whether every variable of head template h
-// occurs in some body atom (so forward application can ground it).
-func headBoundByBody(h fact.Template, body []fact.Template) bool {
-	bodyHas := func(v fact.Var) bool {
-		for _, a := range body {
-			for _, t := range [3]fact.Term{a.S, a.R, a.T} {
-				if t.IsVar() && t.Variable == v {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for _, t := range [3]fact.Term{h.S, h.R, h.T} {
-		if t.IsVar() && !bodyHas(t.Variable) {
-			return false
-		}
-	}
-	return true
 }

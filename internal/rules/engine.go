@@ -714,25 +714,15 @@ func (e *Engine) wildcardRel(rel sym.ID) bool {
 }
 
 // matchConcrete matches against materialized closure plus virtual
-// facts, deduplicating only when both sources can emit the same fact.
+// facts. A virtual fact the closure also holds was emitted by the
+// closure pass already, so the virtual pass skips it.
 func (e *Engine) matchConcrete(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	c := e.Closure()
 	if !e.virtualRel(rel) {
 		return c.Match(src, rel, tgt, fn)
 	}
-	seen := make(map[fact.Fact]struct{})
-	done := c.Match(src, rel, tgt, func(f fact.Fact) bool {
-		seen[f] = struct{}{}
-		return fn(f)
-	})
-	if !done {
-		return false
-	}
-	return e.vp.Match(src, rel, tgt, c, func(f fact.Fact) bool {
-		if _, dup := seen[f]; dup {
-			return true
-		}
-		return fn(f)
+	return c.Match(src, rel, tgt, fn) && e.vp.Match(src, rel, tgt, c, func(f fact.Fact) bool {
+		return c.Has(f) || fn(f)
 	})
 }
 

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fact"
@@ -529,5 +530,30 @@ func TestEstimateCountSeesWhatMatchSees(t *testing.T) {
 	}
 	if _, exact := e.EstimateCount(zoe, u.Gen, sym.None); exact {
 		t.Error("an estimate over ≺, which has virtual facts, claims to be exact")
+	}
+}
+
+// TestMatchFreeRelationshipAllocs: a Match with a free relationship
+// also enumerates virtual facts and skips those the closure emitted
+// already. It must allocate no more for an entity with 1,000
+// neighbours than for one with 10: no per-fact bookkeeping.
+func TestMatchFreeRelationshipAllocs(t *testing.T) {
+	u, s, e := newEngine()
+	for i := 0; i < 1000; i++ {
+		n := fmt.Sprintf("N%d", i)
+		s.Insert(u.NewFact("HUB", "LIKES", n))
+		if i < 10 {
+			s.Insert(u.NewFact("LEAF", "LIKES", n))
+		}
+	}
+	s.Insert(u.NewFact("HUB", "isa", "THING"))
+	count := func(f fact.Fact) bool { return true }
+	allocs := func(name string) float64 {
+		id := u.Intern(name)
+		e.Match(id, sym.None, sym.None, count) // warm the closure
+		return testing.AllocsPerRun(50, func() { e.Match(id, sym.None, sym.None, count) })
+	}
+	if hub, leaf := allocs("HUB"), allocs("LEAF"); hub > leaf {
+		t.Errorf("free-relationship Match allocates %v times for 1,000 neighbours, %v for 10", hub, leaf)
 	}
 }

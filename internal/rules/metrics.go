@@ -23,11 +23,7 @@ type engineMetrics struct {
 	buildWorkers   *obs.Gauge // high-water mark of goroutines in one round
 
 	factsScanned *obs.Counter // candidate facts enumerated by bounded matching
-	premReorder  *obs.Counter // join premises moved by selectivity re-ranking
 	maxDepth     *obs.Gauge   // deepest MatchBounded depth requested
-
-	batchJoins    *obs.Counter // premise×batch evaluations answered generically
-	batchBindings *obs.Counter // bindings covered by those batch evaluations
 
 	sealNs     *obs.Histogram // posting-index build time, per build
 	sealBuilds *obs.Counter   // posting indexes built (full builds and folds)
@@ -99,11 +95,7 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		rounds:         r.Counter("lsdb_rules_rounds_total"),
 		buildWorkers:   r.Gauge("lsdb_rules_build_workers"),
 		factsScanned:   r.Counter("lsdb_ondemand_facts_scanned_total"),
-		premReorder:    r.Counter("lsdb_ondemand_premises_reordered_total"),
 		maxDepth:       r.Gauge("lsdb_ondemand_max_depth"),
-
-		batchJoins:    r.Counter("lsdb_join_batches_total"),
-		batchBindings: r.Counter("lsdb_join_batched_bindings_total"),
 
 		sealNs:     r.Histogram("lsdb_index_seal_ns"),
 		sealBuilds: r.Counter("lsdb_index_seal_builds_total"),

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fact"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/sym"
 )
@@ -69,8 +70,7 @@ type bounded struct {
 	// the engine's registry counters on return — per-call accumulation
 	// keeps the hot recursion free of atomic traffic.
 	tr      *obs.Trace
-	scanned uint64    // candidate facts enumerated from base + virtual
-	js      joinStats // premise reorders and batch-join counters
+	scanned uint64 // candidate facts enumerated from base + virtual
 }
 
 // MatchBounded calls fn for every fact matching the pattern that is
@@ -109,11 +109,6 @@ func (e *Engine) MatchBoundedTrace(src, rel, tgt sym.ID, depth int, tr *obs.Trac
 		e.sg.misses.Add(b.misses)
 	}
 	e.m.factsScanned.Add(b.scanned)
-	e.m.premReorder.Add(b.js.reordered)
-	if b.js.batches != 0 {
-		e.m.batchJoins.Add(b.js.batches)
-		e.m.batchBindings.Add(b.js.batchBindings)
-	}
 
 	complete := true
 	if anyWild := wildS || wildR || wildT; !anyWild {
@@ -388,23 +383,44 @@ func (b *bounded) backward(s, r, t sym.ID, d int, col *collector) {
 
 	// User rules, backwards: any head atom may match the pattern.
 	for _, rule := range b.cfg.userRules {
+		var slots []sym.ID
+		var body []fact.Template
 		for _, h := range rule.Head {
-			bind := getBinding()
-			if !unifyPattern(h, s, r, t, bind) {
-				putBinding(bind)
+			if !rule.bindSlots(&slots, h, s, r, t) {
 				continue
 			}
-			// joinBounded permutes the atom slice in place; rules are
-			// shared across goroutines, so join a private copy.
-			body := append(make([]fact.Template, 0, len(rule.Body)), rule.Body...)
-			b.joinBounded(body, bind, d-1, func(bb binding) {
-				if f, ok := instantiate(h, bb); ok {
-					col.add(f)
-				}
+			if body == nil {
+				// Join reorders the body in place; rules are shared
+				// across goroutines, so it joins a private copy.
+				body = slices.Clone(rule.Body)
+			}
+			query.Join(boundedEval{b: b, d: d - 1}, body, slots, func() bool {
+				col.add(ground(h, slots))
+				return true
 			})
-			putBinding(bind)
 		}
 	}
+}
+
+// boundedEval is the Matcher user-rule bodies join against backwards:
+// the facts derivable within d steps. Its estimate is the base store's
+// count, never exact: inference only adds to the stored facts.
+type boundedEval struct {
+	b *bounded
+	d int
+}
+
+func (m boundedEval) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
+	for _, f := range m.b.enum(s, r, t, m.d) {
+		if !fn(f) {
+			return false
+		}
+	}
+	return true
+}
+
+func (m boundedEval) EstimateCount(s, r, t sym.ID) (int, bool) {
+	return m.b.base.EstimateCount(s, r, t), false
 }
 
 // stdBackward is the backward interpreter of the rule table: it adds
@@ -524,34 +540,4 @@ func (b *bounded) unaryBackward(row *stdRow, goal fact.Fact, d int, col *collect
 			}
 		}
 	}
-}
-
-// unifyPattern checks that head template h is compatible with the
-// query pattern, binding head variables to pattern constants.
-func unifyPattern(h fact.Template, s, r, t sym.ID, b binding) bool {
-	ok := func(term fact.Term, id sym.ID) bool {
-		if id == sym.None {
-			return true
-		}
-		if !term.IsVar() {
-			return term.Entity == id
-		}
-		if have, bound := b[term.Variable]; bound {
-			return have == id
-		}
-		b[term.Variable] = id
-		return true
-	}
-	return ok(h.S, s) && ok(h.R, r) && ok(h.T, t)
-}
-
-// joinBounded enumerates bindings satisfying all atoms against the
-// depth-bounded closure via the batch join kernel (batchjoin.go):
-// premises are re-ranked by base-store selectivity and, where
-// eligible, answered for whole binding batches at once. atoms is
-// permuted in place; callers pass a scratch slice. found must not
-// retain its argument.
-func (b *bounded) joinBounded(atoms []fact.Template, bind binding, d int, found func(binding)) {
-	seed := [1]binding{bind}
-	joinBatch(boundedEval{b: b, d: d}, atoms, seed[:], &b.js, found)
 }

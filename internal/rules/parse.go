@@ -58,7 +58,7 @@ func ParseRule(u *fact.Universe, name string, kind Kind, src string) (Rule, erro
 			r.Head = append(r.Head, a.Tpl)
 		}
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.validate(full.VarName); err != nil {
 		return Rule{}, err
 	}
 	return r, nil

@@ -71,6 +71,11 @@ type Rule struct {
 // Validate reports whether the rule is well formed: non-empty body
 // and head, and every head variable bound by the body.
 func (r *Rule) Validate() error {
+	return r.validate(func(v fact.Var) string { return fmt.Sprintf("v%d", v) })
+}
+
+// validate is Validate naming each variable by name(v).
+func (r *Rule) validate(name func(fact.Var) string) error {
 	if r.Name == "" {
 		return fmt.Errorf("rules: rule must be named")
 	}
@@ -94,7 +99,7 @@ func (r *Rule) Validate() error {
 	}
 	for _, v := range headVars {
 		if !bound[v] {
-			return fmt.Errorf("rules: rule %q: head variable ?v%d not bound in body", r.Name, v)
+			return fmt.Errorf("rules: rule %q: head variable ?%s not bound in body", r.Name, name(v))
 		}
 	}
 	return nil

@@ -14,38 +14,12 @@ import (
 // per-query context (memo, cycle guard, dedup set) was rebuilt from
 // scratch every call — ~42 MB and ~41k allocations per cold query on
 // the E7 benchmark world. The pools below recycle all of it: candidate
-// buffers, per-call result arenas, binding batches, and the bounded
+// collectors, per-call result arenas, dedup sets, and the bounded
 // contexts themselves.
 
 // maxRetainedCap bounds the capacity of pooled buffers: the occasional
 // pathological subgoal must not pin its worst-case footprint forever.
 const maxRetainedCap = 1 << 16
-
-var factBufPool = sync.Pool{New: func() any { s := make([]fact.Fact, 0, 64); return &s }}
-
-func getFactBuf() *[]fact.Fact { return factBufPool.Get().(*[]fact.Fact) }
-
-func putFactBuf(p *[]fact.Fact) {
-	if cap(*p) > maxRetainedCap {
-		return
-	}
-	*p = (*p)[:0]
-	factBufPool.Put(p)
-}
-
-var idBufPool = sync.Pool{New: func() any { s := make([]sym.ID, 0, 64); return &s }}
-
-func getIDBuf() *[]sym.ID { return idBufPool.Get().(*[]sym.ID) }
-
-func putIDBuf(p *[]sym.ID) {
-	if cap(*p) > maxRetainedCap {
-		return
-	}
-	*p = (*p)[:0]
-	idBufPool.Put(p)
-}
-
-var batchPool = sync.Pool{New: func() any { s := make([]binding, 0, 32); return &s }}
 
 // factArena hands out subgoal result slices for cache-off bounded
 // calls. Results live in the per-call memo and die with the call, so
@@ -207,5 +181,4 @@ func (b *bounded) reset() {
 	b.e, b.cfg, b.base, b.shared, b.tr = nil, nil, nil, nil, nil
 	b.hits, b.misses, b.openHits, b.scanned = 0, 0, 0, 0
 	b.curDeps = 0
-	b.js = joinStats{}
 }

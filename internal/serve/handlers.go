@@ -769,7 +769,6 @@ func statsHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 			"posting_bytes": v("lsdb_index_posting_bytes"),
 			"buckets":       v("lsdb_index_buckets"),
 			"seal_builds":   v("lsdb_index_seal_builds_total"),
-			"batch_joins":   v("lsdb_join_batches_total"),
 		},
 		"query": map[string]any{
 			"evals":               enumerated.Count(),

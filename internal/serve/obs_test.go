@@ -101,7 +101,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lsdb_index_posting_bytes`,
 		`lsdb_index_buckets`,
 		`lsdb_index_seal_ns_count`,
-		`lsdb_join_batches_total`,
 		`lsdb_browse_steps_total{kind="neighborhood"}`,
 		`lsdb_query_facts_enumerated_count`,
 		`lsdb_query_empty_shortcircuits_total`,

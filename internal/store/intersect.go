@@ -1,9 +1,7 @@
 // Sorted-set kernels over uint32-like values.
 //
 // The sealed index stores each posting bucket as an ascending run of
-// fact IDs, and the batch join kernel in internal/rules aligns sorted
-// candidate columns against sorted binding keys. These kernels combine
-// such runs without hashing: linear merge when the inputs are
+// fact IDs. These kernels combine such runs without hashing: linear merge when the inputs are
 // comparably sized, galloping (exponential probe + binary search) when
 // one side is much smaller, so an intersection costs
 // O(min · log(max/min)) instead of O(max).
@@ -46,41 +44,6 @@ func GallopGE[T ~uint32](xs []T, v T, from int) int {
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if xs[mid] < v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// GallopGT returns the smallest index i in [from, len(xs)) with
-// xs[i] > v, or len(xs). Together with GallopGE it delimits the run of
-// elements equal to v.
-func GallopGT[T ~uint32](xs []T, v T, from int) int {
-	n := len(xs)
-	if from < 0 {
-		from = 0
-	}
-	if from >= n || xs[from] > v {
-		if from > n {
-			return n
-		}
-		return from
-	}
-	lo, step := from, 1
-	hi := from + 1
-	for hi < n && xs[hi] <= v {
-		lo = hi
-		step <<= 1
-		hi += step
-	}
-	if hi > n {
-		hi = n
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] <= v {
 			lo = mid
 		} else {
 			hi = mid

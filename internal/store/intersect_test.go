@@ -113,26 +113,23 @@ func TestIntersectGalloping(t *testing.T) {
 func TestGallopBounds(t *testing.T) {
 	xs := []uint32{2, 4, 4, 4, 9}
 	cases := []struct {
-		v              uint32
-		from           int
-		wantGE, wantGT int
+		v      uint32
+		from   int
+		wantGE int
 	}{
-		{0, 0, 0, 0},
-		{2, 0, 0, 1},
-		{3, 0, 1, 1},
-		{4, 0, 1, 4},
-		{4, 2, 2, 4},
-		{9, 0, 4, 5},
-		{10, 0, 5, 5},
-		{4, 5, 5, 5},  // from past the end
-		{4, -3, 1, 4}, // negative from clamps to 0
+		{0, 0, 0},
+		{2, 0, 0},
+		{3, 0, 1},
+		{4, 0, 1},
+		{4, 2, 2},
+		{9, 0, 4},
+		{10, 0, 5},
+		{4, 5, 5},  // from past the end
+		{4, -3, 1}, // negative from clamps to 0
 	}
 	for _, c := range cases {
 		if got := GallopGE(xs, c.v, c.from); got != c.wantGE {
 			t.Errorf("GallopGE(%v, %d, %d) = %d, want %d", xs, c.v, c.from, got, c.wantGE)
-		}
-		if got := GallopGT(xs, c.v, c.from); got != c.wantGT {
-			t.Errorf("GallopGT(%v, %d, %d) = %d, want %d", xs, c.v, c.from, got, c.wantGT)
 		}
 	}
 	if got := GallopGE([]uint32(nil), 5, 0); got != 0 {
@@ -149,10 +146,6 @@ func TestGallopLongSeek(t *testing.T) {
 		want := sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
 		if got := GallopGE(xs, v, 0); got != want {
 			t.Fatalf("GallopGE(.., %d, 0) = %d, want %d", v, got, want)
-		}
-		wantGT := sort.Search(len(xs), func(i int) bool { return xs[i] > v })
-		if got := GallopGT(xs, v, 0); got != wantGT {
-			t.Fatalf("GallopGT(.., %d, 0) = %d, want %d", v, got, wantGT)
 		}
 	}
 }
