@@ -20,13 +20,15 @@ race:
 # (interleaved assert/retract/toggle bursts, shared and disjoint
 # relationship classes), driving the dependency-eviction and
 # delete-propagation paths, and their shrinking, the parallel-
-# equivalence tests, plus the E10c acceptance test under
-# -race; then the rules goldens (closure provenance, backward answers
-# and subgoal traffic), the canonical-provenance, bounded-matching,
-# subgoal-cache and user-rule three-direction tests under -race.
+# equivalence tests, the maintained-vs-fresh provenance comparison
+# (IncrementalVsFull over 80 small worlds), plus the E10c acceptance
+# test under -race; then the rules goldens (closure provenance,
+# backward answers and subgoal traffic), the canonical-provenance,
+# bounded-matching, subgoal-cache and user-rule three-direction tests
+# under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
-	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestInjected|TestParallelEquivalence|TestE10cWarmRetention' ./internal/check .
+	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestInjected|TestParallelEquivalence|TestIncrementalVsFullProvenance|TestE10cWarmRetention' ./internal/check .
 	$(GO) test -race -count=1 -run 'Golden|Provenance|Bounded|Subgoal|UserRules' ./internal/rules
 
 # Keyword-search correctness: the search-vs-scan differential (index
@@ -115,7 +117,7 @@ check-benchmark:
 # packages whose tests have had timing dependence, a short soak, and
 # a brief pass over every fuzz target.
 check: build vet test race
-	$(GO) test -count=3 . ./internal/serve ./internal/store ./internal/search ./internal/check
+	$(GO) test -count=3 . ./internal/serve ./internal/store ./internal/search ./internal/check ./internal/rules
 	$(MAKE) check-benchmark
 	$(MAKE) check-obs
 	$(MAKE) load-smoke

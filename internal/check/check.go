@@ -486,8 +486,8 @@ func traceReconcile(cached, uncached *lsdb.Database, s, r, t string, depth int) 
 // ParallelEquivalence builds the world twice, materializes one
 // closure sequentially and one with opts.Workers workers, and
 // requires identical fact sets and identical per-fact provenance: the
-// rule and the premises of each fact's recorded derivation (the first
-// level of Derive). opts.Perturb, if set, is applied to the parallel
+// rule and the premises of each fact's canonical derivation (the
+// first level of Derive). opts.Perturb, if set, is applied to the parallel
 // database first.
 func ParallelEquivalence(w *gen.World, opts Options) *Failure {
 	opts = opts.withDefaults()
@@ -534,7 +534,8 @@ func derivedBy(db *lsdb.Database, f fact.Fact) string {
 // forcing a closure materialization every other op — driving the COW
 // incremental path on insert runs and full recomputes after deletes
 // and rule toggles — and compares the final closure against a fresh
-// replay that computes its closure once, from scratch.
+// replay that computes its closure once, from scratch: the same facts,
+// and for each the same derivation (rule and premises, derivedBy).
 func IncrementalVsFull(w *gen.World) *Failure {
 	live := lsdb.New()
 	for i, op := range w.Ops {
@@ -544,6 +545,9 @@ func IncrementalVsFull(w *gen.World) *Failure {
 		}
 	}
 	full := w.Build()
+	fail := func(format string, args ...any) *Failure {
+		return &Failure{Oracle: "incremental-vs-full", Detail: fmt.Sprintf(format, args...)}
+	}
 	liveSet := tripleSet(live, live.Engine().Closure())
 	fullSet := tripleSet(full, full.Engine().Closure())
 	if t, inLive, ok := diffSets(liveSet, fullSet); ok {
@@ -551,10 +555,14 @@ func IncrementalVsFull(w *gen.World) *Failure {
 		if inLive {
 			side = "incremental"
 		}
-		return &Failure{
-			Oracle: "incremental-vs-full",
-			Detail: fmt.Sprintf("fact %v only in %s closure (sizes %d vs %d)",
-				t, side, len(liveSet), len(fullSet)),
+		return fail("fact %v only in %s closure (sizes %d vs %d)", t, side, len(liveSet), len(fullSet))
+	}
+	uf := full.Universe()
+	for _, f := range live.Engine().Closure().Facts() {
+		tr := triple(live, f)
+		ff := fact.Fact{S: uf.Entity(tr[0]), R: uf.Entity(tr[1]), T: uf.Entity(tr[2])}
+		if w1, w2 := derivedBy(live, f), derivedBy(full, ff); w1 != w2 {
+			return fail("provenance differs for %v: incremental %q vs full-recompute %q", tr, w1, w2)
 		}
 	}
 	return nil

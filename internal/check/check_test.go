@@ -225,14 +225,11 @@ func TestBatchVsSingleOracle(t *testing.T) {
 }
 
 // TestParallelEquivalenceComparesPremises: the oracle compares each
-// fact's premises, not only its rule. Re-asserting a stored fact
-// through delete-and-rederive and incremental maintenance leaves the
-// parallel side with the first derivation those paths find; on some
-// world that names the canonical rule from other premises, which a
-// comparison of Explain's rule names alone cannot see. It relies on
-// maintenance recording the first derivation it finds; were
-// maintenance to record canonical derivations, it would need another
-// way to plant a premise-only difference.
+// fact's rule and premises, and re-asserting a stored fact — through
+// delete-and-rederive, then incremental maintenance — moves neither on
+// any of 200 worlds. Provenance is worked out from the database, not
+// recorded by whichever path reached the closure, so no history can
+// make the two sides disagree.
 func TestParallelEquivalenceComparesPremises(t *testing.T) {
 	reassert := func(db *lsdb.Database) {
 		base := db.Engine().Base().Facts()
@@ -253,26 +250,22 @@ func TestParallelEquivalenceComparesPremises(t *testing.T) {
 	opts := Options{Perturb: reassert, SkipPersistence: true}
 	for seed := int64(0); seed < 200; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		f := ParallelEquivalence(w, opts)
-		if f == nil {
-			continue
-		}
-		if !strings.Contains(f.Detail, "provenance differs") {
+		if f := ParallelEquivalence(w, opts); f != nil {
 			t.Fatalf("seed %d: %v", seed, f)
 		}
-		seq, par := w.Build(), w.Build()
-		reassert(par)
-		rulesAgree := true
-		for _, fc := range seq.Engine().Closure().Facts() {
-			tr := triple(seq, fc)
-			if seq.Engine().Explain(fc) != par.Engine().Explain(par.Universe().NewFact(tr[0], tr[1], tr[2])) {
-				rulesAgree = false
-				break
+	}
+}
+
+// TestIncrementalVsFullProvenance: a database maintained through
+// insert runs, delete propagation and rule toggles, with a closure
+// build forced every second op, names the same rule and premises for
+// every closure fact as a fresh build of the same world.
+func TestIncrementalVsFullProvenance(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, w := range []*gen.World{gen.Generate(seed, gen.Small()), gen.Churn(seed, gen.SmallChurn())} {
+			if f := IncrementalVsFull(w); f != nil {
+				t.Errorf("seed %d: %v", seed, f)
 			}
 		}
-		if rulesAgree {
-			return
-		}
 	}
-	t.Fatal("no world in 200 seeds where re-asserted provenance differs in premises only")
 }

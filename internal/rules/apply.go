@@ -13,36 +13,30 @@ import (
 	"repro/internal/sym"
 )
 
-// derivation is a fact together with the rule that produced it and
-// the premise facts the rule combined, sorted by fact.Compare, used
-// for provenance (Engine.Explain, Engine.Derive).
+// derivation is a fact together with the rule that produced it. A
+// closure build keeps the least rule of each new fact (cmpRule) for
+// the per-rule fact counts; Explain and Derive find a fact's premises
+// on demand (explain.go).
 type derivation struct {
-	f        fact.Fact
-	rule     uint32 // the StdRule, or userRule for every user rule
-	why      string
-	premises []fact.Fact
+	f    fact.Fact
+	rule uint32 // the StdRule, or userRule for every user rule
+	why  string
 }
 
 // userRule is derivation.rule for a user rule: user rules order after
 // every standard rule, and among themselves by name.
 const userRule = uint32(numStdRules)
 
-// cmpDerivation orders derivations of one fact canonically: the
-// standard rules in StdRule order, then user rules by name, then the
-// sorted premise lists lexicographically. A full build records the
-// least derivation of each new fact under this order, so its
-// provenance is a function of the database: neither the number of
-// workers nor the order facts are emitted in can change it.
-func cmpDerivation(a, b *derivation) int {
+// cmpRule orders the rules of derivations canonically: the standard
+// rules in StdRule order, then user rules by name.
+func cmpRule(a, b *derivation) int {
 	if c := cmp.Compare(a.rule, b.rule); c != 0 {
 		return c
 	}
 	if a.rule == userRule {
-		if c := strings.Compare(a.why, b.why); c != 0 {
-			return c
-		}
+		return strings.Compare(a.why, b.why)
 	}
-	return slices.CompareFunc(a.premises, b.premises, fact.Compare)
+	return 0
 }
 
 // computeClosure materializes the closure of the base store under the
@@ -65,33 +59,26 @@ func cmpDerivation(a, b *derivation) int {
 // Rounds are order-free. A round's derive step partitions the frontier
 // into contiguous chunks, one worker per chunk, all reading the same
 // generation; its dedupe step shards the emissions by fact hash, one
-// worker per shard, and keeps each new fact's least derivation under
-// cmpDerivation. The derivations a round emits depend only on the
-// generation and the frontier as sets, so the recorded derivation, the
-// least of those the fact's semi-naive round emits, is a function of
-// the database whatever the worker count or the order facts are read
-// and emitted in. Each shard hands back its winners sorted by fact;
-// their merge is the next frontier, and the runs of every round merge
-// once, at the end, into the provenance array. It returns the closure,
-// its provenance sorted by fact, the number of facts each rule put
-// into it ("stored" for the base, "axiom" for the axioms), and the
-// time spent building generations. Called with e.mu held.
-func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, []provEntry, map[string]int, time.Duration) {
+// worker per shard, and keeps each new fact once, counted under its
+// least rule (cmpRule). The derivations a round emits depend only on
+// the generation and the frontier as sets, so the counts, like the
+// closure, are a function of the database whatever the worker count or
+// the order facts are read and emitted in. Each shard hands back its
+// new facts sorted; their merge is the next frontier. It returns the
+// closure, the number of facts each rule put into it ("stored" for the
+// base, "axiom" for the axioms), and the time spent building
+// generations. Called with e.mu held.
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[string]int, time.Duration) {
 	frontier := e.base.Facts()
 	slices.SortFunc(frontier, fact.Compare)
 	byRule := map[string]int{"stored": len(frontier)}
-	var axioms []provEntry
+	stored := len(frontier)
 	for _, ax := range e.axiomFacts() {
-		if _, found := slices.BinarySearchFunc(frontier, ax, fact.Compare); !found {
-			axioms = append(axioms, provEntry{f: ax, p: Provenance{Rule: "axiom"}})
+		if _, found := slices.BinarySearchFunc(frontier[:stored], ax, fact.Compare); !found {
+			frontier = append(frontier, ax)
 		}
 	}
-	slices.SortFunc(axioms, cmpEntry)
-	runs := [][]provEntry{axioms}
-	for _, ax := range axioms {
-		frontier = append(frontier, ax.f)
-	}
-	byRule["axiom"] = len(axioms)
+	byRule["axiom"] = len(frontier) - stored
 	t0 := time.Now()
 	gen := store.SealedFromFacts(e.u, slices.Clone(frontier))
 	folding := time.Since(t0)
@@ -100,35 +87,27 @@ func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, []provEntry, map[st
 		e.m.rounds.Inc()
 		e.m.frontier.Observe(int64(len(frontier)))
 		shards := e.deriveRound(cfg, frontier, gen, byRule)
-		runs = append(runs, shards...)
-		frontier = frontier[:0]
-		mergeRuns(shards, func(p *provEntry) { frontier = append(frontier, p.f) })
+		frontier = mergeRuns(shards, frontier[:0])
 		if len(frontier) > 0 {
 			t0 = time.Now()
 			gen = gen.SealedWith(frontier)
 			folding += time.Since(t0)
 		}
 	}
-	n := 0
-	for _, r := range runs {
-		n += len(r)
-	}
-	prov := make([]provEntry, 0, n)
-	mergeRuns(runs, func(p *provEntry) { prov = append(prov, *p) })
-	return gen, prov, byRule, folding
+	return gen, byRule, folding
 }
 
-// mergeRuns calls emit for every entry of runs, each sorted by fact
-// and all pairwise disjoint, in fact order: a k-way merge over a
-// min-heap of the runs' heads.
-func mergeRuns(runs [][]provEntry, emit func(*provEntry)) {
-	h := make([][]provEntry, 0, len(runs))
+// mergeRuns appends to out every fact of runs, each sorted and all
+// pairwise disjoint, in fact order: a k-way merge over a min-heap of
+// the runs' heads.
+func mergeRuns(runs [][]fact.Fact, out []fact.Fact) []fact.Fact {
+	h := make([][]fact.Fact, 0, len(runs))
 	for _, r := range runs {
 		if len(r) > 0 {
 			h = append(h, r)
 		}
 	}
-	less := func(i, j int) bool { return fact.Compare(h[i][0].f, h[j][0].f) < 0 }
+	less := func(i, j int) bool { return fact.Compare(h[i][0], h[j][0]) < 0 }
 	down := func(i int) {
 		for {
 			c := 2*i + 1
@@ -149,13 +128,14 @@ func mergeRuns(runs [][]provEntry, emit func(*provEntry)) {
 		down(i)
 	}
 	for len(h) > 0 {
-		emit(&h[0][0])
+		out = append(out, h[0][0])
 		if h[0] = h[0][1:]; len(h[0]) == 0 {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
 		down(0)
 	}
+	return out
 }
 
 // parallelThreshold is the frontier size below which a round runs on
@@ -165,10 +145,9 @@ const parallelThreshold = 64
 
 // deriveRound computes every one-step derivation from the frontier
 // facts against derived, without mutating derived, and reduces them
-// to the least derivation of each new fact (cmpDerivation). It returns
-// the winners as runs sorted by fact, one per dedupe shard, and adds
-// them to byRule.
-func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store, byRule map[string]int) [][]provEntry {
+// to the new facts, one run sorted by fact per dedupe shard. Each new
+// fact counts in byRule under its least rule (cmpRule).
+func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store, byRule map[string]int) [][]fact.Fact {
 	workers := e.buildWorkers(len(frontier) / parallelThreshold)
 	e.m.buildWorkers.Max(int64(workers))
 	outs := make([][]derivation, workers)
@@ -179,7 +158,7 @@ func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.
 		}
 		outs[w] = out
 	})
-	shards := make([][]provEntry, workers)
+	shards := make([][]fact.Fact, workers)
 	counts := make([]map[string]int, workers)
 	fanOut(workers, func(s int) {
 		counts[s] = make(map[string]int)
@@ -211,11 +190,11 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// dedupe returns, sorted by fact, the least derivation (cmpDerivation)
-// of each fact in outs that falls to shard s of n by its hash, and
-// counts them in byRule. It sorts 16-byte keys, not the derivations,
-// and compares derivations only within a fact.
-func dedupe(outs [][]derivation, s, n int, byRule map[string]int) []provEntry {
+// dedupe returns, sorted, the facts in outs that fall to shard s of n
+// by their hash, and counts each in byRule under its least rule
+// (cmpRule). It sorts 16-byte keys, not the derivations, and compares
+// derivations only within a fact.
+func dedupe(outs [][]derivation, s, n int, byRule map[string]int) []fact.Fact {
 	type key struct {
 		sr   uint64 // S, R: with t, fact.Compare's order
 		t, i uint32 // i indexes outs as if concatenated
@@ -255,16 +234,16 @@ func dedupe(outs [][]derivation, s, n int, byRule map[string]int) []provEntry {
 			facts++
 		}
 	}
-	out := make([]provEntry, 0, facts)
+	out := make([]fact.Fact, 0, facts)
 	for j := 0; j < len(keys); {
 		best := at(keys[j].i)
 		k := j + 1
 		for ; k < len(keys) && keys[k].sr == keys[j].sr && keys[k].t == keys[j].t; k++ {
-			if d := at(keys[k].i); cmpDerivation(d, best) < 0 {
+			if d := at(keys[k].i); cmpRule(d, best) < 0 {
 				best = d
 			}
 		}
-		out = append(out, provEntry{f: best.f, p: Provenance{Rule: best.why, Premises: best.premises}})
+		out = append(out, best.f)
 		byRule[best.why]++
 		j = k
 	}
@@ -323,27 +302,27 @@ func (e *Engine) buildAxioms() {
 // derivation using f", and at fixpoint every such conclusion is
 // present — the filter would hide exactly the answers.
 func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
-	add := func(g fact.Fact, rule uint32, why string, premises []fact.Fact) {
+	e.stdForward(e.std.rows, &cfg.std, f, derived, func(g fact.Fact, rule StdRule, _, _ fact.Fact) {
 		if all || !derived.Has(g) {
-			slices.SortFunc(premises, fact.Compare)
-			out = append(out, derivation{f: g, rule: rule, why: why, premises: premises})
+			out = append(out, derivation{f: g, rule: uint32(rule), why: stdRuleNames[rule]})
 		}
-	}
-
-	e.stdForward(e.std.forward, &cfg.std, f, derived, func(g fact.Fact, rule StdRule, premises ...fact.Fact) {
-		add(g, uint32(rule), stdRuleNames[rule], premises)
 	})
 
 	// User rules: f may instantiate any body atom of any rule.
 	for _, r := range cfg.userRules {
-		e.applyUserRule(r, f, derived, func(g fact.Fact, premises []fact.Fact) {
-			add(g, userRule, r.Name, premises)
+		e.applyUserRule(r, f, derived, func(g fact.Fact, _ []sym.ID) {
+			if all || !derived.Has(g) {
+				out = append(out, derivation{f: g, rule: userRule, why: r.Name})
+			}
 		})
 	}
 	return out
 }
 
-type emitFunc func(g fact.Fact, rule StdRule, premises ...fact.Fact)
+// emitFunc receives one standard derivation from an interpreter of the
+// rule table: the head, the rule, and the premises by value — b is the
+// zero Fact for a row with one premise.
+type emitFunc func(g fact.Fact, rule StdRule, a, b fact.Fact)
 
 // stdForward is the forward interpreter of the rule table: it emits
 // every head the enabled rows conclude in one step with f as a
@@ -397,7 +376,7 @@ func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, emi
 	dp := with(fact.Fact{R: row.data}, row.at, near)
 	derived.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
 		if h, ok := row.conclude(with(d, row.at, far)); ok && e.isData(row, d) {
-			emit(h, row.rule, l, d)
+			emit(h, row.rule, d, l)
 		}
 		return true
 	})
@@ -409,7 +388,7 @@ func (e *Engine) hopFromLink(row *stdRow, l fact.Fact, derived *store.Store, emi
 func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit emitFunc) {
 	if !row.twin {
 		if h, ok := row.conclude(p); ok {
-			emit(h, row.rule, p)
+			emit(h, row.rule, p, fact.Fact{})
 		}
 		return
 	}
@@ -426,9 +405,9 @@ func (e *Engine) unaryFrom(row *stdRow, p fact.Fact, derived *store.Store, emit 
 
 // applyUserRule finds every instantiation of rule r in which the new
 // fact f matches at least one body atom, joining the remaining atoms
-// against derived facts and virtual facts, and emits the instantiated
-// head facts.
-func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []fact.Fact)) {
+// against derived facts and virtual facts, and emits each instantiated
+// head fact with the slot bindings that ground the body (r.premises).
+func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit func(fact.Fact, []sym.ID)) {
 	var slots []sym.ID
 	var rest []fact.Template
 	for i, tp := range r.Body {
@@ -437,9 +416,8 @@ func (e *Engine) applyUserRule(r *Rule, f fact.Fact, derived *store.Store, emit 
 		}
 		rest = append(append(rest[:0], r.Body[:i]...), r.Body[i+1:]...)
 		query.Join(storeEval{e: e, derived: derived}, rest, slots, func() bool {
-			premises := r.premises(slots)
 			for _, h := range r.Head {
-				emit(ground(h, slots), premises)
+				emit(ground(h, slots), slots)
 			}
 			return true
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	lsdb "repro"
@@ -185,4 +186,37 @@ func formatStep(u *fact.Universe, s rules.Step) string {
 		ps[i] = u.FormatFact(p)
 	}
 	return "[" + s.Rule + "] " + strings.Join(ps, " ")
+}
+
+// TestExplainConcurrentAgrees: explanations of one snapshot share the
+// round bounds it has learned, so goroutines explaining at once must
+// each get what a lone caller on a fresh database gets.
+func TestExplainConcurrentAgrees(t *testing.T) {
+	w := gen.Generate(2, gen.Medium())
+	ref, db := w.Build(), w.Build()
+	facts := ref.Engine().Closure().Facts()
+	want := make([]string, len(facts))
+	for i, f := range facts {
+		want[i] = ref.Engine().Explain(f)
+	}
+	e, u, ru := db.Engine(), db.Universe(), ref.Universe()
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(facts); i += workers {
+				f := facts[i]
+				f = u.NewFact(ru.Name(f.S), ru.Name(f.R), ru.Name(f.T))
+				if got := e.Explain(f); got != want[i] {
+					t.Errorf("%s: explained as %s, alone as %s", u.FormatFact(f), got, want[i])
+				}
+				if d := e.Derive(f); d == nil || d.Rule != want[i] {
+					t.Errorf("%s: no derivation under %s", u.FormatFact(f), want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -26,15 +26,14 @@ import (
 //     overdeleted cone. This over-approximates the truly dead set.
 //
 //  2. Prune: clone the old closure (the clone shares its base;
-//     published snapshots are never mutated) and tombstone the cone,
-//     with its provenance.
+//     published snapshots are never mutated) and tombstone the cone.
 //
 //  3. Rederive: a cone fact may have an alternative derivation that
-//     never touched a deleted fact. Scan the cone in canonical order
-//     and reinstate facts that are stored in the (new) base, are
-//     axioms, or have a one-step derivation from surviving facts
-//     (derive1, the rule table read from the head). Reinstating a
-//     fact drops its tombstone; reinstated facts seed a frontier.
+//     never touched a deleted fact. Scan the cone and reinstate facts
+//     that are stored in the (new) base, are axioms, or have a one-step
+//     derivation from surviving facts (derive1, the rule table read
+//     from the head). Reinstating a fact drops its tombstone;
+//     reinstated facts seed a frontier.
 //
 //  4. Propagate: semi-naive forward chaining from the frontier (plus
 //     any net-inserted base facts of the same window) restores the
@@ -42,13 +41,15 @@ import (
 //     alternative support appears only after another cone fact is
 //     reinstated is found here — and folds in the window's inserts.
 //
-// The result equals computeClosure on the new base. Two escape
-// hatches return ok=false and fall back to a full rebuild: a cone
-// larger than half the closure (the walk would cost more than
-// recomputing), and any change to a class-relation declaration
-// (rel, ∈, @class) — Individual() is a negated dependency, so those
-// flips are non-monotone in both directions and invalidate the
-// premise matching underlying steps 1 and 3.
+// The result equals computeClosure on the new base; nothing records
+// how a fact was derived, so Explain and Derive answer for it as they
+// would after a full build. A cone larger than half the closure (the
+// walk would cost more than recomputing) returns ok=false and falls
+// back to a full rebuild. A window that changes a class-relation
+// declaration (rel, ∈, @class) never gets here (Engine.reclassifies):
+// Individual() is a negated dependency, so those flips are
+// non-monotone in both directions and invalidate the premise matching
+// underlying steps 1 and 3.
 
 // netChanges collapses a change window into the facts net-inserted
 // and net-deleted relative to the window's start. The store only
@@ -80,19 +81,12 @@ func netChanges(chs []store.Change) (ins, del []fact.Fact) {
 }
 
 // applyDeletes maintains the old snapshot's closure across a change
-// window containing deletions, returning the new closure, its
-// provenance, and the overdeleted cone size. ok=false means the
-// window is not eligible (non-monotone Individual() flip) or not
-// worth it (cone past half the closure); the caller then rebuilds in
-// full. Called with e.mu held; old is never mutated.
-func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provMap, int, bool) {
+// window containing deletions, returning the new closure and the
+// overdeleted cone size. ok=false means the window is not worth it
+// (cone past half the closure); the caller then rebuilds in full.
+// Called with e.mu held; old is never mutated.
+func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, int, bool) {
 	ins, del := netChanges(chs)
-	u := e.u
-	for _, f := range append(del, ins...) {
-		if f.R == u.Member && f.T == u.RelClassOfClass {
-			return nil, nil, 0, false
-		}
-	}
 
 	// Phase 1: overdelete.
 	oldC := old.closure
@@ -108,7 +102,7 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 	var buf []derivation
 	for i := 0; i < len(cone); i++ {
 		if len(cone) > limit {
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
 		buf = e.deriveFrom(cfg, cone[i], oldC, true, buf[:0])
 		for _, d := range buf {
@@ -121,36 +115,18 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 
 	// Phase 2: prune the cone from a clone.
 	derived := oldC.Clone()
-	prov := old.prov.extend()
 	for _, f := range cone {
 		derived.Delete(f)
-		prov.delete(f)
 	}
 
-	// Phase 3: rederive cone facts with surviving support. Sorting pins
-	// the scan (and thus the derivation recorded first) deterministically.
-	slices.SortFunc(cone, fact.Compare)
+	// Phase 3: rederive cone facts with surviving support: still stored
+	// (the deletes hit other facts; this one was merely reachable from
+	// them), an axiom, or derivable in one step.
 	axioms := e.axiomFacts()
 	var frontier []fact.Fact
 	for _, f := range cone {
-		switch {
-		case e.base.Has(f):
-			// Still a stored fact (the deletes hit other facts; this one
-			// was merely reachable from them).
-			if derived.Insert(f) {
-				frontier = append(frontier, f)
-			}
-		case slices.Contains(axioms, f):
-			if derived.Insert(f) {
-				prov.set(f, Provenance{Rule: "axiom"})
-				frontier = append(frontier, f)
-			}
-		default:
-			if p, ok := e.derive1(cfg, f, derived); ok && derived.Insert(f) {
-				slices.SortFunc(p.Premises, fact.Compare)
-				prov.set(f, p)
-				frontier = append(frontier, f)
-			}
+		if (e.base.Has(f) || slices.Contains(axioms, f) || e.derive1(cfg, f, derived)) && derived.Insert(f) {
+			frontier = append(frontier, f)
 		}
 	}
 
@@ -165,125 +141,152 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		buf = e.deriveFrom(cfg, frontier[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				frontier = append(frontier, d.f)
 			}
 		}
 	}
-	return derived, prov, len(cone), true
+	return derived, len(cone), true
 }
 
 // derive1 reports whether goal g has a one-step derivation from the
-// facts in st (plus virtual facts, for user-rule bodies), returning
-// the provenance of the first one found. It reads the same rows as
-// deriveFrom, from the head: "derive1 succeeds" is "a forward pass
-// over st would emit g". Degenerate instantiations that would use g
-// itself as a premise are impossible by construction — the caller only
-// asks about facts absent from st.
-func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance, bool) {
-	out, found := e.stdToHead(e.std.toHead, &cfg.std, g, st)
+// facts in st (plus virtual facts, for user-rule bodies). It reads the
+// same rows as deriveFrom, from the head: "derive1 succeeds" is "a
+// forward pass over st would emit g". Degenerate instantiations that
+// would use g itself as a premise are impossible by construction — the
+// caller only asks about facts absent from st.
+func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) bool {
+	found := false
+	e.toHead(cfg, g, st, func(uint32, string, []fact.Fact) bool {
+		found = true
+		return false
+	}, false)
+	return found
+}
+
+// toHead calls emit for every one-step derivation of goal g from
+// premises in st, plus virtual facts for user-rule bodies: the rule,
+// its provenance name and, when withPremises is set, the premises —
+// else nil, and nothing is allocated per derivation. It stops when
+// emit returns false.
+func (e *Engine) toHead(cfg *ruleset, g fact.Fact, st *store.Store, emit func(rule uint32, why string, premises []fact.Fact) bool, withPremises bool) {
+	more := e.stdToHead(e.std.rows, &cfg.std, g, st, func(rule StdRule, a, b fact.Fact) bool {
+		var premises []fact.Fact
+		if withPremises {
+			premises = premisesOf(a, b)
+		}
+		return emit(uint32(rule), stdRuleNames[rule], premises)
+	})
 
 	// User rules: any head atom may conclude g; the body joins against
 	// st ∪ virtual exactly as forward application does.
 	for _, r := range cfg.userRules {
-		if found {
-			break
+		if !more {
+			return
 		}
 		var slots []sym.ID
 		var body []fact.Template
 		for _, h := range r.Head {
-			if !r.bindSlots(&slots, h, g.S, g.R, g.T) {
+			if !more || !r.bindSlots(&slots, h, g.S, g.R, g.T) {
 				continue
 			}
 			if body == nil {
 				body = slices.Clone(r.Body)
 			}
 			query.Join(storeEval{e: e, derived: st}, body, slots, func() bool {
-				out, found = Provenance{Rule: r.Name, Premises: r.premises(slots)}, true
-				return false
+				var premises []fact.Fact
+				if withPremises {
+					premises = r.premises(slots)
+				}
+				more = emit(userRule, r.Name, premises)
+				return more
 			})
-			if found {
-				break
-			}
 		}
 	}
-	return out, found
+}
+
+// premisesOf lists a standard derivation's premises: a, and b unless
+// it is the zero Fact.
+func premisesOf(a, b fact.Fact) []fact.Fact {
+	if b == (fact.Fact{}) {
+		return []fact.Fact{a}
+	}
+	return []fact.Fact{a, b}
 }
 
 // stdToHead is the head-directed interpreter of the rule table: it
-// returns the first one-step derivation of g the enabled rows have
-// from premises in st.
-func (e *Engine) stdToHead(rows []stdRow, on *[numStdRules]bool, g fact.Fact, st *store.Store) (Provenance, bool) {
+// calls emit for every one-step derivation of g the enabled rows have
+// from premises in st, until emit returns false, and reports whether
+// it ran to the end.
+func (e *Engine) stdToHead(rows []stdRow, on *[numStdRules]bool, g fact.Fact, st *store.Store, emit func(rule StdRule, a, b fact.Fact) bool) bool {
 	gindiv := e.Individual(g.R)
 	for i := range rows {
 		row := &rows[i]
-		var premises []fact.Fact
+		more := true
 		switch {
 		case !on[row.rule]:
 		case row.hop():
-			premises = e.hopToHead(row, g, gindiv, st)
+			more = e.hopToHead(row, g, gindiv, st, emit)
 		case g.R == row.head:
-			premises = e.unaryToHead(row, g, st)
+			more = e.unaryToHead(row, g, st, emit)
 		}
-		if premises != nil {
-			return Provenance{Rule: row.why(), Premises: premises}, true
+		if !more {
+			return false
 		}
 	}
-	return Provenance{}, false
+	return true
 }
 
-// hopToHead returns the first pair of premises in st from which hop
-// row concludes g, or nil. gindiv is Individual(g.R).
-func (e *Engine) hopToHead(row *stdRow, g fact.Fact, gindiv bool, st *store.Store) (premises []fact.Fact) {
+// hopToHead emits every pair of premises in st from which hop row
+// concludes g, until emit returns false, and reports whether it ran to
+// the end. gindiv is Individual(g.R).
+func (e *Engine) hopToHead(row *stdRow, g fact.Fact, gindiv bool, st *store.Store, emit func(StdRule, fact.Fact, fact.Fact) bool) bool {
 	h := g // the data premise, but for the joined position
 	if row.swap {
 		h = swapST(g)
 	}
 	if row.distinct && g.S == g.T || row.at != posR && !row.takesData(h.R, gindiv) {
-		return nil
+		return true
 	}
 	far := at(h, row.at)
-	// try takes d and l as the premises if they are fit to be and other,
+	// try emits d and l as the premises if they are fit to be and other,
 	// the one of them the caller did not match in st, is there too.
 	try := func(d, l, other fact.Fact) bool {
 		if e.virtualGen(l) || e.virtualGen(d) || row.at == posR && !e.isData(row, d) || !st.Has(other) {
 			return true
 		}
-		premises = []fact.Fact{d, l}
-		return false
+		return emit(row.rule, d, l)
 	}
 	if row.dataFirst {
 		dp := with(h, row.at, sym.None)
-		st.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
+		return st.Match(dp.S, dp.R, dp.T, func(d fact.Fact) bool {
 			l := row.linkFact(at(d, row.at), far)
 			return try(d, l, l)
 		})
-		return premises
 	}
 	lp := row.linkFact(sym.None, far)
-	st.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
+	return st.Match(lp.S, lp.R, lp.T, func(l fact.Fact) bool {
 		near, _ := row.linkEnds(l)
 		d := with(h, row.at, near)
 		return try(d, l, d)
 	})
-	return premises
 }
 
-// unaryToHead returns the premises in st from which unary row
-// concludes g, whose relationship is the row's head relationship.
-func (e *Engine) unaryToHead(row *stdRow, g fact.Fact, st *store.Store) []fact.Fact {
+// unaryToHead emits the premises in st from which unary row concludes
+// g, whose relationship is the row's head relationship, and reports
+// whether emit let it run to the end.
+func (e *Engine) unaryToHead(row *stdRow, g fact.Fact, st *store.Store, emit func(StdRule, fact.Fact, fact.Fact) bool) bool {
 	p := fact.Fact{S: g.S, R: row.data, T: g.T}
 	if row.swap {
 		p = swapST(p)
 	}
 	if row.distinct && g.S == g.T || e.virtualGen(p) || !st.Has(p) {
-		return nil
+		return true
 	}
 	if !row.twin {
-		return []fact.Fact{p}
+		return emit(row.rule, p, fact.Fact{})
 	}
 	if tw := swapST(p); !e.virtualGen(tw) && st.Has(tw) {
-		return []fact.Fact{p, tw}
+		return emit(row.rule, p, tw)
 	}
-	return nil
+	return true
 }

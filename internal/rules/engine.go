@@ -2,11 +2,9 @@ package rules
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,14 +21,15 @@ import (
 // (§2.6), together with the virtual facts of §2.3/§3.6.
 //
 // The closure is materialized lazily by semi-naive forward chaining
-// and published as an immutable snapshot (sealed closure store +
-// provenance + the base/config versions it reflects) through an
-// atomic pointer. Store and provenance are layered: a write extends
-// the previous snapshot by a small delta over a base both snapshots
-// share, so a batch of pure insertions (the rules are monotonic) or
-// of deletions (delete.go) costs O(delta), not O(closure); rule
-// toggling forces a recomputation. Cold builds run each derivation
-// round and its dedupe across worker goroutines (see apply.go).
+// and published as an immutable snapshot (sealed closure store + the
+// base/config versions it reflects) through an atomic pointer. The
+// store is layered: a write extends the previous snapshot by a small
+// delta over a base both snapshots share, so a batch of pure
+// insertions (the rules are monotonic) or of deletions (delete.go)
+// costs O(delta), not O(closure); rule toggling forces a
+// recomputation. Cold builds run each derivation round and its dedupe
+// across worker goroutines (see apply.go). How a fact was derived is
+// not stored: Explain and Derive work it out on demand (explain.go).
 //
 // Concurrency: any number of goroutines may query concurrently, and
 // queries may run concurrently with base-store mutations — warm reads
@@ -81,113 +80,24 @@ type ruleset struct {
 	userRules []*Rule
 }
 
-// snapshot is one published closure: a sealed store plus the
-// provenance of every derived fact, labeled with the base and config
-// versions it reflects. All fields except the lazily computed entity
-// list are immutable after publication.
+// snapshot is one published closure: a sealed store labeled with the
+// base and config versions it reflects. All fields except the lazily
+// computed entity list and round bounds are immutable after
+// publication.
 type snapshot struct {
 	closure *store.Store
-	prov    *provMap // how each derived fact was obtained
-	baseVer uint64   // base.Version() the closure reflects
-	cfgVer  uint64   // cfgVersion the closure reflects
+	baseVer uint64 // base.Version() the closure reflects
+	cfgVer  uint64 // cfgVersion the closure reflects
 
 	// entities is closure.Entities(): computed on first use, or carried
 	// over from the previous snapshot across an insert-only window.
 	entitiesOnce sync.Once
 	entities     atomic.Pointer[[]sym.ID]
-}
 
-// provMap is a snapshot's provenance, layered like the closure store
-// it describes: base is the provenance of the last full build or fold,
-// sorted by fact, shared by pointer between successive snapshots and
-// never written once published; over holds this snapshot's additions
-// and replacements, gone the base entries it dropped. A full build
-// records each fact's canonical derivation (cmpDerivation); the
-// maintenance paths record the first they find in over. Extending a
-// snapshot therefore copies O(delta) entries; fold collapses the
-// layers when the store folds its own.
-type provMap struct {
-	base []provEntry
-	over map[fact.Fact]Provenance
-	gone map[fact.Fact]struct{}
-}
-
-// provEntry is one fact's provenance in a sorted provenance array.
-type provEntry struct {
-	f fact.Fact
-	p Provenance
-}
-
-func cmpEntry(a, b provEntry) int { return fact.Compare(a.f, b.f) }
-
-// inBase returns f's provenance in the base, if it has one there.
-func (p *provMap) inBase(f fact.Fact) (Provenance, bool) {
-	i, ok := slices.BinarySearchFunc(p.base, f, func(x provEntry, f fact.Fact) int { return fact.Compare(x.f, f) })
-	if !ok {
-		return Provenance{}, false
-	}
-	return p.base[i].p, true
-}
-
-func (p *provMap) get(f fact.Fact) (Provenance, bool) {
-	if v, ok := p.over[f]; ok {
-		return v, true
-	}
-	if _, ok := p.gone[f]; ok {
-		return Provenance{}, false
-	}
-	return p.inBase(f)
-}
-
-func (p *provMap) set(f fact.Fact, v Provenance) { p.over[f] = v }
-
-func (p *provMap) delete(f fact.Fact) {
-	delete(p.over, f)
-	if _, ok := p.inBase(f); ok {
-		p.gone[f] = struct{}{}
-	}
-}
-
-// extend returns a writable provMap over the same base.
-func (p *provMap) extend() *provMap {
-	c := &provMap{
-		base: p.base,
-		over: make(map[fact.Fact]Provenance, len(p.over)),
-		gone: make(map[fact.Fact]struct{}, len(p.gone)),
-	}
-	maps.Copy(c.over, p.over)
-	maps.Copy(c.gone, p.gone)
-	return c
-}
-
-// fold rewrites the layers into one fresh base by one linear merge of
-// the base with the sorted over layer, leaving the old base (which
-// earlier snapshots still read) untouched.
-func (p *provMap) fold() {
-	if len(p.over)+len(p.gone) == 0 {
-		return
-	}
-	over := make([]provEntry, 0, len(p.over))
-	for f, v := range p.over {
-		over = append(over, provEntry{f, v})
-	}
-	slices.SortFunc(over, cmpEntry)
-	m := make([]provEntry, 0, len(p.base)+len(over)-len(p.gone))
-	i := 0
-	for _, x := range p.base {
-		for i < len(over) && fact.Compare(over[i].f, x.f) < 0 {
-			m = append(m, over[i])
-			i++
-		}
-		if i < len(over) && over[i].f == x.f {
-			continue // replaced; over[i] goes in next
-		}
-		if _, ok := p.gone[x.f]; !ok {
-			m = append(m, x)
-		}
-	}
-	m = append(m, over[i:]...)
-	p.base, p.over, p.gone = m, nil, nil
+	// rounds holds the round bounds explanations of this snapshot have
+	// learned (explain.go), created by the first of them.
+	explainMu sync.Mutex
+	rounds    map[fact.Fact]bound
 }
 
 // New returns an engine over base with all standard rules enabled.
@@ -223,7 +133,7 @@ func (e *Engine) Universe() *fact.Universe { return e.u }
 
 // SetWorkers bounds the number of goroutines a closure build may use.
 // n <= 0 restores the default (GOMAXPROCS). Worker count never
-// affects the computed closure or its provenance, only build latency.
+// affects the computed closure, only build latency.
 func (e *Engine) SetWorkers(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -362,11 +272,6 @@ func (e *Engine) ClosureEntities() []sym.ID {
 	return *s.entities.Load()
 }
 
-func (e *Engine) closureWithProv() (*store.Store, *provMap) {
-	s := e.current()
-	return s.closure, s.prov
-}
-
 // current returns a snapshot consistent with the base store and rule
 // configuration, building one if necessary. The warm path is a single
 // atomic load plus two version checks — no locks.
@@ -416,10 +321,10 @@ func (e *Engine) rebuild() *snapshot {
 	}
 	old := e.snap.Load()
 	if old != nil && old.cfgVer == cv && bv > old.baseVer {
-		if chs, ok := e.base.ChangesSince(old.baseVer); ok {
+		if chs, ok := e.base.ChangesSince(old.baseVer); ok && !e.reclassifies(chs) {
 			if insertsOnly(chs) {
-				c, prov, added := e.applyIncremental(cfg, old, chs)
-				s := e.publish(c, prov, bv, cv, carryEntities(old, added))
+				c, added := e.applyIncremental(cfg, old, chs)
+				s := e.publish(c, bv, cv, carryEntities(old, added))
 				e.m.rebuildsIncr.Inc()
 				if e.m.rebuildNs != nil {
 					e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -429,10 +334,9 @@ func (e *Engine) rebuild() *snapshot {
 			// The window contains deletions: delete-and-rederive
 			// maintenance (delete.go) repairs just the affected cone
 			// instead of recomputing the whole closure, unless the
-			// window is ineligible (Individual() flip) or the cone
-			// grows past the worth-it bound.
-			if c, prov, cone, ok := e.applyDeletes(cfg, old, chs); ok {
-				s := e.publish(c, prov, bv, cv, nil)
+			// cone grows past the worth-it bound.
+			if c, cone, ok := e.applyDeletes(cfg, old, chs); ok {
+				s := e.publish(c, bv, cv, nil)
 				e.m.rebuildsDelete.Inc()
 				if cone > 0 {
 					e.m.deleteProps.Inc()
@@ -445,10 +349,10 @@ func (e *Engine) rebuild() *snapshot {
 			}
 		}
 	}
-	c, prov, byRule, folding := e.computeClosure(cfg)
+	c, byRule, folding := e.computeClosure(cfg)
 	e.m.sealed(folding, false)
 	e.m.setFactsByRule(byRule)
-	s := e.publish(c, &provMap{base: prov}, bv, cv, nil)
+	s := e.publish(c, bv, cv, nil)
 	e.m.rebuildsFull.Inc()
 	if e.m.rebuildNs != nil {
 		e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -461,19 +365,18 @@ func (e *Engine) rebuild() *snapshot {
 // fold threshold does it also build a posting index, and that build —
 // the O(closure) part of a publish — is what the seal metrics track.
 // A full build arrives already sealed, its generations built and
-// counted by the caller. The provenance folds when the store does.
-// ents, if non-nil, is the closure's entity list, already known.
-func (e *Engine) publish(c *store.Store, prov *provMap, bv, cv uint64, ents []sym.ID) *snapshot {
+// counted by the caller. ents, if non-nil, is the closure's entity
+// list, already known.
+func (e *Engine) publish(c *store.Store, bv, cv uint64, ents []sym.ID) *snapshot {
 	if !c.Sealed() {
 		before := c.IndexStats()
 		t0 := time.Now()
 		c.Seal()
 		if after := c.IndexStats(); before.Delta+before.Tombstones > 0 && after.Delta+after.Tombstones == 0 {
 			e.m.sealed(time.Since(t0), before.Facts > 0)
-			prov.fold()
 		}
 	}
-	s := &snapshot{closure: c, prov: prov, baseVer: bv, cfgVer: cv}
+	s := &snapshot{closure: c, baseVer: bv, cfgVer: cv}
 	if ents != nil {
 		s.entities.Store(&ents)
 	}
@@ -507,6 +410,20 @@ func carryEntities(old *snapshot, added []fact.Fact) []sym.ID {
 	return slices.Compact(merged)
 }
 
+// reclassifies reports whether a change window declares or retracts a
+// class relationship (rel, ∈, @class). Individual() is a negated
+// dependency, so such a window is monotone in neither direction: an
+// insert can retract derived facts and a delete can add them, and only
+// a full build is sound.
+func (e *Engine) reclassifies(chs []store.Change) bool {
+	for _, c := range chs {
+		if c.Fact.R == e.u.Member && c.Fact.T == e.u.RelClassOfClass {
+			return true
+		}
+	}
+	return false
+}
+
 func insertsOnly(chs []store.Change) bool {
 	for _, c := range chs {
 		if c.Deleted {
@@ -517,18 +434,16 @@ func insertsOnly(chs []store.Change) bool {
 }
 
 // applyIncremental returns a new closure extending the previous
-// snapshot with the consequences of newly inserted base facts, its
-// provenance, and the facts it added. The new store and provenance
-// share the old snapshot's bases and carry their own delta; the old
-// snapshot is never mutated. Called with e.mu held.
-func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provMap, []fact.Fact) {
+// snapshot with the consequences of newly inserted base facts, and the
+// facts it added. The new store shares the old snapshot's base and
+// carries its own delta; the old snapshot is never mutated. Called
+// with e.mu held.
+func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, []fact.Fact) {
 	derived := old.closure.Clone()
-	prov := old.prov.extend()
 	var work []fact.Fact
 	for _, c := range chs {
-		// A fact that was already derived is now also stored: its
-		// provenance becomes "stored" (base.Has wins in Explain), and
-		// its consequences are already present.
+		// A fact that was already derived is now also stored; its
+		// consequences are already present.
 		if derived.Insert(c.Fact) {
 			work = append(work, c.Fact)
 		}
@@ -538,12 +453,11 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
 		for _, d := range buf {
 			if derived.Insert(d.f) {
-				prov.set(d.f, Provenance{Rule: d.why, Premises: d.premises})
 				work = append(work, d.f)
 			}
 		}
 	}
-	return derived, prov, work
+	return derived, work
 }
 
 // Invalidate drops the cached closure and bumps the subgoal cache
@@ -554,96 +468,6 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 func (e *Engine) Invalidate() {
 	e.snap.Store(nil)
 	e.sg.epoch.Add(1)
-}
-
-// Provenance records how a derived fact was obtained: the rule (a
-// standard rule name, a user rule name, or "axiom") and the premise
-// facts the rule combined, sorted by fact.Compare. After a full build
-// it is the fact's canonical derivation: the least, under
-// cmpDerivation, of those from the semi-naive round that first
-// obtained the fact. Incremental maintenance and delete-and-rederive
-// record the first derivation they find for the facts they add.
-// Premises may themselves be derived; Derive follows them back to
-// stored facts.
-type Provenance struct {
-	Rule     string
-	Premises []fact.Fact
-}
-
-// Explain returns how fact f entered the closure: "stored", the name
-// of the rule of its recorded derivation (canonical after a full
-// build, see Provenance), or "" if f is not in the (materialized part
-// of the) closure.
-func (e *Engine) Explain(f fact.Fact) string {
-	c, prov := e.closureWithProv()
-	if e.base.Has(f) {
-		return "stored"
-	}
-	if c.Has(f) {
-		if why, ok := prov.get(f); ok {
-			return why.Rule
-		}
-		return "derived"
-	}
-	return ""
-}
-
-// Derivation is a proof tree for a closure fact: the fact, how it was
-// obtained, and — for derived facts — the derivations of its premises.
-type Derivation struct {
-	Fact     fact.Fact
-	Rule     string // "stored", "axiom", or the deriving rule's name
-	Premises []*Derivation
-}
-
-// Derive returns the proof tree of f, or nil if f is not in the
-// materialized closure. Each fact's recorded derivation (canonical
-// after a full build, see Provenance) is used, and recursion stops at
-// stored facts and axioms. The tree is cycle-free: a fact met a second
-// time is not expanded again.
-func (e *Engine) Derive(f fact.Fact) *Derivation {
-	c, prov := e.closureWithProv()
-	if !c.Has(f) {
-		return nil
-	}
-	seen := make(map[fact.Fact]bool)
-	var build func(fact.Fact) *Derivation
-	build = func(g fact.Fact) *Derivation {
-		if e.base.Has(g) {
-			return &Derivation{Fact: g, Rule: "stored"}
-		}
-		p, ok := prov.get(g)
-		if !ok {
-			return &Derivation{Fact: g, Rule: "derived"}
-		}
-		d := &Derivation{Fact: g, Rule: p.Rule}
-		if seen[g] {
-			return d // cut potential sharing cycles short
-		}
-		seen[g] = true
-		for _, prem := range p.Premises {
-			d.Premises = append(d.Premises, build(prem))
-		}
-		return d
-	}
-	return build(f)
-}
-
-// Format renders the proof tree indented, one fact per line.
-func (d *Derivation) Format(u *fact.Universe) string {
-	var b strings.Builder
-	var walk func(*Derivation, int)
-	walk = func(n *Derivation, depth int) {
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "%s  [%s]\n", u.FormatFact(n.Fact), n.Rule)
-		for _, p := range n.Premises {
-			walk(p, depth+1)
-		}
-	}
-	walk(d, 0)
-	return b.String()
 }
 
 // Has reports whether f is in the database closure, including virtual
@@ -672,7 +496,8 @@ func (e *Engine) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	if qs == src && qr == rel && qt == tgt {
 		return e.matchConcrete(src, rel, tgt, fn)
 	}
-	seen := make(map[fact.Fact]struct{})
+	seen := getSeen()
+	defer putSeen(seen)
 	return e.matchConcrete(qs, qr, qt, func(f fact.Fact) bool {
 		// A Δ/∇ position stands for a chain of generalization
 		// inferences (§3.1), which only apply to individual

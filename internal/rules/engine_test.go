@@ -536,7 +536,14 @@ func TestEstimateCountSeesWhatMatchSees(t *testing.T) {
 // TestMatchFreeRelationshipAllocs: a Match with a free relationship
 // also enumerates virtual facts and skips those the closure emitted
 // already. It must allocate no more for an entity with 1,000
-// neighbours than for one with 10: no per-fact bookkeeping.
+// neighbours than for one with 10: no per-fact bookkeeping. A Δ
+// position is a wildcard too, whose matches Match rewrites back to Δ
+// and dedupes: (HUB, LIKES, Δ) collapses 1,000 facts into one, and
+// (Δ, LIKES, ?), the shape of a probe's retraction wave, keeps 1,000
+// apart. A dedupe set made per call grows through about 20
+// allocations for those 1,000; a pooled one allocates only when the
+// pool drops it, which the race detector makes it do at random (up to
+// 3 per call on average, 0 without it).
 func TestMatchFreeRelationshipAllocs(t *testing.T) {
 	u, s, e := newEngine()
 	for i := 0; i < 1000; i++ {
@@ -555,5 +562,36 @@ func TestMatchFreeRelationshipAllocs(t *testing.T) {
 	}
 	if hub, leaf := allocs("HUB"), allocs("LEAF"); hub > leaf {
 		t.Errorf("free-relationship Match allocates %v times for 1,000 neighbours, %v for 10", hub, leaf)
+	}
+	likes := u.Intern("LIKES")
+	for name, p := range map[string]fact.Fact{
+		"(HUB, LIKES, Δ)": {S: u.Intern("HUB"), R: likes, T: u.Top},
+		"(Δ, LIKES, ?)":   {S: u.Top, R: likes},
+	} {
+		e.Match(p.S, p.R, p.T, count)
+		if n := testing.AllocsPerRun(50, func() { e.Match(p.S, p.R, p.T, count) }); n >= 10 {
+			t.Errorf("Match%s allocates %v times per call", name, n)
+		}
+	}
+}
+
+// TestInsertedClassDeclarationRetracts: declaring a relationship a
+// class relationship takes it out of R_i, which retracts what the
+// membership rules derived through it. An insert-only window must not
+// keep those facts, and the maintained closure must equal a fresh one.
+func TestInsertedClassDeclarationRetracts(t *testing.T) {
+	u, s, e := newEngine()
+	ins(u, s, [3]string{"JOHN", "in", "EMPLOYEE"}, [3]string{"EMPLOYEE", "EARNS", "SALARY"})
+	inherited := u.NewFact("JOHN", "EARNS", "SALARY")
+	if !e.Closure().Has(inherited) {
+		t.Fatalf("%s not inherited before the declaration", u.FormatFact(inherited))
+	}
+	ins(u, s, [3]string{"EARNS", "in", fact.NameClassRel})
+	if e.Closure().Has(inherited) {
+		t.Errorf("%s kept after EARNS was declared a class relationship", u.FormatFact(inherited))
+	}
+	fresh := New(s, e.Virtual())
+	if got, want := e.ClosureSize(), fresh.ClosureSize(); got != want {
+		t.Errorf("maintained closure has %d facts, a fresh build %d", got, want)
 	}
 }

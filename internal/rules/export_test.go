@@ -16,11 +16,11 @@ import (
 // interpreters over a table holding just this row, every rule enabled.
 type Row struct {
 	e *Engine
-	i int // index into the forward order
+	i int // index into the table's rows
 }
 
 // table is a rule table holding just this row.
-func (r Row) table() []stdRow { return r.e.std.forward[r.i : r.i+1] }
+func (r Row) table() []stdRow { return r.e.std.rows[r.i : r.i+1] }
 
 var allOn = func() (on [numStdRules]bool) {
 	for i := range on {
@@ -29,31 +29,29 @@ var allOn = func() (on [numStdRules]bool) {
 	return on
 }()
 
-// TableRows returns the rows in forward order.
+// TableRows returns the rows in the order of the forward and
+// head-directed passes.
 func (e *Engine) TableRows() []Row {
-	out := make([]Row, len(e.std.forward))
+	out := make([]Row, len(e.std.rows))
 	for i := range out {
 		out[i] = Row{e, i}
 	}
 	return out
 }
 
-// OrderLens returns the lengths of the head-directed and backward
-// orders.
-func (e *Engine) OrderLens() (toHead, backward int) {
-	return len(e.std.toHead), len(e.std.backward)
-}
+// BackwardLen returns the length of the backward order.
+func (e *Engine) BackwardLen() int { return len(e.std.backward) }
 
 func (r Row) String() string {
-	return fmt.Sprintf("row %d (%s)", r.i, r.table()[0].why())
+	return fmt.Sprintf("row %d (%s)", r.i, r.table()[0].rule)
 }
 
 // Rule is the standard rule the row belongs to.
 func (r Row) Rule() StdRule { return r.table()[0].rule }
 
-// Visits reports how often the head-directed and the backward order
+// Visits reports how often the table's rows and the backward order
 // name the row.
-func (r Row) Visits() (toHead, backward int) {
+func (r Row) Visits() (rows, backward int) {
 	count := func(order []stdRow) (n int) {
 		for _, o := range order {
 			if o == r.table()[0] {
@@ -62,7 +60,7 @@ func (r Row) Visits() (toHead, backward int) {
 		}
 		return n
 	}
-	return count(r.e.std.toHead), count(r.e.std.backward)
+	return count(r.e.std.rows), count(r.e.std.backward)
 }
 
 // OneWay reports the row's oneWay flag.
@@ -72,7 +70,7 @@ func (r Row) OneWay() bool { return r.table()[0].oneWay }
 // premise and the other premises in st, present heads included.
 func (r Row) Forward(f fact.Fact, st *store.Store) []fact.Fact {
 	var out []fact.Fact
-	r.e.stdForward(r.table(), &allOn, f, st, func(g fact.Fact, rule StdRule, _ ...fact.Fact) {
+	r.e.stdForward(r.table(), &allOn, f, st, func(g fact.Fact, rule StdRule, _, _ fact.Fact) {
 		if rule != r.Rule() {
 			panic("row emitted under the rule " + rule.String())
 		}
@@ -94,9 +92,15 @@ type Step struct {
 // included: the forward interpreter over the whole table, then the
 // user rules, as a closure round runs them.
 func (e *Engine) Steps(f fact.Fact, st *store.Store) []Step {
+	cfg := e.rs.Load()
 	var out []Step
-	for _, d := range e.deriveFrom(e.rs.Load(), f, st, true, nil) {
-		out = append(out, Step{d.f, d.why, d.premises})
+	e.stdForward(e.std.rows, &cfg.std, f, st, func(g fact.Fact, rule StdRule, a, b fact.Fact) {
+		out = append(out, Step{g, rule.String(), premisesOf(a, b)})
+	})
+	for _, r := range cfg.userRules {
+		e.applyUserRule(r, f, st, func(g fact.Fact, slots []sym.ID) {
+			out = append(out, Step{g, r.Name, r.premises(slots)})
+		})
 	}
 	return out
 }
@@ -104,8 +108,7 @@ func (e *Engine) Steps(f fact.Fact, st *store.Store) []Step {
 // ToHead reports whether the head-directed interpreter finds premises
 // for g in st.
 func (r Row) ToHead(g fact.Fact, st *store.Store) bool {
-	_, ok := r.e.stdToHead(r.table(), &allOn, g, st)
-	return ok
+	return !r.e.stdToHead(r.table(), &allOn, g, st, func(StdRule, fact.Fact, fact.Fact) bool { return false })
 }
 
 // Backward returns every head the backward interpreter enumerates for

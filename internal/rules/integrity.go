@@ -30,17 +30,10 @@ func (v Violation) Format(u *fact.Universe) string {
 // with the active rules (including integrity constraints, whose
 // derived facts are part of the closure) is not a valid database.
 func (e *Engine) Check() []Violation {
-	c, prov := e.closureWithProv()
-	u := e.u
-	why := func(f fact.Fact) string {
-		if e.base.Has(f) {
-			return "stored"
-		}
-		if w, ok := prov.get(f); ok {
-			return w.Rule
-		}
-		return "virtual"
-	}
+	x := e.explainer()
+	defer x.release()
+	c, u := x.c, e.u
+	why := func(f fact.Fact) string { return x.why(f).Rule }
 
 	// Contradiction pairs present in the closure. Pairs are symmetric
 	// (⊥ is its own inverse); process each unordered pair once.

@@ -48,7 +48,7 @@ func employmentPays(t *testing.T) *lsdb.Database {
 }
 
 // renderProvenance lists db's closure, sorted, with each fact's
-// recorded derivation: "stored", or the rule and its premises.
+// canonical derivation: "stored", or the rule and its premises.
 func renderProvenance(db *lsdb.Database) string {
 	e := db.Engine()
 	u := db.Universe()
@@ -66,12 +66,11 @@ func renderProvenance(db *lsdb.Database) string {
 }
 
 // TestClosureProvenanceGolden pins the forward closure and its
-// canonical provenance: which rule, from which premises, a full build
-// records for each fact. Explain and Derive read nothing else, so a
-// change to how the closure is built that keeps this file
-// byte-identical cannot move either. Every world is built on one
-// worker and on four, which must agree. Regenerate with -update only
-// for a deliberate change to what a full build records.
+// canonical provenance: which rule, from which premises, Derive names
+// for each fact — the least derivation of the round that first obtains
+// it. Every world is built on one worker and on four, which must
+// agree. Regenerate with -update only for a deliberate change to the
+// closure or to the canonical choice.
 func TestClosureProvenanceGolden(t *testing.T) {
 	var b strings.Builder
 	for _, w := range provWorlds(t) {

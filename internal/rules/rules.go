@@ -16,8 +16,9 @@
 // template cannot say — "r ranges over R_i, the individual
 // relationships" — is the row's indiv annotation, decided by
 // Engine.Individual. Three interpreters read the table: forwards from a
-// new fact (apply.go), head-directed from a goal fact (delete.go) and
-// backwards from a pattern (ondemand.go). Rules are included and
+// new fact (apply.go), head-directed from a goal fact (delete.go, for
+// delete propagation and for Explain) and backwards from a pattern
+// (ondemand.go). Rules are included and
 // excluded individually, as §6.1's operators require.
 //
 // Two matching strategies are provided:
@@ -273,15 +274,10 @@ type stdRow struct {
 // stdTable is the standard rules over one universe, each declared once
 // and listed in the order each pass visits them in.
 type stdTable struct {
-	// forward is the order of the forward pass. A full build's
-	// provenance does not depend on it (cmpDerivation); it fixes which
-	// derivation incremental maintenance records for a fact that has
-	// several.
-	forward []stdRow
-	// toHead is the order of the head-directed pass. It fixes which
-	// derivation delete propagation records for a reinstated fact that
-	// has several.
-	toHead []stdRow
+	// rows is the order of the forward and the head-directed pass. What
+	// either pass finds does not depend on it; it decides how soon
+	// delete propagation finds a derivation of a fact that has several.
+	rows []stdRow
 	// backward is the order of the backward pass. It fixes the order
 	// subgoals are asked for, and with it the occupancy of the subgoal
 	// table; oneWay rows are absent.
@@ -308,13 +304,7 @@ func newStdTable(u *fact.Universe) stdTable {
 		synToGenBack  = stdRow{rule: Synonym, data: syn, head: gen, swap: true}
 	)
 	return stdTable{
-		forward: []stdRow{
-			genTransitive, synFromTwoWay, memberUp,
-			genSource, genRel, genTarget, memberSource, memberTarget,
-			inversion, inversionBack,
-			synSymmetric, synToGen, synToGenBack,
-		},
-		toHead: []stdRow{
+		rows: []stdRow{
 			genSource, genTarget, memberSource, memberTarget, genRel,
 			inversion, inversionBack,
 			genTransitive, memberUp,
@@ -331,9 +321,6 @@ func newStdTable(u *fact.Universe) stdTable {
 
 // hop reports whether the row joins a data premise with a link.
 func (r *stdRow) hop() bool { return r.link != sym.None }
-
-// why is the provenance name of the row's conclusions.
-func (r *stdRow) why() string { return stdRuleNames[r.rule] }
 
 // takesData reports whether a fact over relationship rel can be the
 // row's data premise; isIndiv is Engine.Individual(rel), a store

@@ -131,10 +131,11 @@ func TestRuleTableThreeWays(t *testing.T) {
 }
 
 // TestRuleTableOrders checks the visiting orders against each other:
-// the head-directed order names every row of the forward order once,
-// and so does the backward order except for the oneWay rows, which it
-// leaves out — and what a oneWay row concludes, the backward matcher
-// with only that row's rule included reaches one step later.
+// the table's rows, which the forward and the head-directed pass visit,
+// name every row once, and so does the backward order except for the
+// oneWay rows, which it leaves out — and what a oneWay row concludes,
+// the backward matcher with only that row's rule included reaches one
+// step later.
 func TestRuleTableOrders(t *testing.T) {
 	for _, w := range tableWorlds() {
 		e := engineOver(w.u, w.facts, fact.Fact{})
@@ -144,17 +145,17 @@ func TestRuleTableOrders(t *testing.T) {
 				oneWay++
 			}
 		}
-		if toHead, backward := e.OrderLens(); toHead != len(e.TableRows()) || backward != len(e.TableRows())-oneWay {
-			t.Fatalf("orders name %d and %d rows, the forward order %d (%d oneWay)", toHead, backward, len(e.TableRows()), oneWay)
+		if backward := e.BackwardLen(); backward != len(e.TableRows())-oneWay {
+			t.Fatalf("the backward order names %d rows, the table %d (%d oneWay)", backward, len(e.TableRows()), oneWay)
 		}
 		for i, row := range e.TableRows() {
 			want := 1
 			if row.OneWay() {
 				want = 0
 			}
-			if toHead, backward := row.Visits(); toHead != 1 || backward != want {
-				t.Fatalf("%v: named %d times in the head-directed order and %d in the backward order, want 1 and %d",
-					row, toHead, backward, want)
+			if rows, backward := row.Visits(); rows != 1 || backward != want {
+				t.Fatalf("%v: named %d times in the table and %d in the backward order, want 1 and %d",
+					row, rows, backward, want)
 			}
 			if !row.OneWay() {
 				continue

@@ -554,13 +554,6 @@ func (s *Store) Count(src, rel, tgt sym.ID) int {
 	return n
 }
 
-// Pattern is one (src, rel, tgt) match template, with sym.None as the
-// wildcard. It exists so planners can batch-estimate many candidate
-// patterns in a single call (EstimateCounts).
-type Pattern struct {
-	S, R, T sym.ID
-}
-
 // EstimateCount returns the exact number of facts matching the
 // pattern, in O(1): the size of the most selective index bucket
 // covering it, summed over the layers (base + delta − tombstones).
@@ -573,22 +566,6 @@ func (s *Store) EstimateCount(src, rel, tgt sym.ID) int {
 		defer s.mu.RUnlock()
 	}
 	return s.estimateLocked(src, rel, tgt)
-}
-
-// EstimateCounts writes the estimate for each pattern into the
-// corresponding slot of out (len(out) must be at least len(patterns)),
-// acquiring the read lock once for the whole batch. Join planners
-// re-rank the remaining atoms at every binding step; without batching,
-// that ranking costs O(atoms) lock round-trips per step on an unsealed
-// store.
-func (s *Store) EstimateCounts(patterns []Pattern, out []int) {
-	if !s.sealed {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	for i, p := range patterns {
-		out[i] = s.estimateLocked(p.S, p.R, p.T)
-	}
 }
 
 func (s *Store) estimateLocked(src, rel, tgt sym.ID) int {

@@ -342,36 +342,6 @@ func TestEstimateCountMatchesCount(t *testing.T) {
 	}
 }
 
-func TestEstimateCountsMatchesSingles(t *testing.T) {
-	u, s := mk(t)
-	for i := 0; i < 5; i++ {
-		s.Insert(u.NewFact("HUB", "R", fmt.Sprintf("t%d", i)))
-	}
-	s.Insert(u.NewFact("OTHER", "Q", "t0"))
-	pats := []Pattern{
-		{S: u.Entity("HUB")},
-		{R: u.Entity("R")},
-		{T: u.Entity("t0")},
-		{S: u.Entity("HUB"), R: u.Entity("R")},
-		{S: u.Entity("HUB"), R: u.Entity("R"), T: u.Entity("t0")},
-		{},
-		{S: u.Entity("NOPE")},
-	}
-	check := func() {
-		t.Helper()
-		out := make([]int, len(pats))
-		s.EstimateCounts(pats, out)
-		for i, p := range pats {
-			if want := s.EstimateCount(p.S, p.R, p.T); out[i] != want {
-				t.Errorf("pattern %d: batch estimate %d != single %d", i, out[i], want)
-			}
-		}
-	}
-	check() // unsealed: one lock acquisition for the batch
-	s.Seal()
-	check() // sealed: lock-free either way
-}
-
 func TestMatchAllSealedSharesBucket(t *testing.T) {
 	u, s := mk(t)
 	for i := 0; i < 3; i++ {
