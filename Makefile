@@ -21,14 +21,16 @@ race:
 # relationship classes), driving the dependency-eviction and
 # delete-propagation paths, and their shrinking, the parallel-
 # equivalence tests, the maintained-vs-fresh provenance comparison
-# (IncrementalVsFull over 80 small worlds), plus the E10c acceptance
-# test under -race; then the rules goldens (closure provenance,
-# backward answers and subgoal traffic), the canonical-provenance,
-# bounded-matching, subgoal-cache and user-rule three-direction tests
-# under -race.
+# (IncrementalVsFull over 80 small worlds), the depth-is-the-round
+# oracle (RoundEqualsDepth over 80 small worlds, and every oracle over
+# gen Medium seeds 1–5), plus the E10c acceptance test under -race;
+# then the rules goldens (closure provenance, backward answers and
+# subgoal traffic), the canonical-provenance, bounded-matching,
+# subgoal-cache and user-rule three-direction tests under -race.
 check-churn:
 	$(GO) run ./cmd/lsdb-check -churn -seeds 12
-	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestInjected|TestParallelEquivalence|TestIncrementalVsFullProvenance|TestE10cWarmRetention' ./internal/check .
+	$(GO) run ./cmd/lsdb-check -size medium -start 1 -seeds 5
+	$(GO) test -race -count=1 -run 'TestRunCleanOnChurnWorlds|TestChurnWorldsShrink|TestInjected|TestParallelEquivalence|TestIncrementalVsFullProvenance|TestRoundEqualsDepth|TestE10cWarmRetention' ./internal/check .
 	$(GO) test -race -count=1 -run 'Golden|Provenance|Bounded|Subgoal|UserRules' ./internal/rules
 
 # Keyword-search correctness: the search-vs-scan differential (index

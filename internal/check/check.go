@@ -44,15 +44,6 @@ type Options struct {
 	// Workers is the parallel worker count compared against the
 	// sequential build (default 8).
 	Workers int
-	// MaxDepth bounds the on-demand search depth ladder (default 24).
-	MaxDepth int
-	// BoundedLimit skips the closure-vs-bounded oracle on closures
-	// larger than this, since bounded enumeration is quadratic in
-	// practice (default 4000; set negative to never skip).
-	BoundedLimit int
-	// TempDir hosts persistence round-trip files; when empty a fresh
-	// temporary directory is created and removed per run.
-	TempDir string
 	// Perturb, when non-nil, is applied to the second database of the
 	// parallel-equivalence oracle before its closure is read. It
 	// exists to verify the harness *detects* injected bugs (e.g.
@@ -72,14 +63,17 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 8
 	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 24
-	}
-	if o.BoundedLimit == 0 {
-		o.BoundedLimit = 4000
-	}
 	return o
 }
+
+const (
+	// maxDepth bounds the on-demand search depth ladder.
+	maxDepth = 24
+	// boundedLimit skips the oracles that enumerate bounded answers on
+	// closures larger than this, since bounded enumeration is quadratic
+	// in practice.
+	boundedLimit = 4000
+)
 
 // Run replays the world and runs every oracle against it, returning
 // the first failure or nil if all paths agree.
@@ -88,7 +82,10 @@ func Run(w *gen.World, opts Options) *Failure {
 	if f := Invariants(w); f != nil {
 		return f
 	}
-	if f := ClosureVsBounded(w, opts); f != nil {
+	if f := ClosureVsBounded(w); f != nil {
+		return f
+	}
+	if f := RoundEqualsDepth(w); f != nil {
 		return f
 	}
 	if f := CachedVsUncached(w, opts); f != nil {
@@ -121,11 +118,11 @@ func Run(w *gen.World, opts Options) *Failure {
 	if f := SearchIncremental(w, opts); f != nil {
 		return f
 	}
-	if f := PlannedVsSyntactic(w, opts); f != nil {
+	if f := PlannedVsSyntactic(w); f != nil {
 		return f
 	}
 	if !opts.SkipPersistence {
-		if f := PersistenceRoundTrip(w, opts); f != nil {
+		if f := PersistenceRoundTrip(w); f != nil {
 			return f
 		}
 	}
@@ -246,13 +243,12 @@ func Invariants(w *gen.World) *Failure {
 // At the first depth d where the answer set stops growing the search
 // is complete, and the materialized closure must be contained in it —
 // the paper's backward and forward inference must agree exactly.
-func ClosureVsBounded(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
+func ClosureVsBounded(w *gen.World) *Failure {
 	db := w.Build()
 	u := db.Universe()
 	eng := db.Engine()
 	closure := eng.Closure()
-	if opts.BoundedLimit >= 0 && closure.Len() > opts.BoundedLimit {
+	if closure.Len() > boundedLimit {
 		return nil // too big for quadratic bounded enumeration
 	}
 	fail := func(format string, args ...any) *Failure {
@@ -275,7 +271,7 @@ func ClosureVsBounded(w *gen.World, opts Options) *Failure {
 			return fail("depth 0 answer %s not stored, derived or virtual", u.FormatFact(f))
 		}
 	}
-	for depth := 1; depth <= opts.MaxDepth; depth++ {
+	for depth := 1; depth <= maxDepth; depth++ {
 		cur := enumerate(depth)
 		for f := range prev {
 			if !cur[f] {
@@ -302,11 +298,42 @@ func ClosureVsBounded(w *gen.World, opts Options) *Failure {
 		}
 		prev = cur
 	}
-	// Never reaching a fixpoint within MaxDepth on a generated world
+	// Never reaching a fixpoint within maxDepth on a generated world
 	// is itself suspicious — the closure is finite and bounded search
 	// is monotone, so it must saturate.
 	return fail("no fixpoint within depth %d (last size %d, closure %d)",
-		opts.MaxDepth, len(prev), closure.Len())
+		maxDepth, len(prev), closure.Len())
+}
+
+// RoundEqualsDepth checks that a bounded depth is the round: every
+// derived closure fact is found by HasBounded at its round and not one
+// depth below it, the round being the semi-naive round Engine.Round
+// finds. The two sides are independent implementations: Round deepens
+// a search over the published closure, HasBounded tables subgoals over
+// the stored facts. Virtual facts the closure also holds, such as the
+// reflexive (c, ≺, c), are skipped: they hold at depth 0.
+func RoundEqualsDepth(w *gen.World) *Failure {
+	db := w.Build()
+	u := db.Universe()
+	eng := db.Engine()
+	closure := eng.Closure()
+	if closure.Len() > boundedLimit {
+		return nil // too big for quadratic bounded enumeration
+	}
+	vp := eng.Virtual()
+	for _, f := range closure.Facts() {
+		round := eng.Round(f)
+		if round == 0 || vp.Has(f) || eng.HasBounded(f, round) && !eng.HasBounded(f, round-1) {
+			continue
+		}
+		depth := 0
+		for depth <= maxDepth && !eng.HasBounded(f, depth) {
+			depth++
+		}
+		return &Failure{Oracle: "round-equals-depth",
+			Detail: fmt.Sprintf("%s: round %d, least bounded depth %d", u.FormatFact(f), round, depth)}
+	}
+	return nil
 }
 
 // CachedVsUncached replays the world op by op onto two live databases
@@ -659,20 +686,15 @@ func TxRollback(w *gen.World) *Failure {
 // hold the same stored facts, and a database whose mutations went
 // through an append-only log must come back identical (stored facts
 // and closure) when reopened from that log.
-func PersistenceRoundTrip(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
+func PersistenceRoundTrip(w *gen.World) *Failure {
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Oracle: "persistence", Detail: fmt.Sprintf(format, args...)}
 	}
-	dir := opts.TempDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "lsdb-check-*")
-		if err != nil {
-			return fail("mktemp: %v", err)
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "lsdb-check-*")
+	if err != nil {
+		return fail("mktemp: %v", err)
 	}
+	defer os.RemoveAll(dir)
 
 	// Snapshot round-trip.
 	db := w.Build()

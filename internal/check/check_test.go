@@ -181,8 +181,21 @@ func TestTxRollbackOracle(t *testing.T) {
 func TestBoundedOracleDirect(t *testing.T) {
 	for seed := int64(50); seed < 80; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := ClosureVsBounded(w, Options{}); f != nil {
+		if f := ClosureVsBounded(w); f != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		}
+	}
+}
+
+// TestRoundEqualsDepth pins the bounded matcher's depth contract on
+// gen Small and SmallChurn worlds, seeds 1–40: the least depth at which
+// HasBounded finds a derived closure fact is its round.
+func TestRoundEqualsDepth(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, w := range []*gen.World{gen.Generate(seed, gen.Small()), gen.Churn(seed, gen.SmallChurn())} {
+			if f := RoundEqualsDepth(w); f != nil {
+				t.Errorf("seed %d: %v", seed, f)
+			}
 		}
 	}
 }

@@ -31,8 +31,8 @@ import (
 // Join order can only be unobservable when matching is a relation, and
 // the product's deliberately is not in three places (see relational);
 // both sides match through that wrapper.
-func PlannedVsSyntactic(w *gen.World, opts Options) *Failure {
-	return plannedVsSyntactic(w, opts.withDefaults(), func(m query.Matcher) query.Matcher { return m })
+func PlannedVsSyntactic(w *gen.World) *Failure {
+	return plannedVsSyntactic(w, func(m query.Matcher) query.Matcher { return m })
 }
 
 // plannedMaxWaves and plannedMaxPerWave cap each query's retraction:
@@ -47,7 +47,7 @@ const (
 // plannedVsSyntactic runs the oracle with the product matchers passed
 // through wrap, which lets the package's own tests plant an estimator
 // that lies and see the oracle catch it.
-func plannedVsSyntactic(w *gen.World, opts Options, wrap func(query.Matcher) query.Matcher) *Failure {
+func plannedVsSyntactic(w *gen.World, wrap func(query.Matcher) query.Matcher) *Failure {
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Oracle: "planned-vs-syntactic", Detail: fmt.Sprintf(format, args...)}
 	}
@@ -77,7 +77,7 @@ func plannedVsSyntactic(w *gen.World, opts Options, wrap func(query.Matcher) que
 	refB := refEval{match: rel(eng.Bounded(plannedDepth)).Match, domain: ref.domain}
 	pr := probe.New(eng, &planned)
 	pr.MaxWaves, pr.MaxPerWave = plannedMaxWaves, plannedMaxPerWave
-	bounded := eng.ClosureSize() <= opts.BoundedLimit || opts.BoundedLimit < 0
+	bounded := eng.ClosureSize() <= boundedLimit
 
 	for _, src := range plannedQueries(db, v, rand.New(rand.NewSource(w.Seed^0x9e3779b9))) {
 		q, err := db.Parse(src)

@@ -16,7 +16,7 @@ func TestPlannedVsSyntacticOracle(t *testing.T) {
 		if seed%4 == 3 {
 			w = gen.Churn(seed, gen.SmallChurn())
 		}
-		if f := PlannedVsSyntactic(w, Options{}); f != nil {
+		if f := PlannedVsSyntactic(w); f != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
 		}
 	}
@@ -24,7 +24,7 @@ func TestPlannedVsSyntacticOracle(t *testing.T) {
 		return
 	}
 	w := gen.Generate(100, gen.Medium())
-	if f := PlannedVsSyntactic(w, Options{}); f != nil {
+	if f := PlannedVsSyntactic(w); f != nil {
 		t.Fatalf("medium seed 100: %v\n%s", f, w.Program())
 	}
 }
@@ -46,7 +46,7 @@ func TestPlannedVsSyntacticCatchesOverconfidentEstimates(t *testing.T) {
 	caught := 0
 	for seed := int64(0); seed < 40; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := plannedVsSyntactic(w, Options{}.withDefaults(), lie); f != nil {
+		if f := plannedVsSyntactic(w, lie); f != nil {
 			if f.Oracle != "planned-vs-syntactic" {
 				t.Fatalf("unexpected oracle name %q", f.Oracle)
 			}

@@ -302,7 +302,7 @@ func (e *Engine) buildAxioms() {
 // derivation using f", and at fixpoint every such conclusion is
 // present — the filter would hide exactly the answers.
 func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all bool, out []derivation) []derivation {
-	e.stdForward(e.std.rows, &cfg.std, f, derived, func(g fact.Fact, rule StdRule, _, _ fact.Fact) {
+	e.stdForward(e.std, &cfg.std, f, derived, func(g fact.Fact, rule StdRule, _, _ fact.Fact) {
 		if all || !derived.Has(g) {
 			out = append(out, derivation{f: g, rule: uint32(rule), why: stdRuleNames[rule]})
 		}
@@ -319,8 +319,8 @@ func (e *Engine) deriveFrom(cfg *ruleset, f fact.Fact, derived *store.Store, all
 	return out
 }
 
-// emitFunc receives one standard derivation from an interpreter of the
-// rule table: the head, the rule, and the premises by value — b is the
+// emitFunc receives one standard derivation from the forward
+// interpreter: the head, the rule, and the premises by value — b is the
 // zero Fact for a row with one premise.
 type emitFunc func(g fact.Fact, rule StdRule, a, b fact.Fact)
 
@@ -346,7 +346,7 @@ func (e *Engine) stdForward(rows []stdRow, on *[numStdRules]bool, f fact.Fact, d
 				if f.R == row.data {
 					e.unaryFrom(row, f, derived, emit)
 				}
-			case f.R == row.link && !row.oneWay:
+			case f.R == row.link:
 				e.hopFromLink(row, f, derived, emit)
 			}
 		}

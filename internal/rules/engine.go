@@ -49,7 +49,7 @@ type Engine struct {
 	workers    int // closure build parallelism; 0 = GOMAXPROCS
 
 	// std is the standard-rule table (rules.go) over u.
-	std stdTable
+	std []stdRow
 
 	snap atomic.Pointer[snapshot]
 
@@ -309,12 +309,13 @@ func (e *Engine) rebuild() *snapshot {
 	cv := e.cfgVersion.Load()
 	cfg := e.rs.Load()
 
-	// Incremental maintenance: the rules are monotonic, so a batch of
-	// pure insertions extends the previous closure by a semi-naive
-	// pass seeded with just the new facts, applied to a clone that
-	// shares the old snapshot's base (readers of the old snapshot are
-	// never disturbed). Rule changes and a stale history force a full
-	// recomputation.
+	// Incremental maintenance (delete.go): a pure-insert window extends
+	// the previous closure by a semi-naive pass seeded with just the new
+	// facts, and a window with deletions also repairs just the cone they
+	// reach, unless it grows past the worth-it bound. Either applies to a
+	// clone that shares the old snapshot's base (readers of the old
+	// snapshot are never disturbed). Rule changes, a stale history and a
+	// reclassifying window force a full recomputation.
 	var t0 time.Time
 	if e.m.rebuildNs != nil {
 		t0 = time.Now()
@@ -322,22 +323,17 @@ func (e *Engine) rebuild() *snapshot {
 	old := e.snap.Load()
 	if old != nil && old.cfgVer == cv && bv > old.baseVer {
 		if chs, ok := e.base.ChangesSince(old.baseVer); ok && !e.reclassifies(chs) {
-			if insertsOnly(chs) {
-				c, added := e.applyIncremental(cfg, old, chs)
-				s := e.publish(c, bv, cv, carryEntities(old, added))
-				e.m.rebuildsIncr.Inc()
-				if e.m.rebuildNs != nil {
-					e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
+			if c, added, cone, ok := e.applyChanges(cfg, old, chs); ok {
+				var ents []sym.ID
+				if cone == 0 {
+					ents = carryEntities(old, added)
 				}
-				return s
-			}
-			// The window contains deletions: delete-and-rederive
-			// maintenance (delete.go) repairs just the affected cone
-			// instead of recomputing the whole closure, unless the
-			// cone grows past the worth-it bound.
-			if c, cone, ok := e.applyDeletes(cfg, old, chs); ok {
-				s := e.publish(c, bv, cv, nil)
-				e.m.rebuildsDelete.Inc()
+				s := e.publish(c, bv, cv, ents)
+				if slices.ContainsFunc(chs, func(c store.Change) bool { return c.Deleted }) {
+					e.m.rebuildsDelete.Inc()
+				} else {
+					e.m.rebuildsIncr.Inc()
+				}
 				if cone > 0 {
 					e.m.deleteProps.Inc()
 					e.m.deleteCone.Observe(int64(cone))
@@ -422,42 +418,6 @@ func (e *Engine) reclassifies(chs []store.Change) bool {
 		}
 	}
 	return false
-}
-
-func insertsOnly(chs []store.Change) bool {
-	for _, c := range chs {
-		if c.Deleted {
-			return false
-		}
-	}
-	return true
-}
-
-// applyIncremental returns a new closure extending the previous
-// snapshot with the consequences of newly inserted base facts, and the
-// facts it added. The new store shares the old snapshot's base and
-// carries its own delta; the old snapshot is never mutated. Called
-// with e.mu held.
-func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, []fact.Fact) {
-	derived := old.closure.Clone()
-	var work []fact.Fact
-	for _, c := range chs {
-		// A fact that was already derived is now also stored; its
-		// consequences are already present.
-		if derived.Insert(c.Fact) {
-			work = append(work, c.Fact)
-		}
-	}
-	var buf []derivation
-	for i := 0; i < len(work); i++ {
-		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
-		for _, d := range buf {
-			if derived.Insert(d.f) {
-				work = append(work, d.f)
-			}
-		}
-	}
-	return derived, work
 }
 
 // Invalidate drops the cached closure and bumps the subgoal cache

@@ -48,7 +48,7 @@ func cmpDerivation(a, b step) int {
 }
 
 // explainer works out provenance against one closure snapshot, reading
-// each fact's derivations from the head (toHead) against the closure.
+// each fact's derivations from the head (goal) against the closure.
 // The derivations it reads last one Explain, Derive or Check; the
 // round bounds it learns are the snapshot's, kept for the next one.
 type explainer struct {
@@ -56,6 +56,7 @@ type explainer struct {
 	cfg   *ruleset
 	s     *snapshot
 	c     *store.Store
+	src   source               // the closure, as the goal-directed interpreter reads it
 	steps map[fact.Fact][]step // a fact's derivations, in canonical order
 }
 
@@ -74,7 +75,7 @@ func (e *Engine) explainer() *explainer {
 	if s.rounds == nil {
 		s.rounds = make(map[fact.Fact]bound)
 	}
-	return &explainer{e: e, cfg: e.rs.Load(), s: s, c: s.closure, steps: make(map[fact.Fact][]step)}
+	return &explainer{e: e, cfg: e.rs.Load(), s: s, c: s.closure, src: storeSource(s.closure), steps: make(map[fact.Fact][]step)}
 }
 
 func (x *explainer) release() { x.s.explainMu.Unlock() }
@@ -90,12 +91,21 @@ func (x *explainer) why(f fact.Fact) Provenance {
 	case slices.Contains(e.axiomFacts(), f):
 		return Provenance{Rule: "axiom"}
 	}
+	if d, s := x.round(f); d > 0 {
+		return Provenance{Rule: s.why, Premises: s.premises}
+	}
+	return Provenance{Rule: "derived"} // unreachable while goal mirrors the forward pass
+}
+
+// round returns the round of f, a derived closure fact, and its
+// canonical derivation; 0 if it has none.
+func (x *explainer) round(f fact.Fact) (int, step) {
 	for d := 1; d <= x.c.Len(); d++ { // no round exceeds the closure's size
 		if s, ok := x.within(f, d); ok {
-			return Provenance{Rule: s.why, Premises: s.premises}
+			return d, s
 		}
 	}
-	return Provenance{Rule: "derived"} // unreachable while toHead mirrors the forward pass
+	return 0, step{}
 }
 
 // derivations returns f's one-step derivations from closure facts and,
@@ -103,11 +113,12 @@ func (x *explainer) why(f fact.Fact) Provenance {
 func (x *explainer) derivations(f fact.Fact) []step {
 	steps, ok := x.steps[f]
 	if !ok {
-		x.e.toHead(x.cfg, f, x.c, func(rule uint32, why string, premises []fact.Fact) bool {
+		x.e.goal(x.e.std, x.cfg, x.src, f, func(h hit) bool {
+			premises := h.premises()
 			slices.SortFunc(premises, fact.Compare)
-			steps = append(steps, step{derivation{f: f, rule: rule, why: why}, premises})
+			steps = append(steps, step{derivation{f: f, rule: h.rule, why: h.why()}, premises})
 			return true
-		}, true)
+		})
 		slices.SortFunc(steps, cmpDerivation)
 		x.steps[f] = steps
 	}
@@ -167,6 +178,25 @@ func (e *Engine) Explain(f fact.Fact) string {
 		return ""
 	}
 	return x.why(f).Rule
+}
+
+// Round returns the semi-naive round in which f enters the closure:
+// 0 for a stored fact or an axiom; for a derived fact, the least d such
+// that it has a one-step derivation whose premises all have rounds
+// below d (see Provenance); -1 for a fact the closure does not hold.
+// MatchBounded at depth d finds a closure fact exactly when its round
+// is at most d.
+func (e *Engine) Round(f fact.Fact) int {
+	x := e.explainer()
+	defer x.release()
+	switch {
+	case e.base.Has(f) || slices.Contains(e.axiomFacts(), f):
+		return 0
+	case !x.c.Has(f):
+		return -1
+	}
+	d, _ := x.round(f)
+	return d
 }
 
 // Derivation is a proof tree for a closure fact: the fact, how it was

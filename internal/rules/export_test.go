@@ -12,15 +12,16 @@ import (
 
 // Row exposes one row of an engine's resolved standard-rule table to
 // the external table test (which needs internal/gen, and so cannot
-// live in this package): each method runs one of the three production
-// interpreters over a table holding just this row, every rule enabled.
+// live in this package): each method runs one of the two production
+// interpreters, or the goal-directed one over one of its two premise
+// sources, over a table holding just this row, every rule enabled.
 type Row struct {
 	e *Engine
 	i int // index into the table's rows
 }
 
 // table is a rule table holding just this row.
-func (r Row) table() []stdRow { return r.e.std.rows[r.i : r.i+1] }
+func (r Row) table() []stdRow { return r.e.std[r.i : r.i+1] }
 
 var allOn = func() (on [numStdRules]bool) {
 	for i := range on {
@@ -29,18 +30,14 @@ var allOn = func() (on [numStdRules]bool) {
 	return on
 }()
 
-// TableRows returns the rows in the order of the forward and
-// head-directed passes.
+// TableRows returns the rows in the order every pass visits them in.
 func (e *Engine) TableRows() []Row {
-	out := make([]Row, len(e.std.rows))
+	out := make([]Row, len(e.std))
 	for i := range out {
 		out[i] = Row{e, i}
 	}
 	return out
 }
-
-// BackwardLen returns the length of the backward order.
-func (e *Engine) BackwardLen() int { return len(e.std.backward) }
 
 func (r Row) String() string {
 	return fmt.Sprintf("row %d (%s)", r.i, r.table()[0].rule)
@@ -49,22 +46,15 @@ func (r Row) String() string {
 // Rule is the standard rule the row belongs to.
 func (r Row) Rule() StdRule { return r.table()[0].rule }
 
-// Visits reports how often the table's rows and the backward order
-// name the row.
-func (r Row) Visits() (rows, backward int) {
-	count := func(order []stdRow) (n int) {
-		for _, o := range order {
-			if o == r.table()[0] {
-				n++
-			}
+// Visits reports how often the table names the row.
+func (r Row) Visits() (n int) {
+	for _, o := range r.e.std {
+		if o == r.table()[0] {
+			n++
 		}
-		return n
 	}
-	return count(r.e.std.rows), count(r.e.std.backward)
+	return n
 }
-
-// OneWay reports the row's oneWay flag.
-func (r Row) OneWay() bool { return r.table()[0].oneWay }
 
 // Forward returns what the forward interpreter emits with f as a
 // premise and the other premises in st, present heads included.
@@ -94,8 +84,9 @@ type Step struct {
 func (e *Engine) Steps(f fact.Fact, st *store.Store) []Step {
 	cfg := e.rs.Load()
 	var out []Step
-	e.stdForward(e.std.rows, &cfg.std, f, st, func(g fact.Fact, rule StdRule, a, b fact.Fact) {
-		out = append(out, Step{g, rule.String(), premisesOf(a, b)})
+	e.stdForward(e.std, &cfg.std, f, st, func(g fact.Fact, rule StdRule, a, b fact.Fact) {
+		h := hit{a: a, b: b}
+		out = append(out, Step{g, rule.String(), h.premises()})
 	})
 	for _, r := range cfg.userRules {
 		e.applyUserRule(r, f, st, func(g fact.Fact, slots []sym.ID) {
@@ -105,21 +96,24 @@ func (e *Engine) Steps(f fact.Fact, st *store.Store) []Step {
 	return out
 }
 
-// ToHead reports whether the head-directed interpreter finds premises
+// ToHead reports whether the goal-directed interpreter finds premises
 // for g in st.
 func (r Row) ToHead(g fact.Fact, st *store.Store) bool {
-	return !r.e.stdToHead(r.table(), &allOn, g, st, func(StdRule, fact.Fact, fact.Fact) bool { return false })
+	return !r.e.goal(r.table(), &ruleset{std: allOn}, storeSource(st), g, func(hit) bool { return false })
 }
 
-// Backward returns every head the backward interpreter enumerates for
-// the all-wildcard pattern at depth 1, over the engine's base store.
+// Backward returns every head the goal-directed interpreter concludes
+// for the all-wildcard pattern from the bounded matcher's depth-0
+// answers over the engine's base store: what MatchBounded adds at
+// depth 1.
 func (r Row) Backward() []fact.Fact {
 	b := getBounded(r.e, &ruleset{ver: r.e.rs.Load().ver, std: allOn}, nil)
 	b.shared = nil
-	col := getCollector(sym.None, sym.None, sym.None)
-	b.stdBackward(r.table(), fact.Fact{}, 1, col)
-	out := slices.Clone(col.buf)
-	putCollector(col)
+	var out []fact.Fact
+	r.e.goal(r.table(), b.cfg, source{b: b, d: 0, indiv: b.indiv}, fact.Fact{}, func(h hit) bool {
+		out = append(out, h.head)
+		return true
+	})
 	putBounded(b)
 	slices.SortFunc(out, fact.Compare)
 	return slices.Compact(out)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fact"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/sym"
 )
@@ -55,7 +54,7 @@ type bounded struct {
 	hits, misses uint64 // shared-table counters, flushed on return
 	openHits     int    // times a subgoal hit an open (in-progress) key
 	tainted      map[bkey]bool
-	indiv        map[sym.ID]bool // Individual per relationship, read once per call
+	indiv        map[sym.ID]bool // Individual per relationship, read once per call (source.isData)
 
 	// curDeps accumulates the dependency summary of the subgoal being
 	// computed: the OR of depBits for every base-fact class read so
@@ -259,7 +258,9 @@ func (b *bounded) enum(s, r, t sym.ID, d int) []fact.Fact {
 	}
 
 	if d > 0 {
-		b.backward(s, r, t, d, col)
+		// Every rule applied backwards, premises derivable within d-1
+		// steps.
+		b.e.goal(b.e.std, b.cfg, source{b: b, d: d - 1, indiv: b.indiv}, fact.Fact{S: s, R: r, T: t}, col.emit)
 	}
 	b.scanned += col.scanned
 
@@ -270,7 +271,7 @@ func (b *bounded) enum(s, r, t sym.ID, d int) []fact.Fact {
 
 	// Computed under an in-progress ancestor: the result depends on
 	// evaluation order, so it is valid for this call only. (Depth
-	// strictly decreases through backward, so this is insurance — the
+	// strictly decreases through goal, so this is insurance — the
 	// guard cannot fire on the current rules.)
 	taint := b.openHits != openBefore
 	deps := b.curDeps
@@ -374,34 +375,6 @@ func (b *bounded) pattern(s, r, t sym.ID) string {
 	return "(" + n(s) + ", " + n(r) + ", " + n(t) + ")"
 }
 
-// backward applies each enabled rule in reverse: it enumerates
-// derivations whose final step produces a fact matching (s,r,t),
-// recursing at depth d-1 for the premises. Results land in col, which
-// drops heads that miss the pattern.
-func (b *bounded) backward(s, r, t sym.ID, d int, col *collector) {
-	b.stdBackward(b.e.std.backward, fact.Fact{S: s, R: r, T: t}, d, col)
-
-	// User rules, backwards: any head atom may match the pattern.
-	for _, rule := range b.cfg.userRules {
-		var slots []sym.ID
-		var body []fact.Template
-		for _, h := range rule.Head {
-			if !rule.bindSlots(&slots, h, s, r, t) {
-				continue
-			}
-			if body == nil {
-				// Join reorders the body in place; rules are shared
-				// across goroutines, so it joins a private copy.
-				body = slices.Clone(rule.Body)
-			}
-			query.Join(boundedEval{b: b, d: d - 1}, body, slots, func() bool {
-				col.add(ground(h, slots))
-				return true
-			})
-		}
-	}
-}
-
 // boundedEval is the Matcher user-rule bodies join against backwards:
 // the facts derivable within d steps. Its estimate is the base store's
 // count, never exact: inference only adds to the stored facts.
@@ -421,123 +394,4 @@ func (m boundedEval) Match(s, r, t sym.ID, fn func(fact.Fact) bool) bool {
 
 func (m boundedEval) EstimateCount(s, r, t sym.ID) (int, bool) {
 	return m.b.base.EstimateCount(s, r, t), false
-}
-
-// stdBackward is the backward interpreter of the rule table: it adds
-// to col every head the enabled rows conclude from premises derivable
-// within d-1 steps. goal is the pattern, sym.None for a wildcard.
-func (b *bounded) stdBackward(rows []stdRow, goal fact.Fact, d int, col *collector) {
-	for i := range rows {
-		row := &rows[i]
-		switch {
-		case !b.cfg.std[row.rule]:
-		case row.hop():
-			b.hopBackward(row, goal, d, col)
-		case goal.R == sym.None || goal.R == row.head:
-			b.unaryBackward(row, goal, d, col)
-		}
-	}
-}
-
-// hopBackward adds every head of hop row that two premises derivable
-// within d-1 steps conclude. The premise enumerated first is asked for
-// with the goal's constants in place, the second once per result of
-// the first. Which goes first follows from what the goal binds: the
-// data premise on a dataFirst row, or when the head's joined position
-// far is free and the data pattern still binds a position (asked link
-// first, that goal would enumerate the whole ≺, ∈ or ⇌ relation and
-// open a data subgoal per link); the link premise otherwise. Both
-// orders meet the same (data, link) pairs of exact depth-(d-1)
-// answers, and enum sorts and compacts what they conclude, so the
-// order moves subgoal traffic, never an answer.
-func (b *bounded) hopBackward(row *stdRow, goal fact.Fact, d int, col *collector) {
-	e := b.e
-	h := goal // pattern of the data premise, but for the joined position
-	if row.swap {
-		h = swapST(goal)
-	}
-	if row.data != sym.None {
-		if h.R != sym.None && h.R != row.data {
-			return
-		}
-		h.R = row.data
-	}
-	far := at(h, row.at)
-	if dp := with(h, row.at, sym.None); row.dataFirst || far == sym.None && dp != (fact.Fact{}) {
-		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
-			if !b.isData(row, data) {
-				continue
-			}
-			lp := row.linkFact(at(data, row.at), far)
-			for _, l := range b.enum(lp.S, lp.R, lp.T, d-1) {
-				if _, lfar := row.linkEnds(l); !e.virtualGen(l) {
-					col.conclude(row, with(data, row.at, lfar))
-				}
-			}
-		}
-		return
-	}
-	lp := row.linkFact(sym.None, far)
-	for _, l := range b.enum(lp.S, lp.R, lp.T, d-1) {
-		if e.virtualGen(l) {
-			continue
-		}
-		near, lfar := row.linkEnds(l)
-		dp := with(h, row.at, near)
-		for _, data := range b.enum(dp.S, dp.R, dp.T, d-1) {
-			if b.isData(row, data) {
-				col.conclude(row, with(data, row.at, lfar))
-			}
-		}
-	}
-}
-
-// isData is Engine.isData with Individual read once per relationship
-// per call: it is a base-store lookup, and the data loops above ask it
-// for every data fact they enumerate.
-func (b *bounded) isData(row *stdRow, d fact.Fact) bool {
-	indiv := false
-	if row.indiv {
-		var ok bool
-		if indiv, ok = b.indiv[d.R]; !ok {
-			indiv = b.e.Individual(d.R)
-			b.indiv[d.R] = indiv
-		}
-	}
-	return row.takesData(d.R, indiv) && !b.e.virtualGen(d)
-}
-
-// conclude adds the row's head for f (see stdRow.conclude).
-func (c *collector) conclude(row *stdRow, f fact.Fact) {
-	if head, ok := row.conclude(f); ok {
-		c.add(head)
-	}
-}
-
-// unaryBackward adds every head of unary row whose premises are
-// derivable within d-1 steps.
-func (b *bounded) unaryBackward(row *stdRow, goal fact.Fact, d int, col *collector) {
-	pp := fact.Fact{S: goal.S, R: row.data, T: goal.T}
-	if row.swap {
-		pp = swapST(pp)
-	}
-	for _, p := range b.enum(pp.S, pp.R, pp.T, d-1) {
-		head, ok := row.conclude(p)
-		if !ok {
-			continue
-		}
-		if !row.twin {
-			col.add(head)
-			continue
-		}
-		// A virtual premise is inert, so its twin is never asked for.
-		if b.e.virtualGen(p) {
-			continue
-		}
-		for _, tw := range b.enum(p.T, p.R, p.S, d-1) {
-			if !b.e.virtualGen(tw) {
-				col.add(head)
-			}
-		}
-	}
 }

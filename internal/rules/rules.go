@@ -15,11 +15,12 @@
 // link fact, or a single premise rewritten. The one thing a plain
 // template cannot say — "r ranges over R_i, the individual
 // relationships" — is the row's indiv annotation, decided by
-// Engine.Individual. Three interpreters read the table: forwards from a
-// new fact (apply.go), head-directed from a goal fact (delete.go, for
-// delete propagation and for Explain) and backwards from a pattern
-// (ondemand.go). Rules are included and
-// excluded individually, as §6.1's operators require.
+// Engine.Individual. Two interpreters read the table: forwards from a
+// new fact (apply.go), and goal-directed from a fact or a pattern
+// (goal.go), with premises read from a store for delete propagation
+// and Explain, or from the bounded matcher's answers one depth down
+// (ondemand.go). Rules are included and excluded individually, as
+// §6.1's operators require.
 //
 // Two matching strategies are provided:
 //
@@ -241,19 +242,13 @@ func swapST(f fact.Fact) fact.Fact { return fact.Fact{S: f.T, R: f.R, T: f.S} }
 // In every row a ≺ premise that restates a virtual axiom (virtualGen)
 // is inert: what it would conclude is virtual itself or follows
 // without it, and the closure store cannot see the virtual facts the
-// backward pass can, so this is what keeps the three passes equal.
+// bounded matcher can, so this is what keeps the passes equal.
 //
-// dataFirst and oneWay steer the passes, not the meaning. A dataFirst
-// row is always read data premise first by the two goal-directed
-// passes: its data premise is the narrower one. Every other hop row
-// chooses per goal: the head-directed pass, whose goal is a fact, reads
-// the link premise first; the backward pass reads the link premise
-// first when the goal binds the head's joined position and the data
-// premise first when it does not (hopBackward). A oneWay row
-// concludes nothing its rule's other rows do not reach one step later
-// (it reads a ⇌ declaration right to left, which the twin declaration
-// the (⇌,⇌,⇌) axiom derives does left to right), so only the passes
-// that start from a data fact or a goal fact consult it.
+// dataFirst steers the goal-directed pass, not the meaning: such a row
+// is read data premise first, its data premise being the narrower one.
+// Every other hop row chooses per goal (hopGoal): link premise first
+// when the goal binds the head's joined position, as a ground goal
+// always does, and data premise first when it does not.
 type stdRow struct {
 	rule StdRule
 
@@ -267,26 +262,28 @@ type stdRow struct {
 	head sym.ID // unary rows
 	twin bool
 
-	swap, distinct    bool
-	dataFirst, oneWay bool
+	swap, distinct, dataFirst bool
 }
 
-// stdTable is the standard rules over one universe, each declared once
-// and listed in the order each pass visits them in.
-type stdTable struct {
-	// rows is the order of the forward and the head-directed pass. What
-	// either pass finds does not depend on it; it decides how soon
-	// delete propagation finds a derivation of a fact that has several.
-	rows []stdRow
-	// backward is the order of the backward pass. It fixes the order
-	// subgoals are asked for, and with it the occupancy of the subgoal
-	// table; oneWay rows are absent.
-	backward []stdRow
-}
-
-// newStdTable declares the standard rules; the comments on the StdRule
-// constants give the paper's formula for each.
-func newStdTable(u *fact.Universe) stdTable {
+// newStdTable declares the standard rules over one universe, each
+// once; the comments on the StdRule constants give the paper's formula
+// for each. Inversion is one rule read both ways (§3.4): inversion
+// reads a declaration (r,⇌,r') left to right and inversionBack right
+// to left.
+//
+// The list is the order both interpreters visit the rows in. What
+// either finds does not depend on it, nor does which subgoals a bounded
+// call asks for, only in what order. It decides how soon delete
+// propagation finds a derivation of a fact that has several. Measured
+// against the same list with genTarget before memberSource: the traced
+// rules.facts_scanned_per_trail on infer_ondemand reads 0 under both
+// (its warm trails are all subgoal hits), and rules.dred_delete_ms on
+// browse_churn reads 0.0139 and 0.0145 ms here against 0.0142 and
+// 0.0128 ms (two runs each: noise). Counted, delete propagation reads
+// 535 store facts per retraction in this order and 539 in the other
+// (gen Small and Medium seeds 1–10, every seventh stored fact
+// retracted).
+func newStdTable(u *fact.Universe) []stdRow {
 	gen, member, syn, inv := u.Gen, u.Member, u.Syn, u.Inv
 	var (
 		genSource     = stdRow{rule: GenSource, indiv: true, link: gen, at: posS}
@@ -297,25 +294,17 @@ func newStdTable(u *fact.Universe) stdTable {
 		genTransitive = stdRow{rule: GenTransitive, data: gen, link: gen, at: posT, up: true, distinct: true, dataFirst: true}
 		memberUp      = stdRow{rule: MemberUp, data: member, link: gen, at: posT, up: true, dataFirst: true}
 		inversion     = stdRow{rule: Inversion, link: inv, at: posR, up: true, swap: true}
-		inversionBack = stdRow{rule: Inversion, link: inv, at: posR, swap: true, oneWay: true}
+		inversionBack = stdRow{rule: Inversion, link: inv, at: posR, swap: true}
 		synFromTwoWay = stdRow{rule: Synonym, data: gen, head: syn, twin: true, distinct: true}
 		synSymmetric  = stdRow{rule: Synonym, data: syn, head: syn, swap: true}
 		synToGen      = stdRow{rule: Synonym, data: syn, head: gen}
 		synToGenBack  = stdRow{rule: Synonym, data: syn, head: gen, swap: true}
 	)
-	return stdTable{
-		rows: []stdRow{
-			genSource, genTarget, memberSource, memberTarget, genRel,
-			inversion, inversionBack,
-			genTransitive, memberUp,
-			synToGen, synToGenBack, synSymmetric, synFromTwoWay,
-		},
-		backward: []stdRow{
-			genSource, memberSource, genTarget, memberTarget, genRel,
-			inversion,
-			genTransitive, memberUp,
-			synToGen, synToGenBack, synSymmetric, synFromTwoWay,
-		},
+	return []stdRow{
+		genSource, memberSource, genTarget, memberTarget, genRel,
+		inversion, inversionBack,
+		genTransitive, memberUp,
+		synToGen, synToGenBack, synSymmetric, synFromTwoWay,
 	}
 }
 
@@ -324,8 +313,8 @@ func (r *stdRow) hop() bool { return r.link != sym.None }
 
 // takesData reports whether a fact over relationship rel can be the
 // row's data premise; isIndiv is Engine.Individual(rel), a store
-// lookup, which callers hoist out of their loops or read once per call
-// (bounded.isData).
+// lookup, which callers hoist out of their loops or read once per
+// relationship (source.isData).
 func (r *stdRow) takesData(rel sym.ID, isIndiv bool) bool {
 	if r.indiv {
 		return isIndiv

@@ -83,11 +83,16 @@ func (a *factArena) reset() {
 // replaces an `add` closure: closures leaked into the recursive join
 // machinery are heap-allocated per subgoal (and force their captured
 // buffer variable into its own heap cell), while a pooled pointer
-// threaded through backward costs nothing per call.
+// threaded through goal costs nothing per call.
 type collector struct {
 	s, r, t sym.ID
 	scanned uint64 // base+virtual candidates enumerated (flushed to bounded)
 	buf     []fact.Fact
+
+	// emit is add in the goal interpreter's callback form, made once
+	// per pooled collector: the callback escapes into user-rule joins,
+	// so one made per subgoal would be a heap allocation per subgoal.
+	emit func(hit) bool
 }
 
 // add records f if it matches the subgoal pattern.
@@ -104,7 +109,14 @@ func (c *collector) scan(f fact.Fact) bool {
 	return true
 }
 
-var collectorPool = sync.Pool{New: func() any { return new(collector) }}
+var collectorPool = sync.Pool{New: func() any {
+	c := new(collector)
+	c.emit = func(h hit) bool {
+		c.add(h.head)
+		return true
+	}
+	return c
+}}
 
 func getCollector(s, r, t sym.ID) *collector {
 	c := collectorPool.Get().(*collector)

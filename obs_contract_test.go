@@ -253,29 +253,29 @@ func TestMetricContractEviction(t *testing.T) {
 		}
 	}
 
-	// Cold: the WROTE query computes 42 subgoals; the EARNS query
-	// shares 8 of the structural ones and computes 34 of its own.
+	// Cold: the WROTE query computes 45 subgoals; the EARNS query
+	// shares 11 of the structural ones and computes 34 of its own.
 	wrote()
-	if got := v("lsdb_subgoal_misses_total"); got != 42 {
-		t.Errorf("cold WROTE misses = %g, want 42", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 45 {
+		t.Errorf("cold WROTE misses = %g, want 45", got)
 	}
 	earns()
-	if got := v("lsdb_subgoal_entries"); got != 76 {
-		t.Errorf("entries after both cold queries = %g, want 76", got)
+	if got := v("lsdb_subgoal_entries"); got != 79 {
+		t.Errorf("entries after both cold queries = %g, want 79", got)
 	}
 	// Warm: each repeat is exactly one root hit, no new misses.
 	wrote()
 	earns()
-	if got := v("lsdb_subgoal_hits_total"); got != 10 {
-		t.Errorf("hits after warm repeats = %g, want 10 (8 shared cold + 2 roots)", got)
+	if got := v("lsdb_subgoal_hits_total"); got != 13 {
+		t.Errorf("hits after warm repeats = %g, want 13 (11 shared cold + 2 roots)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 76 {
-		t.Errorf("misses after warm repeats = %g, want 76", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 79 {
+		t.Errorf("misses after warm repeats = %g, want 79", got)
 	}
 
 	// A write in a relation class neither query reads evicts exactly
 	// the 8 wildcard-dependent entries; each eviction is exactly one
-	// miss on the repeat, the other 68 entries stay warm, and the
+	// miss on the repeat, the other 71 entries stay warm, and the
 	// table is never discarded.
 	db.MustAssert("AUDITOR", "REVIEWS", "LEDGER")
 	wrote()
@@ -283,8 +283,8 @@ func TestMetricContractEviction(t *testing.T) {
 	if got := evictDep(); got != 8 {
 		t.Errorf("evictions after unrelated write = %g, want 8 (wildcard entries only)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 84 {
-		t.Errorf("misses after unrelated write = %g, want 84 (76 + one per eviction)", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 87 {
+		t.Errorf("misses after unrelated write = %g, want 87 (79 + one per eviction)", got)
 	}
 	if got := v("lsdb_subgoal_invalidations_total"); got != 0 {
 		t.Errorf("invalidations = %g, want 0 (table survives writes)", got)
@@ -298,8 +298,8 @@ func TestMetricContractEviction(t *testing.T) {
 	if got := evictDep(); got != 19 {
 		t.Errorf("evictions after WROTE write = %g, want 19 (8 wildcard + 11 WROTE-dependent)", got)
 	}
-	if got := v("lsdb_subgoal_misses_total"); got != 95 {
-		t.Errorf("misses after WROTE write = %g, want 95 (84 + one per eviction)", got)
+	if got := v("lsdb_subgoal_misses_total"); got != 98 {
+		t.Errorf("misses after WROTE write = %g, want 98 (87 + one per eviction)", got)
 	}
 
 	// Retraction: the published closure is repaired by delete
