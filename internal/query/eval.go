@@ -16,12 +16,13 @@ import (
 // ?x to composed relationships (§3.7).
 type Matcher interface {
 	Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool
-	// EstimateCount returns an O(1) planning figure for the number of
-	// facts Match yields for the pattern. exact reports that Match
-	// yields exactly n facts; otherwise n only ranks patterns against
-	// each other (it may miss inferred or virtual facts). The evaluator
-	// orders conjuncts by n and takes an exact 0 as proof that the
-	// conjunction has no answer.
+	// EstimateCount returns a planning figure for the number of facts
+	// Match yields for the pattern, read from an index without
+	// enumerating. exact reports that Match yields exactly n facts;
+	// otherwise n only ranks patterns against each other (it may miss
+	// inferred or virtual facts). The evaluator orders conjuncts by n
+	// and takes an exact 0 as proof that the conjunction has no
+	// answer.
 	EstimateCount(src, rel, tgt sym.ID) (n int, exact bool)
 }
 

@@ -534,8 +534,8 @@ func (e *Engine) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 // (stored + derived, excluding virtual families).
 func (e *Engine) ClosureSize() int { return e.Closure().Len() }
 
-// EstimateCount returns, in O(1) from the closure store's index
-// bucket sizes, a planning figure for the number of facts Match yields
+// EstimateCount returns, from the closure store's index bucket sizes
+// and without enumerating, a planning figure for the number of facts Match yields
 // for the pattern, and whether that figure is exact. It sees the
 // pattern the way Match does: a Δ or ∇ position is a wildcard, so a
 // pattern that retraction has broadened to (?e, R, Δ) counts every R

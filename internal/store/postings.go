@@ -2,30 +2,37 @@
 //
 // A base never changes once built, so the six hash indexes of the
 // delta layer (map[K][]fact.Fact, each bucket a distinct slice of
-// 12-byte facts) are replaced by one sorted fact array plus per-bucket
-// runs of fact IDs. Facts are sorted by (S, R, T) and identified by
-// their position, which buys two compressions for free:
+// 12-byte facts) are replaced by one sorted fact array, runs of fact
+// IDs, and directories that are plain arrays over the dense sym.ID
+// space. Facts are sorted by (S, R, T) and identified by their
+// position, which buys two compressions for free:
 //
-//   - The S and SR buckets are *contiguous ranges* of the sorted array,
-//     stored as [lo, hi) spans — zero bytes of postings, and MatchAll
-//     can hand out the range as a zero-copy subslice.
+//   - An S bucket is a *contiguous range* of the sorted array, found
+//     through one prefix-offset array over sym.ID (4 bytes per ID),
+//     and an (S, R) bucket is a binary search for R inside it — zero
+//     bytes of postings, and MatchAll can hand out the range as a
+//     zero-copy subslice.
 //   - The R, T, RT and ST buckets are ascending fact-ID runs,
 //     delta+varint encoded into one shared byte arena. Typical deltas
 //     fit in 1–2 bytes versus the 12-byte facts the hash buckets
-//     duplicated per index.
+//     duplicated per index. The R and T runs are found by indexing a
+//     []plist by ID; the RT and ST runs through a CSR directory: a
+//     dense offset per R (or S) into one sorted run of (T, plist)
+//     entries, searched by T.
 //
 // A folded store therefore holds each fact once plus a few bytes of
-// postings per index entry, and the large allocations (fact array, enc
-// arena) are pointer-free — the GC never scans them. The runs are
-// built by counting sorts over the dense entity-ID space (see
-// buildPostings), in time linear in the facts plus the IDs, so a
-// closure build can afford to rebuild its base every round.
+// postings per index entry and a few words per entity ID, and every
+// allocation is pointer-free — the GC never scans them. Runs and
+// directories are built by counting sorts over the entity-ID space
+// (see buildPostings) with no hashing, in time linear in the facts
+// plus the IDs, so a closure build can afford to rebuild its base
+// every round. Every lookup bounds-checks its key against the
+// directory, so an ID above the base's largest is simply absent.
 package store
 
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"repro/internal/fact"
 	"repro/internal/sym"
@@ -34,10 +41,37 @@ import (
 // span is a contiguous run facts[lo:hi] of the sealed fact array.
 type span struct{ lo, hi uint32 }
 
-// plist locates one compressed posting run inside postings.enc.
+// plist locates one compressed posting run inside postings.enc. The
+// zero plist is an absent key: a present key has n > 0.
 type plist struct {
 	off uint32 // byte offset of the run's first varint
 	n   uint32 // number of fact IDs in the run
+}
+
+// keyed is one entry of a pairDir run: the pair's second key and its
+// posting run.
+type keyed struct {
+	key sym.ID
+	pl  plist
+}
+
+// pairDir is a CSR directory over (a, b) keys: the entries of key a
+// are run[off[a]:off[a+1]], ascending by b.
+type pairDir struct {
+	off []uint32
+	run []keyed
+}
+
+// get returns the run of (a, b), or the zero plist when it is absent.
+func (d *pairDir) get(a, b sym.ID) plist {
+	if int(a)+1 >= len(d.off) {
+		return plist{}
+	}
+	run := d.run[d.off[a]:d.off[a+1]]
+	if i := search(run, func(e keyed) bool { return e.key >= b }); i < len(run) && run[i].key == b {
+		return run[i].pl
+	}
+	return plist{}
 }
 
 // postings is the immutable base layer of a Store. Clones share it by
@@ -45,19 +79,19 @@ type plist struct {
 type postings struct {
 	facts []fact.Fact // sorted by (S, R, T); fact ID = index
 
-	byS  map[sym.ID]span
-	bySR map[pair]span
+	sOff []uint32 // S's facts are facts[sOff[S]:sOff[S+1]]
 
-	byR  map[sym.ID]plist
-	byT  map[sym.ID]plist
-	byRT map[pair]plist
-	byST map[pair]plist
+	byR, byT   []plist // indexed by ID
+	byRT, byST pairDir
 
 	enc []byte // delta+varint encoded fact-ID runs
+
+	spanKeys, runKeys int // distinct S and (S, R); runs in enc
 }
 
 // emptyBase is the base of every store that has not folded yet. Its
-// maps are nil: lookups miss, nothing ever writes to a base.
+// directories are empty: every lookup is out of range and misses, and
+// nothing ever writes to a base.
 var emptyBase = &postings{}
 
 // mergeLive is the fold: one linear pass over the sorted base array,
@@ -87,59 +121,98 @@ func mergeLive(base []fact.Fact, dead map[fact.Fact]struct{}, added []fact.Fact)
 // by R and one by T give the R and T runs; two passes, T first and
 // then R or S, give the RT and ST runs. Each pass leaves the IDs
 // grouped by key in ascending key order and ascending within a key,
-// so every run is encoded straight from a subslice, and each map is
-// presized from its exact key count. Transient memory is two ID
-// permutations plus one counter per entity ID, whatever the skew.
+// so every run is encoded straight from a subslice and its directory
+// entry written in key order. Transient memory is two ID permutations
+// plus one counter per entity ID, whatever the skew; each directory
+// is sized by the largest ID of its own column.
 func buildPostings(fs []fact.Fact) *postings {
 	// Each fact is in four runs, mostly at one or two bytes each (the
 	// campus worlds average 6 bytes per fact).
 	p := &postings{facts: fs, enc: make([]byte, 0, 8*len(fs))}
-	p.spans()
-	var top sym.ID
+	var topS, topR, topT sym.ID
 	for _, f := range fs {
-		top = max(top, f.S, f.R, f.T)
+		topS, topR, topT = max(topS, f.S), max(topR, f.R), max(topT, f.T)
 	}
-	e := idSorter{fs: fs, counts: make([]uint32, int(top)+2)}
+	p.spans(topS)
+	e := idSorter{fs: fs, counts: make([]uint32, int(max(topS, topR, topT))+2)}
 	byR, byT := make([]uint32, len(fs)), make([]uint32, len(fs))
-	p.byR = encodeByID(p, byR, e.sort(byR, nil, colR), colR)
-	p.byT = encodeByID(p, byT, e.sort(byT, nil, colT), colT)
+	e.sort(byR, nil, colR)
+	p.byR = encodeByID(p, byR, colR, topR)
+	e.sort(byT, nil, colT)
+	p.byT = encodeByID(p, byT, colT, topT)
 	e.sort(byR, byT, colR) // now by (R, T)
-	p.byRT = encodeByPair(p, byR, colR, colT)
+	p.byRT = encodeByPair(p, byR, colR, topR)
 	e.sort(byR, byT, colS) // now by (S, T)
-	p.byST = encodeByPair(p, byR, colS, colT)
+	p.byST = encodeByPair(p, byR, colS, topS)
 	return p
 }
 
-// spans fills byS and bySR: facts sorted by (S, R, T) means every S
-// run and every (S, R) run is a single range of the array.
-func (p *postings) spans() {
+// spans fills sOff: facts sorted by (S, R, T) means every S run is a
+// single range of the array, so the offsets are one walk. It also
+// counts the distinct S and (S, R) keys for IndexStats.
+func (p *postings) spans(topS sym.ID) {
 	fs := p.facts
-	nS, nSR := 0, 0
-	for i := range fs {
-		if i == 0 || fs[i].S != fs[i-1].S {
-			nS++
-			nSR++
-		} else if fs[i].R != fs[i-1].R {
-			nSR++
-		}
-	}
-	p.byS = make(map[sym.ID]span, nS)
-	p.bySR = make(map[pair]span, nSR)
-	for i := 0; i < len(fs); {
-		s := fs[i].S
-		j := i
-		for j < len(fs) && fs[j].S == s {
-			r := fs[j].R
-			k := j
-			for k < len(fs) && fs[k].S == s && fs[k].R == r {
-				k++
+	off := make([]uint32, int(topS)+2)
+	next := 0 // the first ID whose offset is not yet set
+	for i, f := range fs {
+		if i > 0 && f.S == fs[i-1].S {
+			if f.R != fs[i-1].R {
+				p.spanKeys++
 			}
-			p.bySR[pair{s, r}] = span{uint32(j), uint32(k)}
-			j = k
+			continue
 		}
-		p.byS[s] = span{uint32(i), uint32(j)}
-		i = j
+		p.spanKeys += 2
+		for ; next <= int(f.S); next++ {
+			off[next] = uint32(i)
+		}
 	}
+	for ; next < len(off); next++ {
+		off[next] = uint32(len(fs))
+	}
+	p.sOff = off
+}
+
+// sSpan is the range of S's facts; empty for an absent or
+// out-of-range S.
+func (p *postings) sSpan(s sym.ID) span {
+	if int(s)+1 >= len(p.sOff) {
+		return span{}
+	}
+	return span{p.sOff[s], p.sOff[s+1]}
+}
+
+// srSpan is the range of (S, R)'s facts: two binary searches on R
+// inside S's span.
+func (p *postings) srSpan(s, r sym.ID) span {
+	sp := p.sSpan(s)
+	run := p.facts[sp.lo:sp.hi]
+	lo := search(run, func(f fact.Fact) bool { return f.R >= r })
+	hi := lo + search(run[lo:], func(f fact.Fact) bool { return f.R > r })
+	return span{sp.lo + uint32(lo), sp.lo + uint32(hi)}
+}
+
+// search is sort.Search over a run: the first index at which ge
+// holds, for a ge that is false then true along the run.
+func search[E any](run []E, ge func(E) bool) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if !ge(run[m]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// idRun is the run of key id in a []plist directory; the zero plist
+// for an absent or out-of-range key.
+func idRun(dir []plist, id sym.ID) plist {
+	if int(id) >= len(dir) {
+		return plist{}
+	}
+	return dir[id]
 }
 
 // column names one position of a fact.
@@ -167,26 +240,17 @@ type idSorter struct {
 	counts []uint32 // one counter per entity ID, plus one
 }
 
-// sort writes the IDs of src (every fact ID in order when src is nil)
-// into dst, stably sorted by column c, and returns the number of
-// distinct keys.
-func (e *idSorter) sort(dst, src []uint32, c column) int {
+// sort writes the fact IDs into dst, stably sorted by column c: from
+// fact order when src is nil, else from the order of src, which holds
+// every fact ID. The key counts do not depend on that order, so they
+// come from one sequential scan of the facts either way.
+func (e *idSorter) sort(dst, src []uint32, c column) {
 	cnt, fs := e.counts, e.fs
 	clear(cnt)
-	if src == nil {
-		for _, f := range fs {
-			cnt[c.of(f)+1]++
-		}
-	} else {
-		for _, id := range src {
-			cnt[c.of(fs[id])+1]++
-		}
+	for _, f := range fs {
+		cnt[c.of(f)+1]++
 	}
-	keys := 0
 	for k := 1; k < len(cnt); k++ {
-		if cnt[k] != 0 {
-			keys++
-		}
 		cnt[k] += cnt[k-1] // cnt[k] is now where key k's IDs start
 	}
 	if src == nil {
@@ -202,13 +266,12 @@ func (e *idSorter) sort(dst, src []uint32, c column) int {
 			cnt[k]++
 		}
 	}
-	return keys
 }
 
 // encodeByID encodes the runs of ids, grouped by column c, into p.enc
-// in key order.
-func encodeByID(p *postings, ids []uint32, keys int, c column) map[sym.ID]plist {
-	out := make(map[sym.ID]plist, keys)
+// in key order, and returns their directory over [0, top].
+func encodeByID(p *postings, ids []uint32, c column, top sym.ID) []plist {
+	out := make([]plist, int(top)+1)
 	for i := 0; i < len(ids); {
 		k := c.of(p.facts[ids[i]])
 		j := i + 1
@@ -222,28 +285,36 @@ func encodeByID(p *postings, ids []uint32, keys int, c column) map[sym.ID]plist 
 }
 
 // encodeByPair is encodeByID for ids grouped by the column pair
-// (a, b). The pair count is not known from the sort, so a first walk
-// counts the groups to presize the map.
-func encodeByPair(p *postings, ids []uint32, a, b column) map[pair]plist {
+// (a, T), with a's largest ID top. The pair count is not known from
+// the sort, so a first walk counts the groups to size the run
+// exactly; the second encodes them and fills the offsets of every a
+// up to the current one as it passes.
+func encodeByPair(p *postings, ids []uint32, a column, top sym.ID) pairDir {
 	fs := p.facts
-	key := func(id uint32) pair { return pair{a.of(fs[id]), b.of(fs[id])} }
 	keys := 0
 	for i := range ids {
-		if i == 0 || key(ids[i]) != key(ids[i-1]) {
+		if i == 0 || fs[ids[i]].T != fs[ids[i-1]].T || a.of(fs[ids[i]]) != a.of(fs[ids[i-1]]) {
 			keys++
 		}
 	}
-	out := make(map[pair]plist, keys)
+	d := pairDir{off: make([]uint32, int(top)+2), run: make([]keyed, 0, keys)}
+	next := 0 // the first a whose offset is not yet set
 	for i := 0; i < len(ids); {
-		k := key(ids[i])
+		ka, kt := a.of(fs[ids[i]]), fs[ids[i]].T
 		j := i + 1
-		for j < len(ids) && key(ids[j]) == k {
+		for j < len(ids) && fs[ids[j]].T == kt && a.of(fs[ids[j]]) == ka {
 			j++
 		}
-		out[k] = p.appendRun(ids[i:j])
+		for ; next <= int(ka); next++ {
+			d.off[next] = uint32(len(d.run))
+		}
+		d.run = append(d.run, keyed{kt, p.appendRun(ids[i:j])})
 		i = j
 	}
-	return out
+	for ; next < len(d.off); next++ {
+		d.off[next] = uint32(len(d.run))
+	}
+	return d
 }
 
 // AppendUvarintRun delta+varint encodes one ascending uint32 run onto
@@ -297,6 +368,7 @@ func DecodeUvarintRun(enc []byte, n uint32, dst []uint32) []uint32 {
 func (p *postings) appendRun(run []uint32) plist {
 	off := uint32(len(p.enc))
 	p.enc = AppendUvarintRun(p.enc, run)
+	p.runKeys++
 	return plist{off: off, n: uint32(len(run))}
 }
 
@@ -312,16 +384,13 @@ func (p *postings) decodeRun(pl plist, dst []uint32) []uint32 {
 	return DecodeUvarintRun(p.enc[pl.off:], pl.n, dst)
 }
 
-// has answers a fully bound probe: locate the (S, R) span, then binary
-// search its T column (ascending within the span by the sort order).
+// has answers a fully bound probe: one binary search on (R, T)
+// inside S's span (ascending there by the sort order).
 func (p *postings) has(f fact.Fact) bool {
-	sp, ok := p.bySR[pair{f.S, f.R}]
-	if !ok {
-		return false
-	}
+	sp := p.sSpan(f.S)
 	run := p.facts[sp.lo:sp.hi]
-	i := sort.Search(len(run), func(i int) bool { return run[i].T >= f.T })
-	return i < len(run) && run[i].T == f.T
+	i := search(run, func(g fact.Fact) bool { return g.R > f.R || g.R == f.R && g.T >= f.T })
+	return i < len(run) && run[i].R == f.R && run[i].T == f.T
 }
 
 // match streams the base facts matching a pattern: spans iterate the
@@ -336,17 +405,17 @@ func (p *postings) match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 		}
 		return true
 	case src != sym.None && rel != sym.None:
-		return p.eachSpan(p.bySR[pair{src, rel}], fn)
+		return p.eachSpan(p.srSpan(src, rel), fn)
 	case rel != sym.None && tgt != sym.None:
-		return p.eachFact(p.byRT[pair{rel, tgt}], fn)
+		return p.eachFact(p.byRT.get(rel, tgt), fn)
 	case src != sym.None && tgt != sym.None:
-		return p.eachFact(p.byST[pair{src, tgt}], fn)
+		return p.eachFact(p.byST.get(src, tgt), fn)
 	case src != sym.None:
-		return p.eachSpan(p.byS[src], fn)
+		return p.eachSpan(p.sSpan(src), fn)
 	case rel != sym.None:
-		return p.eachFact(p.byR[rel], fn)
+		return p.eachFact(idRun(p.byR, rel), fn)
 	case tgt != sym.None:
-		return p.eachFact(p.byT[tgt], fn)
+		return p.eachFact(idRun(p.byT, tgt), fn)
 	default:
 		for i := range p.facts {
 			if !fn(p.facts[i]) {
@@ -370,8 +439,10 @@ func (p *postings) eachFact(pl plist, fn func(fact.Fact) bool) bool {
 	return p.eachID(pl, func(id uint32) bool { return fn(p.facts[id]) })
 }
 
-// estimate is the exact number of base facts matching the pattern;
-// every answer is O(1).
+// estimate is the exact number of base facts matching the pattern.
+// A pattern with S bound alone, R alone or T alone is answered in
+// O(1) by indexing a directory; (S, R), (R, T), (S, T) and the fully
+// bound pattern by a binary search, O(log run).
 func (p *postings) estimate(src, rel, tgt sym.ID) int {
 	switch {
 	case src != sym.None && rel != sym.None && tgt != sym.None:
@@ -380,19 +451,19 @@ func (p *postings) estimate(src, rel, tgt sym.ID) int {
 		}
 		return 0
 	case src != sym.None && rel != sym.None:
-		sp := p.bySR[pair{src, rel}]
+		sp := p.srSpan(src, rel)
 		return int(sp.hi - sp.lo)
 	case rel != sym.None && tgt != sym.None:
-		return int(p.byRT[pair{rel, tgt}].n)
+		return int(p.byRT.get(rel, tgt).n)
 	case src != sym.None && tgt != sym.None:
-		return int(p.byST[pair{src, tgt}].n)
+		return int(p.byST.get(src, tgt).n)
 	case src != sym.None:
-		sp := p.byS[src]
+		sp := p.sSpan(src)
 		return int(sp.hi - sp.lo)
 	case rel != sym.None:
-		return int(p.byR[rel].n)
+		return int(idRun(p.byR, rel).n)
 	case tgt != sym.None:
-		return int(p.byT[tgt].n)
+		return int(idRun(p.byT, tgt).n)
 	default:
 		return len(p.facts)
 	}
@@ -413,17 +484,17 @@ func (p *postings) matchAll(src, rel, tgt sym.ID) []fact.Fact {
 		}
 		return nil
 	case src != sym.None && rel != sym.None:
-		return p.clipSpan(p.bySR[pair{src, rel}])
+		return p.clipSpan(p.srSpan(src, rel))
 	case rel != sym.None && tgt != sym.None:
-		return p.materialize(p.byRT[pair{rel, tgt}])
+		return p.materialize(p.byRT.get(rel, tgt))
 	case src != sym.None && tgt != sym.None:
-		return p.materialize(p.byST[pair{src, tgt}])
+		return p.materialize(p.byST.get(src, tgt))
 	case src != sym.None:
-		return p.clipSpan(p.byS[src])
+		return p.clipSpan(p.sSpan(src))
 	case rel != sym.None:
-		return p.materialize(p.byR[rel])
+		return p.materialize(idRun(p.byR, rel))
 	case tgt != sym.None:
-		return p.materialize(p.byT[tgt])
+		return p.materialize(idRun(p.byT, tgt))
 	default:
 		return p.facts[:len(p.facts):len(p.facts)]
 	}
@@ -457,6 +528,7 @@ type IndexStats struct {
 	SpanBuckets    int // contiguous-range buckets (S, SR)
 	PostingBuckets int // compressed runs (R, T, RT, ST)
 	PostingBytes   int // bytes of delta+varint posting arena
+	DirectoryBytes int // bytes of the directories that locate spans and runs
 	Delta          int // facts added on top of the base
 	Tombstones     int // base facts deleted
 }
@@ -464,13 +536,19 @@ type IndexStats struct {
 // Buckets returns the total index bucket count across both forms.
 func (st IndexStats) Buckets() int { return st.SpanBuckets + st.PostingBuckets }
 
-// IndexBytes estimates the base's deterministic footprint: the fact
-// array (12 bytes per fact), the posting arena, and the key+value
-// payload of every bucket (12 bytes each; map headers and hash-table
-// overhead are excluded, being runtime-dependent). The hash-indexed
-// layers are not included; Delta and Tombstones size them.
+// IndexBytes is the base's deterministic footprint: the fact array
+// (12 bytes per fact), the posting arena and the directories, each
+// slice at its element size. The hash-indexed layers are not
+// included; Delta and Tombstones size them.
 func (st IndexStats) IndexBytes() int {
-	return st.Facts*12 + st.PostingBytes + st.Buckets()*12
+	return st.Facts*12 + st.PostingBytes + st.DirectoryBytes
+}
+
+// directoryBytes sums the directory slices at their element sizes:
+// 4 bytes per offset, 8 per plist, 12 per (key, plist) entry.
+func (p *postings) directoryBytes() int {
+	return 4*(len(p.sOff)+len(p.byRT.off)+len(p.byST.off)) +
+		8*(len(p.byR)+len(p.byT)) + 12*(len(p.byRT.run)+len(p.byST.run))
 }
 
 // IndexStats returns the store's layer geometry in O(1). The live
@@ -483,9 +561,10 @@ func (s *Store) IndexStats() IndexStats {
 	p := s.base
 	return IndexStats{
 		Facts:          len(p.facts),
-		SpanBuckets:    len(p.byS) + len(p.bySR),
-		PostingBuckets: len(p.byR) + len(p.byT) + len(p.byRT) + len(p.byST),
+		SpanBuckets:    p.spanKeys,
+		PostingBuckets: p.runKeys,
 		PostingBytes:   len(p.enc),
+		DirectoryBytes: p.directoryBytes(),
 		Delta:          len(s.add.facts),
 		Tombstones:     len(s.dead.facts),
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -343,12 +342,22 @@ func TestUvarintRunCodec(t *testing.T) {
 	}
 }
 
-// refBuildPostings is the map-based encoder buildPostings replaced,
-// kept as the reference its bytes are checked against: per-key ID
-// lists gathered in one pass over the sorted facts, keys sorted, runs
+// refPostings is the map-based index buildPostings replaced, kept as
+// the reference the array directories are checked against: one map
+// per directory and its own posting arena.
+type refPostings struct {
+	byS        map[sym.ID]span
+	bySR       map[pair]span
+	byR, byT   map[sym.ID]plist
+	byRT, byST map[pair]plist
+	enc        []byte
+}
+
+// refBuildPostings is the map-based encoder: per-key ID lists
+// gathered in one pass over the sorted facts, keys sorted, runs
 // appended to the arena in key order, index by index (R, T, RT, ST).
-func refBuildPostings(fs []fact.Fact) *postings {
-	p := &postings{facts: fs, byS: map[sym.ID]span{}, bySR: map[pair]span{}}
+func refBuildPostings(fs []fact.Fact) *refPostings {
+	p := &refPostings{byS: map[sym.ID]span{}, bySR: map[pair]span{}}
 	for i := 0; i < len(fs); {
 		j := i
 		for j < len(fs) && fs[j].S == fs[i].S {
@@ -364,16 +373,16 @@ func refBuildPostings(fs []fact.Fact) *postings {
 	}
 	idLess := func(a, b sym.ID) bool { return a < b }
 	pairLess := func(a, b pair) bool { return a.a < b.a || a.a == b.a && a.b < b.b }
-	p.byR = refEncodeRuns(p, func(f fact.Fact) sym.ID { return f.R }, idLess)
-	p.byT = refEncodeRuns(p, func(f fact.Fact) sym.ID { return f.T }, idLess)
-	p.byRT = refEncodeRuns(p, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
-	p.byST = refEncodeRuns(p, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
+	p.byR = refEncodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.R }, idLess)
+	p.byT = refEncodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.T }, idLess)
+	p.byRT = refEncodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
+	p.byST = refEncodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
 	return p
 }
 
-func refEncodeRuns[K comparable](p *postings, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
+func refEncodeRuns[K comparable](p *refPostings, fs []fact.Fact, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
 	ids := make(map[K][]uint32)
-	for i, f := range p.facts {
+	for i, f := range fs {
 		k := keyOf(f)
 		ids[k] = append(ids[k], uint32(i))
 	}
@@ -384,29 +393,119 @@ func refEncodeRuns[K comparable](p *postings, keyOf func(fact.Fact) K, less func
 	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	out := make(map[K]plist, len(ids))
 	for _, k := range keys {
-		out[k] = p.appendRun(ids[k])
+		out[k] = plist{off: uint32(len(p.enc)), n: uint32(len(ids[k]))}
+		p.enc = AppendUvarintRun(p.enc, ids[k])
 	}
 	return out
 }
 
-// samePostings reports the first difference between two indexes over
-// the same facts: the arena byte for byte, then every bucket map.
-func samePostings(got, want *postings) string {
-	switch {
-	case !bytes.Equal(got.enc, want.enc):
+// samePostings reports the first difference between an index and the
+// map reference over the same facts: the arena byte for byte; then
+// every key of every reference map, which must return the same span
+// or run from the directories; then absent keys, which must return
+// nothing — ID 0, top+1, top+1000, and every key that exists only in
+// another column; and last the key counts, so that no directory holds
+// a key the reference lacks.
+func samePostings(got *postings, want *refPostings) string {
+	if !bytes.Equal(got.enc, want.enc) {
 		return fmt.Sprintf("enc arena differs: %d bytes, want %d", len(got.enc), len(want.enc))
-	case !maps.Equal(got.byS, want.byS):
-		return "byS differs"
-	case !maps.Equal(got.bySR, want.bySR):
-		return "bySR differs"
-	case !maps.Equal(got.byR, want.byR):
-		return "byR differs"
-	case !maps.Equal(got.byT, want.byT):
-		return "byT differs"
-	case !maps.Equal(got.byRT, want.byRT):
-		return "byRT differs"
-	case !maps.Equal(got.byST, want.byST):
-		return "byST differs"
+	}
+	sr := func(k pair) span { return got.srSpan(k.a, k.b) }
+	rt := func(k pair) plist { return got.byRT.get(k.a, k.b) }
+	st := func(k pair) plist { return got.byST.get(k.a, k.b) }
+	r := func(k sym.ID) plist { return idRun(got.byR, k) }
+	tt := func(k sym.ID) plist { return idRun(got.byT, k) }
+	for _, d := range []string{
+		sameLookups("byS", want.byS, got.sSpan),
+		sameLookups("bySR", want.bySR, sr),
+		sameLookups("byR", want.byR, r),
+		sameLookups("byT", want.byT, tt),
+		sameLookups("byRT", want.byRT, rt),
+		sameLookups("byST", want.byST, st),
+	} {
+		if d != "" {
+			return d
+		}
+	}
+
+	var top sym.ID
+	ids := []sym.ID{0}
+	for _, m := range []map[sym.ID]plist{want.byR, want.byT} {
+		for k := range m {
+			ids, top = append(ids, k), max(top, k)
+		}
+	}
+	for k := range want.byS {
+		ids, top = append(ids, k), max(top, k)
+	}
+	ids = append(ids, top+1, top+1000)
+	pairs := []pair{{0, 0}, {top + 1, top + 1}, {top + 1000, 1}, {1, top + 1000}}
+	for _, m := range []map[pair]plist{want.byRT, want.byST} {
+		for k := range m {
+			pairs = append(pairs, k, pair{k.a, top + 1}, pair{top + 1, k.b}, pair{k.a, 0})
+		}
+	}
+	for k := range want.bySR {
+		pairs = append(pairs, k)
+	}
+	for _, k := range ids {
+		if _, ok := want.byS[k]; !ok && got.sSpan(k).hi != got.sSpan(k).lo {
+			return fmt.Sprintf("byS: absent key %d returns %v", k, got.sSpan(k))
+		}
+		if _, ok := want.byR[k]; !ok && r(k) != (plist{}) {
+			return fmt.Sprintf("byR: absent key %d returns %v", k, r(k))
+		}
+		if _, ok := want.byT[k]; !ok && tt(k) != (plist{}) {
+			return fmt.Sprintf("byT: absent key %d returns %v", k, tt(k))
+		}
+	}
+	for _, k := range pairs {
+		if _, ok := want.bySR[k]; !ok && sr(k).hi != sr(k).lo {
+			return fmt.Sprintf("bySR: absent key %v returns %v", k, sr(k))
+		}
+		if _, ok := want.byRT[k]; !ok && rt(k) != (plist{}) {
+			return fmt.Sprintf("byRT: absent key %v returns %v", k, rt(k))
+		}
+		if _, ok := want.byST[k]; !ok && st(k) != (plist{}) {
+			return fmt.Sprintf("byST: absent key %v returns %v", k, st(k))
+		}
+	}
+
+	present := func(dir []plist) int {
+		n := 0
+		for _, pl := range dir {
+			if pl.n != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	nS := 0
+	for i := 0; i+1 < len(got.sOff); i++ {
+		if got.sOff[i] != got.sOff[i+1] {
+			nS++
+		}
+	}
+	switch {
+	case nS != len(want.byS) || got.spanKeys != len(want.byS)+len(want.bySR):
+		return fmt.Sprintf("span keys: %d S of %d, want %d S of %d", nS, got.spanKeys, len(want.byS), len(want.byS)+len(want.bySR))
+	case present(got.byR) != len(want.byR) || present(got.byT) != len(want.byT):
+		return fmt.Sprintf("R/T keys: %d/%d, want %d/%d", present(got.byR), present(got.byT), len(want.byR), len(want.byT))
+	case len(got.byRT.run) != len(want.byRT) || len(got.byST.run) != len(want.byST):
+		return fmt.Sprintf("RT/ST keys: %d/%d, want %d/%d", len(got.byRT.run), len(got.byST.run), len(want.byRT), len(want.byST))
+	case got.runKeys != len(want.byR)+len(want.byT)+len(want.byRT)+len(want.byST):
+		return fmt.Sprintf("run keys: %d", got.runKeys)
+	}
+	return ""
+}
+
+// sameLookups checks that every key of a reference map returns its
+// value from the directory lookup get.
+func sameLookups[K comparable, V comparable](name string, want map[K]V, get func(K) V) string {
+	for k, v := range want {
+		if g := get(k); g != v {
+			return fmt.Sprintf("%s: key %v returns %v, want %v", name, k, g, v)
+		}
 	}
 	return ""
 }
@@ -422,7 +521,9 @@ func checkEncoder(t *testing.T, name string, fs []fact.Fact) {
 }
 
 // TestBuildPostingsMatchesReference pins the counting-sort encoder to
-// the map-based one byte for byte: same arena, same bucket maps.
+// the map-based one: the same arena byte for byte, and directories
+// that answer every key of the reference maps alike and every other
+// key with nothing.
 func TestBuildPostingsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	random := func(n, ids int) []fact.Fact {
@@ -471,4 +572,88 @@ func FuzzBuildPostings(f *testing.F) {
 		}
 		checkEncoder(t, "fuzz input", fs)
 	})
+}
+
+// TestSealedReadsOutOfRange: the directories are arrays over the IDs
+// the base holds, so a key past their end must read as absent, never
+// index out of range. For all eight bind patterns, Has, Match,
+// MatchAll and EstimateCount return nothing on the empty base, and on
+// a sealed store for every pattern that binds an ID above its largest.
+// The reads stay allocation-free, as they were with hash directories.
+func TestSealedReadsOutOfRange(t *testing.T) {
+	u := fact.NewUniverse()
+	s := randomWorld(u, rand.New(rand.NewSource(5)), 600)
+	s.Seal()
+	var top sym.ID
+	for _, f := range s.Facts() {
+		top = max(top, f.S, f.R, f.T)
+	}
+	in := s.Facts()[7]
+	empty := New(u)
+	empty.Seal()
+	if empty.base != emptyBase {
+		t.Fatal("an empty sealed store does not read the empty base")
+	}
+	nothing := func(name string, st *Store, src, rel, tgt sym.ID) {
+		t.Helper()
+		if src != sym.None && rel != sym.None && tgt != sym.None && st.Has(fact.Fact{S: src, R: rel, T: tgt}) {
+			t.Errorf("%s: Has(%d,%d,%d)", name, src, rel, tgt)
+		}
+		if !st.Match(src, rel, tgt, func(f fact.Fact) bool {
+			t.Errorf("%s: Match(%d,%d,%d) yields %v", name, src, rel, tgt, f)
+			return false
+		}) {
+			return
+		}
+		if got := st.MatchAll(src, rel, tgt); len(got) != 0 {
+			t.Errorf("%s: MatchAll(%d,%d,%d) = %v", name, src, rel, tgt, got)
+		}
+		if n := st.EstimateCount(src, rel, tgt); n != 0 {
+			t.Errorf("%s: EstimateCount(%d,%d,%d) = %d", name, src, rel, tgt, n)
+		}
+	}
+	for mask := 0; mask < 8; mask++ {
+		pick := func(bit int, id sym.ID) sym.ID {
+			if mask&bit == 0 {
+				return sym.None
+			}
+			return id
+		}
+		nothing("empty base", empty, pick(4, in.S), pick(2, in.R), pick(1, in.T))
+		// Every bound position either in range or above the largest
+		// ID, at least one above.
+		for out := 1; out < 8; out++ {
+			if out&^mask != 0 {
+				continue
+			}
+			at := func(bit int, id sym.ID) sym.ID {
+				if out&bit != 0 {
+					return pick(bit, top+1+sym.ID(bit)*1000)
+				}
+				return pick(bit, id)
+			}
+			nothing("above the largest ID", s, at(4, in.S), at(2, in.R), at(1, in.T))
+		}
+	}
+
+	fn := func(fact.Fact) bool { return true }
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Has", func() { s.Has(in) }},
+		{"Has, absent", func() { s.Has(fact.Fact{S: in.S, R: in.R, T: top + 1}) }},
+		{"EstimateCount (S, R)", func() { s.EstimateCount(in.S, in.R, sym.None) }},
+		{"EstimateCount (R, T)", func() { s.EstimateCount(sym.None, in.R, in.T) }},
+		{"EstimateCount (T)", func() { s.EstimateCount(sym.None, sym.None, in.T) }},
+		{"span Match (S, R)", func() { s.Match(in.S, in.R, sym.None, fn) }},
+		{"span Match (S)", func() { s.Match(in.S, sym.None, sym.None, fn) }},
+		{"posting Match (R, T)", func() { s.Match(sym.None, in.R, in.T, fn) }},
+		{"posting Match (S, T)", func() { s.Match(in.S, sym.None, in.T, fn) }},
+		{"posting Match (R)", func() { s.Match(sym.None, in.R, sym.None, fn) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.op); a != 0 {
+			t.Errorf("%s allocates %v per call, want 0", c.name, a)
+		}
+	}
 }

@@ -36,6 +36,7 @@ package store
 
 import (
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -114,7 +115,7 @@ const maxRecent = 8192
 // facts amortizes to foldFraction × 0.25 µs ≈ 4 µs per changed fact —
 // the same order as deriving that fact in the first place, so folding
 // never dominates maintenance. Between folds a changed fact sits in seven hash
-// buckets (~300 B against the base's ~36 B per fact), so 1/16 caps
+// buckets (~300 B against the base's ~33 B per fact), so 1/16 caps
 // the layers' memory at ~19 B per base fact, half of the base's
 // again. Smaller fractions fold more for no read-side gain (reads pay
 // one hash probe per layer whatever its size); larger ones give the
@@ -555,8 +556,11 @@ func (s *Store) Count(src, rel, tgt sym.ID) int {
 }
 
 // EstimateCount returns the exact number of facts matching the
-// pattern, in O(1): the size of the most selective index bucket
-// covering it, summed over the layers (base + delta − tombstones).
+// pattern without enumerating them: the size of the most selective
+// index bucket covering it, summed over the layers (base + delta −
+// tombstones). Each layer answers with one directory entry or hash
+// probe, or with a binary search when the base is asked for a pair
+// of positions (postings.estimate).
 // For fully bound patterns it returns 0 or 1; for the all-wildcard
 // pattern, the store size. Query planners use it to order joins by
 // selectivity.
@@ -641,25 +645,49 @@ func (s *Store) eachLocked(fn func(fact.Fact) error) error {
 }
 
 // Entities returns the set of entities that occur in at least one
-// stored fact, in any position. This is the active domain used for
-// ∀-quantifier evaluation (§2.7) and retraction (§5).
+// stored fact, in any position, in ascending ID order. This is the
+// active domain used for ∀-quantifier evaluation (§2.7) and retraction
+// (§5). One scan of the live facts marks a dense bitset over the IDs,
+// which is read out in order.
 func (s *Store) Entities() []sym.ID {
 	if !s.sealed {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	seen := make(map[sym.ID]struct{}, len(s.base.byS)+len(s.base.byT)+len(s.add.byS)+len(s.add.byT))
+	var seen idSet
 	s.matchLocked(sym.None, sym.None, sym.None, func(f fact.Fact) bool {
-		seen[f.S] = struct{}{}
-		seen[f.R] = struct{}{}
-		seen[f.T] = struct{}{}
+		seen.add(f.S)
+		seen.add(f.R)
+		seen.add(f.T)
 		return true
 	})
-	out := make([]sym.ID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	return seen.ids()
+}
+
+// idSet is a dense bitset over entity IDs that grows to the largest
+// ID added.
+type idSet []uint64
+
+func (b *idSet) add(id sym.ID) {
+	w := int(id >> 6)
+	if w >= len(*b) {
+		*b = append(*b, make([]uint64, w+1-len(*b))...)
 	}
-	slices.Sort(out)
+	(*b)[w] |= 1 << (id & 63)
+}
+
+// ids returns the members in ascending order, in an exact-size slice.
+func (b idSet) ids() []sym.ID {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]sym.ID, 0, n)
+	for i, w := range b {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, sym.ID(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }
 
@@ -681,17 +709,19 @@ func (s *Store) Relationships() []RelStat {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	out := make([]RelStat, 0, len(s.base.byR)+len(s.add.byR))
+	var out []RelStat
 	collect := func(r sym.ID) {
 		if n := s.estimateLocked(sym.None, r, sym.None); n > 0 {
 			out = append(out, RelStat{Rel: r, Count: n})
 		}
 	}
-	for r := range s.base.byR {
-		collect(r)
+	for r, pl := range s.base.byR {
+		if pl.n != 0 {
+			collect(sym.ID(r))
+		}
 	}
 	for r := range s.add.byR {
-		if _, inBase := s.base.byR[r]; !inBase {
+		if idRun(s.base.byR, r).n == 0 {
 			collect(r)
 		}
 	}
