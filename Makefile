@@ -119,7 +119,7 @@ check-benchmark:
 # packages whose tests have had timing dependence, a short soak, and
 # a brief pass over every fuzz target.
 check: build vet test race
-	$(GO) test -count=3 . ./internal/serve ./internal/store ./internal/search ./internal/check ./internal/rules
+	$(GO) test -count=3 . ./internal/serve ./internal/store ./internal/repl ./internal/search ./internal/check ./internal/rules
 	$(MAKE) check-benchmark
 	$(MAKE) check-obs
 	$(MAKE) load-smoke

@@ -29,12 +29,13 @@
 // /repl/snapshot serves a bootstrap snapshot, and log compaction
 // waits (up to -repl-lag-budget records) for connected followers.
 // With -replica-of URL the daemon is a read replica instead: each
-// tenant tails the same-named tenant on the primary, writes are
-// rejected with 403, and any read may carry ?min_lsn=L to demand
-// read-your-writes — the replica waits up to -repl-wait for its
-// applied watermark to reach L, then answers 412 with its current
-// LSN. Mutations on the primary return their commit LSN for use as
-// min_lsn.
+// tenant tails the same-named tenant on the primary into one log at
+// <dir>/<name>.log (a snapshot of its last bootstrap followed by the
+// records applied since), writes are rejected with 403, and any read
+// may carry ?min_lsn=L to demand read-your-writes — the replica waits
+// up to -repl-wait for its applied watermark to reach L, then answers
+// 412 with its current LSN. Mutations on the primary return their
+// commit LSN for use as min_lsn.
 //
 // Usage: lsdbd [-addr :8080] [-tenants default] [-data dir]
 // [-log db.log] [-sync always|never|250ms] [-checkpoint N]
@@ -123,7 +124,7 @@ func main() {
 	logPath := flag.String("log", "", "append-only durability log (single tenant only)")
 	syncFlag := flag.String("sync", "always", "log sync policy: always, never, or a flush interval like 250ms")
 	checkpoint := flag.Int("checkpoint", 0, "compact each log automatically once it holds more than this many records and at least twice as many records as live facts, so an insert-only log is never compacted (0 disables)")
-	snapshot := flag.String("snapshot", "", "snapshot path written at each automatic checkpoint (single tenant only)")
+	snapshot := flag.String("snapshot", "", "path that each automatic checkpoint replaces with a snapshot: a log of the live facts at the checkpoint's LSN, which -log can open (single tenant only)")
 	maxInflight := flag.Int("max-inflight", 0, "per-tenant cap on concurrent in-flight requests (0 = unlimited)")
 	maxDepth := flag.Int("max-depth", 0, "per-tenant cap on requested inference depth (0 = unlimited)")
 	cacheEntries := flag.Int("cache-entries", 0, "per-tenant subgoal cache entry limit (0 = engine default)")
@@ -156,10 +157,10 @@ func main() {
 	}
 	if *replicaOf != "" {
 		if *dataDir == "" {
-			log.Fatal("-replica-of requires -data for the replica's boot file and tail log")
+			log.Fatal("-replica-of requires -data for the replica's log (<dir>/<name>.log)")
 		}
 		if *logPath != "" || *snapshot != "" || *checkpoint > 0 {
-			log.Fatal("-replica-of manages its own tail log; -log, -snapshot and -checkpoint do not apply")
+			log.Fatal("-replica-of manages its own log; -log, -snapshot and -checkpoint do not apply")
 		}
 		if flag.NArg() > 0 {
 			log.Fatal("a replica loads facts from its primary, not from fact files")
@@ -182,8 +183,8 @@ func main() {
 		}
 		switch {
 		case *replicaOf != "":
-			// A replica's durability is its boot file plus tail log,
-			// both managed by the follower — no store-level log.
+			// A replica's durability is one log per tenant, attached
+			// and managed by the follower.
 		case *dataDir != "":
 			opts.LogPath = filepath.Join(*dataDir, name+".log")
 			if *checkpoint > 0 {
@@ -281,7 +282,7 @@ func main() {
 			log.Printf("lsdbd drain: %v", err)
 		}
 	}
-	// Stop followers first: each Stop syncs and detaches the tail log,
+	// Stop followers first: each Stop syncs and detaches its log,
 	// so srv.Close below finds nothing left to flush for replicas.
 	for _, fl := range followers {
 		fl.Stop()

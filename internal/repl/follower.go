@@ -27,7 +27,7 @@ import (
 var errRebootstrap = errors.New("repl: follower needs snapshot re-bootstrap")
 
 // fatalError marks failures of the follower's own durability (its
-// tail log) — the loop stops rather than keep advertising an applied
+// log) — the loop stops rather than keep advertising an applied
 // watermark it could no longer recover.
 type fatalError struct{ err error }
 
@@ -42,17 +42,19 @@ type Config struct {
 	// Tenant selects the primary-side database (?db= parameter);
 	// empty uses the primary's default tenant.
 	Tenant string
-	// Dir is the follower's data directory: it holds the boot file
-	// (<Name>.boot) and the tail log (<Name>.tail-<base>.log).
+	// Dir is the follower's data directory. It holds one log,
+	// <Name>.log: a snapshot of the last bootstrap at its LSN followed
+	// by the records applied since. Files of any other name are
+	// ignored.
 	Dir string
-	// Name prefixes the follower's files. Default "db".
+	// Name names the follower's log. Default "db".
 	Name string
 	// ID identifies this follower in the primary's ack registry.
 	// Default Name@hostname.
 	ID string
 	// Client issues the HTTP requests. Default http.DefaultClient.
 	Client *http.Client
-	// Policy is the tail log's sync policy. The default, SyncNever,
+	// Policy is the log's sync policy. The default, SyncNever,
 	// relies on the per-batch sync the follower always performs, so
 	// durability advances once per batch instead of once per record.
 	Policy store.SyncPolicy
@@ -82,8 +84,8 @@ type Stats struct {
 }
 
 // Follower replays a primary's WAL into a local database. The
-// database must have been opened without a log path (and without
-// checkpointing): the follower attaches and owns its tail log.
+// database must have been opened without a log path: the follower
+// attaches and owns its log.
 type Follower struct {
 	db  *lsdb.Database
 	st  *store.Store
@@ -158,60 +160,24 @@ func NewFollower(db *lsdb.Database, cfg Config) (*Follower, error) {
 	return f, nil
 }
 
-func (f *Follower) bootPath() string { return filepath.Join(f.cfg.Dir, f.cfg.Name+".boot") }
+func (f *Follower) logPath() string { return filepath.Join(f.cfg.Dir, f.cfg.Name+".log") }
 
-func (f *Follower) tailPath(base uint64) string {
-	return filepath.Join(f.cfg.Dir, fmt.Sprintf("%s.tail-%d.log", f.cfg.Name, base))
-}
-
-// Start restores local state (boot file + tail log replay) and
-// launches the tail loop. It returns without contacting the primary:
-// a follower serves whatever it has while the primary is unreachable.
+// Start restores local state by replaying the log and launches the
+// tail loop. An absent log starts at LSN 0. Start returns without
+// contacting the primary: a follower serves whatever it has while the
+// primary is unreachable.
 func (f *Follower) Start() error {
-	// The tail file name carries its bootstrap generation, so the tail
-	// must never self-compact (that would rewrite its base in place).
-	f.st.SetAutoCheckpoint(0, "")
-	f.st.SetCompactGate(func(uint64) bool { return false })
-
-	facts, lsn, ok, err := readBootFile(f.bootPath(), f.u)
-	if err != nil {
-		return err
-	}
-	if ok {
-		for _, fc := range facts {
-			f.st.Insert(fc)
-		}
-	}
-	info, err := f.st.AttachLogAt(f.tailPath(lsn), f.cfg.Policy, lsn)
+	info, err := f.st.AttachLogInfo(f.logPath(), f.cfg.Policy)
 	if err != nil {
 		return err
 	}
 	f.setApplied(info.LSN)
-	f.cleanTails(lsn)
 	f.db.ClosureLen() // build the closure before the first request
 	go f.run()
 	return nil
 }
 
-// cleanTails removes tail logs from earlier bootstrap generations; a
-// crash between boot-file commit and old-tail removal leaves them
-// behind. Best effort: a leftover file is waste, not state.
-func (f *Follower) cleanTails(base uint64) {
-	keep := filepath.Base(f.tailPath(base))
-	ents, err := os.ReadDir(f.cfg.Dir)
-	if err != nil {
-		return
-	}
-	prefix := f.cfg.Name + ".tail-"
-	for _, e := range ents {
-		n := e.Name()
-		if n != keep && len(n) > len(prefix) && n[:len(prefix)] == prefix {
-			os.Remove(filepath.Join(f.cfg.Dir, n))
-		}
-	}
-}
-
-// Stop halts the tail loop and syncs and closes the tail log.
+// Stop halts the tail loop and syncs and closes the log.
 func (f *Follower) Stop() {
 	f.cancel()
 	<-f.done
@@ -400,8 +366,9 @@ func (f *Follower) applyBatch(br *bufio.Reader, h batchHeader) error {
 	}
 	applied := 0
 	var aerr error
+	rr := store.NewRecordReader(br)
 	for i := 0; i < h.count; i++ {
-		rec, err := readRecord(br)
+		rec, err := rr.Next()
 		if err != nil {
 			aerr = fmt.Errorf("repl: batch cut after %d of %d records: %w", i, h.count, err)
 			break
@@ -448,11 +415,11 @@ func (f *Follower) applyBatch(br *bufio.Reader, h batchHeader) error {
 }
 
 // rebootstrap rebuilds local state from a primary snapshot: fetch and
-// fully decode the snapshot, commit it as the new boot file, then
-// swap the store to it (minimal diff, not a rebuild) and start a
-// fresh tail log at the snapshot LSN. A crash anywhere leaves a
-// restartable pair: the old boot+tail before the rename, the new
-// boot (with an empty or absent tail) after it.
+// fully decode it, then, under the configured Lock, swap the store to
+// it (minimal diff, not a rebuild) and replace the log with the
+// snapshot at its LSN (Store.ResetTo). The snapshot is renamed over
+// the log before the store changes, so a crash anywhere recovers
+// either the old applied prefix or the new snapshot state.
 func (f *Follower) rebootstrap() error {
 	resp, err := f.get("/repl/snapshot", url.Values{})
 	if err != nil {
@@ -463,55 +430,22 @@ func (f *Follower) rebootstrap() error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("repl: snapshot fetch answered %s", resp.Status)
 	}
-	lsn, err := strconv.ParseUint(resp.Header.Get("X-Lsdb-Lsn"), 10, 64)
-	if err != nil {
-		return fmt.Errorf("repl: snapshot without X-Lsdb-Lsn: %v", err)
-	}
-	facts, err := store.ReadSnapshotFacts(bufio.NewReader(resp.Body), f.u)
+	facts, lsn, err := store.ReadSnapshotFacts(resp.Body, f.u)
 	if err != nil {
 		return err
-	}
-	// Everything decoded; now commit locally. Boot file first: after
-	// the rename a restart recovers at lsn even if what follows fails.
-	err = writeBootFile(f.st.FS(), f.bootPath(), lsn, func(w io.Writer) error {
-		return f.st.EncodeSnapshot(w, facts)
-	})
-	if err != nil {
-		return fatalError{err}
-	}
-	oldTail := f.tailPath(f.lastBaseAttached())
-	target := make(map[fact.Fact]bool, len(facts))
-	for _, fc := range facts {
-		target[fc] = true
 	}
 	if f.cfg.Lock != nil {
 		f.cfg.Lock.Lock()
 	}
-	f.st.CloseLog() // a poisoned tail log still detaches
-	for _, fc := range f.st.Facts() {
-		if !target[fc] {
-			f.st.Delete(fc)
-		}
-	}
-	for fc := range target {
-		f.st.Insert(fc)
-	}
-	info, aerr := f.st.AttachLogAt(f.tailPath(lsn), f.cfg.Policy, lsn)
+	err = f.st.ResetTo(facts, lsn)
 	if f.cfg.Lock != nil {
 		f.cfg.Lock.Unlock()
 	}
-	if aerr != nil {
-		return fatalError{aerr}
+	if err != nil {
+		return fatalError{err}
 	}
-	f.setApplied(info.LSN)
+	f.setApplied(lsn)
 	f.lastBase.Store(lsn)
-	if oldTail != f.tailPath(lsn) {
-		os.Remove(oldTail)
-	}
 	f.db.ClosureLen()
 	return nil
 }
-
-// lastBaseAttached derives the current tail file's base from the
-// store's log, for old-tail cleanup during re-bootstrap.
-func (f *Follower) lastBaseAttached() uint64 { return f.st.BaseLSN() }

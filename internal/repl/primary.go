@@ -174,10 +174,10 @@ func (p *Primary) Followers() []FollowerInfo {
 // LagBudget reports the configured budget, for /stats.
 func (p *Primary) LagBudget() uint64 { return p.opts.LagBudget }
 
-// ServeSnapshot answers GET /repl/snapshot: the full fact set in
-// snapshot format, with the LSN it corresponds to in the X-Lsdb-Lsn
-// header. The pair is a valid bootstrap: load the snapshot, then tail
-// /repl/wal from that LSN.
+// ServeSnapshot answers GET /repl/snapshot: the full fact set as a
+// snapshot whose header carries the LSN it corresponds to, which the
+// X-Lsdb-Lsn header repeats. The pair is a valid bootstrap: load the
+// snapshot, then tail /repl/wal from that LSN.
 func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	facts, lsn, err := p.st.SnapshotFacts()
 	if err != nil {
@@ -187,7 +187,7 @@ func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Lsdb-Lsn", strconv.FormatUint(lsn, 10))
 	p.snapshots.Inc()
-	p.st.EncodeSnapshot(w, facts) // nothing to do about a mid-stream write error
+	p.st.EncodeSnapshot(w, facts, lsn) // nothing to do about a mid-stream write error
 }
 
 // ServeWAL answers GET /repl/wal?from=&max=&wait=&id=: a batch of

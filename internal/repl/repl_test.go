@@ -2,16 +2,15 @@ package repl
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
 	lsdb "repro"
-	"repro/internal/store"
 )
 
 // openPrimary opens a logged database and an httptest server exposing
@@ -229,31 +228,83 @@ func TestWaitLSNTimesOut(t *testing.T) {
 	}
 }
 
-func TestBootFileRoundTrip(t *testing.T) {
-	db, _ := lsdb.Open(lsdb.Options{})
-	defer db.Close()
-	db.Assert("JOHN", "in", "EMPLOYEE")
-	db.Assert("JOHN", "earns", "30000")
-	st := db.Store()
-	facts, _, err := st.SnapshotFacts()
+// TestFollowerLogNumbersAsPrimary: a follower's own log numbers its
+// records as the primary does, so its store's appended LSN equals its
+// applied watermark and the primary's LSN for the same state — after a
+// snapshot bootstrap, while tailing, across a restart and after a
+// forced re-bootstrap. The follower keeps that one log and nothing
+// else; files of an older layout are ignored.
+func TestFollowerLogNumbersAsPrimary(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	pdb, _, srv := openPrimary(t, pdir, PrimaryOptions{LagBudget: 1})
+	for _, old := range []string{"f.boot", "f.tail-3.log"} {
+		if err := os.WriteFile(filepath.Join(fdir, old), []byte("LSDBBOOT1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assert := func(prefix string, n int) {
+		for i := 0; i < n; i++ {
+			if err := pdb.Assert(fmt.Sprintf("%s%d", prefix, i), "in", "SET"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string, fdb *lsdb.Database, fl *Follower) {
+		t.Helper()
+		waitApplied(t, fl, pdb.LSN())
+		if a, b, p := fdb.Store().AppendedLSN(), fl.AppliedLSN(), pdb.LSN(); a != b || b != p {
+			t.Fatalf("%s: follower appended LSN %d, applied %d, primary %d", stage, a, b, p)
+		}
+		sameFacts(t, pdb, fdb)
+	}
+
+	assert("A", 10)
+	pdb.Retract("A0", "in", "SET")
+	if err := pdb.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fdb, fl := startFollower(t, fdir, srv.URL)
+	check("after bootstrap", fdb, fl)
+	if fl.Stats().Rebootstraps == 0 {
+		t.Fatal("fresh follower of a compacted primary did not bootstrap from a snapshot")
+	}
+	assert("B", 5)
+	check("tailing", fdb, fl)
+	fl.Stop()
+	fdb.Close()
+
+	fdb, fl = startFollower(t, fdir, srv.URL)
+	if got := fl.AppliedLSN(); got != pdb.LSN() {
+		t.Fatalf("restart applied LSN = %d, want %d", got, pdb.LSN())
+	}
+	check("after restart", fdb, fl)
+	fl.Stop()
+	fdb.Close()
+
+	// Compaction past the stopped follower's watermark forces the next
+	// start through a second snapshot bootstrap.
+	assert("C", 5)
+	if err := pdb.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fdb, fl = startFollower(t, fdir, srv.URL)
+	defer fl.Stop()
+	check("after re-bootstrap", fdb, fl)
+	if fl.Stats().Rebootstraps == 0 {
+		t.Fatal("restart behind the compaction base did not re-bootstrap")
+	}
+	assert("D", 3)
+	check("tailing after re-bootstrap", fdb, fl)
+
+	ents, err := os.ReadDir(fdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "x.boot")
-	err = writeBootFile(store.OSFS{}, path, 42, func(w io.Writer) error {
-		return st.EncodeSnapshot(w, facts)
-	})
-	if err != nil {
-		t.Fatalf("write boot: %v", err)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
 	}
-	got, lsn, ok, err := readBootFile(path, db.Universe())
-	if err != nil || !ok {
-		t.Fatalf("read boot: ok=%v err=%v", ok, err)
-	}
-	if lsn != 42 || len(got) != len(facts) {
-		t.Fatalf("boot = %d facts at LSN %d, want %d at 42", len(got), lsn, len(facts))
-	}
-	if _, _, ok, _ := readBootFile(filepath.Join(t.TempDir(), "absent.boot"), db.Universe()); ok {
-		t.Fatal("absent boot file read as present")
+	if fmt.Sprint(names) != "[f.boot f.log f.tail-3.log]" {
+		t.Errorf("follower directory holds %v, want its one log beside the ignored old files", names)
 	}
 }

@@ -367,8 +367,9 @@ func TestE11ReplicaServesNavigationMix(t *testing.T) {
 		t.Fatalf("follower navigation degree %d, standalone %d", got, want)
 	}
 
-	base := timeIt(10, func() { replayNavigation(w.standalone, depth, strail) })
-	foll := timeIt(10, func() { replayNavigation(w.follower, depth, ftrail) })
+	base, foll := timeAlternating(10,
+		func() { replayNavigation(w.standalone, depth, strail) },
+		func() { replayNavigation(w.follower, depth, ftrail) })
 	if frac := float64(base) / float64(foll); frac < 0.5 {
 		t.Errorf("follower read fraction %.2f of standalone, want well above 0.5", frac)
 	}
@@ -387,13 +388,27 @@ func TestE11ReplicaServesNavigationMix(t *testing.T) {
 	}
 }
 
-// timeIt runs fn `reps` times and returns the mean wall time.
-func timeIt(reps int, fn func()) time.Duration {
-	start := time.Now()
-	for i := 0; i < reps; i++ {
+// timeAlternating runs a and b `reps` times each, alternating which
+// goes first, and returns the total wall time of each. Interleaving
+// the runs spreads load that shifts during the measurement (other test
+// packages in a parallel go test) over both sides instead of onto one.
+func timeAlternating(reps int, a, b func()) (time.Duration, time.Duration) {
+	var ta, tb time.Duration
+	timed := func(fn func(), total *time.Duration) {
+		start := time.Now()
 		fn()
+		*total += time.Since(start)
 	}
-	return time.Since(start) / time.Duration(reps)
+	for i := 0; i < reps; i++ {
+		if i%2 == 0 {
+			timed(a, &ta)
+			timed(b, &tb)
+		} else {
+			timed(b, &tb)
+			timed(a, &ta)
+		}
+	}
+	return ta, tb
 }
 
 // onDemandWorld returns the 20k-fact Zipf graph enriched with a

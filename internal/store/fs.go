@@ -67,15 +67,6 @@ func (s *Store) SetFS(fs FS) {
 	s.fsys = fs
 }
 
-// FS returns the filesystem the store's durability operations use, so
-// companion files (a replication follower's boot file) share the same
-// fault-injection surface as the log itself.
-func (s *Store) FS() FS {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.fs()
-}
-
 // fs returns the configured filesystem, defaulting to the real one.
 func (s *Store) fs() FS {
 	if s.fsys == nil {

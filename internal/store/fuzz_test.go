@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,9 +12,24 @@ import (
 
 // FuzzSnapshot feeds arbitrary bytes to the snapshot decoder. It must
 // never panic; on error the store must be left untouched; on success
-// the decoded store must survive a save/load round trip.
+// the bytes must open with AttachLog to the same fact set (a snapshot
+// is a log), and the decoded store must survive a save/load round
+// trip.
 func FuzzSnapshot(f *testing.F) {
-	// Valid: one fact (A, B, C) of 1-byte names.
+	// Log form. Valid: base 5, one bootstrap insert of (A, B, C).
+	f.Add([]byte("LSDBLOG2\n\x05\x01\x01\x01A\x01B\x01C"))
+	// Truncated bootstrap: declares two records, holds one and a half.
+	f.Add([]byte("LSDBLOG2\n\x00\x02\x01\x01A\x01B\x01C\x01\x01D"))
+	// Huge bootstrap count with no data (must not pre-allocate).
+	f.Add([]byte("LSDBLOG2\n\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	// Oversized name length prefix in the bootstrap section.
+	f.Add([]byte("LSDBLOG2\n\x00\x01\x01\xff\xff\xff\x01ZA"))
+	// A torn record after the bootstrap section.
+	f.Add([]byte("LSDBLOG2\n\x03\x01\x01\x01A\x01B\x01C\x02\x01A\x01B\x05ZZ"))
+	// A tail that deletes a bootstrap fact and inserts another.
+	f.Add([]byte("LSDBLOG2\n\x03\x01\x01\x01A\x01B\x01C\x02\x01A\x01B\x01C\x01\x01D\x01E\x01F"))
+	// The retired LSDBSNAP1 format, which must be rejected. Valid: one
+	// fact (A, B, C) of 1-byte names.
 	f.Add([]byte("LSDBSNAP1\n\x01\x01A\x01B\x01C"))
 	// Truncated: claims two facts, holds one and a half.
 	f.Add([]byte("LSDBSNAP1\n\x02\x01A\x01B\x01C\x01D\x01E"))
@@ -41,8 +57,30 @@ func FuzzSnapshot(f *testing.F) {
 			}
 			return
 		}
+		if bytes.HasPrefix(data, []byte("LSDBSNAP1")) {
+			t.Fatalf("retired snapshot format accepted: %q", data)
+		}
 
-		// Accepted: saving and reloading must reproduce the fact set.
+		// Accepted bytes are a log: AttachLog opens them to the fact set
+		// LoadSnapshot gives a fresh store.
+		fresh := New(fact.NewUniverse())
+		if err := fresh.LoadSnapshot(bytes.NewReader(data)); err != nil {
+			t.Fatalf("second load rejected accepted bytes: %v", err)
+		}
+		path := filepath.Join(t.TempDir(), "snap.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opened := New(fact.NewUniverse())
+		if _, err := opened.AttachLog(path); err != nil {
+			t.Fatalf("AttachLog rejected bytes LoadSnapshot accepted: %v", err)
+		}
+		defer opened.CloseLog()
+		if a, b := nameSet(fresh), nameSet(opened); !maps.Equal(a, b) {
+			t.Fatalf("LoadSnapshot gives %v, AttachLog %v", a, b)
+		}
+
+		// Saving and reloading must reproduce the fact set.
 		var buf bytes.Buffer
 		if err := s.SaveSnapshot(&buf); err != nil {
 			t.Fatalf("save after load failed: %v", err)
@@ -120,4 +158,14 @@ func FuzzLogReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nameSet is a store's fact set by name, comparable across universes.
+func nameSet(s *Store) map[[3]string]bool {
+	u := s.Universe()
+	out := make(map[[3]string]bool)
+	for _, f := range s.Facts() {
+		out[[3]string{u.Name(f.S), u.Name(f.R), u.Name(f.T)}] = true
+	}
+	return out
 }

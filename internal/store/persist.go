@@ -14,25 +14,34 @@ import (
 	"repro/internal/fact"
 )
 
-// Durability has two parts, both name-based so files survive re-interning:
+// Durability has one format, name-based so files survive
+// re-interning: the operation log. A log is a header, a bootstrap
+// section and a tail.
 //
-//   - Snapshots: a full dump of the fact set, written atomically.
-//   - Operation log: an append-only record of inserts and deletes,
-//     replayed on open to recover the post-snapshot state.
+//   - The header is a magic, then (v2) two uvarints: the base LSN the
+//     bootstrap section's state corresponds to, and the bootstrap
+//     record count. A v1 header is the bare magic: base 0, no
+//     bootstrap section. Fresh logs start with a v1 header, so their
+//     record numbers and LSNs coincide.
+//   - Every record is an op byte (insert or delete) and three
+//     length-prefixed names. The bootstrap records reproduce the fact
+//     set as of the base and consume no sequence numbers; tail record
+//     i (1-based) has LSN base+i.
 //
-// The formats are versioned by magic headers below.
+// A compacted or reattached log, a snapshot, a checkpoint, the
+// replication bootstrap body and a follower's durable state are all
+// this one form: a snapshot is a log with a bootstrap section and no
+// tail. encodeLog is the one writer, writeLogFile the one way a whole
+// file reaches the disk, and logReader the one reader; each caller
+// keeps its own rule for a torn end (replay cuts it, a snapshot
+// refuses it, a WAL read below the durable LSN calls it corruption).
 
 const (
-	snapMagic = "LSDBSNAP1\n"
 	logMagic  = "LSDBLOG1\n"
-	// logMagic2 heads the v2 log format: magic, then two uvarints —
-	// the LSN base (the sequence number the bootstrap section's state
-	// corresponds to) and the bootstrap record count — then records.
-	// The first bootCount records reproduce the fact set as of the
-	// base LSN and consume no sequence numbers; tail record i (1-based)
-	// has LSN base+i. v1 files read as base 0 with no bootstrap
-	// section, so their record numbers and LSNs coincide.
 	logMagic2 = "LSDBLOG2\n"
+
+	// maxNameLen bounds one entity name in a record.
+	maxNameLen = 1 << 20
 )
 
 const (
@@ -41,97 +50,266 @@ const (
 )
 
 var (
-	// ErrBadFormat reports a snapshot or log file with an unknown
-	// header or corrupt record.
+	// ErrBadFormat reports a log or snapshot with an unknown header or
+	// a record no writer produces.
 	ErrBadFormat = errors.New("store: bad file format")
 )
 
-func writeString(w *bufio.Writer, s string) error {
+func putUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s)))
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
+	n := binary.PutUvarint(buf[:], v)
+	w.Write(buf[:n])
+}
+
+// writeRecord buffers one record: an op byte and three
+// length-prefixed names.
+func writeRecord(w *bufio.Writer, op byte, s, r, t string) error {
+	w.WriteByte(op)
+	for _, name := range [3]string{s, r, t} {
+		putUvarint(w, uint64(len(name)))
+		w.WriteString(name)
 	}
-	_, err := w.WriteString(s)
+	// A bufio.Writer's error is sticky: an empty Write reports any
+	// failure above.
+	_, err := w.Write(nil)
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("%w: entity name of %d bytes", ErrBadFormat, n)
-	}
-	// Writers never emit empty names (the universe rejects them), so a
-	// zero length prefix is corruption, not a torn tail.
-	if n == 0 {
-		return "", fmt.Errorf("%w: empty entity name", ErrBadFormat)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+func writeFact(w *bufio.Writer, op byte, u *fact.Universe, f fact.Fact) error {
+	return writeRecord(w, op, u.Name(f.S), u.Name(f.R), u.Name(f.T))
 }
 
-func writeFact(w *bufio.Writer, u *fact.Universe, f fact.Fact) error {
-	if err := writeString(w, u.Name(f.S)); err != nil {
-		return err
-	}
-	if err := writeString(w, u.Name(f.R)); err != nil {
-		return err
-	}
-	return writeString(w, u.Name(f.T))
-}
-
-func readFact(r *bufio.Reader, u *fact.Universe) (fact.Fact, error) {
-	s, err := readString(r)
-	if err != nil {
-		return fact.Fact{}, err
-	}
-	rel, err := readString(r)
-	if err != nil {
-		return fact.Fact{}, err
-	}
-	t, err := readString(r)
-	if err != nil {
-		return fact.Fact{}, err
-	}
-	return fact.Fact{S: u.Intern(s), R: u.Intern(rel), T: u.Intern(t)}, nil
-}
-
-// SaveSnapshot writes all stored facts to w.
-func (s *Store) SaveSnapshot(w io.Writer) error {
-	if !s.sealed {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
+// encodeLog writes a whole log to w: a header at base declaring n
+// bootstrap records, then an insert for each of the n facts each
+// yields. Base 0 with no facts is the v1 header a fresh log starts
+// with; anything else needs v2 to carry its numbers.
+func encodeLog(w io.Writer, u *fact.Universe, base uint64, n int, each func(func(fact.Fact) error) error) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
+	if base == 0 && n == 0 {
+		bw.WriteString(logMagic)
+	} else {
+		bw.WriteString(logMagic2)
+		putUvarint(bw, base)
+		putUvarint(bw, uint64(n))
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(s.lenLocked()))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	if err := s.eachLocked(func(f fact.Fact) error { return writeFact(bw, s.u, f) }); err != nil {
+	if err := each(func(f fact.Fact) error { return writeFact(bw, opInsert, u, f) }); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// LoadSnapshot reads facts from r into the store (merging with any
-// facts already present). Loaded facts are not appended to a log.
+// eachOf yields the facts of a slice, for encodeLog.
+func eachOf(facts []fact.Fact) func(func(fact.Fact) error) error {
+	return func(yield func(fact.Fact) error) error {
+		for _, f := range facts {
+			if err := yield(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// writeLogFile is the one way a whole file reaches the disk: encode
+// builds it in path.tmp, which is fsynced and renamed over path, so
+// path holds either its previous content or the complete new log,
+// never a mix.
+func writeLogFile(fsys FS, path string, encode func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = encode(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
+// openForAppend opens an existing log file positioned at its end.
+func openForAppend(fsys FS, path string) (File, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// countingReader counts bytes consumed from the underlying reader so
+// logReader can locate the end of the last complete record through
+// its bufio layer (consumed minus still-buffered bytes).
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// logReader is the one decoder of the log format. end is the byte
+// offset just past the header or the last complete record, which is
+// where a torn tail is cut and where a later read may resume.
+type logReader struct {
+	cr  countingReader
+	br  *bufio.Reader
+	end int64
+	buf []byte // the current record's names, reused by every record
+}
+
+// newLogReader reads r, whose first byte sits at offset off of the
+// file (0 for a read that starts at the header).
+func newLogReader(r io.Reader, off int64) *logReader {
+	lr := &logReader{cr: countingReader{r: r, n: off}, end: off}
+	lr.br = bufio.NewReader(&lr.cr)
+	return lr
+}
+
+// logRecord is one decoded record. Its names alias the reader's
+// buffer and are valid until the next call to next.
+type logRecord struct {
+	op      byte
+	s, r, t []byte
+}
+
+func (rec logRecord) fact(u *fact.Universe) fact.Fact {
+	return fact.Fact{S: u.Intern(string(rec.s)), R: u.Intern(string(rec.r)), T: u.Intern(string(rec.t))}
+}
+
+// isEOF reports whether err says the data ended, cleanly or torn.
+func isEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// uvarint reads a uvarint that must be there: the data ending before
+// it or inside it is io.ErrUnexpectedEOF, a varint that overflows is
+// corruption.
+func (lr *logReader) uvarint() (uint64, error) {
+	v, err := binary.ReadUvarint(lr.br)
+	switch {
+	case err == nil:
+		return v, nil
+	case isEOF(err):
+		return 0, io.ErrUnexpectedEOF
+	default:
+		return 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+}
+
+// header parses the log header and returns its base and bootstrap
+// count. Data that ends inside a header whose bytes so far are a valid
+// prefix returns io.ErrUnexpectedEOF: a crash tore the creation write.
+// Any other mismatch, the retired snapshot and boot-file magics
+// included, is ErrBadFormat.
+func (lr *logReader) header() (base, boot uint64, err error) {
+	magic := make([]byte, len(logMagic))
+	if n, err := io.ReadFull(lr.br, magic); err != nil {
+		if isEOF(err) && (string(magic[:n]) == logMagic[:n] || string(magic[:n]) == logMagic2[:n]) {
+			return 0, 0, io.ErrUnexpectedEOF
+		}
+		return 0, 0, fmt.Errorf("%w: short log header: %v", ErrBadFormat, err)
+	}
+	switch string(magic) {
+	case logMagic:
+	case logMagic2:
+		if base, err = lr.uvarint(); err != nil {
+			return 0, 0, err
+		}
+		if boot, err = lr.uvarint(); err != nil {
+			return 0, 0, err
+		}
+	default:
+		return 0, 0, fmt.Errorf("%w: bad log magic", ErrBadFormat)
+	}
+	lr.end = lr.cr.n - int64(lr.br.Buffered())
+	return base, boot, nil
+}
+
+// next decodes the next record. It returns io.EOF when the data ends
+// at a record boundary, io.ErrUnexpectedEOF when it ends inside a
+// record (a torn append), and ErrBadFormat for a record no writer
+// produces: an unknown op, an empty name or an oversized one.
+func (lr *logReader) next() (logRecord, error) {
+	op, err := lr.br.ReadByte()
+	if err != nil {
+		return logRecord{}, err
+	}
+	if op != opInsert && op != opDelete {
+		return logRecord{}, fmt.Errorf("%w: unknown op %d", ErrBadFormat, op)
+	}
+	lr.buf = lr.buf[:0]
+	var ends [3]int
+	for i := range ends {
+		n, err := lr.uvarint()
+		if err != nil {
+			return logRecord{}, err
+		}
+		// Writers never emit empty names (the universe rejects them),
+		// so a zero length prefix is corruption, not a torn tail.
+		if n == 0 || n > maxNameLen {
+			return logRecord{}, fmt.Errorf("%w: entity name of %d bytes", ErrBadFormat, n)
+		}
+		start := len(lr.buf)
+		lr.buf = append(lr.buf, make([]byte, n)...)
+		if _, err := io.ReadFull(lr.br, lr.buf[start:]); err != nil {
+			if isEOF(err) {
+				err = io.ErrUnexpectedEOF
+			}
+			return logRecord{}, err
+		}
+		ends[i] = len(lr.buf)
+	}
+	lr.end = lr.cr.n - int64(lr.br.Buffered())
+	return logRecord{op: op, s: lr.buf[:ends[0]], r: lr.buf[ends[0]:ends[1]], t: lr.buf[ends[1]:ends[2]]}, nil
+}
+
+// SaveSnapshot writes the stored facts to w as a snapshot: a log whose
+// bootstrap section holds them at the attached log's appended LSN (0
+// without a log).
+func (s *Store) SaveSnapshot(w io.Writer) error {
+	if !s.sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	var base uint64
+	if s.log != nil {
+		base = s.log.appendedLSN()
+	}
+	return encodeLog(w, s.u, base, s.lenLocked(), s.eachLocked)
+}
+
+// EncodeSnapshot writes facts to w as a snapshot at base, the LSN
+// their state corresponds to (SnapshotFacts returns both). The facts
+// must be interned against this store's universe.
+func (s *Store) EncodeSnapshot(w io.Writer, facts []fact.Fact, base uint64) error {
+	return encodeLog(w, s.u, base, len(facts), eachOf(facts))
+}
+
+// LoadSnapshot reads a snapshot — any log — from r and merges the fact
+// set it ends with into the store. Loaded facts are not appended to a
+// log.
 //
-// The whole snapshot is decoded and validated before the store is
-// touched: a malformed file — truncated records, a count that
-// overruns the data, or trailing garbage — returns ErrBadFormat and
-// leaves the store exactly as it was.
+// The whole file is decoded and validated before the store is
+// touched: a malformed one returns ErrBadFormat and leaves the store
+// exactly as it was.
 func (s *Store) LoadSnapshot(r io.Reader) error {
-	facts, err := ReadSnapshotFacts(r, s.u)
+	facts, _, err := ReadSnapshotFacts(r, s.u)
 	if err != nil {
 		return err
 	}
@@ -149,43 +327,66 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	return nil
 }
 
-// ReadSnapshotFacts decodes a snapshot stream into a fact slice
-// interned against u, without touching any store. The whole snapshot
-// is decoded and validated before returning — truncated records, a
-// count that overruns the data, or trailing garbage yield ErrBadFormat
-// and no facts. Replication followers use it to stage a bootstrap
-// before committing anything.
-func ReadSnapshotFacts(r io.Reader, u *fact.Universe) ([]fact.Fact, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: short snapshot header: %v", ErrBadFormat, err)
-	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("%w: bad snapshot magic", ErrBadFormat)
-	}
-	count, err := binary.ReadUvarint(br)
+// ReadSnapshotFacts decodes a snapshot — any log — into the fact set
+// it ends with, interned against u, and the LSN that set corresponds
+// to (the header's base plus any tail records), without touching a
+// store. Everything is decoded before it returns: a torn record, data
+// that ends inside the bootstrap section, or anything else AttachLog
+// would refuse yields ErrBadFormat and no facts. A fact is listed
+// twice only if the file inserts it twice with no delete between,
+// which no writer does.
+func ReadSnapshotFacts(r io.Reader, u *fact.Universe) ([]fact.Fact, uint64, error) {
+	lr := newLogReader(r, 0)
+	base, boot, err := lr.header()
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad fact count: %v", ErrBadFormat, err)
+		return nil, 0, fmt.Errorf("%w: snapshot header: %v", ErrBadFormat, err)
 	}
-	// Preallocate conservatively: the count is attacker-controlled and
-	// a huge value must not allocate before any record is verified.
-	capHint := count
-	if capHint > 65536 {
-		capHint = 65536
-	}
-	facts := make([]fact.Fact, 0, capHint)
-	for i := uint64(0); i < count; i++ {
-		f, err := readFact(br, u)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated snapshot at fact %d/%d: %v", ErrBadFormat, i, count, err)
+	// The count is attacker-controlled: a huge value must not allocate
+	// before any record is verified.
+	facts := make([]fact.Fact, 0, min(boot, 65536))
+	// live is built at the first delete; until then every record is an
+	// insert and facts is the set.
+	var live map[fact.Fact]bool
+	var n uint64
+	for ; ; n++ {
+		rec, err := lr.next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		facts = append(facts, f)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: snapshot record %d: %v", ErrBadFormat, n, err)
+		}
+		f := rec.fact(u)
+		switch {
+		case rec.op == opDelete:
+			if live == nil {
+				live = make(map[fact.Fact]bool, len(facts))
+				for _, g := range facts {
+					live[g] = true
+				}
+			}
+			delete(live, f)
+		case live == nil:
+			facts = append(facts, f)
+		case !live[f]:
+			live[f] = true
+			facts = append(facts, f)
+		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after %d facts", ErrBadFormat, count)
+	if n < boot {
+		return nil, 0, fmt.Errorf("%w: snapshot ends inside its bootstrap section (%d of %d records)", ErrBadFormat, n, boot)
 	}
-	return facts, nil
+	if live != nil {
+		out := facts[:0]
+		for _, f := range facts {
+			if live[f] {
+				out = append(out, f)
+				delete(live, f)
+			}
+		}
+		facts = out
+	}
+	return facts, base + (n - boot), nil
 }
 
 // SnapshotFacts returns a stable copy of the fact set together with
@@ -212,51 +413,11 @@ func (s *Store) SnapshotFacts() ([]fact.Fact, uint64, error) {
 	return facts, lsn, nil
 }
 
-// EncodeSnapshot writes facts to w in the snapshot format. The facts
-// must be interned against this store's universe.
-func (s *Store) EncodeSnapshot(w io.Writer, facts []fact.Fact) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(facts)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	for _, f := range facts {
-		if err := writeFact(bw, s.u, f); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveSnapshotFile writes a snapshot to path atomically: the content
-// is built in path.tmp, fsynced, and renamed into place, so path
-// always holds either the previous complete snapshot or the new one.
+// SaveSnapshotFile writes a snapshot to path atomically (see
+// writeLogFile). The file is a log: AttachLog opens it at the LSN the
+// snapshot was taken at.
 func (s *Store) SaveSnapshotFile(path string) error {
-	fsys := s.fs()
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveSnapshot(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
+	return writeLogFile(s.fs(), path, s.SaveSnapshot)
 }
 
 // LoadSnapshotFile loads a snapshot from path into the store.
@@ -345,22 +506,9 @@ func (s *Store) AttachLogPolicy(path string, policy SyncPolicy) (int, error) {
 
 // AttachLogInfo is AttachLogPolicy with the full attach report,
 // including torn-tail truncation counts for operators and oracles that
-// must distinguish clean recovery from silent data loss.
+// must distinguish clean recovery from silent data loss. An absent
+// file starts a fresh log at LSN 0.
 func (s *Store) AttachLogInfo(path string, policy SyncPolicy) (AttachInfo, error) {
-	return s.attachLogAt(path, policy, 0)
-}
-
-// AttachLogAt attaches a log whose LSN sequence starts at base instead
-// of zero. A fresh file is created with a v2 header carrying base; an
-// existing file must already carry exactly that base (replication
-// followers encode the base in the tail file name, so a mismatch means
-// the file belongs to a different bootstrap generation). base 0 is
-// equivalent to AttachLogInfo.
-func (s *Store) AttachLogAt(path string, policy SyncPolicy, base uint64) (AttachInfo, error) {
-	return s.attachLogAt(path, policy, base)
-}
-
-func (s *Store) attachLogAt(path string, policy SyncPolicy, wantBase uint64) (AttachInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mustMutable()
@@ -394,30 +542,23 @@ func (s *Store) attachLogAt(path string, policy SyncPolicy, wantBase uint64) (At
 			return AttachInfo{}, err
 		}
 	}
-	base := rr.base
-	if rr.fresh {
-		// No complete header survived: this is a brand-new log (or a
-		// crash tore the creation write, which happens before anything
-		// is appended). Write a fresh header at the caller's base.
-		base = wantBase
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
-			f.Close()
-			return AttachInfo{}, err
-		}
-		if err := writeLogHeader(f, wantBase, 0); err != nil {
-			f.Close()
-			return AttachInfo{}, err
-		}
-	} else if wantBase != 0 && base != wantBase {
-		f.Close()
-		return AttachInfo{}, fmt.Errorf("store: log %s has base %d, caller expected %d", path, base, wantBase)
-	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return AttachInfo{}, err
 	}
-	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: rr.applied, base: base, boot: rr.boot}
-	l.lsn = base + uint64(rr.applied-rr.boot)
+	if rr.fresh {
+		// No complete header survived: this is a brand-new log (or a
+		// crash tore the creation write, which happens before anything
+		// is appended). One Write call, so a crash mid-creation leaves
+		// a recognizable prefix rather than a half-header fused with
+		// records.
+		if _, err := io.WriteString(f, logMagic); err != nil {
+			f.Close()
+			return AttachInfo{}, err
+		}
+	}
+	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: rr.applied, base: rr.base, boot: rr.boot}
+	l.lsn = rr.base + uint64(rr.applied-rr.boot)
 	l.durable.Store(l.lsn) // replayed records are on disk already
 	l.truncBytes.Store(truncBytes)
 	if rr.torn {
@@ -427,46 +568,11 @@ func (s *Store) attachLogAt(path string, policy SyncPolicy, wantBase uint64) (At
 		l.startFlusher()
 	}
 	s.log = l
-	info := AttachInfo{Replayed: rr.applied, BaseLSN: base, LSN: l.lsn, TruncatedBytes: truncBytes}
+	info := AttachInfo{Replayed: rr.applied, BaseLSN: rr.base, LSN: l.lsn, TruncatedBytes: truncBytes}
 	if rr.torn {
 		info.TruncatedRecords = 1
 	}
 	return info, nil
-}
-
-// writeLogHeader writes a fresh log header in one Write call, so a
-// crash mid-creation leaves a recognizable prefix rather than a
-// half-header fused with records. base 0 keeps the v1 format (record
-// numbers and LSNs coincide, and existing files and fixtures stay
-// byte-compatible); any other base needs the v2 header to carry it.
-func writeLogHeader(w io.Writer, base uint64, boot int) error {
-	if base == 0 && boot == 0 {
-		_, err := io.WriteString(w, logMagic)
-		return err
-	}
-	buf := make([]byte, 0, len(logMagic2)+2*binary.MaxVarintLen64)
-	buf = append(buf, logMagic2...)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], base)
-	buf = append(buf, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(boot))
-	buf = append(buf, tmp[:n]...)
-	_, err := w.Write(buf)
-	return err
-}
-
-// countingReader counts bytes consumed from the underlying reader so
-// replay can locate the end of the last complete record even through
-// a bufio layer (consumed minus still-buffered bytes).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // replayResult is what replayLocked learned about a log file.
@@ -488,92 +594,47 @@ type replayResult struct {
 // write returns, so no records can have existed.
 func (s *Store) replayLocked(f File) (replayResult, error) {
 	var rr replayResult
-	st, err := f.Stat()
-	if err != nil {
-		return rr, err
-	}
-	if st.Size() == 0 {
-		rr.fresh = true
-		return rr, nil
-	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return rr, err
 	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	magic := make([]byte, len(logMagic))
-	if nr, err := io.ReadFull(br, magic); err != nil {
-		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) &&
-			(string(magic[:nr]) == logMagic[:nr] || string(magic[:nr]) == logMagic2[:nr]) {
-			rr.fresh = true
-			return rr, nil
-		}
-		return rr, fmt.Errorf("%w: short log header: %v", ErrBadFormat, err)
+	lr := newLogReader(f, 0)
+	base, boot, err := lr.header()
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		rr.fresh = true
+		return rr, nil
 	}
-	switch string(magic) {
-	case logMagic:
-		// v1: records follow the magic directly, base 0, no bootstrap.
-	case logMagic2:
-		base, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				rr.fresh = true
-				return rr, nil
-			}
-			return rr, fmt.Errorf("%w: bad log base: %v", ErrBadFormat, err)
-		}
-		boot, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				rr.fresh = true
-				return rr, nil
-			}
-			return rr, fmt.Errorf("%w: bad log bootstrap count: %v", ErrBadFormat, err)
-		}
-		rr.base, rr.boot = base, int(boot)
-	default:
-		return rr, fmt.Errorf("%w: bad log magic", ErrBadFormat)
+	if err != nil {
+		return rr, err
 	}
-	rr.valid = cr.n - int64(br.Buffered())
 	for {
-		op, err := br.ReadByte()
-		if err == io.EOF {
+		rec, err := lr.next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			rr.torn = true
 			break
 		}
 		if err != nil {
 			return rr, err
 		}
-		rec, err := readFact(br, s.u)
-		if err != nil {
-			// A torn final record is tolerated; anything else
-			// (oversized length prefix, unreadable file) is corruption.
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				rr.torn = true
-				break
+		f := rec.fact(s.u)
+		if rec.op == opInsert {
+			if !s.hasLocked(f) {
+				s.insertLocked(f)
 			}
-			return rr, err
-		}
-		switch op {
-		case opInsert:
-			if !s.hasLocked(rec) {
-				s.insertLocked(rec)
-			}
-		case opDelete:
-			if s.hasLocked(rec) {
-				s.deleteLocked(rec)
-			}
-		default:
-			return rr, fmt.Errorf("%w: unknown op %d", ErrBadFormat, op)
+		} else if s.hasLocked(f) {
+			s.deleteLocked(f)
 		}
 		rr.applied++
-		rr.valid = cr.n - int64(br.Buffered())
 	}
-	if rr.applied < rr.boot {
+	if uint64(rr.applied) < boot {
 		// The bootstrap section is written atomically (rename commit),
 		// so ending inside it is corruption, not a torn tail: the state
 		// would correspond to no LSN at all.
-		return rr, fmt.Errorf("%w: log ends inside bootstrap section (%d of %d records)", ErrBadFormat, rr.applied, rr.boot)
+		return rr, fmt.Errorf("%w: log ends inside bootstrap section (%d of %d records)", ErrBadFormat, rr.applied, boot)
 	}
+	rr.base, rr.boot, rr.valid = base, int(boot), lr.end
 	return rr, nil
 }
 
@@ -586,11 +647,7 @@ func (l *Log) append(op byte, u *fact.Universe, f fact.Fact) (lsn uint64, n int)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err == nil {
-		if err := l.w.WriteByte(op); err != nil {
-			l.err = err
-		} else if err := writeFact(l.w, u, f); err != nil {
-			l.err = err
-		}
+		l.err = writeFact(l.w, op, u, f)
 	}
 	l.n++
 	l.lsn++
@@ -641,12 +698,10 @@ func (s *Store) CloseLog() error {
 }
 
 // CompactLog atomically rewrites the attached log to contain exactly
-// the current fact set (one insert per stored fact), truncating
-// deleted history. The replacement is built in path.tmp, fsynced and
-// renamed over the live log, which stays intact and authoritative
-// until the rename commits — a crash at any point leaves a log that
-// recovers either the old history or the compacted state, never
-// neither.
+// the current fact set as its bootstrap section at the appended LSN,
+// truncating deleted history (see writeLogFile: a crash at any point
+// leaves a log that recovers either the old history or the compacted
+// state, never neither).
 func (s *Store) CompactLog() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -654,18 +709,6 @@ func (s *Store) CompactLog() error {
 		return errors.New("store: no log attached")
 	}
 	return s.log.compact(s)
-}
-
-// writeInsertsLocked writes one insert record per stored fact: the
-// bootstrap section of a compacted or reattached log. The caller holds
-// the store lock.
-func (s *Store) writeInsertsLocked(bw *bufio.Writer) error {
-	return s.eachLocked(func(f fact.Fact) error {
-		if err := bw.WriteByte(opInsert); err != nil {
-			return err
-		}
-		return writeFact(bw, s.u, f)
-	})
 }
 
 // compact is CompactLog's body. The caller holds the store write
@@ -684,52 +727,19 @@ func (l *Log) compact(s *Store) error {
 		l.err = err
 		return err
 	}
-
-	tmp := l.path + ".tmp"
-	tf, err := l.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	// The bootstrap section reproduces the fact set as of l.lsn, so the
+	// LSN sequence continues from there instead of restarting —
+	// compaction never renumbers history out from under followers.
+	n := s.lenLocked()
+	if err := writeLogFile(l.fs, l.path, func(w io.Writer) error {
+		return encodeLog(w, s.u, l.lsn, n, s.eachLocked)
+	}); err != nil {
 		return err
 	}
-	werr := func() error {
-		bw := bufio.NewWriter(tf)
-		// v2 header: the bootstrap section reproduces the fact set as
-		// of l.lsn, so the LSN sequence continues from there instead of
-		// restarting — compaction never renumbers history out from
-		// under replication followers.
-		if err := writeLogHeader(bw, l.lsn, s.lenLocked()); err != nil {
-			return err
-		}
-		if err := s.writeInsertsLocked(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return tf.Sync()
-	}()
-	if werr == nil {
-		l.fsyncs.Add(1)
-		werr = tf.Close()
-	} else {
-		tf.Close()
-	}
-	if werr != nil {
-		l.fs.Remove(tmp)
-		return werr
-	}
-	if err := l.fs.Rename(tmp, l.path); err != nil {
-		l.fs.Remove(tmp)
-		return err
-	}
+	l.fsyncs.Add(1)
 	// The rename committed: the old handle now refers to the orphaned
 	// inode. Reopen the new log for appending.
-	nf, err := l.fs.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err == nil {
-		_, err = nf.Seek(0, io.SeekEnd)
-		if err != nil {
-			nf.Close()
-		}
-	}
+	nf, err := openForAppend(l.fs, l.path)
 	if err != nil {
 		// The compacted log is on disk but cannot accept appends;
 		// poison the log rather than silently dropping future writes.
@@ -739,9 +749,9 @@ func (l *Log) compact(s *Store) error {
 	old := l.f
 	l.f = nf
 	l.w = bufio.NewWriter(nf)
-	l.n = s.lenLocked()
+	l.n = n
 	l.base = l.lsn
-	l.boot = l.n
+	l.boot = n
 	l.readOff = 0 // drop the tail-read cursor: it indexes the old inode
 	l.compactions.Add(1)
 	// Everything the new log contains was fsynced before the rename,
@@ -760,84 +770,96 @@ func (l *Log) compact(s *Store) error {
 // commits on a fresh file (typically on a different volume) without
 // losing the in-memory state.
 //
-// The replacement is built in path.tmp, fsynced and renamed into
-// place, carrying a v2 header whose base is the old log's last
-// appended LSN — every acknowledged mutation is in the fact set, so
-// the LSN sequence continues exactly where the old log stopped and
-// replication followers keep their position. On failure the old log
-// (and its sticky error) stays attached.
+// The replacement is written atomically (see writeLogFile) with its
+// base at the old log's last appended LSN — every acknowledged
+// mutation is in the fact set, so the LSN sequence continues exactly
+// where the old log stopped and replication followers keep their
+// position. On failure the old log (and its sticky error) stays
+// attached.
 func (s *Store) ReattachLog(path string, policy SyncPolicy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mustMutable()
+	var base uint64
+	if s.log != nil {
+		base = s.log.appendedLSN()
+	}
+	return s.replaceLogLocked(path, policy, base, s.lenLocked(), s.eachLocked)
+}
+
+// ResetTo makes the store hold exactly facts, the state at LSN base,
+// and replaces the attached log with a snapshot of them at that base,
+// whether or not the old log is still healthy: a replication
+// follower's re-bootstrap. The snapshot is renamed over the log's path
+// before the store changes, so after a crash the file recovers either
+// the old history or the new state. The store's facts move by the
+// minimal difference, which keeps closure maintenance incremental. On
+// failure the store is unchanged and the old log is poisoned, since
+// its file may already hold the new state.
+func (s *Store) ResetTo(facts []fact.Fact, base uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mustMutable()
+	old := s.log
+	if old == nil {
+		return errors.New("store: no log attached")
+	}
+	if err := s.replaceLogLocked(old.path, old.policy, base, len(facts), eachOf(facts)); err != nil {
+		old.mu.Lock()
+		if old.err == nil {
+			old.err = fmt.Errorf("store: reset log: %w", err)
+		}
+		old.mu.Unlock()
+		return err
+	}
+	target := make(map[fact.Fact]bool, len(facts))
+	for _, f := range facts {
+		target[f] = true
+	}
+	for _, f := range s.factsLocked() {
+		if !target[f] {
+			s.deleteLocked(f)
+		}
+	}
+	for f := range target {
+		if !s.hasLocked(f) {
+			s.insertLocked(f)
+		}
+	}
+	return nil
+}
+
+// replaceLogLocked writes a log of the n facts each yields at base to
+// path (see writeLogFile) and attaches it in place of the current log,
+// which is closed; its buffered but unflushed bytes are abandoned. On
+// failure the current log stays attached. The caller holds the store
+// write lock.
+func (s *Store) replaceLogLocked(path string, policy SyncPolicy, base uint64, n int, each func(func(fact.Fact) error) error) error {
 	fsys := s.fs()
 	old := s.log
-	var base uint64
 	if old != nil {
-		base = old.appendedLSN()
 		old.stopFlusher()
 	}
-	restoreFlusher := func() {
+	err := writeLogFile(fsys, path, func(w io.Writer) error { return encodeLog(w, s.u, base, n, each) })
+	var f File
+	if err == nil {
+		if f, err = openForAppend(fsys, path); err != nil {
+			err = fmt.Errorf("store: reopen replaced log: %w", err)
+		}
+	}
+	if err != nil {
 		if old != nil && old.policy.mode == syncTimed {
 			old.startFlusher()
 		}
-	}
-	tmp := path + ".tmp"
-	tf, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		restoreFlusher()
 		return err
 	}
-	werr := func() error {
-		bw := bufio.NewWriter(tf)
-		if err := writeLogHeader(bw, base, s.lenLocked()); err != nil {
-			return err
-		}
-		if err := s.writeInsertsLocked(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return tf.Sync()
-	}()
-	if werr == nil {
-		werr = tf.Close()
-	} else {
-		tf.Close()
-	}
-	if werr != nil {
-		fsys.Remove(tmp)
-		restoreFlusher()
-		return werr
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		restoreFlusher()
-		return err
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
-	if err == nil {
-		_, err = f.Seek(0, io.SeekEnd)
-		if err != nil {
-			f.Close()
-		}
-	}
-	if err != nil {
-		restoreFlusher()
-		return fmt.Errorf("store: reopen reattached log: %w", err)
-	}
-	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: s.lenLocked(), base: base, boot: s.lenLocked()}
-	l.lsn = base
+	l := &Log{fs: fsys, path: path, policy: policy, f: f, w: bufio.NewWriter(f), n: n, base: base, boot: n, lsn: base}
 	l.durable.Store(base)
 	l.lastSync.Store(time.Now().UnixNano())
 	if policy.mode == syncTimed {
 		l.startFlusher()
 	}
 	if old != nil {
-		// Buffered-but-unflushed bytes on the old log are abandoned:
-		// their facts are in the new bootstrap section, which is already
-		// durable, so nothing acknowledged is lost.
 		old.f.Close()
 	}
 	s.log = l

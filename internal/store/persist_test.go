@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fact"
@@ -297,5 +299,73 @@ func TestLoadSnapshotTruncatedBody(t *testing.T) {
 	s2 := New(fact.NewUniverse())
 	if err := s2.LoadSnapshot(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated snapshot accepted")
+	}
+}
+
+// TestRetiredMagicsRejected: snapshots and follower boot files used to
+// have formats of their own; both readers now refuse them.
+func TestRetiredMagicsRejected(t *testing.T) {
+	for _, data := range []string{
+		"LSDBSNAP1\n\x01\x01A\x01B\x01C",
+		"LSDBBOOT1\n\x07LSDBSNAP1\n\x01\x01A\x01B\x01C",
+	} {
+		s := New(fact.NewUniverse())
+		if err := s.LoadSnapshot(bytes.NewBufferString(data)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("LoadSnapshot(%q) = %v, want ErrBadFormat", data[:9], err)
+		}
+		path := filepath.Join(t.TempDir(), "old")
+		os.WriteFile(path, []byte(data), 0o644)
+		if _, err := s.AttachLog(path); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("AttachLog(%q) = %v, want ErrBadFormat", data[:9], err)
+		}
+	}
+}
+
+// TestLoadSnapshotReadsAnyLog: a snapshot is a log, so LoadSnapshot
+// accepts a log with a tail and merges the fact set it ends with, at
+// the LSN after its last record; a file that ends inside its
+// bootstrap section, or in a torn record, is refused.
+func TestLoadSnapshotReadsAnyLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ops.log")
+	u := fact.NewUniverse()
+	s := New(u)
+	s.AttachLog(path)
+	a, b := u.NewFact("A", "R", "B"), u.NewFact("C", "R", "D")
+	s.Insert(a)
+	s.Insert(b)
+	s.CompactLog()
+	s.Delete(a)
+	s.Insert(u.NewFact("E", "R", "F"))
+	s.Insert(a)
+	s.Delete(b)
+	s.CloseLog()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u2 := fact.NewUniverse()
+	facts, lsn, err := ReadSnapshotFacts(bytes.NewReader(data), u2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range facts {
+		got = append(got, u2.Name(f.S))
+	}
+	slices.Sort(got)
+	if lsn != 6 || fmt.Sprint(got) != "[A E]" {
+		t.Errorf("ReadSnapshotFacts = %v at LSN %d, want [A E] at 6", got, lsn)
+	}
+
+	var snap bytes.Buffer
+	s2 := New(u)
+	s2.Insert(a)
+	s2.Insert(b)
+	s2.SaveSnapshot(&snap)
+	header := len(logMagic2) + 2 // base 0 and count 2 are one byte each
+	for _, cut := range []int{header, snap.Len() - 1} {
+		if err := New(fact.NewUniverse()).LoadSnapshot(bytes.NewReader(snap.Bytes()[:cut])); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("snapshot cut at %d of %d bytes: %v, want ErrBadFormat", cut, snap.Len(), err)
+		}
 	}
 }

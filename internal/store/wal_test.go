@@ -408,3 +408,48 @@ func TestAutoCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointSnapshotIsALog: the snapshot a checkpoint writes is a
+// log whose bootstrap section holds the checkpointed facts at the
+// checkpoint's LSN, so AttachLog opens it there and it accepts
+// appends like any other log.
+func TestCheckpointSnapshotIsALog(t *testing.T) {
+	dir := t.TempDir()
+	path, snap := filepath.Join(dir, "ops.log"), filepath.Join(dir, "ck.snap")
+	u := fact.NewUniverse()
+	s := New(u)
+	if _, err := s.AttachLog(path); err != nil {
+		t.Fatal(err)
+	}
+	s.SetAutoCheckpoint(0, snap)
+	for i := 0; i < 6; i++ {
+		s.Insert(u.NewFact(fmt.Sprintf("E%d", i), "R", "T"))
+	}
+	s.Delete(u.NewFact("E0", "R", "T"))
+	lsn := s.AppendedLSN()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.CloseLog()
+
+	s2 := New(fact.NewUniverse())
+	info, err := s2.AttachLogInfo(snap, SyncAlways)
+	if err != nil {
+		t.Fatalf("checkpoint snapshot does not open as a log: %v", err)
+	}
+	if info.BaseLSN != lsn || info.LSN != lsn || s2.Len() != 5 {
+		t.Fatalf("snapshot as log: %+v with %d facts, want base %d and 5 facts", info, s2.Len(), lsn)
+	}
+	u2 := s2.Universe()
+	s2.Insert(u2.NewFact("AFTER", "R", "T"))
+	if err := s2.CloseLog(); err != nil {
+		t.Fatal(err)
+	}
+	s3, u3 := reopen(t, snap)
+	if s3.Len() != 6 || !s3.Has(u3.NewFact("AFTER", "R", "T")) || s3.Has(u3.NewFact("E0", "R", "T")) {
+		t.Fatalf("reopened snapshot log: %d facts", s3.Len())
+	}
+	if got := s3.AppendedLSN(); got != lsn+1 {
+		t.Errorf("AppendedLSN = %d, want %d", got, lsn+1)
+	}
+}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -74,13 +73,13 @@ func (s *Store) ReadWAL(from uint64, max int) ([]WALRecord, WALPos, error) {
 	}
 	boot := l.boot
 	gen := l.compactions.Load()
-	skipLSN, skipOff := pos.Base, int64(0)
+	lsn, off := pos.Base, int64(0)
 	if l.readGen == gen && l.readOff > 0 && l.readLSN >= pos.Base && l.readLSN <= from {
-		skipLSN, skipOff = l.readLSN, l.readOff
+		lsn, off = l.readLSN, l.readOff
 	}
 	l.mu.Unlock()
 
-	recs, endLSN, endOff, rerr := decodeWALTail(f, boot, skipLSN, skipOff, from, pos.Durable, max)
+	recs, endLSN, endOff, rerr := decodeWALTail(f, boot, lsn, off, from, pos.Durable, max)
 	f.Close()
 	if rerr != nil {
 		return nil, pos, rerr
@@ -95,114 +94,87 @@ func (s *Store) ReadWAL(from uint64, max int) ([]WALRecord, WALPos, error) {
 	return recs, pos, nil
 }
 
-// decodeWALTail reads tail records (from, durable] from f. skipOff>0
-// is a cached cursor: the record with LSN skipLSN+1 starts there.
-// Otherwise the file is parsed from its header, skipping the bootstrap
-// section. A clean EOF before durable is not an error — the handle may
-// predate the latest appends or a compaction — but a torn record below
-// durable is corruption.
-func decodeWALTail(f File, boot int, skipLSN uint64, skipOff int64, from, durable uint64, max int) ([]WALRecord, uint64, int64, error) {
-	cr := &countingReader{r: f}
-	var br *bufio.Reader
-	lsn := skipLSN
-	if skipOff > 0 {
-		if _, err := f.Seek(skipOff, io.SeekStart); err != nil {
-			return nil, 0, 0, err
-		}
-		cr.n = skipOff
-		br = bufio.NewReader(cr)
-	} else {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, 0, 0, err
-		}
-		br = bufio.NewReader(cr)
-		magic := make([]byte, len(logMagic))
-		if _, err := io.ReadFull(br, magic); err != nil {
-			return nil, 0, 0, fmt.Errorf("%w: short log header: %v", ErrBadFormat, err)
-		}
-		switch string(magic) {
-		case logMagic:
-		case logMagic2:
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return nil, 0, 0, fmt.Errorf("%w: bad log base: %v", ErrBadFormat, err)
-			}
-			if _, err := binary.ReadUvarint(br); err != nil {
-				return nil, 0, 0, fmt.Errorf("%w: bad log bootstrap count: %v", ErrBadFormat, err)
-			}
-		default:
-			return nil, 0, 0, fmt.Errorf("%w: bad log magic", ErrBadFormat)
+// decodeWALTail reads tail records (from, durable] from f. off>0 is
+// a cached cursor: the record with LSN lsn+1 starts there. Otherwise
+// the file is read from its header, skipping the bootstrap section,
+// and lsn is its base. A clean end before durable is not an error —
+// the handle may predate the latest appends or a compaction — but a
+// torn record below durable is corruption. It returns the records, the
+// LSN and end offset of the last record read, for the cursor cache.
+func decodeWALTail(f File, boot int, lsn uint64, off int64, from, durable uint64, max int) ([]WALRecord, uint64, int64, error) {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, 0, 0, err
+	}
+	lr := newLogReader(f, off)
+	if off == 0 {
+		if _, _, err := lr.header(); err != nil {
+			return nil, 0, 0, fmt.Errorf("%w: log header: %v", ErrBadFormat, err)
 		}
 		for i := 0; i < boot; i++ {
-			if err := skipWALRecord(br); err != nil {
+			if _, err := lr.next(); err != nil {
 				return nil, 0, 0, fmt.Errorf("%w: short bootstrap section: %v", ErrBadFormat, err)
 			}
 		}
 	}
-	// Skip tail records the caller already holds.
-	for lsn < from {
-		if err := skipWALRecord(br); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				// The handle predates the records we wanted to skip to;
-				// nothing readable yet from this position.
-				return nil, lsn, cr.n - int64(br.Buffered()), nil
-			}
-			return nil, 0, 0, err
-		}
-		lsn++
-	}
 	var out []WALRecord
 	for lsn < durable && len(out) < max {
-		op, err := br.ReadByte()
-		if err == io.EOF {
+		rec, err := lr.next()
+		if errors.Is(err, io.EOF) {
 			break
 		}
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		rs, err := readString(br)
-		var rr, rt string
-		if err == nil {
-			rr, err = readString(br)
-		}
-		if err == nil {
-			rt, err = readString(br)
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, 0, 0, fmt.Errorf("%w: torn record below durable LSN %d", ErrBadFormat, durable)
 		}
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, 0, 0, fmt.Errorf("%w: torn record below durable LSN %d", ErrBadFormat, durable)
-			}
 			return nil, 0, 0, err
-		}
-		switch op {
-		case opInsert, opDelete:
-		default:
-			return nil, 0, 0, fmt.Errorf("%w: unknown op %d", ErrBadFormat, op)
 		}
 		lsn++
-		out = append(out, WALRecord{LSN: lsn, Delete: op == opDelete, S: rs, R: rr, T: rt})
+		if lsn > from { // records the caller already holds are skipped
+			out = append(out, walRecord(rec, lsn))
+		}
 	}
-	return out, lsn, cr.n - int64(br.Buffered()), nil
+	return out, lsn, lr.end, nil
 }
 
-// skipWALRecord advances past one record without materializing its
-// strings.
-func skipWALRecord(br *bufio.Reader) error {
-	if _, err := br.ReadByte(); err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
+func walRecord(rec logRecord, lsn uint64) WALRecord {
+	return WALRecord{LSN: lsn, Delete: rec.op == opDelete, S: string(rec.s), R: string(rec.r), T: string(rec.t)}
+}
+
+// EncodeRecords writes recs to w in the log's record encoding, which
+// is also the replication wire's: their LSNs are not written (a reader
+// knows them by position).
+func EncodeRecords(w io.Writer, recs []WALRecord) error {
+	bw := bufio.NewWriter(w)
+	for _, rec := range recs {
+		op := opInsert
+		if rec.Delete {
+			op = opDelete
+		}
+		if err := writeRecord(bw, op, rec.S, rec.R, rec.T); err != nil {
 			return err
 		}
-		if n > 1<<20 {
-			return fmt.Errorf("%w: entity name of %d bytes", ErrBadFormat, n)
-		}
-		if _, err := br.Discard(int(n)); err != nil {
-			return err
-		}
 	}
-	return nil
+	return bw.Flush()
+}
+
+// A RecordReader decodes records written by EncodeRecords, one at a
+// time, so a stream cut short keeps the prefix that arrived.
+type RecordReader struct{ lr *logReader }
+
+// NewRecordReader returns a RecordReader over r.
+func NewRecordReader(r io.Reader) *RecordReader {
+	return &RecordReader{lr: newLogReader(r, 0)}
+}
+
+// Next returns the next record, with LSN 0. Like the log's own reader
+// it returns io.EOF at a record boundary, io.ErrUnexpectedEOF inside a
+// record, and ErrBadFormat for a record no writer produces.
+func (rr *RecordReader) Next() (WALRecord, error) {
+	rec, err := rr.lr.next()
+	if err != nil {
+		return WALRecord{}, err
+	}
+	return walRecord(rec, 0), nil
 }
 
 // AppendedLSN returns the absolute LSN of the last appended record, or

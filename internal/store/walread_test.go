@@ -279,22 +279,37 @@ func TestAttachInfoSurfacesTornTail(t *testing.T) {
 	s3.CloseLog()
 }
 
-// TestAttachLogAtBase covers the follower tail contract: a fresh file
-// starts its LSN sequence at the requested base, an existing file must
-// carry exactly that base, and a mismatch is refused rather than
-// silently renumbered.
-func TestAttachLogAtBase(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tail.log")
+// TestResetToReplacesLog covers a follower's re-bootstrap: the store
+// moves to exactly the snapshot's facts, the log restarts at the
+// snapshot's LSN and keeps that base across appends and a reopen, and
+// an absent log starts at LSN 0.
+func TestResetToReplacesLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.log")
 	u := fact.NewUniverse()
 	s := New(u)
-	info, err := s.AttachLogAt(path, SyncAlways, 100)
+	if err := s.ResetTo(nil, 5); err == nil {
+		t.Fatal("ResetTo without a log accepted")
+	}
+	info, err := s.AttachLogInfo(path, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BaseLSN != 100 || info.LSN != 100 {
-		t.Fatalf("fresh attach at base: %+v", info)
+	if info.BaseLSN != 0 || info.LSN != 0 {
+		t.Fatalf("absent log attached at %+v, want LSN 0", info)
 	}
-	s.Insert(u.NewFact("A", "R", "B"))
+	s.Insert(u.NewFact("OLD", "R", "T"))
+	s.Insert(u.NewFact("KEEP", "R", "T"))
+	snap := []fact.Fact{u.NewFact("KEEP", "R", "T"), u.NewFact("NEW", "R", "T")}
+	if err := s.ResetTo(snap, 100); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 2 || s.Has(u.NewFact("OLD", "R", "T")) || !s.Has(u.NewFact("NEW", "R", "T")) {
+		t.Fatalf("store after reset: %d facts", s.Len())
+	}
+	if st := s.LogStats(); st.BaseLSN != 100 || st.AppendedLSN != 100 || st.DurableLSN != 100 {
+		t.Fatalf("log after reset: %+v", st)
+	}
+	s.Insert(u.NewFact("TAIL", "R", "T"))
 	if got := s.AppendedLSN(); got != 101 {
 		t.Fatalf("AppendedLSN = %d, want 101", got)
 	}
@@ -303,19 +318,14 @@ func TestAttachLogAtBase(t *testing.T) {
 	}
 
 	s2 := New(fact.NewUniverse())
-	info, err = s2.AttachLogAt(path, SyncAlways, 100)
+	info, err = s2.AttachLogInfo(path, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BaseLSN != 100 || info.LSN != 101 || info.Replayed != 1 {
-		t.Fatalf("reattach at base: %+v", info)
+	if info.BaseLSN != 100 || info.LSN != 101 || info.Replayed != 3 || s2.Len() != 3 {
+		t.Fatalf("reopen after reset: %+v, %d facts", info, s2.Len())
 	}
 	s2.CloseLog()
-
-	s3 := New(fact.NewUniverse())
-	if _, err := s3.AttachLogAt(path, SyncAlways, 200); err == nil {
-		t.Fatal("base mismatch accepted")
-	}
 }
 
 // TestCompactGateDefers: a gate that vetoes the appended LSN must
@@ -381,16 +391,16 @@ func TestSnapshotFactsRoundTrip(t *testing.T) {
 		t.Fatalf("DurableLSN after SnapshotFacts = %d, want 2 (snapshot must sync)", got)
 	}
 	var buf bytes.Buffer
-	if err := s.EncodeSnapshot(&buf, facts); err != nil {
+	if err := s.EncodeSnapshot(&buf, facts, lsn); err != nil {
 		t.Fatal(err)
 	}
 	u2 := fact.NewUniverse()
-	decoded, err := ReadSnapshotFacts(&buf, u2)
+	decoded, dlsn, err := ReadSnapshotFacts(&buf, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != 2 {
-		t.Fatalf("decoded %d facts, want 2", len(decoded))
+	if len(decoded) != 2 || dlsn != 2 {
+		t.Fatalf("decoded %d facts at LSN %d, want 2 at 2", len(decoded), dlsn)
 	}
 	names := map[string]bool{}
 	for _, f := range decoded {

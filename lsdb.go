@@ -82,7 +82,8 @@ type Options struct {
 	// compacted, however long it grows. Ignored without LogPath.
 	CheckpointEvery int
 	// CheckpointSnapshot, when non-empty, is a path that receives an
-	// atomic full snapshot at every automatic checkpoint.
+	// atomic full snapshot at every automatic checkpoint: a compacted
+	// log at the checkpoint's LSN, which LogPath can open.
 	CheckpointSnapshot string
 	// SubgoalCacheEntries caps the cross-query subgoal cache at this
 	// many entries (0 keeps the engine default). The multi-tenant
@@ -693,10 +694,12 @@ func (db *Database) Entities() []string {
 	return out
 }
 
-// SaveSnapshot writes all stored facts to path atomically.
+// SaveSnapshot writes all stored facts to path atomically, as a
+// compacted log at the current LSN (LogPath can open it).
 func (db *Database) SaveSnapshot(path string) error { return db.st.SaveSnapshotFile(path) }
 
-// LoadSnapshot merges the facts from a snapshot file at path.
+// LoadSnapshot merges the facts from a snapshot file at path: any
+// log, whose final fact set it merges.
 func (db *Database) LoadSnapshot(path string) error { return db.st.LoadSnapshotFile(path) }
 
 // Sync flushes the durability log to disk and fsyncs it.
