@@ -1,16 +1,23 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/check"
+	"repro/internal/gen"
 )
 
 // TestSoakCleanSeeds: a short clean soak succeeds and reports its
 // seed count.
 func TestSoakCleanSeeds(t *testing.T) {
 	var out strings.Builder
-	cfg := config{seeds: 15, size: "small", workers: 4}
+	cfg := config{seeds: 15, size: "small"}
 	if err := soak(cfg, &out); err != nil {
 		t.Fatalf("clean soak failed: %v\n%s", err, out.String())
 	}
@@ -23,7 +30,7 @@ func TestSoakCleanSeeds(t *testing.T) {
 // divergence, print a shrunk repro, and succeed (self-test mode).
 func TestSoakDetectsInjectedBug(t *testing.T) {
 	var out strings.Builder
-	cfg := config{seeds: 200, size: "small", workers: 4, inject: "member-source"}
+	cfg := config{seeds: 200, size: "small", inject: "member-source"}
 	if err := soak(cfg, &out); err != nil {
 		t.Fatalf("injected bug not handled: %v\n%s", err, out.String())
 	}
@@ -39,8 +46,8 @@ func TestSoakDetectsInjectedBug(t *testing.T) {
 	}
 }
 
-// TestSoakRejectsBadFlags: unknown sizes and rules are errors, and a
-// zero budget is rejected.
+// TestSoakRejectsBadFlags: unknown sizes, rules and oracles are
+// errors, and a zero budget is rejected.
 func TestSoakRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := soak(config{seeds: 1, size: "huge"}, &out); err == nil {
@@ -48,6 +55,9 @@ func TestSoakRejectsBadFlags(t *testing.T) {
 	}
 	if err := soak(config{seeds: 1, size: "small", inject: "no-such-rule"}, &out); err == nil {
 		t.Error("unknown inject rule accepted")
+	}
+	if err := soak(config{seeds: 1, size: "small", only: "no-such-oracle"}, &out); err == nil {
+		t.Error("unknown oracle accepted")
 	}
 	if err := soak(config{size: "small"}, &out); err == nil {
 		t.Error("zero budget accepted")
@@ -57,7 +67,7 @@ func TestSoakRejectsBadFlags(t *testing.T) {
 // TestSoakDurationBudget: a duration-only soak terminates.
 func TestSoakDurationBudget(t *testing.T) {
 	var out strings.Builder
-	cfg := config{seeds: 0, duration: 2 * time.Second, size: "small", workers: 4}
+	cfg := config{seeds: 0, duration: 2 * time.Second, size: "small"}
 	done := make(chan error, 1)
 	go func() { done <- soak(cfg, &out) }()
 	select {
@@ -67,5 +77,38 @@ func TestSoakDurationBudget(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("duration soak did not terminate")
+	}
+}
+
+// TestSoakShrinksEveryOracle: a failure of an oracle that writes to
+// disk shrinks like any other. The fake row fails on any world holding
+// at least k asserts, so the repro must hold exactly k.
+func TestSoakShrinksEveryOracle(t *testing.T) {
+	const k = 3
+	saved := check.Oracles
+	t.Cleanup(func() { check.Oracles = saved })
+	check.Oracles = append(slices.Clip(saved), check.Oracle{Name: "fake-disk", Cost: check.World,
+		Run: func(w *gen.World, _ check.Options) error {
+			path := filepath.Join(t.TempDir(), "program")
+			if err := os.WriteFile(path, []byte(w.Program()), 0o644); err != nil {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if n := strings.Count(string(b), "\nassert "); n >= k {
+				return fmt.Errorf("%d asserts", n)
+			}
+			return nil
+		}})
+
+	var out strings.Builder
+	err := soak(config{seeds: 1, size: "small", only: "fake-disk"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "fake-disk") {
+		t.Fatalf("soak returned %v, want the fake oracle's failure\n%s", err, out.String())
+	}
+	if want := fmt.Sprintf("(%d asserts)", k); !strings.Contains(out.String(), want) {
+		t.Fatalf("repro not shrunk to %d asserts:\n%s", k, out.String())
 	}
 }

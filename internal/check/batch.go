@@ -16,7 +16,7 @@ import (
 // derives from one world; the batch carries all of them at once.
 const batchProbeLimit = 40
 
-// BatchVsSingle is the serving-layer differential oracle: it stands a
+// batchVsSingle is the serving-layer differential oracle: it stands a
 // multi-tenant HTTP server over the world's database and requires
 // that POST /batch of N read operations answers exactly what the N
 // single-endpoint requests answer — same status, same body — against
@@ -27,16 +27,11 @@ const batchProbeLimit = 40
 //
 // All probe operations are untraced: traces carry wall-clock
 // timestamps and durations, which never compare equal.
-func BatchVsSingle(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "batch-vs-single", Detail: fmt.Sprintf(format, args...)}
-	}
-
+func batchVsSingle(w *gen.World, _ Options) error {
 	db := w.Build()
 	s := serve.New()
 	if _, err := s.AddTenant(serve.DefaultTenant, db, serve.Quotas{}); err != nil {
-		return fail("add tenant: %v", err)
+		return fmt.Errorf("add tenant: %v", err)
 	}
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
@@ -91,13 +86,13 @@ func BatchVsSingle(w *gen.World, opts Options) *Failure {
 	for i, p := range probes {
 		resp, err := http.Get(srv.URL + p.path)
 		if err != nil {
-			return fail("GET %s: %v", p.path, err)
+			return fmt.Errorf("GET %s: %v", p.path, err)
 		}
 		var body json.RawMessage
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if err != nil {
-			return fail("GET %s: decode: %v", p.path, err)
+			return fmt.Errorf("GET %s: decode: %v", p.path, err)
 		}
 		singles[i] = answer{resp.StatusCode, body}
 	}
@@ -109,11 +104,11 @@ func BatchVsSingle(w *gen.World, opts Options) *Failure {
 	}
 	payload, err := json.Marshal(map[string]any{"ops": ops})
 	if err != nil {
-		return fail("marshal batch: %v", err)
+		return fmt.Errorf("marshal batch: %v", err)
 	}
 	resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		return fail("POST /batch: %v", err)
+		return fmt.Errorf("POST /batch: %v", err)
 	}
 	var batch struct {
 		Results []struct {
@@ -124,13 +119,13 @@ func BatchVsSingle(w *gen.World, opts Options) *Failure {
 	err = json.NewDecoder(resp.Body).Decode(&batch)
 	resp.Body.Close()
 	if err != nil {
-		return fail("POST /batch: decode: %v", err)
+		return fmt.Errorf("POST /batch: decode: %v", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fail("POST /batch: status %d", resp.StatusCode)
+		return fmt.Errorf("POST /batch: status %d", resp.StatusCode)
 	}
 	if len(batch.Results) != len(probes) {
-		return fail("batch returned %d results for %d ops", len(batch.Results), len(probes))
+		return fmt.Errorf("batch returned %d results for %d ops", len(batch.Results), len(probes))
 	}
 
 	// Pairwise comparison on canonicalized JSON (decode + re-encode
@@ -140,18 +135,18 @@ func BatchVsSingle(w *gen.World, opts Options) *Failure {
 		got := batch.Results[i]
 		want := singles[i]
 		if got.Status != want.status {
-			return fail("op %d (%s): batch status %d, single status %d", i, p.path, got.Status, want.status)
+			return fmt.Errorf("op %d (%s): batch status %d, single status %d", i, p.path, got.Status, want.status)
 		}
 		cGot, err := canonicalJSON(got.Body)
 		if err != nil {
-			return fail("op %d (%s): batch body: %v", i, p.path, err)
+			return fmt.Errorf("op %d (%s): batch body: %v", i, p.path, err)
 		}
 		cWant, err := canonicalJSON(want.body)
 		if err != nil {
-			return fail("op %d (%s): single body: %v", i, p.path, err)
+			return fmt.Errorf("op %d (%s): single body: %v", i, p.path, err)
 		}
 		if cGot != cWant {
-			return fail("op %d (%s): bodies diverge\nsingle: %s\nbatch:  %s", i, p.path, cWant, cGot)
+			return fmt.Errorf("op %d (%s): bodies diverge\nsingle: %s\nbatch:  %s", i, p.path, cWant, cGot)
 		}
 	}
 	return nil

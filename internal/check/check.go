@@ -1,13 +1,15 @@
-// Package check is the differential correctness harness: a set of
+// Package check is the differential correctness harness: a table of
 // oracles that assert pairwise equivalence of every answer path the
 // engine offers — materialized closure, bounded on-demand inference,
 // sequential vs parallel materialization, incremental layered
-// maintenance vs full recompute, persistence round-trips, sealed
-// clones, the layered store vs a plain set, planned query evaluation
+// maintenance vs full recompute, persistence round-trips, the
+// layered store and its sealed and mutable clones vs a plain set, planned query evaluation
 // vs conjuncts in written order — plus
-// structural invariants of published closures. Each oracle takes a
-// generated world (internal/gen) and returns nil or a Failure naming
-// the oracle and the first divergence found.
+// structural invariants of published closures and the crash,
+// replication and scale sweeps. Each oracle is one row of Oracles: it
+// takes a generated world (internal/gen) and returns nil or an error
+// describing the first divergence found, which the driver reports as
+// a Failure under the row's name.
 //
 // The oracles compare across *separate* Database instances, whose
 // universes intern entities independently, so all cross-database
@@ -39,31 +41,142 @@ type Failure struct {
 
 func (f *Failure) Error() string { return f.Oracle + ": " + f.Detail }
 
-// Options tunes a Run.
+// Options tunes a run.
 type Options struct {
-	// Workers is the parallel worker count compared against the
-	// sequential build (default 8).
-	Workers int
 	// Perturb, when non-nil, is applied to the second database of the
 	// parallel-equivalence oracle before its closure is read. It
 	// exists to verify the harness *detects* injected bugs (e.g.
 	// excluding one inference rule on one side only).
 	Perturb func(*lsdb.Database)
-	// SkipPersistence disables the snapshot/log round-trip oracle
-	// (useful for tight shrinking loops that would otherwise thrash
-	// the filesystem).
-	SkipPersistence bool
-	// CacheStatsSink, when non-nil, receives the cached engine's
-	// subgoal-cache counters after the cached-vs-uncached oracle
-	// finishes (lsdb-check -v aggregates them across seeds).
-	CacheStatsSink func(rules.CacheStats)
+	// Points is a sweep's width: crash points per seed, replication
+	// fault points per scenario, or the facts of a scale world. Zero
+	// takes the sweep's default.
+	Points int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers == 0 {
-		o.Workers = 8
+// Cost says what one run of an oracle spends, which decides where it
+// runs.
+type Cost int
+
+const (
+	// World oracles replay the generated world a few times, in memory
+	// or in temporary files. Run and every soak seed run them, and a
+	// world one fails on shrinks.
+	World Cost = iota
+	// Sweep oracles replay a workload drawn from the world's seed once
+	// per fault point (Options.Points). They run only when named, and a
+	// failure names the seed and point to rerun instead of a world to
+	// shrink.
+	Sweep
+)
+
+// An Oracle is one row of the harness.
+type Oracle struct {
+	Name string
+	Run  func(w *gen.World, o Options) error // nil, or the first divergence
+	Cost Cost
+}
+
+// Oracles is the harness, in the order Run and lsdb-check run it.
+// DESIGN.md §6 describes every row.
+var Oracles = []Oracle{
+	{"invariants", invariants, World},
+	{"closure-vs-bounded", closureVsBounded, World},
+	{"round-equals-depth", roundEqualsDepth, World},
+	{"cached-vs-uncached", func(w *gen.World, _ Options) error { return cachedVsUncached(w, nil) }, World},
+	{"parallel-equivalence", parallelEquivalence, World},
+	{"incremental-vs-full", incrementalVsFull, World},
+	{"sealed-vs-mutable", sealedVsMutable, World},
+	{"layered-model", layeredModel, World},
+	{"tx-rollback", txRollback, World},
+	{"batch-vs-single", batchVsSingle, World},
+	{"search-vs-scan", searchVsScan, World},
+	{"search-incremental", func(w *gen.World, _ Options) error { _, err := searchIncremental(w); return err }, World},
+	{"planned-vs-syntactic", func(w *gen.World, _ Options) error { return plannedVsSyntactic(w, nil) }, World},
+	{"persistence", persistence, World},
+	{"crash-recovery", crashSweep, Sweep},
+	{"replication", replSweep, Sweep},
+	{"scale", scaleSweep, Sweep},
+}
+
+// Check runs o against w and reports a divergence under o's name.
+func (o Oracle) Check(w *gen.World, opts Options) *Failure {
+	if err := o.Run(w, opts); err != nil {
+		return &Failure{Oracle: o.Name, Detail: err.Error()}
 	}
-	return o
+	return nil
+}
+
+// Shrink reduces w, on which the World oracle o failed, to a smaller
+// world on which o alone still fails. A world o passes on a rerun comes
+// back unchanged.
+func (o Oracle) Shrink(w *gen.World, opts Options) *gen.World {
+	fails := func(c *gen.World) bool { return o.Run(c, opts) != nil }
+	if !fails(w) {
+		return w
+	}
+	return gen.Shrink(w, fails)
+}
+
+// Select returns the rows named in a comma-separated list, or every
+// World row when the list is empty.
+func Select(names string) ([]Oracle, error) {
+	var out []Oracle
+	if names == "" {
+		for _, o := range Oracles {
+			if o.Cost == World {
+				out = append(out, o)
+			}
+		}
+		return out, nil
+	}
+	for _, name := range strings.Split(names, ",") {
+		n := len(out)
+		for _, o := range Oracles {
+			if o.Name == name {
+				out = append(out, o)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("no oracle %q", name)
+		}
+	}
+	return out, nil
+}
+
+// Run runs every World oracle against the world in table order,
+// returning the first failure or nil if all paths agree.
+func Run(w *gen.World, opts Options) *Failure {
+	oracles, _ := Select("")
+	for _, o := range oracles {
+		if f := o.Check(w, opts); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// row runs the one oracle called name.
+func row(name string, w *gen.World, opts Options) *Failure {
+	oracles, err := Select(name)
+	if err != nil {
+		panic(err)
+	}
+	return oracles[0].Check(w, opts)
+}
+
+// Invariants, ParallelEquivalence, IncrementalVsFull, SealedVsMutable,
+// LayeredModel and SearchIncremental run one row each, for the tests of
+// other packages that rerun them under their own settings.
+func Invariants(w *gen.World) *Failure { return row("invariants", w, Options{}) }
+func ParallelEquivalence(w *gen.World, opts Options) *Failure {
+	return row("parallel-equivalence", w, opts)
+}
+func IncrementalVsFull(w *gen.World) *Failure { return row("incremental-vs-full", w, Options{}) }
+func SealedVsMutable(w *gen.World) *Failure   { return row("sealed-vs-mutable", w, Options{}) }
+func LayeredModel(w *gen.World) *Failure      { return row("layered-model", w, Options{}) }
+func SearchIncremental(w *gen.World, opts Options) *Failure {
+	return row("search-incremental", w, opts)
 }
 
 const (
@@ -75,70 +188,15 @@ const (
 	boundedLimit = 4000
 )
 
-// Run replays the world and runs every oracle against it, returning
-// the first failure or nil if all paths agree.
-func Run(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
-	if f := Invariants(w); f != nil {
-		return f
-	}
-	if f := ClosureVsBounded(w); f != nil {
-		return f
-	}
-	if f := RoundEqualsDepth(w); f != nil {
-		return f
-	}
-	if f := CachedVsUncached(w, opts); f != nil {
-		return f
-	}
-	if f := ParallelEquivalence(w, opts); f != nil {
-		return f
-	}
-	if f := IncrementalVsFull(w); f != nil {
-		return f
-	}
-	if f := SealedCloneVsOriginal(w); f != nil {
-		return f
-	}
-	if f := SealedVsMutable(w); f != nil {
-		return f
-	}
-	if f := LayeredModel(w); f != nil {
-		return f
-	}
-	if f := TxRollback(w); f != nil {
-		return f
-	}
-	if f := BatchVsSingle(w, opts); f != nil {
-		return f
-	}
-	if f := SearchVsScan(w, opts); f != nil {
-		return f
-	}
-	if f := SearchIncremental(w, opts); f != nil {
-		return f
-	}
-	if f := PlannedVsSyntactic(w); f != nil {
-		return f
-	}
-	if !opts.SkipPersistence {
-		if f := PersistenceRoundTrip(w); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-// triple canonicalizes a fact of db to its name form.
-func triple(db *lsdb.Database, f fact.Fact) [3]string {
-	u := db.Universe()
+// triple canonicalizes a fact to its name form.
+func triple(u *fact.Universe, f fact.Fact) [3]string {
 	return [3]string{u.Name(f.S), u.Name(f.R), u.Name(f.T)}
 }
 
-func tripleSet(db *lsdb.Database, st *store.Store) map[[3]string]bool {
+func tripleSet(u *fact.Universe, st *store.Store) map[[3]string]bool {
 	out := make(map[[3]string]bool, st.Len())
 	for _, f := range st.Facts() {
-		out[triple(db, f)] = true
+		out[triple(u, f)] = true
 	}
 	return out
 }
@@ -158,60 +216,59 @@ func diffSets(a, b map[[3]string]bool) (got [3]string, inA bool, ok bool) {
 	return [3]string{}, false, false
 }
 
-// Invariants checks structural properties a published closure must
+// sameFacts returns nil when a and b hold the same facts, else an
+// error naming one fact that only one side (sideA or sideB) holds.
+func sameFacts(what, sideA, sideB string, a, b map[[3]string]bool) error {
+	t, inA, ok := diffSets(a, b)
+	if !ok {
+		return nil
+	}
+	side := sideB
+	if inA {
+		side = sideA
+	}
+	return fmt.Errorf("%s %v only in %s (sizes %d vs %d)", what, t, side, len(a), len(b))
+}
+
+// sameClosure requires the closures of a and b to hold the same facts,
+// each with the same derivation (derivedBy).
+func sameClosure(a, b *lsdb.Database, sideA, sideB string) error {
+	ua, ub := a.Universe(), b.Universe()
+	ca, cb := a.Engine().Closure(), b.Engine().Closure()
+	if err := sameFacts("fact", sideA+" closure", sideB+" closure", tripleSet(ua, ca), tripleSet(ub, cb)); err != nil {
+		return err
+	}
+	for _, f := range ca.Facts() {
+		tr := triple(ua, f)
+		if da, db := derivedBy(a, f), derivedBy(b, ub.NewFact(tr[0], tr[1], tr[2])); da != db {
+			return fmt.Errorf("provenance differs for %v: %s %q vs %s %q", tr, sideA, da, sideB, db)
+		}
+	}
+	return nil
+}
+
+// invariants checks structural properties a published closure must
 // have regardless of how it was computed: contradiction-freedom,
-// agreement between the six store indexes and the fact set, non-empty
-// provenance (Explain) and a materialized proof (Derive) for every
-// closure fact, and a sorted ClosureEntities domain.
-func Invariants(w *gen.World) *Failure {
+// agreement between every read of the stored facts and the fact set,
+// non-empty provenance (Explain) and a materialized proof (Derive) for
+// every closure fact, and a sorted ClosureEntities domain.
+func invariants(w *gen.World, _ Options) error {
 	db := w.Build()
 	u := db.Universe()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "invariants", Detail: fmt.Sprintf(format, args...)}
-	}
 
 	if contras := db.Check(); len(contras) != 0 {
-		return fail("closure has %d contradictions; first: %s", len(contras), contras[0].Format(u))
+		return fmt.Errorf("closure has %d contradictions; first: %s", len(contras), contras[0].Format(u))
 	}
 
-	// Every stored fact must be reachable through all seven template
-	// shapes of the store's index structure.
-	base := db.Store()
-	facts := base.Facts()
-	limit := len(facts)
-	if limit > 200 {
-		limit = 200
+	// Every read of the stored facts, around the first 200 of them,
+	// must agree with the fact set.
+	facts := db.Store().Facts()
+	model := factSet{}
+	for _, f := range facts {
+		model[f] = struct{}{}
 	}
-	for _, f := range facts[:limit] {
-		patterns := [][3]bool{
-			{true, true, true}, {true, true, false}, {true, false, true},
-			{false, true, true}, {true, false, false}, {false, true, false},
-			{false, false, true},
-		}
-		for _, p := range patterns {
-			s, r, t := f.S, f.R, f.T
-			if !p[0] {
-				s = 0
-			}
-			if !p[1] {
-				r = 0
-			}
-			if !p[2] {
-				t = 0
-			}
-			found := false
-			base.Match(s, r, t, func(g fact.Fact) bool {
-				if g == f {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				return fail("index miss: %s not found via template (%v,%v,%v)",
-					u.FormatFact(f), s, r, t)
-			}
-		}
+	if err := sameReads(u, db.Store(), model, facts[:min(len(facts), 200)]); err != nil {
+		return fmt.Errorf("stored facts: %v", err)
 	}
 
 	// Every closure fact must explain and derive.
@@ -223,36 +280,33 @@ func Invariants(w *gen.World) *Failure {
 	}
 	for _, f := range cfacts[:climit] {
 		if eng.Explain(f) == "" {
-			return fail("closure fact %s has empty provenance", u.FormatFact(f))
+			return fmt.Errorf("closure fact %s has empty provenance", u.FormatFact(f))
 		}
 		if eng.Derive(f) == nil {
-			return fail("closure fact %s has no derivation", u.FormatFact(f))
+			return fmt.Errorf("closure fact %s has no derivation", u.FormatFact(f))
 		}
 	}
 
 	ents := eng.ClosureEntities()
 	if !sort.SliceIsSorted(ents, func(i, j int) bool { return ents[i] < ents[j] }) {
-		return fail("ClosureEntities not sorted")
+		return errors.New("ClosureEntities not sorted")
 	}
 	return nil
 }
 
-// ClosureVsBounded walks the bounded on-demand search up the depth
+// closureVsBounded walks the bounded on-demand search up the depth
 // ladder and checks, at every depth: soundness (each bounded answer
 // is in the closure or is a virtual fact) and monotonicity in depth.
 // At the first depth d where the answer set stops growing the search
 // is complete, and the materialized closure must be contained in it —
 // the paper's backward and forward inference must agree exactly.
-func ClosureVsBounded(w *gen.World) *Failure {
+func closureVsBounded(w *gen.World, _ Options) error {
 	db := w.Build()
 	u := db.Universe()
 	eng := db.Engine()
 	closure := eng.Closure()
 	if closure.Len() > boundedLimit {
 		return nil // too big for quadratic bounded enumeration
-	}
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "closure-vs-bounded", Detail: fmt.Sprintf(format, args...)}
 	}
 
 	vp := eng.Virtual()
@@ -268,20 +322,20 @@ func ClosureVsBounded(w *gen.World) *Failure {
 	prev := enumerate(0)
 	for f := range prev {
 		if !closure.Has(f) && !vp.Has(f) {
-			return fail("depth 0 answer %s not stored, derived or virtual", u.FormatFact(f))
+			return fmt.Errorf("depth 0 answer %s not stored, derived or virtual", u.FormatFact(f))
 		}
 	}
 	for depth := 1; depth <= maxDepth; depth++ {
 		cur := enumerate(depth)
 		for f := range prev {
 			if !cur[f] {
-				return fail("bounded search not monotone: %s at depth %d but not %d",
+				return fmt.Errorf("bounded search not monotone: %s at depth %d but not %d",
 					u.FormatFact(f), depth-1, depth)
 			}
 		}
 		for f := range cur {
 			if !closure.Has(f) && !vp.Has(f) {
-				return fail("unsound at depth %d: %s not in closure and not virtual",
+				return fmt.Errorf("unsound at depth %d: %s not in closure and not virtual",
 					depth, u.FormatFact(f))
 			}
 		}
@@ -290,7 +344,7 @@ func ClosureVsBounded(w *gen.World) *Failure {
 			// closure fact must be reachable backward.
 			for _, f := range closure.Facts() {
 				if !cur[f] {
-					return fail("incomplete at fixpoint depth %d: closure fact %s unreachable",
+					return fmt.Errorf("incomplete at fixpoint depth %d: closure fact %s unreachable",
 						depth, u.FormatFact(f))
 				}
 			}
@@ -301,18 +355,18 @@ func ClosureVsBounded(w *gen.World) *Failure {
 	// Never reaching a fixpoint within maxDepth on a generated world
 	// is itself suspicious — the closure is finite and bounded search
 	// is monotone, so it must saturate.
-	return fail("no fixpoint within depth %d (last size %d, closure %d)",
+	return fmt.Errorf("no fixpoint within depth %d (last size %d, closure %d)",
 		maxDepth, len(prev), closure.Len())
 }
 
-// RoundEqualsDepth checks that a bounded depth is the round: every
+// roundEqualsDepth checks that a bounded depth is the round: every
 // derived closure fact is found by HasBounded at its round and not one
 // depth below it, the round being the semi-naive round Engine.Round
 // finds. The two sides are independent implementations: Round deepens
 // a search over the published closure, HasBounded tables subgoals over
 // the stored facts. Virtual facts the closure also holds, such as the
 // reflexive (c, ≺, c), are skipped: they hold at depth 0.
-func RoundEqualsDepth(w *gen.World) *Failure {
+func roundEqualsDepth(w *gen.World, _ Options) error {
 	db := w.Build()
 	u := db.Universe()
 	eng := db.Engine()
@@ -330,13 +384,31 @@ func RoundEqualsDepth(w *gen.World) *Failure {
 		for depth <= maxDepth && !eng.HasBounded(f, depth) {
 			depth++
 		}
-		return &Failure{Oracle: "round-equals-depth",
-			Detail: fmt.Sprintf("%s: round %d, least bounded depth %d", u.FormatFact(f), round, depth)}
+		return fmt.Errorf("%s: round %d, least bounded depth %d", u.FormatFact(f), round, depth)
 	}
 	return nil
 }
 
-// CachedVsUncached replays the world op by op onto two live databases
+// boundedSet is db's bounded answer set for a name pattern ("" is the
+// wildcard), canonicalized for cross-database comparison, and traced
+// into tr when tr is not nil.
+func boundedSet(db *lsdb.Database, s, r, t string, depth int, tr *obs.Trace) map[[3]string]bool {
+	u := db.Universe()
+	id := func(name string) sym.ID {
+		if name == "" {
+			return sym.None
+		}
+		return u.Entity(name)
+	}
+	set := make(map[[3]string]bool)
+	db.Engine().MatchBoundedTrace(id(s), id(r), id(t), depth, tr, func(f fact.Fact) bool {
+		set[triple(u, f)] = true
+		return true
+	})
+	return set
+}
+
+// cachedVsUncached replays the world op by op onto two live databases
 // — one with the cross-query subgoal cache enabled (the default), one
 // with it disabled — and at sampled steps compares MatchBounded
 // answer sets between them. Because asserts, retracts and rule
@@ -344,35 +416,13 @@ func RoundEqualsDepth(w *gen.World) *Failure {
 // turns stale-cache bugs (a missed invalidation on any mutation kind)
 // into small shrinkable repros: the uncached side recomputes from
 // scratch every time and is correct by construction of
-// ClosureVsBounded.
-func CachedVsUncached(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "cached-vs-uncached", Detail: fmt.Sprintf(format, args...)}
-	}
-
+// closureVsBounded. sink, when not nil, receives the cached engine's
+// subgoal-cache counters at the end.
+func cachedVsUncached(w *gen.World, sink func(rules.CacheStats)) error {
 	cached, uncached := lsdb.New(), lsdb.New()
 	uncached.Engine().SetSubgoalCache(false)
 	if !cached.Engine().SubgoalCacheEnabled() {
-		return fail("subgoal cache not enabled by default")
-	}
-
-	// Bounded answer set for a name pattern ("" = wildcard),
-	// canonicalized for cross-database comparison.
-	boundedSet := func(db *lsdb.Database, s, r, t string, depth int) map[[3]string]bool {
-		u := db.Universe()
-		id := func(name string) sym.ID {
-			if name == "" {
-				return sym.None
-			}
-			return u.Entity(name)
-		}
-		set := make(map[[3]string]bool)
-		db.Engine().MatchBounded(id(s), id(r), id(t), depth, func(f fact.Fact) bool {
-			set[triple(db, f)] = true
-			return true
-		})
-		return set
+		return errors.New("subgoal cache not enabled by default")
 	}
 
 	const depth = 3
@@ -398,35 +448,28 @@ func CachedVsUncached(w *gen.World, opts Options) *Failure {
 			{lastFact.S, lastFact.R, lastFact.T},
 		}
 		for _, p := range probes {
-			got := boundedSet(cached, p[0], p[1], p[2], depth)
-			want := boundedSet(uncached, p[0], p[1], p[2], depth)
-			if tr, inCached, ok := diffSets(got, want); ok {
-				side := "uncached"
-				if inCached {
-					side = "cached"
-				}
-				return fail("after op %d (%s), pattern (%s,%s,%s) depth %d: fact %v only in %s answer (sizes %d vs %d)",
-					i, op, p[0], p[1], p[2], depth, tr, side, len(got), len(want))
+			got := boundedSet(cached, p[0], p[1], p[2], depth, nil)
+			want := boundedSet(uncached, p[0], p[1], p[2], depth, nil)
+			if err := sameFacts("fact", "cached", "uncached", got, want); err != nil {
+				return fmt.Errorf("after op %d (%s), pattern (%s,%s,%s) depth %d: %v", i, op, p[0], p[1], p[2], depth, err)
 			}
 		}
 		// Trace reconciliation: the last probe is replayed with a trace
 		// recorder on both sides; the spans must explain exactly the
 		// counter movement they caused.
 		p := probes[len(probes)-1]
-		if f := traceReconcile(cached, uncached, p[0], p[1], p[2], depth); f != nil {
-			return f
+		if err := traceReconcile(cached, uncached, p[0], p[1], p[2], depth); err != nil {
+			return fmt.Errorf("trace vs counters: %v", err)
 		}
 		// HasBounded goes through the same cache with early exit.
-		u := cached.Universe()
-		f := fact.Fact{S: u.Entity(lastFact.S), R: u.Entity(lastFact.R), T: u.Entity(lastFact.T)}
-		u2 := uncached.Universe()
-		f2 := fact.Fact{S: u2.Entity(lastFact.S), R: u2.Entity(lastFact.R), T: u2.Entity(lastFact.T)}
+		f := cached.Universe().NewFact(lastFact.S, lastFact.R, lastFact.T)
+		f2 := uncached.Universe().NewFact(lastFact.S, lastFact.R, lastFact.T)
 		if got, want := cached.Engine().HasBounded(f, depth+1), uncached.Engine().HasBounded(f2, depth+1); got != want {
-			return fail("after op %d (%s): HasBounded(%s,%s,%s) = %v cached, %v uncached",
+			return fmt.Errorf("after op %d (%s): HasBounded(%s,%s,%s) = %v cached, %v uncached",
 				i, op, lastFact.S, lastFact.R, lastFact.T, got, want)
 		}
 	}
-	if sink := opts.CacheStatsSink; sink != nil {
+	if sink != nil {
 		sink(cached.Engine().CacheStats())
 	}
 	return nil
@@ -453,25 +496,11 @@ func countDispositions(evs []*obs.TraceEvent) map[string]int {
 // no span claims "computed"; on the uncached side every computation is
 // a "computed" span and the (frozen) counters do not move. It also
 // re-checks that tracing never changes the answer set.
-func traceReconcile(cached, uncached *lsdb.Database, s, r, t string, depth int) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "trace-vs-counters", Detail: fmt.Sprintf(format, args...)}
-	}
+func traceReconcile(cached, uncached *lsdb.Database, s, r, t string, depth int) error {
 	run := func(db *lsdb.Database) (map[[3]string]bool, map[string]int, int, rules.CacheStats, rules.CacheStats) {
-		u := db.Universe()
-		id := func(name string) sym.ID {
-			if name == "" {
-				return sym.None
-			}
-			return u.Entity(name)
-		}
 		before := db.Engine().CacheStats()
 		tr := obs.NewTrace()
-		set := make(map[[3]string]bool)
-		db.Engine().MatchBoundedTrace(id(s), id(r), id(t), depth, tr, func(f fact.Fact) bool {
-			set[triple(db, f)] = true
-			return true
-		})
+		set := boundedSet(db, s, r, t, depth, tr)
 		return set, countDispositions(tr.Done()), tr.Dropped(), before, db.Engine().CacheStats()
 	}
 
@@ -480,70 +509,50 @@ func traceReconcile(cached, uncached *lsdb.Database, s, r, t string, depth int) 
 	cSet, cDisp, cDropped, cBefore, cAfter := run(cached)
 	exact := cDropped == 0
 	if got, want := cDisp[obs.DispHit], int(cAfter.Hits-cBefore.Hits); got != want && (exact || got > want) {
-		return fail("pattern (%s,%s,%s): %d hit spans but hits counter moved by %d (%d spans dropped)",
+		return fmt.Errorf("pattern (%s,%s,%s): %d hit spans but hits counter moved by %d (%d spans dropped)",
 			s, r, t, got, want, cDropped)
 	}
 	if got, want := cDisp[obs.DispMiss], int(cAfter.Misses-cBefore.Misses); got != want && (exact || got > want) {
-		return fail("pattern (%s,%s,%s): %d miss spans but misses counter moved by %d (%d spans dropped)",
+		return fmt.Errorf("pattern (%s,%s,%s): %d miss spans but misses counter moved by %d (%d spans dropped)",
 			s, r, t, got, want, cDropped)
 	}
 	if n := cDisp[obs.DispComputed]; n != 0 {
-		return fail("pattern (%s,%s,%s): %d computed spans with the cache enabled", s, r, t, n)
+		return fmt.Errorf("pattern (%s,%s,%s): %d computed spans with the cache enabled", s, r, t, n)
 	}
 
 	uSet, uDisp, _, uBefore, uAfter := run(uncached)
 	if n := uDisp[obs.DispHit] + uDisp[obs.DispMiss]; n != 0 {
-		return fail("pattern (%s,%s,%s): %d hit/miss spans with the cache disabled", s, r, t, n)
+		return fmt.Errorf("pattern (%s,%s,%s): %d hit/miss spans with the cache disabled", s, r, t, n)
 	}
 	if uAfter.Hits != uBefore.Hits || uAfter.Misses != uBefore.Misses {
-		return fail("pattern (%s,%s,%s): disabled cache counters moved (%+v -> %+v)", s, r, t, uBefore, uAfter)
+		return fmt.Errorf("pattern (%s,%s,%s): disabled cache counters moved (%+v -> %+v)", s, r, t, uBefore, uAfter)
 	}
 
 	// Tracing is an observer: both traced answer sets must still agree.
-	if tr3, inCached, ok := diffSets(cSet, uSet); ok {
-		side := "uncached"
-		if inCached {
-			side = "cached"
-		}
-		return fail("traced pattern (%s,%s,%s) depth %d: fact %v only in %s answer", s, r, t, depth, tr3, side)
+	if err := sameFacts("fact", "cached", "uncached", cSet, uSet); err != nil {
+		return fmt.Errorf("traced pattern (%s,%s,%s) depth %d: %v", s, r, t, depth, err)
 	}
 	return nil
 }
 
-// ParallelEquivalence builds the world twice, materializes one
-// closure sequentially and one with opts.Workers workers, and
-// requires identical fact sets and identical per-fact provenance: the
-// rule and the premises of each fact's canonical derivation (the
-// first level of Derive). opts.Perturb, if set, is applied to the parallel
-// database first.
-func ParallelEquivalence(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "parallel-equivalence", Detail: fmt.Sprintf(format, args...)}
-	}
+// parallelWorkers is the worker count parallelEquivalence compares
+// against the sequential build.
+const parallelWorkers = 8
+
+// parallelEquivalence builds the world twice, materializes one closure
+// sequentially and one with parallelWorkers workers, and requires
+// identical fact sets and identical per-fact provenance: the rule and
+// the premises of each fact's canonical derivation (the first level of
+// Derive). opts.Perturb, if set, is applied to the parallel database
+// first.
+func parallelEquivalence(w *gen.World, opts Options) error {
 	db1, db2 := w.Build(), w.Build()
 	if opts.Perturb != nil {
 		opts.Perturb(db2)
 	}
 	db1.Engine().SetWorkers(1)
-	db2.Engine().SetWorkers(opts.Workers)
-	c1, c2 := db1.Engine().Closure(), db2.Engine().Closure()
-	s1, s2 := tripleSet(db1, c1), tripleSet(db2, c2)
-	if t, inA, ok := diffSets(s1, s2); ok {
-		if inA {
-			return fail("fact %v in sequential closure only (sizes %d vs %d)", t, len(s1), len(s2))
-		}
-		return fail("fact %v in parallel closure only (sizes %d vs %d)", t, len(s1), len(s2))
-	}
-	u2 := db2.Universe()
-	for _, f := range c1.Facts() {
-		tr := triple(db1, f)
-		f2 := fact.Fact{S: u2.Entity(tr[0]), R: u2.Entity(tr[1]), T: u2.Entity(tr[2])}
-		if w1, w2 := derivedBy(db1, f), derivedBy(db2, f2); w1 != w2 {
-			return fail("provenance differs for %v: sequential %q vs parallel %q", tr, w1, w2)
-		}
-	}
-	return nil
+	db2.Engine().SetWorkers(parallelWorkers)
+	return sameClosure(db1, db2, "sequential", "parallel")
 }
 
 // derivedBy renders the first level of f's proof tree in db: its rule
@@ -552,18 +561,18 @@ func derivedBy(db *lsdb.Database, f fact.Fact) string {
 	d := db.Engine().Derive(f)
 	s := d.Rule
 	for _, p := range d.Premises {
-		s += fmt.Sprint(" ", triple(db, p.Fact))
+		s += fmt.Sprint(" ", triple(db.Universe(), p.Fact))
 	}
 	return s
 }
 
-// IncrementalVsFull replays the world onto a live database while
+// incrementalVsFull replays the world onto a live database while
 // forcing a closure materialization every other op — driving the COW
 // incremental path on insert runs and full recomputes after deletes
 // and rule toggles — and compares the final closure against a fresh
 // replay that computes its closure once, from scratch: the same facts,
 // and for each the same derivation (rule and premises, derivedBy).
-func IncrementalVsFull(w *gen.World) *Failure {
+func incrementalVsFull(w *gen.World, _ Options) error {
 	live := lsdb.New()
 	for i, op := range w.Ops {
 		gen.ApplyOp(live, op)
@@ -571,72 +580,17 @@ func IncrementalVsFull(w *gen.World) *Failure {
 			live.ClosureLen()
 		}
 	}
-	full := w.Build()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "incremental-vs-full", Detail: fmt.Sprintf(format, args...)}
-	}
-	liveSet := tripleSet(live, live.Engine().Closure())
-	fullSet := tripleSet(full, full.Engine().Closure())
-	if t, inLive, ok := diffSets(liveSet, fullSet); ok {
-		side := "full-recompute"
-		if inLive {
-			side = "incremental"
-		}
-		return fail("fact %v only in %s closure (sizes %d vs %d)", t, side, len(liveSet), len(fullSet))
-	}
-	uf := full.Universe()
-	for _, f := range live.Engine().Closure().Facts() {
-		tr := triple(live, f)
-		ff := fact.Fact{S: uf.Entity(tr[0]), R: uf.Entity(tr[1]), T: uf.Entity(tr[2])}
-		if w1, w2 := derivedBy(live, f), derivedBy(full, ff); w1 != w2 {
-			return fail("provenance differs for %v: incremental %q vs full-recompute %q", tr, w1, w2)
-		}
-	}
-	return nil
+	return sameClosure(live, w.Build(), "incremental", "full-recompute")
 }
 
-// SealedCloneVsOriginal checks that a store clone holds exactly the
-// original's facts, that Count and EstimateCount agree on plain
-// stores, and that mutating the clone leaves the original untouched.
-func SealedCloneVsOriginal(w *gen.World) *Failure {
-	db := w.Build()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "sealed-clone", Detail: fmt.Sprintf(format, args...)}
-	}
-	orig := db.Store()
-	clone := orig.Clone()
-	if clone.Len() != orig.Len() {
-		return fail("clone size %d != original %d", clone.Len(), orig.Len())
-	}
-	for _, f := range orig.Facts() {
-		if !clone.Has(f) {
-			return fail("clone missing %s", db.Universe().FormatFact(f))
-		}
-		if c, e := orig.Count(0, f.R, 0), orig.EstimateCount(0, f.R, 0); c != e {
-			return fail("EstimateCount %d != Count %d for rel %s",
-				e, c, db.Universe().Name(f.R))
-		}
-	}
-	// Clone isolation: a marker insert must not leak back.
-	marker := db.Universe().NewFact("CLONE-MARKER", "CLONE-REL", "CLONE-TGT")
-	clone.Insert(marker)
-	if orig.Has(marker) {
-		return fail("insert into clone visible in original")
-	}
-	before := orig.Len()
-	if clone.Len() != before+1 {
-		return fail("clone insert did not stick")
-	}
-	return nil
-}
-
-// TxRollback applies a deterministic mutation workload inside a
+// txRollback applies a deterministic mutation workload inside a
 // transaction that aborts, and requires the stored fact set and the
 // closure to come back identical to the pre-transaction state.
-func TxRollback(w *gen.World) *Failure {
+func txRollback(w *gen.World, _ Options) error {
 	db := w.Build()
-	storedBefore := tripleSet(db, db.Store())
-	closureBefore := tripleSet(db, db.Engine().Closure())
+	u := db.Universe()
+	storedBefore := tripleSet(u, db.Store())
+	closureBefore := tripleSet(u, db.Engine().Closure())
 
 	sentinel := errors.New("abort")
 	err := db.Batch(func(tx *lsdb.Tx) error {
@@ -657,42 +611,24 @@ func TxRollback(w *gen.World) *Failure {
 		return sentinel
 	})
 	if !errors.Is(err, sentinel) {
-		return &Failure{Oracle: "tx-rollback", Detail: fmt.Sprintf("Batch returned %v, want sentinel", err)}
+		return fmt.Errorf("Batch returned %v, want sentinel", err)
 	}
 
-	storedAfter := tripleSet(db, db.Store())
-	closureAfter := tripleSet(db, db.Engine().Closure())
-	if t, inBefore, ok := diffSets(storedBefore, storedAfter); ok {
-		verb := "appeared in"
-		if inBefore {
-			verb = "vanished from"
-		}
-		return &Failure{Oracle: "tx-rollback",
-			Detail: fmt.Sprintf("stored fact %v %s store after rollback", t, verb)}
+	if err := sameFacts("stored fact", "the store before", "the store after rollback", storedBefore, tripleSet(u, db.Store())); err != nil {
+		return err
 	}
-	if t, inBefore, ok := diffSets(closureBefore, closureAfter); ok {
-		verb := "appeared in"
-		if inBefore {
-			verb = "vanished from"
-		}
-		return &Failure{Oracle: "tx-rollback",
-			Detail: fmt.Sprintf("closure fact %v %s closure after rollback", t, verb)}
-	}
-	return nil
+	return sameFacts("closure fact", "the closure before", "the closure after rollback", closureBefore, tripleSet(u, db.Engine().Closure()))
 }
 
-// PersistenceRoundTrip checks both durability paths against the live
-// store: a snapshot written and reloaded into a fresh database must
-// hold the same stored facts, and a database whose mutations went
-// through an append-only log must come back identical (stored facts
-// and closure) when reopened from that log.
-func PersistenceRoundTrip(w *gen.World) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "persistence", Detail: fmt.Sprintf(format, args...)}
-	}
+// persistence checks both durability paths against the live store: a
+// snapshot written and reloaded into a fresh database must hold the
+// same stored facts, and a database whose mutations went through an
+// append-only log must come back identical (stored facts and closure)
+// when reopened from that log.
+func persistence(w *gen.World, _ Options) error {
 	dir, err := os.MkdirTemp("", "lsdb-check-*")
 	if err != nil {
-		return fail("mktemp: %v", err)
+		return fmt.Errorf("mktemp: %v", err)
 	}
 	defer os.RemoveAll(dir)
 
@@ -700,18 +636,15 @@ func PersistenceRoundTrip(w *gen.World) *Failure {
 	db := w.Build()
 	snap := filepath.Join(dir, fmt.Sprintf("w%d.snap", w.Seed))
 	if err := db.SaveSnapshot(snap); err != nil {
-		return fail("save snapshot: %v", err)
+		return fmt.Errorf("save snapshot: %v", err)
 	}
 	loaded := lsdb.New()
 	if err := loaded.LoadSnapshot(snap); err != nil {
-		return fail("load snapshot: %v", err)
+		return fmt.Errorf("load snapshot: %v", err)
 	}
-	want, got := tripleSet(db, db.Store()), tripleSet(loaded, loaded.Store())
-	if t, inWant, ok := diffSets(want, got); ok {
-		if inWant {
-			return fail("snapshot lost stored fact %v", t)
-		}
-		return fail("snapshot invented stored fact %v", t)
+	if err := sameFacts("stored fact", "the live store", "the reloaded snapshot",
+		tripleSet(db.Universe(), db.Store()), tripleSet(loaded.Universe(), loaded.Store())); err != nil {
+		return err
 	}
 
 	// Log round-trip: replay the world through an attached log, then
@@ -719,17 +652,17 @@ func PersistenceRoundTrip(w *gen.World) *Failure {
 	logPath := filepath.Join(dir, fmt.Sprintf("w%d.log", w.Seed))
 	logged, err := lsdb.Open(lsdb.Options{LogPath: logPath})
 	if err != nil {
-		return fail("open with log: %v", err)
+		return fmt.Errorf("open with log: %v", err)
 	}
 	w.Apply(logged)
-	loggedStored := tripleSet(logged, logged.Store())
-	loggedClosure := len(tripleSet(logged, logged.Engine().Closure()))
+	loggedStored := tripleSet(logged.Universe(), logged.Store())
+	loggedClosure := logged.Engine().Closure().Len()
 	if err := logged.Close(); err != nil {
-		return fail("close log: %v", err)
+		return fmt.Errorf("close log: %v", err)
 	}
 	reopened, err := lsdb.Open(lsdb.Options{LogPath: logPath})
 	if err != nil {
-		return fail("reopen from log: %v", err)
+		return fmt.Errorf("reopen from log: %v", err)
 	}
 	defer reopened.Close()
 	// Rule toggles are not logged (they are session configuration),
@@ -742,15 +675,12 @@ func PersistenceRoundTrip(w *gen.World) *Failure {
 			_ = reopened.IncludeRule(op.Rule)
 		}
 	}
-	reStored := tripleSet(reopened, reopened.Store())
-	if t, inWant, ok := diffSets(loggedStored, reStored); ok {
-		if inWant {
-			return fail("log replay lost stored fact %v", t)
-		}
-		return fail("log replay invented stored fact %v", t)
+	if err := sameFacts("stored fact", "the live store", "the log replay",
+		loggedStored, tripleSet(reopened.Universe(), reopened.Store())); err != nil {
+		return err
 	}
-	if n := len(tripleSet(reopened, reopened.Engine().Closure())); n != loggedClosure {
-		return fail("closure after log replay has %d facts, live had %d", n, loggedClosure)
+	if n := reopened.Engine().Closure().Len(); n != loggedClosure {
+		return fmt.Errorf("closure after log replay has %d facts, live had %d", n, loggedClosure)
 	}
 	return nil
 }

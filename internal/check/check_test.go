@@ -1,6 +1,7 @@
 package check
 
 import (
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -44,17 +45,20 @@ func TestRunCleanOnMediumWorlds(t *testing.T) {
 // sink confirms the eviction path actually ran.
 func TestRunCleanOnChurnWorlds(t *testing.T) {
 	var agg rules.CacheStats
-	opts := Options{CacheStatsSink: func(st rules.CacheStats) {
+	sink := func(st rules.CacheStats) {
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
 		agg.Evictions += st.Evictions
-	}}
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		cc := gen.SmallChurn()
 		cc.Disjoint = seed%2 != 0
 		w := gen.Churn(seed, cc)
-		if f := Run(w, opts); f != nil {
+		if f := Run(w, Options{}); f != nil {
 			t.Fatalf("seed %d (disjoint=%v): %v\n%s", seed, cc.Disjoint, f, w.Program())
+		}
+		if err := cachedVsUncached(w, sink); err != nil {
+			t.Fatalf("seed %d (disjoint=%v): %v", seed, cc.Disjoint, err)
 		}
 	}
 	if agg.Hits == 0 {
@@ -71,7 +75,7 @@ func TestRunCleanOnChurnWorlds(t *testing.T) {
 // fails.
 func TestChurnWorldsShrink(t *testing.T) {
 	inject := func(db *lsdb.Database) { db.Engine().Exclude(rules.MemberSource) }
-	opts := Options{Perturb: inject, SkipPersistence: true}
+	opts := Options{Perturb: inject}
 	fails := func(w *gen.World) bool { return ParallelEquivalence(w, opts) != nil }
 
 	var failing *gen.World
@@ -100,7 +104,7 @@ func TestChurnWorldsShrink(t *testing.T) {
 // failing world must produce a repro of at most 20 asserts.
 func TestInjectedRuleSkipIsCaught(t *testing.T) {
 	inject := func(db *lsdb.Database) { db.Engine().Exclude(rules.MemberSource) }
-	opts := Options{Perturb: inject, SkipPersistence: true}
+	opts := Options{Perturb: inject}
 
 	fails := func(w *gen.World) bool {
 		f := ParallelEquivalence(w, opts)
@@ -134,7 +138,7 @@ func TestInjectedRuleSkipIsCaught(t *testing.T) {
 // different rule to make sure detection is not rule-specific.
 func TestInjectedInversionSkipIsCaught(t *testing.T) {
 	inject := func(db *lsdb.Database) { db.Engine().Exclude(rules.Inversion) }
-	opts := Options{Perturb: inject, SkipPersistence: true}
+	opts := Options{Perturb: inject}
 	detected := false
 	for seed := int64(0); seed < 200; seed++ {
 		w := gen.Generate(seed, gen.Small())
@@ -170,8 +174,8 @@ func TestDescribeIncludesProgram(t *testing.T) {
 func TestTxRollbackOracle(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := TxRollback(w); f != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		if err := txRollback(w, Options{}); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, w.Program())
 		}
 	}
 }
@@ -181,8 +185,8 @@ func TestTxRollbackOracle(t *testing.T) {
 func TestBoundedOracleDirect(t *testing.T) {
 	for seed := int64(50); seed < 80; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := ClosureVsBounded(w); f != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		if err := closureVsBounded(w, Options{}); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, w.Program())
 		}
 	}
 }
@@ -193,8 +197,8 @@ func TestBoundedOracleDirect(t *testing.T) {
 func TestRoundEqualsDepth(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, w := range []*gen.World{gen.Generate(seed, gen.Small()), gen.Churn(seed, gen.SmallChurn())} {
-			if f := RoundEqualsDepth(w); f != nil {
-				t.Errorf("seed %d: %v", seed, f)
+			if err := roundEqualsDepth(w, Options{}); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
 			}
 		}
 	}
@@ -206,15 +210,15 @@ func TestRoundEqualsDepth(t *testing.T) {
 // sampled op must share subgoals).
 func TestCachedVsUncachedOracle(t *testing.T) {
 	var agg rules.CacheStats
-	opts := Options{CacheStatsSink: func(st rules.CacheStats) {
+	sink := func(st rules.CacheStats) {
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
 		agg.Invalidations += st.Invalidations
-	}}
+	}
 	for seed := int64(0); seed < 30; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := CachedVsUncached(w, opts); f != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		if err := cachedVsUncached(w, sink); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, w.Program())
 		}
 	}
 	if agg.Hits == 0 {
@@ -231,8 +235,8 @@ func TestCachedVsUncachedOracle(t *testing.T) {
 func TestBatchVsSingleOracle(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := BatchVsSingle(w, Options{}); f != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		if err := batchVsSingle(w, Options{}); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, w.Program())
 		}
 	}
 }
@@ -260,7 +264,7 @@ func TestParallelEquivalenceComparesPremises(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := Options{Perturb: reassert, SkipPersistence: true}
+	opts := Options{Perturb: reassert}
 	for seed := int64(0); seed < 200; seed++ {
 		w := gen.Generate(seed, gen.Small())
 		if f := ParallelEquivalence(w, opts); f != nil {
@@ -279,6 +283,26 @@ func TestIncrementalVsFullProvenance(t *testing.T) {
 			if f := IncrementalVsFull(w); f != nil {
 				t.Errorf("seed %d: %v", seed, f)
 			}
+		}
+	}
+}
+
+// TestDesignListsEveryOracle: DESIGN.md §6 describes every row of the
+// oracle table by name.
+func TestDesignListsEveryOracle(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(doc)
+	start := strings.Index(s, "\n## 6. ")
+	end := strings.Index(s, "\n## 7. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §6")
+	}
+	for _, o := range Oracles {
+		if !strings.Contains(s[start:end], "`"+o.Name+"`") {
+			t.Errorf("DESIGN.md §6 does not list oracle %q", o.Name)
 		}
 	}
 }

@@ -16,11 +16,13 @@ package check
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/fact"
 	"repro/internal/gen"
@@ -148,39 +150,68 @@ func (f *crashFile) Read(p []byte) (int, error) {
 	return f.File.Read(p)
 }
 
-// CrashConfig parameterizes one crash-point sweep.
-type CrashConfig struct {
+// crashConfig parameterizes one crash-point sweep.
+type crashConfig struct {
 	Seed            int64
 	Points          int              // crash budgets swept evenly across the clean run's byte cost
 	Policy          store.SyncPolicy // log sync policy under test
 	CheckpointEvery int              // explicit checkpoint cadence in ops, also the auto-checkpoint threshold (0 disables)
 	SyncEvery       int              // explicit SyncLog cadence in ops (0 disables; the durability floor for SyncNever)
-	Dir             string           // scratch directory for log and snapshot files
 }
 
-// tripleKey canonicalizes a fact for cross-universe comparison.
-func tripleKey(u *fact.Universe, f fact.Fact) [3]string {
-	return [3]string{u.Name(f.S), u.Name(f.R), u.Name(f.T)}
-}
+// unlimited is a fault budget no clean run reaches.
+const unlimited = 1 << 62
 
-func storeSet(st *store.Store, u *fact.Universe) map[[3]string]bool {
-	out := make(map[[3]string]bool)
-	for _, f := range st.Facts() {
-		out[tripleKey(u, f)] = true
+// cutSweep is the one driver of the fault sweeps. clean runs a
+// scenario with nothing cut and returns the bytes each of its fault
+// injectors let through; cut reruns the scenario at point i of points
+// with each budget i/points of the way through that injector's clean
+// cost. label names the sweep in its own failures. It returns the
+// points checked and the first failure.
+func cutSweep(label string, points int, clean func() ([]int64, error), cut func(point int, budgets []int64) error) (int, error) {
+	costs, err := clean()
+	if err != nil {
+		return 0, err
 	}
-	return out
-}
-
-func sameSet(a, b map[[3]string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
+	for _, c := range costs {
+		if c <= 0 {
+			return 0, fmt.Errorf("%s: clean run cost nothing to cut (%v bytes)", label, costs)
 		}
 	}
-	return true
+	budgets := make([]int64, len(costs))
+	for i := 0; i < points; i++ {
+		for k, c := range costs {
+			budgets[k] = c * int64(i) / int64(points)
+		}
+		if err := cut(i, budgets); err != nil {
+			return i, err
+		}
+	}
+	return points, nil
+}
+
+// logOp applies an assert or retract op through st's log. When the
+// store changed, the op is applied to state as well and a copy of the
+// result is returned; otherwise the copy is nil.
+func logOp(u *fact.Universe, st *store.Store, op gen.Op, state map[[3]string]bool) (map[[3]string]bool, error) {
+	f := u.NewFact(op.S, op.R, op.T)
+	var changed bool
+	var err error
+	switch op.Kind {
+	case gen.OpAssert:
+		changed, err = st.InsertLogged(f)
+	case gen.OpRetract:
+		changed, err = st.DeleteLogged(f)
+	}
+	if !changed {
+		return nil, err
+	}
+	if op.Kind == gen.OpAssert {
+		state[triple(u, f)] = true
+	} else {
+		delete(state, triple(u, f))
+	}
+	return maps.Clone(state), err
 }
 
 func formatSet(s map[[3]string]bool) string {
@@ -192,55 +223,35 @@ func formatSet(s map[[3]string]bool) string {
 	return strings.Join(keys, " ")
 }
 
-// crashRun replays ops against a fresh store whose filesystem crashes
-// after budget bytes. It returns the sequence of states the store
+// crashRun replays ops against a fresh store on fs, a filesystem that
+// crashes after its budget. It returns the sequence of states the store
 // passed through (states[0] is empty; one entry per state-changing
-// op) and the index of the last state known durable when the crash
-// hit — the recovery oracle's floor.
-func crashRun(ops []gen.Op, cfg CrashConfig, budget int64, path, snap string) (states []map[[3]string]bool, floor int) {
+// op), the index of the last state known durable when the crash hit —
+// the recovery oracle's floor — and the error that stopped the replay
+// early, if one did.
+func crashRun(ops []gen.Op, cfg crashConfig, fs *CrashFS, path string) (states []map[[3]string]bool, floor int, err error) {
 	u := fact.NewUniverse()
 	st := store.New(u)
-	cfs := NewCrashFS(budget)
-	st.SetFS(cfs)
+	st.SetFS(fs)
 
 	states = []map[[3]string]bool{{}}
 	cur := map[[3]string]bool{}
 	if _, err := st.AttachLogPolicy(path, cfg.Policy); err != nil {
-		return states, 0 // crashed creating the log: nothing is durable
+		return states, 0, err // crashed creating the log: nothing is durable
 	}
 	defer st.CloseLog() // best effort; after a crash this fails
 	if cfg.CheckpointEvery > 0 {
-		st.SetAutoCheckpoint(cfg.CheckpointEvery, snap)
+		st.SetAutoCheckpoint(cfg.CheckpointEvery, path+".snap")
 	}
 
 	always := cfg.Policy == store.SyncAlways
 	for i, op := range ops {
-		f := u.NewFact(op.S, op.R, op.T)
-		var changed bool
-		var err error
-		switch op.Kind {
-		case gen.OpAssert:
-			changed, err = st.InsertLogged(f)
-		case gen.OpRetract:
-			changed, err = st.DeleteLogged(f)
-		default:
-			continue
-		}
-		if changed {
-			k := tripleKey(u, f)
-			if op.Kind == gen.OpAssert {
-				cur[k] = true
-			} else {
-				delete(cur, k)
-			}
-			snapState := make(map[[3]string]bool, len(cur))
-			for k := range cur {
-				snapState[k] = true
-			}
-			states = append(states, snapState)
+		after, err := logOp(u, st, op, cur)
+		if after != nil {
+			states = append(states, after)
 		}
 		if err != nil {
-			return states, floor // crashed: no later op was acknowledged
+			return states, floor, err // crashed: no later op was acknowledged
 		}
 		// The op was acknowledged. Under SyncAlways that acknowledgement
 		// IS the durability point; buffered policies promise nothing
@@ -249,11 +260,10 @@ func crashRun(ops []gen.Op, cfg CrashConfig, budget int64, path, snap string) (s
 			floor = len(states) - 1
 		}
 		if cfg.SyncEvery > 0 && (i+1)%cfg.SyncEvery == 0 {
-			if st.SyncLog() == nil {
-				floor = len(states) - 1
-			} else {
-				return states, floor
+			if err := st.SyncLog(); err != nil {
+				return states, floor, err
 			}
+			floor = len(states) - 1
 		}
 		// Drive the checkpoint protocol deterministically so the sweep
 		// lands crash points inside snapshot writes, compaction tmp
@@ -261,71 +271,61 @@ func crashRun(ops []gen.Op, cfg CrashConfig, budget int64, path, snap string) (s
 		// successful checkpoint fsyncs the compacted log, so it is a
 		// durability point under every policy.
 		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-			if st.Checkpoint() == nil {
-				floor = len(states) - 1
-			} else {
-				return states, floor
+			if err := st.Checkpoint(); err != nil {
+				return states, floor, err
 			}
+			floor = len(states) - 1
 		}
 	}
-	return states, floor
+	return states, floor, nil
 }
 
-// recoverAndCheck reopens the crashed log with the real filesystem
-// and asserts the recovery contract against the recorded states.
-func recoverAndCheck(states []map[[3]string]bool, floor int, cfg CrashConfig, budget int64, path, snap string) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Oracle: "crash-recovery",
-			Detail: fmt.Sprintf("seed %d budget %d: %s", cfg.Seed, budget, fmt.Sprintf(format, args...)),
+// stateIndex returns the last index of got in states, or -1.
+func stateIndex(got map[[3]string]bool, states []map[[3]string]bool) int {
+	for k := len(states) - 1; k >= 0; k-- {
+		if _, _, differ := diffSets(got, states[k]); !differ {
+			return k
 		}
 	}
+	return -1
+}
+
+// recoverAndCheck reopens the crashed log at path with the real
+// filesystem and asserts the recovery contract against the recorded
+// states.
+func recoverAndCheck(states []map[[3]string]bool, floor int, checkpoints bool, path string) error {
 	u := fact.NewUniverse()
 	st := store.New(u)
 	replayed, err := st.AttachLog(path)
 	if err != nil {
 		if errors.Is(err, store.ErrBadFormat) {
-			return fail("recovery rejected the log as corrupt: %v", err)
+			return fmt.Errorf("recovery rejected the log as corrupt: %v", err)
 		}
-		return fail("recovery failed to reopen the log: %v", err)
+		return fmt.Errorf("recovery failed to reopen the log: %v", err)
 	}
 	defer st.CloseLog()
-	recovered := storeSet(st, u)
+	recovered := tripleSet(u, st)
 
-	match := -1
-	for k := len(states) - 1; k >= 0; k-- {
-		if sameSet(recovered, states[k]) {
-			match = k
-			break
-		}
-	}
+	match := stateIndex(recovered, states)
 	if match < 0 {
-		return fail("recovered state is not a prefix of the applied ops (replayed %d records): %s",
+		return fmt.Errorf("recovered state is not a prefix of the applied ops (replayed %d records): %s",
 			replayed, formatSet(recovered))
 	}
 	if match < floor {
-		return fail("lost an acknowledged-durable commit: recovered prefix %d < durable floor %d", match, floor)
+		return fmt.Errorf("lost an acknowledged-durable commit: recovered prefix %d < durable floor %d", match, floor)
 	}
 
 	// A checkpoint snapshot, when present, is atomic: it either loads
 	// cleanly as some applied prefix or it does not exist.
-	if cfg.CheckpointEvery > 0 {
+	if snap := path + ".snap"; checkpoints {
 		if _, serr := os.Stat(snap); serr == nil {
 			su := fact.NewUniverse()
 			ss := store.New(su)
 			if err := ss.LoadSnapshotFile(snap); err != nil {
-				return fail("checkpoint snapshot exists but does not load: %v", err)
+				return fmt.Errorf("checkpoint snapshot exists but does not load: %v", err)
 			}
-			got := storeSet(ss, su)
-			ok := false
-			for k := range states {
-				if sameSet(got, states[k]) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fail("checkpoint snapshot is not a prefix state: %s", formatSet(got))
+			if got := tripleSet(su, ss); stateIndex(got, states) < 0 {
+				return fmt.Errorf("checkpoint snapshot is not a prefix state: %s", formatSet(got))
 			}
 		}
 	}
@@ -335,100 +335,75 @@ func recoverAndCheck(states []map[[3]string]bool, floor int, cfg CrashConfig, bu
 	// marker.
 	marker := u.NewFact("CRASH-PROBE", "in", "RECOVERED")
 	if ok, err := st.InsertLogged(marker); !ok || err != nil {
-		return fail("post-recovery append = (%v, %v)", ok, err)
+		return fmt.Errorf("post-recovery append = (%v, %v)", ok, err)
 	}
 	u2 := fact.NewUniverse()
 	st2 := store.New(u2)
 	if _, err := st2.AttachLog(path); err != nil {
-		return fail("reopen after post-recovery append: %v", err)
+		return fmt.Errorf("reopen after post-recovery append: %v", err)
 	}
 	defer st2.CloseLog()
-	want := make(map[[3]string]bool, len(recovered)+1)
-	for k := range recovered {
-		want[k] = true
-	}
-	want[tripleKey(u, marker)] = true
-	if got := storeSet(st2, u2); !sameSet(got, want) {
-		return fail("post-recovery append not preserved: %s", formatSet(got))
+	recovered[triple(u, marker)] = true
+	if err := sameFacts("fact", "the recovered state plus the marker", "the reopened log", recovered, tripleSet(u2, st2)); err != nil {
+		return fmt.Errorf("post-recovery append not preserved: %v", err)
 	}
 	return nil
 }
 
-// CrashScan measures the workload's clean byte cost, then sweeps
+// crashSweep is the crash-recovery row: o.Points crash points through
+// the durability log for the world's seed. It rotates sync policies
+// across seeds so the sweep covers fsync-per-commit, explicit-sync, and
+// timed-flush recovery.
+func crashSweep(w *gen.World, o Options) error {
+	cfg := crashConfig{Seed: w.Seed, Points: o.Points}
+	switch w.Seed % 3 {
+	case 0:
+		cfg.Policy, cfg.CheckpointEvery = store.SyncAlways, 8
+	case 1:
+		cfg.Policy, cfg.SyncEvery = store.SyncNever, 5
+	default:
+		cfg.Policy, cfg.CheckpointEvery = store.SyncInterval(time.Millisecond), 8
+	}
+	_, err := crashScan(cfg)
+	return err
+}
+
+// crashScan measures the workload's clean byte cost, then sweeps
 // cfg.Points crash budgets evenly across it, checking the recovery
 // contract at each. It returns the number of crash points checked and
 // the first failure, if any.
-func CrashScan(cfg CrashConfig) (int, *Failure) {
+func crashScan(cfg crashConfig) (int, error) {
 	if cfg.Points <= 0 {
 		cfg.Points = 25
 	}
 	ops := gen.LogWorkload(cfg.Seed, gen.Small())
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "lsdb-crash")
+	dir, err := os.MkdirTemp("", "lsdb-crash")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	checkpoints := cfg.CheckpointEvery > 0
+
+	return cutSweep(fmt.Sprintf("crash seed %d", cfg.Seed), cfg.Points, func() ([]int64, error) {
+		// Clean run: an unlimited budget measures the total byte cost,
+		// and its recovery check is the no-crash baseline.
+		fs, path := NewCrashFS(unlimited), filepath.Join(dir, "clean.log")
+		states, floor, err := crashRun(ops, cfg, fs, path)
+		if err == nil {
+			err = recoverAndCheck(states, floor, checkpoints, path)
+		}
 		if err != nil {
-			return 0, &Failure{Oracle: "crash-recovery", Detail: err.Error()}
+			return nil, fmt.Errorf("seed %d clean run: %v", cfg.Seed, err)
 		}
-		defer os.RemoveAll(dir)
-	}
-
-	// Clean run: unlimited budget measures the total byte cost, and
-	// its recovery check doubles as the no-crash baseline.
-	cleanPath := filepath.Join(dir, fmt.Sprintf("clean-%d.log", cfg.Seed))
-	cleanSnap := cleanPath + ".snap"
-	u := fact.NewUniverse()
-	st := store.New(u)
-	cfs := NewCrashFS(1 << 62)
-	st.SetFS(cfs)
-	if _, err := st.AttachLogPolicy(cleanPath, cfg.Policy); err != nil {
-		return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean attach: %v", err)}
-	}
-	if cfg.CheckpointEvery > 0 {
-		st.SetAutoCheckpoint(cfg.CheckpointEvery, cleanSnap)
-	}
-	for i, op := range ops {
-		f := u.NewFact(op.S, op.R, op.T)
-		switch op.Kind {
-		case gen.OpAssert:
-			if _, err := st.InsertLogged(f); err != nil {
-				return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean run: %v", err)}
-			}
-		case gen.OpRetract:
-			if _, err := st.DeleteLogged(f); err != nil {
-				return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean run: %v", err)}
-			}
+		return []int64{fs.Written()}, nil
+	}, func(i int, budgets []int64) error {
+		path := filepath.Join(dir, fmt.Sprintf("crash-%d.log", i))
+		states, floor, _ := crashRun(ops, cfg, NewCrashFS(budgets[0]), path)
+		if err := recoverAndCheck(states, floor, checkpoints, path); err != nil {
+			return fmt.Errorf("seed %d budget %d: %v", cfg.Seed, budgets[0], err)
 		}
-		// Mirror crashRun's explicit sync/checkpoint cadence so budgets
-		// measured here sweep the same byte sequence the crash runs see.
-		if cfg.SyncEvery > 0 && (i+1)%cfg.SyncEvery == 0 {
-			if err := st.SyncLog(); err != nil {
-				return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean sync: %v", err)}
-			}
-		}
-		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-			if err := st.Checkpoint(); err != nil {
-				return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean checkpoint: %v", err)}
-			}
-		}
-	}
-	if err := st.CloseLog(); err != nil {
-		return 0, &Failure{Oracle: "crash-recovery", Detail: fmt.Sprintf("clean close: %v", err)}
-	}
-	total := cfs.Written()
-
-	checked := 0
-	for i := 0; i < cfg.Points; i++ {
-		budget := total * int64(i) / int64(cfg.Points)
-		path := filepath.Join(dir, fmt.Sprintf("crash-%d-%d.log", cfg.Seed, i))
-		snap := path + ".snap"
-		states, floor := crashRun(ops, cfg, budget, path, snap)
-		if f := recoverAndCheck(states, floor, cfg, budget, path, snap); f != nil {
-			return checked, f
-		}
-		checked++
 		os.Remove(path)
-		os.Remove(snap)
-	}
-	return checked, nil
+		os.Remove(path + ".snap")
+		return nil
+	})
 }

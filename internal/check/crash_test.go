@@ -43,15 +43,14 @@ func TestCrashFSTornWrite(t *testing.T) {
 	}
 }
 
-// crashSweep runs CrashScan across seeds and accumulates the number
+// sweepSeeds runs crashScan across seeds and accumulates the number
 // of crash points checked.
-func crashSweep(t *testing.T, seeds int, cfg CrashConfig) int {
+func sweepSeeds(t *testing.T, seeds int, cfg crashConfig) int {
 	t.Helper()
 	total := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		cfg.Seed = seed
-		cfg.Dir = t.TempDir()
-		n, fail := CrashScan(cfg)
+		n, fail := crashScan(cfg)
 		total += n
 		if fail != nil {
 			t.Fatal(fail)
@@ -70,7 +69,7 @@ func TestCrashRecoverySyncAlways(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	n := crashSweep(t, seeds, CrashConfig{
+	n := sweepSeeds(t, seeds, crashConfig{
 		Points:          25,
 		Policy:          store.SyncAlways,
 		CheckpointEvery: 8,
@@ -86,7 +85,7 @@ func TestCrashRecoverySyncNever(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	n := crashSweep(t, seeds, CrashConfig{
+	n := sweepSeeds(t, seeds, crashConfig{
 		Points:    25,
 		Policy:    store.SyncNever,
 		SyncEvery: 5,
@@ -102,7 +101,7 @@ func TestCrashRecoverySyncInterval(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	n := crashSweep(t, seeds, CrashConfig{
+	n := sweepSeeds(t, seeds, crashConfig{
 		Points:          25,
 		Policy:          store.SyncInterval(time.Millisecond),
 		CheckpointEvery: 8,

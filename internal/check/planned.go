@@ -16,7 +16,16 @@ import (
 	"repro/internal/sym"
 )
 
-// PlannedVsSyntactic is the query-planner differential oracle. The
+// plannedMaxWaves and plannedMaxPerWave cap each query's retraction:
+// the point is to reach broadened queries, not to finish the search
+// (and a capped wave exercises the truncation path).
+const (
+	plannedMaxWaves   = 2
+	plannedMaxPerWave = 16
+	plannedDepth      = 2
+)
+
+// plannedVsSyntactic is the query-planner differential oracle. The
 // product evaluator reorders conjuncts by the matcher's estimates and
 // ends a conjunction on an exact-zero estimate; refEval below evaluates
 // the conjuncts as written and asks the matcher for nothing but facts.
@@ -31,25 +40,13 @@ import (
 // Join order can only be unobservable when matching is a relation, and
 // the product's deliberately is not in three places (see relational);
 // both sides match through that wrapper.
-func PlannedVsSyntactic(w *gen.World) *Failure {
-	return plannedVsSyntactic(w, func(m query.Matcher) query.Matcher { return m })
-}
-
-// plannedMaxWaves and plannedMaxPerWave cap each query's retraction:
-// the point is to reach broadened queries, not to finish the search
-// (and a capped wave exercises the truncation path).
-const (
-	plannedMaxWaves   = 2
-	plannedMaxPerWave = 16
-	plannedDepth      = 2
-)
-
-// plannedVsSyntactic runs the oracle with the product matchers passed
-// through wrap, which lets the package's own tests plant an estimator
-// that lies and see the oracle catch it.
-func plannedVsSyntactic(w *gen.World, wrap func(query.Matcher) query.Matcher) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "planned-vs-syntactic", Detail: fmt.Sprintf(format, args...)}
+//
+// A wrap that is not nil is applied to the product matchers, which
+// lets the package's own tests plant an estimator that lies and see the
+// oracle catch it.
+func plannedVsSyntactic(w *gen.World, wrap func(query.Matcher) query.Matcher) error {
+	if wrap == nil {
+		wrap = func(m query.Matcher) query.Matcher { return m }
 	}
 	db := w.Build()
 	v := plannedVocabulary(w)
@@ -82,14 +79,14 @@ func plannedVsSyntactic(w *gen.World, wrap func(query.Matcher) query.Matcher) *F
 	for _, src := range plannedQueries(db, v, rand.New(rand.NewSource(w.Seed^0x9e3779b9))) {
 		q, err := db.Parse(src)
 		if err != nil {
-			return fail("generated query %q does not parse: %v", src, err)
+			return fmt.Errorf("generated query %q does not parse: %v", src, err)
 		}
 		out, err := pr.Probe(q)
 		if err != nil {
 			out = &probe.Outcome{}
 		}
 		if diff := ref.compare(q, out.Result, err); diff != "" {
-			return fail("%s: %s", src, diff)
+			return fmt.Errorf("%s: %s", src, diff)
 		}
 		for _, wave := range out.Waves {
 			for _, e := range wave.Entries {
@@ -98,14 +95,14 @@ func plannedVsSyntactic(w *gen.World, wrap func(query.Matcher) query.Matcher) *F
 					res = &query.Result{}
 				}
 				if diff := ref.compare(e.Q, res, nil); diff != "" {
-					return fail("%s, retraction %s: %s", src, e.Q, diff)
+					return fmt.Errorf("%s, retraction %s: %s", src, e.Q, diff)
 				}
 			}
 		}
 		if bounded {
 			res, err := plannedB.Eval(q)
 			if diff := refB.compare(q, res, err); diff != "" {
-				return fail("%s at depth %d: %s", src, plannedDepth, diff)
+				return fmt.Errorf("%s at depth %d: %s", src, plannedDepth, diff)
 			}
 		}
 	}

@@ -16,16 +16,16 @@ func TestPlannedVsSyntacticOracle(t *testing.T) {
 		if seed%4 == 3 {
 			w = gen.Churn(seed, gen.SmallChurn())
 		}
-		if f := PlannedVsSyntactic(w); f != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, f, w.Program())
+		if err := plannedVsSyntactic(w, nil); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, w.Program())
 		}
 	}
 	if testing.Short() {
 		return
 	}
 	w := gen.Generate(100, gen.Medium())
-	if f := PlannedVsSyntactic(w); f != nil {
-		t.Fatalf("medium seed 100: %v\n%s", f, w.Program())
+	if err := plannedVsSyntactic(w, nil); err != nil {
+		t.Fatalf("medium seed 100: %v\n%s", err, w.Program())
 	}
 }
 
@@ -42,11 +42,18 @@ func (m overconfident) EstimateCount(s, r, t sym.ID) (int, bool) {
 // TestPlannedVsSyntacticCatchesOverconfidentEstimates is the oracle's
 // own acceptance test.
 func TestPlannedVsSyntacticCatchesOverconfidentEstimates(t *testing.T) {
-	lie := func(m query.Matcher) query.Matcher { return overconfident{m} }
+	rows, err := Select("planned-vs-syntactic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := rows[0]
+	lying.Run = func(w *gen.World, _ Options) error {
+		return plannedVsSyntactic(w, func(m query.Matcher) query.Matcher { return overconfident{m} })
+	}
 	caught := 0
 	for seed := int64(0); seed < 40; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := plannedVsSyntactic(w, lie); f != nil {
+		if f := lying.Check(w, Options{}); f != nil {
 			if f.Oracle != "planned-vs-syntactic" {
 				t.Fatalf("unexpected oracle name %q", f.Oracle)
 			}

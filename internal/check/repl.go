@@ -6,24 +6,26 @@
 //     follower crash, after a primary crash) the follower's fact set
 //     equals the primary's state at the follower's applied LSN, never
 //     a scramble or an invention;
-//  2. recoverability — a follower restarted from its boot file and
-//     torn tail log always comes back at some applied prefix and can
+//  2. recoverability — a follower restarted from the follower's log,
+//     however torn, always comes back at some applied prefix and can
 //     resume (or snapshot re-bootstrap) to full convergence;
 //  3. closure — the follower's derived closure is identical to a
 //     fresh database replaying the same facts, so replication and
 //     inference compose.
 //
 // Faults come from three injectors: CrashFS budgets on the follower's
-// store (torn tail-log appends, torn boot-file writes), CrashFS
-// budgets on the primary's store (torn WAL appends, restart with a
-// truncated tail), and a one-shot connection cut that tears the HTTP
-// response stream at a byte budget (torn batches, torn snapshots).
+// store (torn appends and torn re-bootstraps of the follower's log),
+// CrashFS budgets on the primary's store (torn WAL appends, restart
+// with a truncated tail), and a one-shot connection cut that tears the
+// HTTP response stream at a byte budget (torn batches, torn
+// snapshots).
 package check
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -45,10 +47,13 @@ var errDropped = errors.New("check: simulated connection drop")
 // body: the read crossing the byte budget returns the prefix that
 // "arrived" and then errDropped. Every request after the cut passes
 // through untouched, so the oracle can assert the follower recovers.
+// With an unlimited budget it only counts the bytes delivered, which
+// calibrates the budgets a sweep will use.
 type cutTransport struct {
 	base   http.RoundTripper
 	mu     sync.Mutex
 	budget int64
+	read   int64 // body bytes delivered before the cut
 	cut    bool
 }
 
@@ -66,6 +71,12 @@ func (c *cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+func (c *cutTransport) delivered() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.read
+}
+
 type cutBody struct {
 	rc io.ReadCloser
 	t  *cutTransport
@@ -78,57 +89,20 @@ func (b *cutBody) Read(p []byte) (int, error) {
 		b.t.mu.Unlock()
 		return n, err
 	}
-	if int64(n) > b.t.budget {
-		allowed := b.t.budget
+	if b.t.read+int64(n) > b.t.budget {
+		allowed := b.t.budget - b.t.read
+		b.t.read = b.t.budget
 		b.t.cut = true
 		b.t.mu.Unlock()
 		b.rc.Close()
 		return int(allowed), errDropped
 	}
-	b.t.budget -= int64(n)
+	b.t.read += int64(n)
 	b.t.mu.Unlock()
 	return n, err
 }
 
 func (b *cutBody) Close() error { return b.rc.Close() }
-
-// countTransport measures response-body bytes, calibrating the cut
-// budgets a sweep will use.
-type countTransport struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	n    int64
-}
-
-func (c *countTransport) total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func (c *countTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := c.base.RoundTrip(req)
-	if err != nil || resp == nil || resp.Body == nil {
-		return resp, err
-	}
-	resp.Body = &countBody{rc: resp.Body, t: c}
-	return resp, nil
-}
-
-type countBody struct {
-	rc io.ReadCloser
-	t  *countTransport
-}
-
-func (b *countBody) Read(p []byte) (int, error) {
-	n, err := b.rc.Read(p)
-	b.t.mu.Lock()
-	b.t.n += int64(n)
-	b.t.mu.Unlock()
-	return n, err
-}
-
-func (b *countBody) Close() error { return b.rc.Close() }
 
 // swapHandler is a stable URL whose backend can be replaced or taken
 // down, so a primary can "crash" and restart without the follower's
@@ -155,13 +129,6 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// ReplConfig parameterizes one replication fault sweep.
-type ReplConfig struct {
-	Seed   int64
-	Points int    // fault points per scenario (four scenarios per scan)
-	Dir    string // scratch directory; a temp dir when empty
-}
-
 // stateTrack applies a primary's ops and records the fact set at
 // every commit LSN — the ground truth the prefix oracle compares
 // followers against.
@@ -181,33 +148,12 @@ func newStateTrack() *stateTrack {
 // state after the op is recorded under its commit LSN; on error (a
 // simulated crash) nothing is recorded — the op was never acked.
 func (tr *stateTrack) apply(db *lsdb.Database, op gen.Op) error {
-	u := db.Universe()
-	f := u.NewFact(op.S, op.R, op.T)
-	var changed bool
-	var err error
-	switch op.Kind {
-	case gen.OpAssert:
-		changed, err = db.Store().InsertLogged(f)
-	case gen.OpRetract:
-		changed, err = db.Store().DeleteLogged(f)
-	default:
-		return nil
-	}
+	after, err := logOp(db.Universe(), db.Store(), op, tr.cur)
 	if err != nil {
 		return err
 	}
-	if changed {
-		k := tripleKey(u, f)
-		if op.Kind == gen.OpAssert {
-			tr.cur[k] = true
-		} else {
-			delete(tr.cur, k)
-		}
-		cp := make(map[[3]string]bool, len(tr.cur))
-		for k := range tr.cur {
-			cp[k] = true
-		}
-		tr.states[db.LSN()] = cp
+	if after != nil {
+		tr.states[db.LSN()] = after
 	}
 	return nil
 }
@@ -220,102 +166,149 @@ func (tr *stateTrack) rewind(lsn uint64) {
 			delete(tr.states, l)
 		}
 	}
-	tr.cur = make(map[[3]string]bool, len(tr.states[lsn]))
-	for k := range tr.states[lsn] {
-		tr.cur[k] = true
-	}
+	tr.cur = maps.Clone(tr.states[lsn])
 }
 
-func replFail(scenario string, seed int64, point int, format string, args ...any) *Failure {
-	return &Failure{
-		Oracle: "replication",
-		Detail: fmt.Sprintf("%s seed %d point %d: %s", scenario, seed, point, fmt.Sprintf(format, args...)),
-	}
+// A faultPoint is one point of one scenario's sweep; failures name it.
+type faultPoint struct {
+	scenario string
+	seed     int64
+	point    int // -1 for the clean run
 }
 
-// prefixFail checks the core invariant: the follower's fact set at
-// applied LSN A equals the primary's recorded state at A.
-func prefixFail(scenario string, seed int64, point int, ctx string,
-	applied uint64, got map[[3]string]bool, tr *stateTrack) *Failure {
+func (p faultPoint) fail(format string, args ...any) error {
+	return fmt.Errorf("%s seed %d point %d: %s", p.scenario, p.seed, p.point, fmt.Sprintf(format, args...))
+}
+
+// primary starts the point's primary in a fresh directory under dir
+// and serves it. It returns the follower's directory and a done that
+// stops and removes everything.
+func (p faultPoint) primary(dir string, opts repl.PrimaryOptions) (pdb *lsdb.Database, url, fdir string, done func(), err error) {
+	sub := filepath.Join(dir, fmt.Sprintf("%s-%d", p.scenario, p.point))
+	fdir = filepath.Join(sub, "f")
+	os.MkdirAll(fdir, 0o755)
+	pdb, mux, err := startPrimary(filepath.Join(sub, "p.log"), nil, opts)
+	if err != nil {
+		os.RemoveAll(sub)
+		return nil, "", "", nil, p.fail("start primary: %v", err)
+	}
+	srv := httptest.NewServer(mux)
+	return pdb, srv.URL, fdir, func() { srv.Close(); pdb.Close(); os.RemoveAll(sub) }, nil
+}
+
+// prefix checks the core invariant: the follower's fact set at applied
+// LSN A equals the primary's recorded state at A.
+func (p faultPoint) prefix(ctx string, applied uint64, got map[[3]string]bool, tr *stateTrack) error {
 	want, ok := tr.states[applied]
 	if !ok {
-		return replFail(scenario, seed, point,
-			"%s: follower applied LSN %d matches no primary state (max %d)", ctx, applied, len(tr.states)-1)
+		return p.fail("%s: follower applied LSN %d matches no primary state (max %d)", ctx, applied, len(tr.states)-1)
 	}
-	if !sameSet(got, want) {
-		return replFail(scenario, seed, point,
-			"%s: follower at LSN %d diverged:\n  got  %s\n  want %s",
+	if _, _, differ := diffSets(got, want); differ {
+		return p.fail("%s: follower at LSN %d diverged:\n  got  %s\n  want %s",
 			ctx, applied, formatSet(got), formatSet(want))
 	}
 	return nil
 }
 
-// sample reads the follower's (applied, fact set) pair atomically
-// under its batch lock, so the prefix check never observes a
-// half-applied batch.
-func sample(mu *sync.Mutex, fl *repl.Follower, fdb *lsdb.Database) (uint64, map[[3]string]bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	return fl.AppliedLSN(), storeSet(fdb.Store(), fdb.Universe())
-}
-
-// closureFail rebuilds the follower's fact set in a fresh database
-// and requires both closures to be identical — replication must be
-// invisible to inference.
-func closureFail(scenario string, seed int64, point int, fdb *lsdb.Database) *Failure {
+// closure rebuilds the follower's fact set in a fresh database and
+// requires both closures to be identical — replication must be
+// invisible to inference. It runs on every fourth point.
+func (p faultPoint) closure(fdb *lsdb.Database) error {
+	if p.point%4 != 0 {
+		return nil
+	}
 	fresh, err := lsdb.Open(lsdb.Options{})
 	if err != nil {
-		return replFail(scenario, seed, point, "closure oracle: open fresh db: %v", err)
+		return p.fail("closure oracle: open fresh db: %v", err)
 	}
 	defer fresh.Close()
 	u := fdb.Universe()
 	for _, fc := range fdb.Store().Facts() {
 		if err := fresh.Assert(u.Name(fc.S), u.Name(fc.R), u.Name(fc.T)); err != nil {
-			return replFail(scenario, seed, point, "closure oracle: replay assert: %v", err)
+			return p.fail("closure oracle: replay assert: %v", err)
 		}
 	}
-	got := storeSet(fdb.Engine().Closure(), u)
-	want := storeSet(fresh.Engine().Closure(), fresh.Universe())
-	if !sameSet(got, want) {
-		return replFail(scenario, seed, point,
-			"follower closure (%d facts) != fresh-replay closure (%d facts)", len(got), len(want))
+	if err := sameFacts("fact", "the follower's closure", "the fresh replay's closure",
+		tripleSet(u, fdb.Engine().Closure()), tripleSet(fresh.Universe(), fresh.Engine().Closure())); err != nil {
+		return p.fail("%v", err)
+	}
+	return nil
+}
+
+// A follower is one replica under test: its database, its
+// replication loop, and the batch lock they share.
+type follower struct {
+	db *lsdb.Database
+	fl *repl.Follower
+	mu *sync.Mutex
+}
+
+func (f *follower) stop() {
+	f.fl.Stop()
+	f.db.Close()
+}
+
+// sample reads the follower's (applied, fact set) pair atomically
+// under its batch lock, so the prefix check never observes a
+// half-applied batch.
+func (f *follower) sample() (uint64, map[[3]string]bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fl.AppliedLSN(), tripleSet(f.db.Universe(), f.db.Store())
+}
+
+// converged waits for f to reach lsn, then requires the primary's
+// state at f's applied LSN and a follower that is not fatal.
+func (p faultPoint) converged(ctx string, f *follower, lsn uint64, tr *stateTrack) error {
+	if _, ok := f.fl.WaitLSN(lsn, replWaitTimeout); !ok {
+		return p.fail("%s: follower stuck: %+v", ctx, f.fl.Stats())
+	}
+	applied, got := f.sample()
+	if err := p.prefix(ctx, applied, got, tr); err != nil {
+		return err
+	}
+	if st := f.fl.Stats(); st.Fatal {
+		return p.fail("%s: follower fatal: %+v", ctx, st)
 	}
 	return nil
 }
 
 // startPrimary opens a database, attaches a SyncAlways log on fs (nil
 // for the real filesystem), and returns it with replication handlers.
-func startPrimary(path string, fs store.FS, opts repl.PrimaryOptions) (*lsdb.Database, *repl.Primary, http.Handler, error) {
+// On error nothing is left open.
+func startPrimary(path string, fs store.FS, opts repl.PrimaryOptions) (*lsdb.Database, http.Handler, error) {
 	db, err := lsdb.Open(lsdb.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if fs != nil {
 		db.Store().SetFS(fs)
 	}
 	if _, err := db.Store().AttachLogPolicy(path, store.SyncAlways); err != nil {
-		return db, nil, nil, err
+		db.Close()
+		return nil, nil, err
 	}
 	p := repl.NewPrimary(db, opts)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/repl/wal", p.ServeWAL)
 	mux.HandleFunc("/repl/snapshot", p.ServeSnapshot)
-	return db, p, mux, nil
+	return db, mux, nil
 }
 
 // startFollower opens a follower on fs (nil for the real filesystem)
 // tailing primary, with small batches and an aggressive poll cadence
-// so fault budgets land on many distinct protocol positions.
-func startFollower(dir, primary string, client *http.Client, fs store.FS) (*lsdb.Database, *repl.Follower, *sync.Mutex, error) {
+// so fault budgets land on many distinct protocol positions. On error
+// nothing is left open.
+func startFollower(dir, primary string, client *http.Client, fs store.FS) (*follower, error) {
 	db, err := lsdb.Open(lsdb.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if fs != nil {
 		db.Store().SetFS(fs)
 	}
-	mu := &sync.Mutex{}
-	fl, err := repl.NewFollower(db, repl.Config{
+	f := &follower{db: db, mu: &sync.Mutex{}}
+	f.fl, err = repl.NewFollower(db, repl.Config{
 		Primary:  primary,
 		Dir:      dir,
 		Name:     "f",
@@ -324,15 +317,16 @@ func startFollower(dir, primary string, client *http.Client, fs store.FS) (*lsdb
 		WaitMs:   25,
 		BatchMax: 5,
 		Backoff:  time.Millisecond,
-		Lock:     mu,
+		Lock:     f.mu,
 	})
+	if err == nil {
+		err = f.fl.Start()
+	}
 	if err != nil {
-		return db, nil, nil, err
+		db.Close()
+		return nil, err
 	}
-	if err := fl.Start(); err != nil {
-		return db, nil, mu, err
-	}
-	return db, fl, mu, nil
+	return f, nil
 }
 
 // waitFatalOr polls until the follower either reports a fatal local
@@ -354,348 +348,229 @@ const replWaitTimeout = 15 * time.Second
 // a follower recovers from disk alone.
 const unreachable = "http://127.0.0.1:1"
 
-// auditRecovery restarts a follower from dir against an unreachable
-// primary and checks it comes back at an exact applied prefix.
-func auditRecovery(scenario string, seed int64, point int, dir string, maxLSN uint64, tr *stateTrack) *Failure {
-	db, fl, mu, err := startFollower(dir, unreachable, nil, nil)
+// audit restarts a follower from dir against an unreachable primary
+// and checks it comes back at an exact applied prefix.
+func (p faultPoint) audit(dir string, maxLSN uint64, tr *stateTrack) error {
+	f, err := startFollower(dir, unreachable, nil, nil)
 	if err != nil {
-		if db != nil {
-			db.Close()
-		}
-		return replFail(scenario, seed, point, "recovery from local files failed: %v", err)
+		return p.fail("recovery from local files failed: %v", err)
 	}
-	applied, got := sample(mu, fl, db)
-	fl.Stop()
-	db.Close()
+	applied, got := f.sample()
+	f.stop()
 	if applied > maxLSN {
-		return replFail(scenario, seed, point,
-			"recovered applied LSN %d exceeds primary LSN %d", applied, maxLSN)
+		return p.fail("recovered applied LSN %d exceeds primary LSN %d", applied, maxLSN)
 	}
-	return prefixFail(scenario, seed, point, "after restart", applied, got, tr)
+	return p.prefix("after restart", applied, got, tr)
 }
 
 // replDropSweep tears the WAL stream once per point at budgets swept
 // across its clean byte cost: torn batch bodies, torn headers, cuts
 // between polls. The follower must keep an exact prefix mid-flight
 // and still converge.
-func replDropSweep(seed int64, points int, dir string) (int, *Failure) {
-	const scenario = "drop"
+func replDropSweep(seed int64, points int, dir string) (int, error) {
 	ops := gen.LogWorkload(seed, gen.Small())
-
-	// Clean run: measures stream bytes and doubles as the baseline.
-	ct := &countTransport{base: http.DefaultTransport}
-	if f := dropPoint(scenario, seed, -1, ops, dir, &http.Client{Transport: ct}, nil); f != nil {
-		return 0, f
-	}
-	total := ct.total()
-	if total <= 0 {
-		return 0, replFail(scenario, seed, -1, "clean run streamed no bytes")
-	}
-
-	checked := 0
-	for i := 0; i < points; i++ {
-		cut := &cutTransport{base: http.DefaultTransport, budget: total * int64(i) / int64(points)}
-		if f := dropPoint(scenario, seed, i, ops, dir, &http.Client{Transport: cut}, nil); f != nil {
-			return checked, f
-		}
-		checked++
-	}
-	return checked, nil
+	return cutSweep(fmt.Sprintf("drop seed %d", seed), points, func() ([]int64, error) {
+		// The clean run measures stream bytes and doubles as the baseline.
+		ct := &cutTransport{base: http.DefaultTransport, budget: unlimited}
+		err := faultPoint{"drop", seed, -1}.session(ops, dir, &http.Client{Transport: ct}, nil)
+		return []int64{ct.delivered()}, err
+	}, func(i int, budgets []int64) error {
+		cut := &cutTransport{base: http.DefaultTransport, budget: budgets[0]}
+		return faultPoint{"drop", seed, i}.session(ops, dir, &http.Client{Transport: cut}, nil)
+	})
 }
 
-// dropPoint runs one full primary/follower session with the given
+// session runs one full primary/follower session with the given
 // follower HTTP client and filesystem, sampling the prefix invariant
-// mid-stream and requiring convergence plus closure equality.
-func dropPoint(scenario string, seed int64, point int, ops []gen.Op, dir string, client *http.Client, fs store.FS) *Failure {
-	sub := filepath.Join(dir, fmt.Sprintf("%s-%d", scenario, point))
-	pdir, fdir := filepath.Join(sub, "p"), filepath.Join(sub, "f")
-	os.MkdirAll(pdir, 0o755)
-	os.MkdirAll(fdir, 0o755)
-	defer os.RemoveAll(sub)
-
-	pdb, _, mux, err := startPrimary(filepath.Join(pdir, "p.log"), nil, repl.PrimaryOptions{})
+// mid-stream and requiring convergence plus closure equality. A fault
+// the follower recovers from must not make it fatal.
+func (p faultPoint) session(ops []gen.Op, dir string, client *http.Client, fs store.FS) error {
+	pdb, url, fdir, done, err := p.primary(dir, repl.PrimaryOptions{})
 	if err != nil {
-		return replFail(scenario, seed, point, "start primary: %v", err)
+		return err
 	}
-	defer pdb.Close()
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	defer done()
 
-	fdb, fl, mu, err := startFollower(fdir, srv.URL, client, fs)
+	f, err := startFollower(fdir, url, client, fs)
 	if err != nil {
-		return replFail(scenario, seed, point, "start follower: %v", err)
+		return p.fail("start follower: %v", err)
 	}
-	defer fdb.Close()
-	defer fl.Stop()
+	defer f.stop()
 
 	tr := newStateTrack()
 	for i, op := range ops {
 		if err := tr.apply(pdb, op); err != nil {
-			return replFail(scenario, seed, point, "primary op %d: %v", i, err)
+			return p.fail("primary op %d: %v", i, err)
 		}
 		if i%8 == 7 {
-			applied, got := sample(mu, fl, fdb)
-			if f := prefixFail(scenario, seed, point, fmt.Sprintf("mid-stream after op %d", i), applied, got, tr); f != nil {
-				return f
+			applied, got := f.sample()
+			if err := p.prefix(fmt.Sprintf("mid-stream after op %d", i), applied, got, tr); err != nil {
+				return err
 			}
 		}
 	}
-	final := pdb.LSN()
-	if _, ok := fl.WaitLSN(final, replWaitTimeout); !ok {
-		return replFail(scenario, seed, point, "follower stuck: %+v", fl.Stats())
+	if err := p.converged("converged", f, pdb.LSN(), tr); err != nil {
+		return err
 	}
-	applied, got := sample(mu, fl, fdb)
-	if f := prefixFail(scenario, seed, point, "converged", applied, got, tr); f != nil {
-		return f
-	}
-	if st := fl.Stats(); st.Fatal {
-		return replFail(scenario, seed, point, "follower went fatal on a transient fault: %+v", st)
-	}
-	if point%4 == 0 {
-		return closureFail(scenario, seed, point, fdb)
-	}
-	return nil
+	return p.closure(f.db)
 }
 
 // replFollowerCrashSweep kills the follower's filesystem at budgets
-// swept across its clean disk cost — torn tail appends, dead syncs —
+// swept across its clean disk cost — torn log appends, dead syncs —
 // then audits recovery from the surviving files and full catch-up.
 // Odd points compact the primary between crash and catch-up, forcing
 // the recovered follower down the snapshot re-bootstrap path.
-func replFollowerCrashSweep(seed int64, points int, dir string) (int, *Failure) {
-	const scenario = "follower-crash"
+func replFollowerCrashSweep(seed int64, points int, dir string) (int, error) {
 	ops := gen.LogWorkload(seed, gen.Small())
-
-	// Clean run measures the follower's disk byte cost.
-	probe := NewCrashFS(1 << 62)
-	if f := dropPoint(scenario, seed, -1, ops, dir, nil, probe); f != nil {
-		return 0, f
-	}
-	total := probe.Written()
-	if total <= 0 {
-		return 0, replFail(scenario, seed, -1, "clean run wrote no follower bytes")
-	}
-
-	checked := 0
-	for i := 0; i < points; i++ {
-		budget := total * int64(i) / int64(points)
-		if f := followerCrashPoint(seed, i, ops, dir, budget); f != nil {
-			return checked, f
-		}
-		checked++
-	}
-	return checked, nil
+	return cutSweep(fmt.Sprintf("follower-crash seed %d", seed), points, func() ([]int64, error) {
+		// The clean run measures the follower's disk byte cost.
+		probe := NewCrashFS(unlimited)
+		err := faultPoint{"follower-crash", seed, -1}.session(ops, dir, nil, probe)
+		return []int64{probe.Written()}, err
+	}, func(i int, budgets []int64) error {
+		return faultPoint{"follower-crash", seed, i}.followerCrash(ops, dir, budgets[0])
+	})
 }
 
-func followerCrashPoint(seed int64, point int, ops []gen.Op, dir string, budget int64) *Failure {
-	const scenario = "follower-crash"
-	sub := filepath.Join(dir, fmt.Sprintf("fc-%d", point))
-	pdir, fdir := filepath.Join(sub, "p"), filepath.Join(sub, "f")
-	os.MkdirAll(pdir, 0o755)
-	os.MkdirAll(fdir, 0o755)
-	defer os.RemoveAll(sub)
-
+func (p faultPoint) followerCrash(ops []gen.Op, dir string, budget int64) error {
 	// LagBudget 1 so the crashed follower's stale ack cannot defer the
 	// compaction odd points use to force a re-bootstrap.
-	pdb, _, mux, err := startPrimary(filepath.Join(pdir, "p.log"), nil, repl.PrimaryOptions{LagBudget: 1})
+	pdb, url, fdir, done, err := p.primary(dir, repl.PrimaryOptions{LagBudget: 1})
 	if err != nil {
-		return replFail(scenario, seed, point, "start primary: %v", err)
+		return err
 	}
-	defer pdb.Close()
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	defer done()
 
-	cfs := NewCrashFS(budget)
-	fdb, fl, _, err := startFollower(fdir, srv.URL, nil, cfs)
-	started := err == nil
-	if !started && fdb != nil {
-		fdb.Close() // crashed attaching its tail: nothing on disk yet
-	}
+	// A follower that crashed attaching its log has nothing on disk yet.
+	f, err := startFollower(fdir, url, nil, NewCrashFS(budget))
 
 	tr := newStateTrack()
 	for i, op := range ops {
 		if err := tr.apply(pdb, op); err != nil {
-			return replFail(scenario, seed, point, "primary op %d: %v", i, err)
+			return p.fail("primary op %d: %v", i, err)
 		}
 	}
 	final := pdb.LSN()
-	if started {
-		if !waitFatalOr(fl, final, replWaitTimeout) {
-			return replFail(scenario, seed, point, "follower neither crashed nor converged: %+v", fl.Stats())
+	if err == nil {
+		if !waitFatalOr(f.fl, final, replWaitTimeout) {
+			return p.fail("follower neither crashed nor converged: %+v", f.fl.Stats())
 		}
-		fl.Stop()
-		fdb.Close()
+		f.stop()
 	}
 
 	// Recovery audit: whatever survived on disk is an exact prefix.
-	if f := auditRecovery(scenario, seed, point, fdir, final, tr); f != nil {
-		return f
+	if err := p.audit(fdir, final, tr); err != nil {
+		return err
 	}
 
-	if point%2 == 1 {
+	if p.point%2 == 1 {
 		if err := pdb.Compact(); err != nil {
-			return replFail(scenario, seed, point, "compact: %v", err)
+			return p.fail("compact: %v", err)
 		}
 	}
 
 	// Catch-up: a restarted follower converges, re-bootstrapping from a
 	// snapshot when compaction trimmed its resume position away.
-	fdb2, fl2, mu2, err := startFollower(fdir, srv.URL, nil, nil)
+	f2, err := startFollower(fdir, url, nil, nil)
 	if err != nil {
-		if fdb2 != nil {
-			fdb2.Close()
-		}
-		return replFail(scenario, seed, point, "restart follower: %v", err)
+		return p.fail("restart follower: %v", err)
 	}
-	defer fdb2.Close()
-	defer fl2.Stop()
-	if _, ok := fl2.WaitLSN(final, replWaitTimeout); !ok {
-		return replFail(scenario, seed, point, "recovered follower stuck: %+v", fl2.Stats())
+	defer f2.stop()
+	if err := p.converged("after catch-up", f2, final, tr); err != nil {
+		return err
 	}
-	applied, got := sample(mu2, fl2, fdb2)
-	if f := prefixFail(scenario, seed, point, "after catch-up", applied, got, tr); f != nil {
-		return f
-	}
-	if point%4 == 0 {
-		return closureFail(scenario, seed, point, fdb2)
-	}
-	return nil
+	return p.closure(f2.db)
 }
 
 // replBootstrapSweep aims faults at the snapshot bootstrap path: a
 // fresh follower joins a compacted primary, so its very first step is
-// a snapshot fetch and boot-file commit. Even points tear the HTTP
-// stream (torn snapshot bodies), odd points crash the follower's
-// filesystem (torn boot files, torn fresh tails); either way the
-// follower must end converged with the boot protocol's
-// absent-or-complete guarantee intact.
-func replBootstrapSweep(seed int64, points int, dir string) (int, *Failure) {
-	const scenario = "bootstrap"
+// a snapshot fetch and the follower's log written from it. Even points
+// tear the HTTP stream (torn snapshot bodies), odd points crash the
+// follower's filesystem (a torn follower's log); either way the
+// follower must end converged, its log holding either no bootstrap or
+// a complete one.
+func replBootstrapSweep(seed int64, points int, dir string) (int, error) {
 	ops := gen.LogWorkload(seed, gen.Small())
 	if len(ops) > 30 {
 		ops = ops[:30]
 	}
-
-	// Clean run against a compacted primary measures both budgets.
-	ct := &countTransport{base: http.DefaultTransport}
-	probe := NewCrashFS(1 << 62)
-	if f := bootstrapPoint(seed, -1, ops, dir, &http.Client{Transport: ct}, probe, true); f != nil {
-		return 0, f
-	}
-	streamTotal, diskTotal := ct.total(), probe.Written()
-	if streamTotal <= 0 || diskTotal <= 0 {
-		return 0, replFail(scenario, seed, -1, "clean bootstrap cost not measurable (%d stream, %d disk)", streamTotal, diskTotal)
-	}
-
-	checked := 0
-	for i := 0; i < points; i++ {
-		var client *http.Client
-		var fs store.FS
+	return cutSweep(fmt.Sprintf("bootstrap seed %d", seed), points, func() ([]int64, error) {
+		// The clean run against a compacted primary measures both costs.
+		ct := &cutTransport{base: http.DefaultTransport, budget: unlimited}
+		probe := NewCrashFS(unlimited)
+		err := faultPoint{"bootstrap", seed, -1}.bootstrap(ops, dir, &http.Client{Transport: ct}, probe)
+		return []int64{ct.delivered(), probe.Written()}, err
+	}, func(i int, budgets []int64) error {
+		p := faultPoint{"bootstrap", seed, i}
 		if i%2 == 0 {
-			client = &http.Client{Transport: &cutTransport{
-				base:   http.DefaultTransport,
-				budget: streamTotal * int64(i) / int64(points),
-			}}
-		} else {
-			fs = NewCrashFS(diskTotal * int64(i) / int64(points))
+			return p.bootstrap(ops, dir, &http.Client{Transport: &cutTransport{base: http.DefaultTransport, budget: budgets[0]}}, nil)
 		}
-		if f := bootstrapPoint(seed, i, ops, dir, client, fs, false); f != nil {
-			return checked, f
-		}
-		checked++
-	}
-	return checked, nil
+		return p.bootstrap(ops, dir, nil, NewCrashFS(budgets[1]))
+	})
 }
 
-func bootstrapPoint(seed int64, point int, ops []gen.Op, dir string, client *http.Client, fs store.FS, clean bool) *Failure {
-	const scenario = "bootstrap"
-	sub := filepath.Join(dir, fmt.Sprintf("boot-%d", point))
-	pdir, fdir := filepath.Join(sub, "p"), filepath.Join(sub, "f")
-	os.MkdirAll(pdir, 0o755)
-	os.MkdirAll(fdir, 0o755)
-	defer os.RemoveAll(sub)
-
-	pdb, _, mux, err := startPrimary(filepath.Join(pdir, "p.log"), nil, repl.PrimaryOptions{LagBudget: 1})
+func (p faultPoint) bootstrap(ops []gen.Op, dir string, client *http.Client, fs store.FS) error {
+	pdb, url, fdir, done, err := p.primary(dir, repl.PrimaryOptions{LagBudget: 1})
 	if err != nil {
-		return replFail(scenario, seed, point, "start primary: %v", err)
+		return err
 	}
-	defer pdb.Close()
+	defer done()
 	tr := newStateTrack()
 	for i, op := range ops {
 		if err := tr.apply(pdb, op); err != nil {
-			return replFail(scenario, seed, point, "primary op %d: %v", i, err)
+			return p.fail("primary op %d: %v", i, err)
 		}
 	}
 	// Compact before the follower exists: record 1 is gone, so joining
 	// MUST go through the snapshot bootstrap.
 	if err := pdb.Compact(); err != nil {
-		return replFail(scenario, seed, point, "compact: %v", err)
+		return p.fail("compact: %v", err)
 	}
 	if pdb.Store().BaseLSN() == 0 {
-		return replFail(scenario, seed, point, "compaction did not move the log base; bootstrap path not exercised")
+		return p.fail("compaction did not move the log base; bootstrap path not exercised")
 	}
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
 
 	final := pdb.LSN()
-	fdb, fl, mu, err := startFollower(fdir, srv.URL, client, fs)
-	started := err == nil
-	if !started && fdb != nil {
-		fdb.Close()
-	}
-	crashed := false
-	if started {
-		if !waitFatalOr(fl, final, replWaitTimeout) {
-			return replFail(scenario, seed, point, "joining follower neither crashed nor converged: %+v", fl.Stats())
-		}
-		crashed = fl.Stats().Fatal
-		if !crashed {
-			applied, got := sample(mu, fl, fdb)
-			if f := prefixFail(scenario, seed, point, "after bootstrap", applied, got, tr); f != nil {
-				return f
+	if f, err := startFollower(fdir, url, client, fs); err == nil {
+		converged := waitFatalOr(f.fl, final, replWaitTimeout)
+		st := f.fl.Stats()
+		applied, got := f.sample()
+		f.stop()
+		switch {
+		case !converged:
+			return p.fail("joining follower neither crashed nor converged: %+v", st)
+		case st.Fatal && p.point < 0:
+			return p.fail("clean run crashed: %+v", st)
+		case !st.Fatal:
+			if err := p.prefix("after bootstrap", applied, got, tr); err != nil {
+				return err
 			}
-			if fl.Stats().Rebootstraps == 0 {
-				return replFail(scenario, seed, point, "follower converged without a snapshot bootstrap against a compacted log")
+			if st.Rebootstraps == 0 {
+				return p.fail("follower converged without a snapshot bootstrap against a compacted log")
 			}
 		}
-		fl.Stop()
-		fdb.Close()
-	}
-	if clean && crashed {
-		return replFail(scenario, seed, point, "clean run crashed: %+v", fl.Stats())
 	}
 
 	// Whatever the fault left behind, a restart recovers a prefix...
-	if f := auditRecovery(scenario, seed, point, fdir, final, tr); f != nil {
-		return f
+	if err := p.audit(fdir, final, tr); err != nil {
+		return err
 	}
 	// ...and a healthy retry converges and keeps tailing new writes.
-	fdb2, fl2, mu2, err := startFollower(fdir, srv.URL, nil, nil)
+	f2, err := startFollower(fdir, url, nil, nil)
 	if err != nil {
-		if fdb2 != nil {
-			fdb2.Close()
-		}
-		return replFail(scenario, seed, point, "bootstrap retry: %v", err)
+		return p.fail("bootstrap retry: %v", err)
 	}
-	defer fdb2.Close()
-	defer fl2.Stop()
-	if _, ok := fl2.WaitLSN(final, replWaitTimeout); !ok {
-		return replFail(scenario, seed, point, "bootstrap retry stuck: %+v", fl2.Stats())
+	defer f2.stop()
+	if err := p.converged("bootstrap retry", f2, final, tr); err != nil {
+		return err
 	}
 	if err := tr.apply(pdb, gen.Op{Kind: gen.OpAssert, S: "POST-BOOT", R: "in", T: "LIVE"}); err != nil {
-		return replFail(scenario, seed, point, "post-bootstrap write: %v", err)
+		return p.fail("post-bootstrap write: %v", err)
 	}
-	if _, ok := fl2.WaitLSN(pdb.LSN(), replWaitTimeout); !ok {
-		return replFail(scenario, seed, point, "follower stopped tailing after bootstrap: %+v", fl2.Stats())
+	if err := p.converged("tailing after bootstrap", f2, pdb.LSN(), tr); err != nil {
+		return err
 	}
-	applied, got := sample(mu2, fl2, fdb2)
-	if f := prefixFail(scenario, seed, point, "tailing after bootstrap", applied, got, tr); f != nil {
-		return f
-	}
-	if point%4 == 0 {
-		return closureFail(scenario, seed, point, fdb2)
-	}
-	return nil
+	return p.closure(f2.db)
 }
 
 // replPrimaryCrashSweep kills the primary's filesystem at budgets
@@ -706,65 +581,48 @@ func bootstrapPoint(seed int64, point int, ops []gen.Op, dir string, client *htt
 // must come back at exactly the acknowledged prefix. Odd points
 // compact during the downtime, forcing the follower to re-bootstrap
 // across the restart.
-func replPrimaryCrashSweep(seed int64, points int, dir string) (int, *Failure) {
-	const scenario = "primary-crash"
+func replPrimaryCrashSweep(seed int64, points int, dir string) (int, error) {
 	ops := gen.LogWorkload(seed, gen.Small())
-
-	// Clean cost: the workload's primary-side bytes, follower-free
-	// (acks and serving write nothing).
-	probe := NewCrashFS(1 << 62)
-	cdb, err := lsdb.Open(lsdb.Options{})
-	if err != nil {
-		return 0, replFail(scenario, seed, -1, "open: %v", err)
-	}
-	cdb.Store().SetFS(probe)
-	cleanPath := filepath.Join(dir, "pcrash-clean.log")
-	if _, err := cdb.Store().AttachLogPolicy(cleanPath, store.SyncAlways); err != nil {
-		return 0, replFail(scenario, seed, -1, "clean attach: %v", err)
-	}
-	ctr := newStateTrack()
-	for i, op := range ops {
-		if err := ctr.apply(cdb, op); err != nil {
-			return 0, replFail(scenario, seed, -1, "clean op %d: %v", i, err)
+	return cutSweep(fmt.Sprintf("primary-crash seed %d", seed), points, func() ([]int64, error) {
+		// Clean cost: the workload's primary-side bytes, follower-free
+		// (acks and serving write nothing).
+		p := faultPoint{"primary-crash", seed, -1}
+		probe := NewCrashFS(unlimited)
+		path := filepath.Join(dir, "pcrash-clean.log")
+		defer os.Remove(path)
+		db, _, err := startPrimary(path, probe, repl.PrimaryOptions{})
+		if err != nil {
+			return nil, p.fail("clean start: %v", err)
 		}
-	}
-	cdb.Close()
-	os.Remove(cleanPath)
-	total := probe.Written()
-
-	checked := 0
-	for i := 0; i < points; i++ {
-		budget := total * int64(i) / int64(points)
-		if f := primaryCrashPoint(seed, i, ops, dir, budget); f != nil {
-			return checked, f
+		tr := newStateTrack()
+		for i, op := range ops {
+			if err := tr.apply(db, op); err != nil {
+				db.Close()
+				return nil, p.fail("clean op %d: %v", i, err)
+			}
 		}
-		checked++
-	}
-	return checked, nil
+		db.Close()
+		return []int64{probe.Written()}, nil
+	}, func(i int, budgets []int64) error {
+		return faultPoint{"primary-crash", seed, i}.primaryCrash(ops, dir, budgets[0])
+	})
 }
 
-func primaryCrashPoint(seed int64, point int, ops []gen.Op, dir string, budget int64) *Failure {
-	const scenario = "primary-crash"
-	sub := filepath.Join(dir, fmt.Sprintf("pc-%d", point))
-	pdir, fdir := filepath.Join(sub, "p"), filepath.Join(sub, "f")
-	os.MkdirAll(pdir, 0o755)
-	os.MkdirAll(fdir, 0o755)
+func (p faultPoint) primaryCrash(ops []gen.Op, dir string, budget int64) error {
+	sub := filepath.Join(dir, fmt.Sprintf("%s-%d", p.scenario, p.point))
 	defer os.RemoveAll(sub)
-	logPath := filepath.Join(pdir, "p.log")
+	fdir, logPath := filepath.Join(sub, "f"), filepath.Join(sub, "p.log")
+	os.MkdirAll(fdir, 0o755)
 
 	swap := &swapHandler{}
 	srv := httptest.NewServer(swap)
 	defer srv.Close()
 
-	fdb, fl, mu, err := startFollower(fdir, srv.URL, nil, nil)
+	f, err := startFollower(fdir, srv.URL, nil, nil)
 	if err != nil {
-		if fdb != nil {
-			fdb.Close()
-		}
-		return replFail(scenario, seed, point, "start follower: %v", err)
+		return p.fail("start follower: %v", err)
 	}
-	defer fdb.Close()
-	defer fl.Stop()
+	defer f.stop()
 
 	// Doomed primary: apply ops until the byte budget kills it. Every
 	// acked op is durable (SyncAlways), so lastAcked is the floor the
@@ -772,7 +630,7 @@ func primaryCrashPoint(seed int64, point int, ops []gen.Op, dir string, budget i
 	tr := newStateTrack()
 	var lastAcked uint64
 	resume := 0
-	pdb, _, mux, err := startPrimary(logPath, NewCrashFS(budget), repl.PrimaryOptions{LagBudget: 1})
+	pdb, mux, err := startPrimary(logPath, NewCrashFS(budget), repl.PrimaryOptions{LagBudget: 1})
 	if err == nil {
 		swap.set(mux)
 		for i, op := range ops {
@@ -787,37 +645,36 @@ func primaryCrashPoint(seed int64, point int, ops []gen.Op, dir string, budget i
 		pdb.Store().CloseLog()
 	}
 	if resume == len(ops) {
-		return replFail(scenario, seed, point, "budget %d did not crash the primary; sweep misconfigured", budget)
+		return p.fail("budget %d did not crash the primary; sweep misconfigured", budget)
 	}
 
 	// During the outage the follower may only hold acked state.
-	applied, got := sample(mu, fl, fdb)
+	applied, got := f.sample()
 	if applied > lastAcked {
-		return replFail(scenario, seed, point,
-			"follower applied LSN %d beyond the primary's durable %d", applied, lastAcked)
+		return p.fail("follower applied LSN %d beyond the primary's durable %d", applied, lastAcked)
 	}
-	if f := prefixFail(scenario, seed, point, "during primary outage", applied, got, tr); f != nil {
-		return f
+	if err := p.prefix("during primary outage", applied, got, tr); err != nil {
+		return err
 	}
 
 	// Restart from the torn log: recovery lands exactly on the acked
 	// prefix — no acknowledged write lost, no torn record resurrected.
-	ndb, _, nmux, err := startPrimary(logPath, nil, repl.PrimaryOptions{LagBudget: 1})
+	ndb, nmux, err := startPrimary(logPath, nil, repl.PrimaryOptions{LagBudget: 1})
 	if err != nil {
-		return replFail(scenario, seed, point, "primary restart: %v", err)
+		return p.fail("primary restart: %v", err)
 	}
 	defer ndb.Close()
 	if got := ndb.LSN(); got != lastAcked {
-		return replFail(scenario, seed, point,
-			"primary recovered at LSN %d, want acked %d", got, lastAcked)
+		return p.fail("primary recovered at LSN %d, want acked %d", got, lastAcked)
 	}
-	if s := storeSet(ndb.Store(), ndb.Universe()); !sameSet(s, tr.states[lastAcked]) {
-		return replFail(scenario, seed, point, "primary recovered state diverged: %s", formatSet(s))
+	if err := sameFacts("fact", "the recovered primary", "the acked state",
+		tripleSet(ndb.Universe(), ndb.Store()), tr.states[lastAcked]); err != nil {
+		return p.fail("primary recovered state diverged: %v", err)
 	}
 	tr.rewind(lastAcked)
-	if point%2 == 1 {
+	if p.point%2 == 1 {
 		if err := ndb.Compact(); err != nil {
-			return replFail(scenario, seed, point, "compact during downtime: %v", err)
+			return p.fail("compact during downtime: %v", err)
 		}
 	}
 	swap.set(nmux)
@@ -825,54 +682,46 @@ func primaryCrashPoint(seed int64, point int, ops []gen.Op, dir string, budget i
 	// Replay the unacknowledged suffix and require convergence.
 	for i := resume; i < len(ops); i++ {
 		if err := tr.apply(ndb, ops[i]); err != nil {
-			return replFail(scenario, seed, point, "resumed op %d: %v", i, err)
+			return p.fail("resumed op %d: %v", i, err)
 		}
 	}
-	final := ndb.LSN()
-	if _, ok := fl.WaitLSN(final, replWaitTimeout); !ok {
-		return replFail(scenario, seed, point, "follower stuck after primary restart: %+v", fl.Stats())
+	if err := p.converged("after primary restart", f, ndb.LSN(), tr); err != nil {
+		return err
 	}
-	applied, got = sample(mu, fl, fdb)
-	if f := prefixFail(scenario, seed, point, "after primary restart", applied, got, tr); f != nil {
-		return f
-	}
-	if st := fl.Stats(); st.Fatal {
-		return replFail(scenario, seed, point, "follower fatal after primary restart: %+v", st)
-	}
-	if point%4 == 0 {
-		return closureFail(scenario, seed, point, fdb)
-	}
-	return nil
+	return p.closure(f.db)
 }
 
-// ReplScan runs all four replication fault sweeps — stream drops,
-// follower crashes, bootstrap faults, primary crashes — with
-// cfg.Points fault points each. It returns the number of points
-// checked and the first failure, if any.
-func ReplScan(cfg ReplConfig) (int, *Failure) {
-	if cfg.Points <= 0 {
-		cfg.Points = 10
+// replSweep is the replication row: o.Points fault points per scenario
+// for the world's seed.
+func replSweep(w *gen.World, o Options) error {
+	_, err := replScan(w.Seed, o.Points)
+	return err
+}
+
+// replScan runs all four replication fault sweeps — stream drops,
+// follower crashes, bootstrap faults, primary crashes — with points
+// fault points each (10 when points is 0). It returns the number of
+// points checked and the first failure, if any.
+func replScan(seed int64, points int) (int, error) {
+	if points <= 0 {
+		points = 10
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "lsdb-repl")
-		if err != nil {
-			return 0, &Failure{Oracle: "replication", Detail: err.Error()}
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "lsdb-repl")
+	if err != nil {
+		return 0, err
 	}
+	defer os.RemoveAll(dir)
 	checked := 0
-	for _, sweep := range []func(int64, int, string) (int, *Failure){
+	for _, sweep := range []func(int64, int, string) (int, error){
 		replDropSweep,
 		replFollowerCrashSweep,
 		replBootstrapSweep,
 		replPrimaryCrashSweep,
 	} {
-		n, f := sweep(cfg.Seed, cfg.Points, dir)
+		n, err := sweep(seed, points, dir)
 		checked += n
-		if f != nil {
-			return checked, f
+		if err != nil {
+			return checked, err
 		}
 	}
 	return checked, nil

@@ -5,10 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // TestCutTransportOneShot pins the drop injector's semantics: the
@@ -47,16 +47,9 @@ func TestCutTransportOneShot(t *testing.T) {
 	}
 }
 
-// replPoints reads the sweep width: LSDB_REPL_POINTS fault points per
-// scenario when set (the acceptance sweep), a quick default otherwise.
-func replPoints(t *testing.T) int {
-	if s := os.Getenv("LSDB_REPL_POINTS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			t.Fatalf("LSDB_REPL_POINTS = %q", s)
-		}
-		return n
-	}
+// replPoints is the sweep width: 8 fault points per scenario, 3 in
+// short mode. lsdb-check's replication row runs the wider sweeps.
+func replPoints() int {
 	if testing.Short() {
 		return 3
 	}
@@ -68,8 +61,8 @@ func replPoints(t *testing.T) int {
 // at byte-accurate budgets, asserting the prefix, recoverability and
 // closure invariants at every point.
 func TestReplScanSweep(t *testing.T) {
-	points := replPoints(t)
-	n, fail := ReplScan(ReplConfig{Seed: 1, Points: points, Dir: t.TempDir()})
+	points := replPoints()
+	n, fail := replScan(1, points)
 	if fail != nil {
 		t.Fatal(fail)
 	}
@@ -85,7 +78,7 @@ func TestReplScanSecondSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one seed in short mode")
 	}
-	n, fail := ReplScan(ReplConfig{Seed: 7, Points: 4, Dir: t.TempDir()})
+	n, fail := replScan(7, 4)
 	if fail != nil {
 		t.Fatal(fail)
 	}
@@ -93,9 +86,16 @@ func TestReplScanSecondSeed(t *testing.T) {
 }
 
 // TestReplFailureMentionsScenario pins the failure formatting the
-// sweep reports through lsdb-check.
+// sweep reports through lsdb-check: the scenario, seed and point in the
+// detail, under the replication row's name.
 func TestReplFailureMentionsScenario(t *testing.T) {
-	f := replFail("drop", 3, 9, "lost %d records", 2)
+	rows, err := Select("replication")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := rows[0]
+	o.Run = func(*gen.World, Options) error { return faultPoint{"drop", 3, 9}.fail("lost %d records", 2) }
+	f := o.Check(gen.Generate(3, gen.Small()), Options{})
 	if f.Oracle != "replication" {
 		t.Fatalf("oracle = %q", f.Oracle)
 	}

@@ -4,11 +4,11 @@ package check
 // layers it keeps — a compressed posting-list base shared between
 // clones, a hash-indexed delta, a tombstone set — and Seal folds them
 // into a new base past a threshold (store/store.go). These oracles
-// demand that the layering is invisible. LayeredModel replays a world
+// demand that the layering is invisible. layeredModel replays a world
 // as interleaved Insert/Delete/resurrect/Seal/Clone steps and checks
 // every read method against a plain set after each; the
-// sealed-vs-mutable pair compares the two extreme shapes (all delta,
-// all base) of the same fact set over every template class.
+// sealed-vs-mutable pair checks the two extreme shapes (all delta,
+// all base) of the same fact set against that set.
 
 import (
 	"fmt"
@@ -25,125 +25,38 @@ import (
 	"repro/internal/sym"
 )
 
-// sealedProbeCap bounds the anchor sample per world so the oracle
-// stays linear in store size (the full probe grid is cubic).
-const sealedProbeCap = 100
-
-// compareStores runs the full read-interface comparison between a
-// mutable store and its sealed counterpart over every template class.
-// Both stores must share one universe. name labels failures.
-func compareStores(u *fact.Universe, mut, sealed *store.Store, name string) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "sealed-vs-mutable", Detail: name + ": " + fmt.Sprintf(format, args...)}
-	}
-	if mut.Len() != sealed.Len() {
-		return fail("Len %d != %d", mut.Len(), sealed.Len())
-	}
-
-	// Anchors: a deterministic sample of stored entities and all
-	// relations, plus entities that exist only in the universe (absent
-	// from the store) and the wildcard.
-	ents := mut.Entities()
-	step := 1
-	if len(ents) > sealedProbeCap {
-		step = len(ents) / sealedProbeCap
-	}
-	anchors := []sym.ID{sym.None, u.Intern("SEALED-ORACLE-ABSENT")}
-	for i := 0; i < len(ents); i += step {
-		anchors = append(anchors, ents[i])
-	}
-	rels := []sym.ID{sym.None, u.Intern("SEALED-ORACLE-NOREL")}
-	for _, rs := range mut.Relationships() {
-		rels = append(rels, rs.Rel)
-	}
-
-	// Every template class: (S|·, R|·, T|·) over the anchor grid.
-	for _, s := range anchors {
-		for _, r := range rels {
-			for _, t := range anchors {
-				wantAll := mut.MatchAll(s, r, t)
-				gotAll := sealed.MatchAll(s, r, t)
-				if len(wantAll) != len(gotAll) {
-					return fail("MatchAll(%s,%s,%s): %d facts mutable, %d sealed",
-						u.Name(s), u.Name(r), u.Name(t), len(wantAll), len(gotAll))
-				}
-				seen := make(map[fact.Fact]bool, len(wantAll))
-				for _, f := range wantAll {
-					seen[f] = true
-				}
-				for _, f := range gotAll {
-					if !seen[f] {
-						return fail("MatchAll(%s,%s,%s): sealed has extra %v",
-							u.Name(s), u.Name(r), u.Name(t), f)
-					}
-				}
-				if mc, sc := mut.Count(s, r, t), sealed.Count(s, r, t); mc != sc {
-					return fail("Count(%s,%s,%s): %d != %d", u.Name(s), u.Name(r), u.Name(t), mc, sc)
-				}
-				if me, se := mut.EstimateCount(s, r, t), sealed.EstimateCount(s, r, t); me != se {
-					return fail("EstimateCount(%s,%s,%s): %d != %d", u.Name(s), u.Name(r), u.Name(t), me, se)
-				}
-			}
-		}
-	}
-
-	// Membership agreement for every stored fact plus perturbations.
-	for i, f := range mut.Facts() {
-		if !sealed.Has(f) {
-			return fail("sealed missing stored fact %v", f)
-		}
-		if i%7 == 0 {
-			g := fact.Fact{S: f.T, R: f.R, T: f.S} // often absent
-			if mut.Has(g) != sealed.Has(g) {
-				return fail("Has(%v) disagrees", g)
-			}
-		}
-	}
-
-	// Whole-store views.
-	me, se := mut.Entities(), sealed.Entities()
-	if len(me) != len(se) {
-		return fail("Entities %d != %d", len(me), len(se))
-	}
-	for i := range me {
-		if me[i] != se[i] {
-			return fail("Entities[%d]: %s != %s", i, u.Name(me[i]), u.Name(se[i]))
-		}
-	}
-	mr, sr := mut.Relationships(), sealed.Relationships()
-	if fmt.Sprint(mr) != fmt.Sprint(sr) {
-		return fail("Relationships %v != %v", mr, sr)
-	}
-	for _, id := range anchors {
-		if id == sym.None {
-			continue
-		}
-		if mut.Degree(id) != sealed.Degree(id) {
-			return fail("Degree(%s): %d != %d", u.Name(id), mut.Degree(id), sealed.Degree(id))
-		}
-		if mut.HasEntity(id) != sealed.HasEntity(id) {
-			return fail("HasEntity(%s) disagrees", u.Name(id))
-		}
-	}
-	if st := sealed.IndexStats(); st.Facts != sealed.Len() {
-		return fail("IndexStats.Facts %d != Len %d", st.Facts, sealed.Len())
-	}
-	return nil
-}
-
 // factSet is the model a layered store is checked against.
 type factSet map[fact.Fact]struct{}
 
-// matching returns the model's answer to a pattern (sym.None is the
-// wildcard).
-func (m factSet) matching(s, r, t sym.ID) factSet {
-	out := factSet{}
+// matcher returns the model's answers to patterns (sym.None is the
+// wildcard). It indexes the model by each position once, so an answer
+// costs a scan of the facts sharing one bound position, not of the
+// model.
+func (m factSet) matcher() func(p [3]sym.ID) factSet {
+	var by [3]map[sym.ID][]fact.Fact
+	for i := range by {
+		by[i] = map[sym.ID][]fact.Fact{}
+	}
 	for f := range m {
-		if (s == sym.None || f.S == s) && (r == sym.None || f.R == r) && (t == sym.None || f.T == t) {
-			out[f] = struct{}{}
+		for i, id := range [3]sym.ID{f.S, f.R, f.T} {
+			by[i][id] = append(by[i][id], f)
 		}
 	}
-	return out
+	return func(p [3]sym.ID) factSet {
+		out := factSet{}
+		for i, id := range p {
+			if id == sym.None {
+				continue
+			}
+			for _, f := range by[i][id] {
+				if (p[0] == sym.None || f.S == p[0]) && (p[1] == sym.None || f.R == p[1]) && (p[2] == sym.None || f.T == p[2]) {
+					out[f] = struct{}{}
+				}
+			}
+			return out
+		}
+		return maps.Clone(m)
+	}
 }
 
 // patternString renders a match pattern, wildcards as "·".
@@ -162,31 +75,29 @@ func patternString(u *fact.Universe, p [3]sym.ID) string {
 // comparison probes.
 const modelProbeCap = 48
 
-// compareModel checks every read method of st against the model:
+// sameReads checks every read method of st against the model:
 // Len, Facts, Has, all eight bind patterns of Match, MatchAll, Count
 // and EstimateCount (exact, not an estimate) around each probe fact,
 // Entities, HasEntity, Degree, Relationships and the IndexStats
 // identity. probes are facts of interest (recently mutated, possibly
-// absent); a sample of the model's own facts is added. Every MatchAll
-// result is appended to, so a zero-copy result that let the append
-// write into the store shows up in a later read.
-func compareModel(u *fact.Universe, st *store.Store, model factSet, probes []fact.Fact, name string) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "layered-model", Detail: name + ": " + fmt.Sprintf(format, args...)}
-	}
+// absent); a sample of the model's own facts and a fact of absent
+// entities are added. Every MatchAll result is appended to, so a
+// zero-copy result that let the append write into the store shows up
+// in a later read.
+func sameReads(u *fact.Universe, st *store.Store, model factSet, probes []fact.Fact) error {
 	if st.Len() != len(model) {
-		return fail("Len %d, model %d", st.Len(), len(model))
+		return fmt.Errorf("Len %d, model %d", st.Len(), len(model))
 	}
 	if ix := st.IndexStats(); ix.Facts+ix.Delta-ix.Tombstones != len(model) {
-		return fail("IndexStats %+v: base + delta - tombstones != %d", ix, len(model))
+		return fmt.Errorf("IndexStats %+v: base + delta - tombstones != %d", ix, len(model))
 	}
 	all := st.Facts()
 	if len(all) != len(model) {
-		return fail("Facts returned %d facts, model %d", len(all), len(model))
+		return fmt.Errorf("Facts returned %d facts, model %d", len(all), len(model))
 	}
 	for _, f := range all {
 		if _, ok := model[f]; !ok {
-			return fail("Facts has %s, model does not", u.FormatFact(f))
+			return fmt.Errorf("Facts has %s, model does not", u.FormatFact(f))
 		}
 	}
 
@@ -204,9 +115,10 @@ func compareModel(u *fact.Universe, st *store.Store, model factSet, probes []fac
 	absent := u.Intern("LAYERED-ORACLE-ABSENT")
 	probes = append(probes, fact.Fact{S: absent, R: absent, T: absent})
 	bogus := fact.Fact{S: absent, R: absent, T: u.Intern("LAYERED-ORACLE-BOGUS")}
+	patterns := map[[3]sym.ID]bool{}
 	for _, f := range probes {
 		if _, want := model[f]; st.Has(f) != want {
-			return fail("Has(%s) = %v, model %v", u.FormatFact(f), !want, want)
+			return fmt.Errorf("Has(%s) = %v, model %v", u.FormatFact(f), !want, want)
 		}
 		for mask := 0; mask < 8; mask++ {
 			var p [3]sym.ID
@@ -215,36 +127,40 @@ func compareModel(u *fact.Universe, st *store.Store, model factSet, probes []fac
 					p[i] = id
 				}
 			}
-			pat := patternString(u, p)
-			want := model.matching(p[0], p[1], p[2])
-			seen := factSet{}
-			st.Match(p[0], p[1], p[2], func(g fact.Fact) bool {
-				seen[g] = struct{}{}
-				return true
-			})
-			if !maps.Equal(seen, want) {
-				return fail("Match%s: %d distinct facts, model %d", pat, len(seen), len(want))
-			}
-			if n := st.Count(p[0], p[1], p[2]); n != len(want) {
-				return fail("Count%s = %d, model %d (a fact streamed twice?)", pat, n, len(want))
-			}
-			if n := st.EstimateCount(p[0], p[1], p[2]); n != len(want) {
-				return fail("EstimateCount%s = %d, model %d", pat, n, len(want))
-			}
-			got := st.MatchAll(p[0], p[1], p[2])
-			if len(got) != len(want) {
-				return fail("MatchAll%s: %d facts, model %d", pat, len(got), len(want))
-			}
-			for _, g := range got {
-				if _, ok := want[g]; !ok {
-					return fail("MatchAll%s has %s, model does not", pat, u.FormatFact(g))
-				}
-			}
-			_ = append(got, bogus)
+			patterns[p] = true
 		}
 	}
+	matching := model.matcher()
+	for p := range patterns {
+		pat := patternString(u, p)
+		want := matching(p)
+		seen := factSet{}
+		st.Match(p[0], p[1], p[2], func(g fact.Fact) bool {
+			seen[g] = struct{}{}
+			return true
+		})
+		if !maps.Equal(seen, want) {
+			return fmt.Errorf("Match%s: %d distinct facts, model %d", pat, len(seen), len(want))
+		}
+		if n := st.Count(p[0], p[1], p[2]); n != len(want) {
+			return fmt.Errorf("Count%s = %d, model %d (a fact streamed twice?)", pat, n, len(want))
+		}
+		if n := st.EstimateCount(p[0], p[1], p[2]); n != len(want) {
+			return fmt.Errorf("EstimateCount%s = %d, model %d", pat, n, len(want))
+		}
+		got := st.MatchAll(p[0], p[1], p[2])
+		if len(got) != len(want) {
+			return fmt.Errorf("MatchAll%s: %d facts, model %d", pat, len(got), len(want))
+		}
+		for _, g := range got {
+			if _, ok := want[g]; !ok {
+				return fmt.Errorf("MatchAll%s has %s, model does not", pat, u.FormatFact(g))
+			}
+		}
+		_ = append(got, bogus)
+	}
 	if st.Has(bogus) {
-		return fail("an append to a MatchAll result wrote %s into the store", u.FormatFact(bogus))
+		return fmt.Errorf("an append to a MatchAll result wrote %s into the store", u.FormatFact(bogus))
 	}
 
 	// Whole-store views.
@@ -263,7 +179,7 @@ func compareModel(u *fact.Universe, st *store.Store, model factSet, probes []fac
 	}
 	slices.Sort(wantEnts)
 	if got := st.Entities(); !slices.Equal(got, wantEnts) {
-		return fail("Entities: %d ids, model %d", len(got), len(wantEnts))
+		return fmt.Errorf("Entities: %d ids, model %d", len(got), len(wantEnts))
 	}
 	var wantRels []store.RelStat
 	for r, n := range rels {
@@ -276,37 +192,39 @@ func compareModel(u *fact.Universe, st *store.Store, model factSet, probes []fac
 		return wantRels[i].Rel < wantRels[j].Rel
 	})
 	if got := st.Relationships(); !slices.Equal(got, wantRels) {
-		return fail("Relationships %v, model %v", got, wantRels)
+		return fmt.Errorf("Relationships %v, model %v", got, wantRels)
 	}
 	for _, f := range probes {
 		for _, id := range [3]sym.ID{f.S, f.R, f.T} {
 			if _, want := ents[id]; st.HasEntity(id) != want {
-				return fail("HasEntity(%s) = %v, model %v", u.Name(id), !want, want)
+				return fmt.Errorf("HasEntity(%s) = %v, model %v", u.Name(id), !want, want)
 			}
 			if st.Degree(id) != degree[id] {
-				return fail("Degree(%s) = %d, model %d", u.Name(id), st.Degree(id), degree[id])
+				return fmt.Errorf("Degree(%s) = %d, model %d", u.Name(id), st.Degree(id), degree[id])
 			}
 		}
 	}
 	return nil
 }
 
-// LayeredModel replays the world's program against one store lineage
+// layeredModel replays the world's program against one store lineage
 // and a plain set, and compares every read method after each step. An
-// assert is an Insert and a retract a Delete; a rule toggle, and any
-// mutation whose fact hashes to it, seals the current store, keeps it,
-// and continues on its clone — which shares the sealed store's base
-// and carries its own delta and tombstones, so later steps delete
-// base facts, resurrect them, and push the layers across the fold
-// threshold. A second pass replays the program backwards with asserts
-// and retracts swapped, tombstoning most of what the first pass folded
-// into a base. At the end every kept snapshot must still equal the
-// set it was sealed with: nothing a descendant did, folds included,
-// may show through a shared base.
+// assert is an Insert and a retract a Delete; a mutation whose fact
+// hashes to it seals the current store, keeps it, and continues on its
+// clone — which shares the sealed store's base and carries its own
+// delta and tombstones, so later steps delete base facts, resurrect
+// them, and push the layers across the fold threshold. A rule toggle
+// keeps the current store unsealed and continues on its clone, so a
+// clone of a mutable store is checked too. A second pass replays the
+// program backwards with asserts and retracts swapped, tombstoning
+// most of what the first pass folded into a base. At the end every
+// kept snapshot must still equal the set it was kept with: nothing a
+// descendant did, folds included, may show through a shared base or a
+// cloned delta.
 //
 // Each step depends only on its own op, so any subsequence of a
 // failing program is a valid program and gen.Shrink minimizes it.
-func LayeredModel(w *gen.World) *Failure {
+func layeredModel(w *gen.World, _ Options) error {
 	u := fact.NewUniverse()
 	cur := store.New(u)
 	model := factSet{}
@@ -318,17 +236,24 @@ func LayeredModel(w *gen.World) *Failure {
 	var held []snapshot
 	var recent []fact.Fact // facts of the latest mutations: the ones layers are most likely wrong about
 
-	sealAndClone := func(step string) *Failure {
-		cur.Seal()
-		if f := compareModel(u, cur, model, recent, "sealed at "+step); f != nil {
-			return f
+	// keep holds cur for the re-read at the end, sealing it first when
+	// seal is set, and continues on its clone.
+	keep := func(step string, seal bool) error {
+		if seal {
+			cur.Seal()
+			if err := sameReads(u, cur, model, recent); err != nil {
+				return fmt.Errorf("sealed at %s: %v", step, err)
+			}
 		}
 		held = append(held, snapshot{cur, maps.Clone(model), step})
 		cur = cur.Clone()
 		if cur.Sealed() {
-			return &Failure{Oracle: "layered-model", Detail: "clone of a sealed store is sealed (" + step + ")"}
+			return fmt.Errorf("clone at %s is sealed", step)
 		}
-		return compareModel(u, cur, model, recent, "clone at "+step)
+		if err := sameReads(u, cur, model, recent); err != nil {
+			return fmt.Errorf("clone at %s: %v", step, err)
+		}
+		return nil
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := range w.Ops {
@@ -338,8 +263,8 @@ func LayeredModel(w *gen.World) *Failure {
 			}
 			step := fmt.Sprintf("pass %d, %s", pass, op)
 			if op.Kind != gen.OpAssert && op.Kind != gen.OpRetract {
-				if f := sealAndClone(step); f != nil {
-					return f
+				if err := keep(step, false); err != nil {
+					return err
 				}
 				continue
 			}
@@ -355,71 +280,106 @@ func LayeredModel(w *gen.World) *Failure {
 				delete(model, f)
 			}
 			if changed != present {
-				return &Failure{Oracle: "layered-model", Detail: fmt.Sprintf("%s reported changed=%v, model says %v", step, changed, present)}
+				return fmt.Errorf("%s reported changed=%v, model says %v", step, changed, present)
 			}
 			if len(recent) == 8 {
 				recent = recent[1:]
 			}
 			recent = append(recent, f)
-			if fail := compareModel(u, cur, model, recent[len(recent)-1:], "after "+step); fail != nil {
-				return fail
+			if err := sameReads(u, cur, model, recent[len(recent)-1:]); err != nil {
+				return fmt.Errorf("after %s: %v", step, err)
 			}
 			h := fnv.New32a()
 			h.Write([]byte(op.S + "\x00" + op.R + "\x00" + op.T))
 			if h.Sum32()%4 == uint32(pass) {
-				if f := sealAndClone(step); f != nil {
-					return f
+				if err := keep(step, true); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	if f := sealAndClone("end of program"); f != nil {
-		return f
+	if err := keep("end of program", true); err != nil {
+		return err
 	}
 	for _, s := range held {
-		if f := compareModel(u, s.st, s.model, nil, "snapshot sealed at "+s.step+", re-read at the end"); f != nil {
-			return f
+		if err := sameReads(u, s.st, s.model, nil); err != nil {
+			return fmt.Errorf("snapshot kept at %s, re-read at the end: %v", s.step, err)
 		}
 	}
 	return nil
 }
 
-// SealedVsMutable checks that sealing is invisible to readers on both
+// sameShapes checks that sealing is invisible to readers: the sealed
+// store has every fact of the mutable one, and both read as that fact
+// set.
+func sameShapes(u *fact.Universe, mut, sealed *store.Store) error {
+	model := factSet{}
+	facts := mut.Facts()
+	for _, f := range facts {
+		model[f] = struct{}{}
+		if !sealed.Has(f) {
+			return fmt.Errorf("sealed missing stored fact %s", u.FormatFact(f))
+		}
+	}
+	// Probe facts that mix the positions of different stored facts, or
+	// reverse one, are mostly absent: they ask the indexes for pairs no
+	// fact holds.
+	var probes []fact.Fact
+	for i, step := 0, len(facts)/modelProbeCap+1; i+2 < len(facts); i += step {
+		f := facts[i]
+		probes = append(probes, fact.Fact{S: f.S, R: facts[i+1].R, T: facts[i+2].T}, fact.Fact{S: f.T, R: f.R, T: f.S})
+	}
+	if err := sameReads(u, mut, model, probes); err != nil {
+		return fmt.Errorf("mutable: %v", err)
+	}
+	if err := sameReads(u, sealed, model, probes); err != nil {
+		return fmt.Errorf("sealed: %v", err)
+	}
+	return nil
+}
+
+// sealedVsMutable checks that sealing is invisible to readers on both
 // stores a world carries: the base store (mutable vs sealed clone) and
 // the closure store (sealed vs mutable clone).
-func SealedVsMutable(w *gen.World) *Failure {
+func sealedVsMutable(w *gen.World, _ Options) error {
 	db := w.Build()
 	u := db.Universe()
 
 	base := db.Store()
 	sealedBase := base.Clone()
 	sealedBase.Seal()
-	if f := compareStores(u, base, sealedBase, "base"); f != nil {
-		return f
+	if err := sameShapes(u, base, sealedBase); err != nil {
+		return fmt.Errorf("base: %v", err)
 	}
 
 	closure := db.Engine().Closure() // published sealed
 	mutClosure := closure.Clone()    // clone of sealed is mutable
 	if mutClosure.Sealed() {
-		return &Failure{Oracle: "sealed-vs-mutable", Detail: "closure clone is sealed"}
+		return fmt.Errorf("closure clone is sealed")
 	}
-	return compareStores(u, mutClosure, closure, "closure")
+	if err := sameShapes(u, mutClosure, closure); err != nil {
+		return fmt.Errorf("closure: %v", err)
+	}
+	return nil
 }
 
-// SealedVsMutableScale is the memory-scale variant: a Zipf world bulk
-// loaded through store.SealedFromFacts versus the same facts replayed
-// through the mutable insert path, probed by concurrent readers (run
-// under -race this also exercises the sealed index's lock-free read
-// claim). cfg.Facts defaults per gen.ScaleConfig; a million-entity
-// run is LSDB_SCALE_FACTS=1000000 away (see make check-scale).
-func SealedVsMutableScale(cfg gen.ScaleConfig) *Failure {
+// scaleSweep is the memory-scale variant of sealedVsMutable: a Zipf
+// world of o.Points facts from the world's seed, bulk loaded through
+// store.SealedFromFacts versus the same facts replayed through the
+// mutable insert path, probed by concurrent readers (run under -race
+// this also exercises the sealed index's lock-free read claim).
+func scaleSweep(w *gen.World, o Options) error {
+	return sealedVsMutableScale(gen.ScaleConfig{Facts: o.Points, Seed: w.Seed})
+}
+
+func sealedVsMutableScale(cfg gen.ScaleConfig) error {
 	cfg = cfg.Normalized()
 	u := fact.NewUniverse()
 	sealed := gen.BuildScaleStore(u, cfg)
 	mut := gen.BuildScaleMutable(u, cfg)
 
-	if f := compareStores(u, mut, sealed, fmt.Sprintf("scale(%d)", cfg.Facts)); f != nil {
-		return f
+	if err := sameShapes(u, mut, sealed); err != nil {
+		return fmt.Errorf("scale(%d): %v", cfg.Facts, err)
 	}
 
 	// Concurrent probe goroutines over disjoint fact ranges: readers
@@ -431,44 +391,30 @@ func SealedVsMutableScale(cfg gen.ScaleConfig) *Failure {
 	}
 	facts := sealed.Facts()
 	var wg sync.WaitGroup
-	fails := make([]*Failure, workers)
+	errs := make([]error, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			fail := func(format string, args ...any) {
-				if fails[g] == nil {
-					fails[g] = &Failure{
-						Oracle: "sealed-vs-mutable",
-						Detail: fmt.Sprintf("scale concurrent reader %d: ", g) + fmt.Sprintf(format, args...),
-					}
-				}
-			}
-			for i := g; i < len(facts); i += workers * 97 {
+			for i := g; i < len(facts) && errs[g] == nil; i += workers * 97 {
 				f := facts[i]
-				if !sealed.Has(f) {
-					fail("sealed lost %v", f)
-					return
-				}
-				if mut.Count(sym.None, f.R, f.T) != sealed.Count(sym.None, f.R, f.T) {
-					fail("Count(·,%s,%s) disagrees", u.Name(f.R), u.Name(f.T))
-					return
-				}
-				if mut.EstimateCount(f.S, f.R, sym.None) != sealed.EstimateCount(f.S, f.R, sym.None) {
-					fail("EstimateCount(%s,%s,·) disagrees", u.Name(f.S), u.Name(f.R))
-					return
-				}
-				if len(mut.MatchAll(f.S, sym.None, f.T)) != len(sealed.MatchAll(f.S, sym.None, f.T)) {
-					fail("MatchAll(%s,·,%s) disagrees", u.Name(f.S), u.Name(f.T))
-					return
+				switch {
+				case !sealed.Has(f):
+					errs[g] = fmt.Errorf("sealed lost %v", f)
+				case mut.Count(sym.None, f.R, f.T) != sealed.Count(sym.None, f.R, f.T):
+					errs[g] = fmt.Errorf("Count(·,%s,%s) disagrees", u.Name(f.R), u.Name(f.T))
+				case mut.EstimateCount(f.S, f.R, sym.None) != sealed.EstimateCount(f.S, f.R, sym.None):
+					errs[g] = fmt.Errorf("EstimateCount(%s,%s,·) disagrees", u.Name(f.S), u.Name(f.R))
+				case len(mut.MatchAll(f.S, sym.None, f.T)) != len(sealed.MatchAll(f.S, sym.None, f.T)):
+					errs[g] = fmt.Errorf("MatchAll(%s,·,%s) disagrees", u.Name(f.S), u.Name(f.T))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for _, f := range fails {
-		if f != nil {
-			return f
+	for g, err := range errs {
+		if err != nil {
+			return fmt.Errorf("scale concurrent reader %d: %v", g, err)
 		}
 	}
 	return nil

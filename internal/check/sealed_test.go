@@ -1,8 +1,6 @@
 package check
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/gen"
@@ -22,23 +20,16 @@ func TestSealedVsMutableOracle(t *testing.T) {
 
 // TestSealedVsMutableScale runs the memory-scale differential on a
 // Zipf world. Sized so `go test -race ./internal/check` stays
-// CI-feasible; LSDB_SCALE_FACTS scales it up interactively (make
-// check-scale uses 200000).
+// CI-feasible; lsdb-check's scale row runs bigger worlds (make soak
+// uses 200000 facts).
 func TestSealedVsMutableScale(t *testing.T) {
 	facts := 30_000
 	if testing.Short() {
 		facts = 5_000
 	}
-	if env := os.Getenv("LSDB_SCALE_FACTS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil {
-			t.Fatalf("bad LSDB_SCALE_FACTS %q: %v", env, err)
-		}
-		facts = n
-	}
 	for _, seed := range []int64{1, 42} {
-		if f := SealedVsMutableScale(gen.ScaleConfig{Facts: facts, Seed: seed}); f != nil {
-			t.Fatalf("seed %d: %v", seed, f)
+		if err := sealedVsMutableScale(gen.ScaleConfig{Facts: facts, Seed: seed}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

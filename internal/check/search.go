@@ -10,7 +10,7 @@ import (
 	"repro/internal/sym"
 )
 
-// SearchVsScan is the keyword-search differential oracle: it replays
+// searchVsScan is the keyword-search differential oracle: it replays
 // the world op by op onto a live database and, at sampled steps and
 // after every retraction, compares the inverted-index answer
 // (Database.Search, which brings its snapshot up to date on version
@@ -24,12 +24,7 @@ import (
 // required on the full ranking with exact float equality, which holds
 // because both sides sum per-term best-field contributions in
 // query-term order.
-func SearchVsScan(w *gen.World, opts Options) *Failure {
-	opts = opts.withDefaults()
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "search-vs-scan", Detail: fmt.Sprintf(format, args...)}
-	}
-
+func searchVsScan(w *gen.World, _ Options) error {
 	db := lsdb.New()
 	sr := db.Searcher()
 
@@ -45,15 +40,15 @@ func SearchVsScan(w *gen.World, opts Options) *Failure {
 		return append(qs, "zzzz-no-such-entity", "")
 	}
 
-	compareAll := func(step int, op gen.Op) *Failure {
+	compareAll := func(step int, op gen.Op) error {
 		for _, q := range probesFor(op) {
 			got := db.Search(q, lsdb.SearchOptions{K: -1})
 			want := searchScan(db, q)
-			if f := diffRankings(q, step, got, want); f != nil {
-				return f
+			if err := diffRankings(q, step, got, want); err != nil {
+				return err
 			}
 			if got.Version != db.Store().Version() {
-				return fail("step %d query %q: answered from version %d, store at %d",
+				return fmt.Errorf("step %d query %q: answered from version %d, store at %d",
 					step, q, got.Version, db.Store().Version())
 			}
 		}
@@ -73,15 +68,15 @@ func SearchVsScan(w *gen.World, opts Options) *Failure {
 		if (i%step != 0 && op.Kind != gen.OpRetract) || lastFact.S == "" {
 			continue
 		}
-		if f := compareAll(i, lastFact); f != nil {
-			return f
+		if err := compareAll(i, lastFact); err != nil {
+			return err
 		}
 	}
 	if lastFact.S == "" {
 		return nil // no facts in this world
 	}
-	if f := compareAll(len(w.Ops), lastFact); f != nil {
-		return f
+	if err := compareAll(len(w.Ops), lastFact); err != nil {
+		return err
 	}
 
 	// Forced post-retraction refresh: delete one stored fact the index
@@ -96,27 +91,28 @@ func SearchVsScan(w *gen.World, opts Options) *Failure {
 	f := facts[len(facts)-1]
 	probe := gen.Op{S: u.Name(f.S), R: u.Name(f.R), T: u.Name(f.T)}
 	if !db.Retract(probe.S, probe.R, probe.T) {
-		return fail("could not retract stored fact %s", u.FormatFact(f))
+		return fmt.Errorf("could not retract stored fact %s", u.FormatFact(f))
 	}
-	if g := compareAll(len(w.Ops)+1, probe); g != nil {
-		return g
+	if err := compareAll(len(w.Ops)+1, probe); err != nil {
+		return err
 	}
 	after := sr.Refresh()
 	if after.Version == before.Version {
-		return fail("retraction did not move the index version (still %d)", after.Version)
+		return fmt.Errorf("retraction did not move the index version (still %d)", after.Version)
 	}
 	return nil
 }
 
-// SearchIncremental is the incremental-index oracle: it replays the
+// searchIncremental is the incremental-index oracle: it replays the
 // world op by op onto a live database and, after every assert and
 // retract, compares the live Searcher — which patches its snapshot
 // with the documents of the entities each write touched — against a
 // Searcher freshly built over the same store at the same version:
 // equal versions, equal entity counts, and equal full rankings for
-// probe queries drawn from the op's names. SearchVsScan checks what
+// probe queries drawn from the op's names. searchVsScan checks what
 // the index answers; this checks that patching answers what building
-// does.
+// does. It also returns the live database, so tests can read what its
+// Searcher did.
 //
 // The database starts with padFacts facts over entities of their own,
 // so the base is big enough for the fold rule to let an overlay grow
@@ -125,18 +121,8 @@ func SearchVsScan(w *gen.World, opts Options) *Failure {
 // overlay. Each step depends only on the ops before it, so any
 // subsequence of a failing program is a valid program and gen.Shrink
 // minimizes it.
-func SearchIncremental(w *gen.World, opts Options) *Failure {
-	f, _ := searchIncremental(w)
-	return f
-}
-
-// searchIncremental is SearchIncremental, also returning the live
-// database so tests can read what its Searcher did.
-func searchIncremental(w *gen.World) (*Failure, *lsdb.Database) {
+func searchIncremental(w *gen.World) (*lsdb.Database, error) {
 	db := lsdb.New()
-	fail := func(format string, args ...any) (*Failure, *lsdb.Database) {
-		return &Failure{Oracle: "search-incremental", Detail: fmt.Sprintf(format, args...)}, db
-	}
 	for i := 0; i < padFacts; i++ {
 		db.MustAssert(fmt.Sprintf("PAD-%03d", 2*i), "PAD-OF", fmt.Sprintf("PAD-%03d", 2*i+1))
 	}
@@ -150,7 +136,7 @@ func searchIncremental(w *gen.World) (*Failure, *lsdb.Database) {
 		fresh := search.New(db.Store(), db.Universe())
 		ls, fs := live.Refresh(), fresh.Refresh()
 		if ls.Version != fs.Version || ls.Entities != fs.Entities {
-			return fail("after op %d (%s): live index at version %d with %d entities, fresh build at %d with %d",
+			return db, fmt.Errorf("after op %d (%s): live index at version %d with %d entities, fresh build at %d with %d",
 				i, op, ls.Version, ls.Entities, fs.Version, fs.Entities)
 		}
 		qs := []string{op.S, op.T, op.S + " " + op.T, strings.ToLower(op.R)}
@@ -161,18 +147,18 @@ func searchIncremental(w *gen.World) (*Failure, *lsdb.Database) {
 			got := live.Search(q, search.Options{K: -1})
 			want := fresh.Search(q, search.Options{K: -1})
 			if got.Version != want.Version || got.Total != want.Total || len(got.Hits) != len(want.Hits) {
-				return fail("after op %d (%s), query %q: live found %d hits at version %d, fresh build %d at %d",
+				return db, fmt.Errorf("after op %d (%s), query %q: live found %d hits at version %d, fresh build %d at %d",
 					i, op, q, got.Total, got.Version, want.Total, want.Version)
 			}
 			for j := range want.Hits {
 				if got.Hits[j] != want.Hits[j] {
-					return fail("after op %d (%s), query %q rank %d: live %+v, fresh build %+v",
+					return db, fmt.Errorf("after op %d (%s), query %q rank %d: live %+v, fresh build %+v",
 						i, op, q, j, got.Hits[j], want.Hits[j])
 				}
 			}
 		}
 	}
-	return nil, db
+	return db, nil
 }
 
 // padFacts is the size of SearchIncremental's padding: 2·padFacts+1
@@ -180,18 +166,15 @@ func searchIncremental(w *gen.World) (*Failure, *lsdb.Database) {
 const padFacts = 64
 
 // diffRankings compares two full rankings field by field.
-func diffRankings(q string, step int, got *lsdb.SearchResult, want []search.Hit) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{Oracle: "search-vs-scan", Detail: fmt.Sprintf(format, args...)}
-	}
+func diffRankings(q string, step int, got *lsdb.SearchResult, want []search.Hit) error {
 	if got.Total != len(want) || len(got.Hits) != len(want) {
-		return fail("step %d query %q: index found %d hits (total %d), scan found %d",
+		return fmt.Errorf("step %d query %q: index found %d hits (total %d), scan found %d",
 			step, q, len(got.Hits), got.Total, len(want))
 	}
 	for i := range want {
 		g, w := got.Hits[i], want[i]
 		if g != w {
-			return fail("step %d query %q rank %d: index %+v, scan %+v", step, q, i, g, w)
+			return fmt.Errorf("step %d query %q rank %d: index %+v, scan %+v", step, q, i, g, w)
 		}
 	}
 	return nil

@@ -19,16 +19,16 @@ import (
 func TestSearchVsScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		w := gen.Generate(seed, gen.Small())
-		if f := SearchVsScan(w, Options{}); f != nil {
-			t.Fatalf("seed %d: %v", seed, f)
+		if err := searchVsScan(w, Options{}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		cc := gen.SmallChurn()
 		cc.Disjoint = seed%2 != 0
 		w := gen.Churn(seed, cc)
-		if f := SearchVsScan(w, Options{}); f != nil {
-			t.Fatalf("churn seed %d: %v", seed, f)
+		if err := searchVsScan(w, Options{}); err != nil {
+			t.Fatalf("churn seed %d: %v", seed, err)
 		}
 	}
 }
@@ -38,8 +38,8 @@ func TestSearchVsScanMedium(t *testing.T) {
 		t.Skip("medium world in -short mode")
 	}
 	w := gen.Generate(7, gen.Medium())
-	if f := SearchVsScan(w, Options{}); f != nil {
-		t.Fatal(f)
+	if err := searchVsScan(w, Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -54,18 +54,18 @@ func TestSearchVsScanDetectsBugs(t *testing.T) {
 
 	// Warm the index, then check the differential agrees while honest.
 	got := db.Search("mozart", lsdb.SearchOptions{K: -1})
-	if f := diffRankings("mozart", 0, got, searchScan(db, "mozart")); f != nil {
-		t.Fatalf("honest differential failed: %v", f)
+	if err := diffRankings("mozart", 0, got, searchScan(db, "mozart")); err != nil {
+		t.Fatalf("honest differential failed: %v", err)
 	}
 
 	// A stale snapshot (simulated by comparing against a scan of a
 	// *different* database) must be reported as a ranking diff.
 	other := lsdb.New()
 	other.MustAssert("SALIERI", "in", "COMPOSER")
-	if f := diffRankings("mozart", 0, got, searchScan(other, "mozart")); f == nil {
+	if err := diffRankings("mozart", 0, got, searchScan(other, "mozart")); err == nil {
 		t.Fatal("differential missed a one-entity divergence")
-	} else if !strings.Contains(f.Detail, "mozart") {
-		t.Fatalf("unhelpful failure detail: %v", f)
+	} else if !strings.Contains(err.Error(), "mozart") {
+		t.Fatalf("unhelpful failure detail: %v", err)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestSearchIncremental(t *testing.T) {
 		}
 		cc.Disjoint = seed%4 == 1
 		w := gen.Churn(seed, cc)
-		f, db := searchIncremental(w)
-		if f != nil {
+		db, err := searchIncremental(w)
+		if err != nil {
 			min := gen.Shrink(w, func(c *gen.World) bool { return SearchIncremental(c, Options{}) != nil })
 			t.Fatalf("seed %d: %v\nshrunk to:\n%s", seed, SearchIncremental(min, Options{}), min.Program())
 		}

@@ -626,7 +626,7 @@ func replSnapshotHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 func recoverHandler(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	if t.follower != nil {
 		writeErr(w, http.StatusForbidden,
-			fmt.Errorf("tenant %s is a replica; its tail log is managed by replication", t.name))
+			fmt.Errorf("tenant %s is a replica; the follower's log is managed by replication", t.name))
 		return
 	}
 	t.snap.Lock()
