@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzImportCSV -fuzztime $(FUZZTIME) ./internal/factfile
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run xxx -fuzz FuzzBatchMatchesSingle -fuzztime $(FUZZTIME) ./internal/serve
 
 # Differential soak: internal/check's oracle table through lsdb-check.
 # SEEDS random worlds through every world oracle, then high-churn and

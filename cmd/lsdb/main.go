@@ -131,8 +131,11 @@ func (st *state) run(line string) error {
 		if len(atoms) != 1 || !atoms[0].Tpl.Ground() {
 			return fmt.Errorf("retract takes one ground fact")
 		}
-		f := atoms[0].Tpl.AsFact()
-		if db.Store().Delete(f) {
+		ok, err := db.RetractFact(atoms[0].Tpl.AsFact())
+		if err != nil {
+			return err
+		}
+		if ok {
 			fmt.Println("retracted")
 		} else {
 			fmt.Println("not stored (derived facts cannot be retracted directly)")
@@ -159,8 +162,6 @@ func (st *state) run(line string) error {
 		}
 		fmt.Print(out.Menu(u))
 		if out.Succeeded() {
-			rows := db.Universe()
-			_ = rows
 			res, err := db.Query(rest)
 			if err == nil {
 				printRows(res)

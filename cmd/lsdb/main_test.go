@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/dataset"
 
 	lsdb "repro"
@@ -65,6 +66,35 @@ func TestReplRetract(t *testing.T) {
 	})
 	if !strings.Contains(out, "retracted") || !strings.Contains(out, "not stored") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestReplRetractReportsDurabilityFailure: a retract whose log write
+// fails is an error, as a fact's is, never "retracted".
+func TestReplRetractReportsDurabilityFailure(t *testing.T) {
+	dir := t.TempDir()
+	attach := func(name string, budget int64) (*lsdb.Database, *check.CrashFS) {
+		db := lsdb.New()
+		db.MustAssert("A", "R", "B")
+		cfs := check.NewCrashFS(budget)
+		db.Store().SetFS(cfs)
+		if _, err := db.Store().AttachLog(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		return db, cfs
+	}
+	// The crash budget is exactly what attaching costs, so the
+	// retraction's log record is the first write to fail.
+	_, probe := attach("probe.log", 1<<62)
+	db, _ := attach("crash.log", probe.Written())
+	st := newState(db)
+	var err error
+	out := capture(t, func() { err = st.run("retract (A, R, B)") })
+	if err == nil || strings.Contains(out, "retracted") {
+		t.Fatalf("retract with a failing log: err %v, output %q", err, out)
+	}
+	if logErr := db.LogStats().Err; logErr == "" {
+		t.Fatal("the log recorded no error")
 	}
 }
 

@@ -121,7 +121,7 @@ func TestSearchEndpoint(t *testing.T) {
 // TestSearchBatchParity pins batch-vs-single equivalence for the new
 // ops: a /batch search (and paginated navigate/try) returns exactly
 // the status and body of the single endpoint, because both run the
-// same payload function.
+// same read function.
 func TestSearchBatchParity(t *testing.T) {
 	srv := testServer(t)
 

@@ -66,7 +66,7 @@ type Tenant struct {
 	stale    *obs.Counter
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
-	ep       map[string]*endpointMetrics
+	ep       []endpointMetrics // indexed like routes
 }
 
 func newTenant(name string, db *lsdb.Database, q Quotas) *Tenant {
@@ -83,13 +83,13 @@ func newTenant(name string, db *lsdb.Database, q Quotas) *Tenant {
 		stale:    reg.Counter("lsdb_http_stale_total"),
 		bytesIn:  reg.Counter("lsdb_http_bytes_in_total"),
 		bytesOut: reg.Counter("lsdb_http_bytes_out_total"),
-		ep:       make(map[string]*endpointMetrics, len(endpoints)),
+		ep:       make([]endpointMetrics, len(routes)),
 	}
-	for _, e := range endpoints {
-		t.ep[e] = &endpointMetrics{
-			requests: reg.Counter("lsdb_http_requests_total", "endpoint", e),
-			latency:  reg.Histogram("lsdb_http_request_ns", "endpoint", e),
-			rejected: reg.Counter("lsdb_http_rejected_total", "endpoint", e),
+	for i, rt := range routes {
+		t.ep[i] = endpointMetrics{
+			requests: reg.Counter("lsdb_http_requests_total", "endpoint", rt.endpoint),
+			latency:  reg.Histogram("lsdb_http_request_ns", "endpoint", rt.endpoint),
+			rejected: reg.Counter("lsdb_http_rejected_total", "endpoint", rt.endpoint),
 		}
 	}
 	return t
@@ -129,22 +129,22 @@ func (t *Tenant) Follower() *repl.Follower { return t.follower }
 // half-applied replication batch.
 func (t *Tenant) SnapLocker() sync.Locker { return &t.snap }
 
-// Admit accounts one request against the tenant's in-flight quota.
-// On success it returns a release func the caller must invoke when
-// the request finishes (the inflight gauge reconciles to zero once
-// every admitted request has released). On rejection, ok is false,
-// the per-endpoint rejected counter has moved, the gauge is already
-// rolled back, and retryAfter is the suggested Retry-After in
-// seconds: the overload ratio of the gauge to the quota, at least 1 —
-// the more oversubscribed the tenant, the longer clients back off.
-// Quota-exempt endpoints (/metrics, /healthz, replication) and
-// tenants with no MaxInflight are always admitted. Exempt requests
-// count on the inflight gauge but not on the admitted gauge the quota
-// compares against: a scrape or replication poll in flight must never
-// consume a client request's admission slot.
-func (t *Tenant) Admit(endpoint string) (release func(), retryAfter int, ok bool) {
+// admit accounts one request to routes[i] against the tenant's
+// in-flight quota. On success it returns a release func the caller
+// must invoke when the request finishes (the inflight gauge
+// reconciles to zero once every admitted request has released). On
+// rejection, ok is false, the route's rejected counter has moved, the
+// gauge is already rolled back, and retryAfter is the suggested
+// Retry-After in seconds: the overload ratio of the gauge to the
+// quota, at least 1 — the more oversubscribed the tenant, the longer
+// clients back off. Exempt routes (/metrics, /healthz, replication)
+// and tenants with no MaxInflight are always admitted. Exempt
+// requests count on the inflight gauge but not on the admitted gauge
+// the quota compares against: a scrape or replication poll in flight
+// must never consume a client request's admission slot.
+func (t *Tenant) admit(i int) (release func(), retryAfter int, ok bool) {
 	t.inflight.Add(1)
-	if quotaExempt[endpoint] {
+	if routes[i].exempt {
 		return func() { t.inflight.Add(-1) }, 0, true
 	}
 	t.admitted.Add(1)
@@ -152,9 +152,7 @@ func (t *Tenant) Admit(endpoint string) (release func(), retryAfter int, ok bool
 		if in := t.admitted.Value(); in > int64(q) {
 			t.admitted.Add(-1)
 			t.inflight.Add(-1)
-			if em := t.ep[endpoint]; em != nil {
-				em.rejected.Inc()
-			}
+			t.ep[i].rejected.Inc()
 			retry := int((in + int64(q) - 1) / int64(q))
 			if retry < 1 {
 				retry = 1
